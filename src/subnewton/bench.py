@@ -93,6 +93,9 @@ class ExperimentResult:
                             "alpha": rec.alpha,
                             "sample_h": rec.sample_size_h,
                             "sample_g": rec.sample_size_g,
+                            "residual_ratio": rec.residual_ratio,
+                            "cg_iters": rec.cg_iters,
+                            "solve_path": rec.solve_path,
                             "rel_err_x": float(r.rel_err_x[i]),
                             "rel_err_f": float(r.rel_err_f[i]),
                             "stop_flag": rec.stop_flag,

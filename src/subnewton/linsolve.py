@@ -10,19 +10,31 @@ The exact solution satisfies both for any theta1, theta2 in [0, 1).  CG
 started from zero satisfies (b) automatically in exact arithmetic (its
 residuals are orthogonal to the iterate), but (b) is still verified
 explicitly and iteration continues if it ever fails.
+
+CG is only worth running while it is cheaper than the exact solve it would
+otherwise fall back to.  On a dense p x p matrix one Cholesky factorization
+costs p^3/3 flops and one CG matvec 2p^2, so CG gets at most ceil(p/6)
+iterations (flop parity) before the solve falls back to Cholesky.  A solve
+where CG never meets the contract then costs about two exact solves; with a
+full p-iteration CG run it would cost about seven.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-# lambda_min below this multiple of lambda_max counts as numerically singular
-PD_RTOL = 1e-12
 EXACT_RESIDUAL_RTOL = 1e-10
 MAX_REFINEMENTS = 3
+
+# how a Newton direction was solved for: an exact solve, CG accepted by the
+# contract, or CG that missed it and fell back to the exact solve
+PATH_EXACT = "cholesky"
+PATH_CG = "cg"
+PATH_FALLBACK = "cholesky-fallback"
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -31,7 +43,11 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class InexactnessSpec:
-    """Tolerances of the two-part acceptance contract."""
+    """Tolerances of the two-part acceptance contract.
+
+    ``max_iters`` is an upper cap on CG iterations; the solve also stops CG
+    at the flop-parity budget ceil(p/6), whichever is smaller.
+    """
 
     theta1: float
     theta2: float
@@ -48,9 +64,15 @@ class InexactnessSpec:
 
 @dataclass(frozen=True)
 class InexactDiagnostics:
+    """Acceptance ratios of a direction; ``solve_inexact`` also fills in the
+    CG iterations it ran and the path (``PATH_CG`` or ``PATH_FALLBACK``)
+    that produced the direction."""
+
     ok: bool
     residual_ratio: float
     descent_ratio: float
+    cg_iters: int = 0
+    path: str | None = None
 
 
 def solve_exact(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -80,11 +102,6 @@ def solve_exact(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise NotPositiveDefiniteError("refinement stalled; matrix numerically singular")
 
 
-def is_invertible(h: np.ndarray) -> bool:
-    eigs = np.linalg.eigvalsh(0.5 * (h + h.T))
-    return float(eigs[0]) > PD_RTOL * max(1.0, float(eigs[-1]))
-
-
 def _cg_iterates(h, g, budget):
     """Conjugate-gradient iterates for H p = -g from the zero start.
 
@@ -109,31 +126,40 @@ def _cg_iterates(h, g, budget):
         rr = rr_next
 
 
-def solve_inexact(h: np.ndarray, g: np.ndarray, spec: InexactnessSpec) -> np.ndarray:
+def solve_inexact(h: np.ndarray, g: np.ndarray,
+                  spec: InexactnessSpec) -> tuple[np.ndarray, InexactDiagnostics]:
     """Direction p approximately solving H p = -g under the acceptance
-    contract.
+    contract, with the diagnostics of the accepted direction.
 
-    CG runs from the zero start, stops at the first iterate meeting the
-    residual condition, then checks the descent condition; if the latter
-    fails, iteration continues.  theta1 = 0 or an exhausted budget falls
-    back to the exact solve.
+    CG runs from the zero start and returns the first iterate meeting the
+    residual condition that also passes the descent condition.  It gets
+    min(spec.max_iters, ceil(p/6)) iterations: ceil(p/6) matvecs cost about
+    as many flops as the Cholesky factorization the solve falls back to when
+    CG misses the contract, which bounds a miss at about two exact solves.
+    theta1 = 0 goes straight to the exact solve.
     """
     g = np.asarray(g, dtype=float).ravel()
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
         raise ValueError("gradient is zero; nothing to solve")
     if spec.theta1 == 0.0:
-        return -solve_exact(h, g)
+        p = -solve_exact(h, g)
+        return p, replace(verify_inexact(h, g, p, spec), path=PATH_FALLBACK)
 
     target = spec.theta1 * gnorm
-    budget = min(spec.max_iters, g.size + 5)
+    budget = min(spec.max_iters, math.ceil(g.size / 6))
+    cg_iters = 0
     for p, res in _cg_iterates(h, g, budget):
-        if res <= target and verify_inexact(h, g, p, spec).ok:
-            return p
+        cg_iters += 1
+        if res <= target:
+            diag = verify_inexact(h, g, p, spec)
+            if diag.ok:
+                return p, replace(diag, cg_iters=cg_iters, path=PATH_CG)
     p = -solve_exact(h, g)
-    if not verify_inexact(h, g, p, spec).ok:
+    diag = verify_inexact(h, g, p, spec)
+    if not diag.ok:
         raise NotPositiveDefiniteError("exact fallback violates the descent contract")
-    return p
+    return p, replace(diag, cg_iters=cg_iters, path=PATH_FALLBACK)
 
 
 def verify_inexact(h, g, p, spec: InexactnessSpec) -> InexactDiagnostics:

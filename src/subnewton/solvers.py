@@ -32,8 +32,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linesearch import LineSearchError, LineSearchParams, armijo
-from .linsolve import InexactnessSpec, NotPositiveDefiniteError, solve_exact, \
-    solve_inexact, verify_inexact
+# verify_inexact is bound here, though unused, so that perfbench/tracing.py
+# can wrap every linsolve entry point under the names solvers binds
+from .linsolve import PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, \
+    solve_exact, solve_inexact, verify_inexact  # noqa: F401
 from .model import ConditionEstimates, EvaluationError, ObjectiveModel
 from .regularize import min_eigenvalue, ridge, spectral_floor
 from .sampling import SampleSet, clamped_size, draw, gradient_sample_size, \
@@ -139,6 +141,8 @@ class TraceRecord:
     sample_size_g: int | None = None
     residual_ratio: float | None = None
     descent_ratio: float | None = None
+    cg_iters: int | None = None
+    solve_path: str | None = None  # "cholesky", "cg" or "cholesky-fallback"
     lambda_applied: float | None = None
     min_eig_h: float | None = None
     grad_error_used: float | None = None
@@ -334,12 +338,11 @@ def _draw_g(model, rng, size_g):
 
 
 def _direction(h, g, config):
-    """Newton direction for H p = -g, with acceptance diagnostics when inexact."""
+    """Newton direction for H p = -g, with the inexact solve's diagnostics
+    (None for an exact solve)."""
     if config.inexact is None:
-        return -solve_exact(h, g), None, None
-    p = solve_inexact(h, g, config.inexact)
-    diag = verify_inexact(h, g, p, config.inexact)
-    return p, diag.residual_ratio, diag.descent_ratio
+        return -solve_exact(h, g), None
+    return solve_inexact(h, g, config.inexact)
 
 
 def _diverged(f_value, f0) -> bool:
@@ -433,7 +436,7 @@ def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
                 g_used = grad_full
                 gnorm_used = gnorm
 
-            p, res_ratio, desc_ratio = _direction_with_retries(
+            p, diag = _direction_with_retries(
                 model, config, rng, x, h, g_used, size_h)
             alpha, trials = armijo(model.value, x, p, g_used, config.line_search)
             x_prev = x
@@ -454,7 +457,10 @@ def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
             k=k, f_value=f_value, grad_norm_full=grad_norm_full,
             grad_norm_used=gnorm_used, alpha=alpha, ls_trials=trials,
             sample_size_h=size_h, sample_size_g=size_g,
-            residual_ratio=res_ratio, descent_ratio=desc_ratio,
+            residual_ratio=diag.residual_ratio if diag else None,
+            descent_ratio=diag.descent_ratio if diag else None,
+            cg_iters=diag.cg_iters if diag else 0,
+            solve_path=diag.path if diag else PATH_EXACT,
             lambda_applied=lam_applied,
             min_eig_h=min_eig if min_eig is not None
             else (min_eigenvalue(h_raw) if config.track_events else None),

@@ -167,3 +167,13 @@ def test_failed_solver_keeps_partial_trace():
     failed = result.run_for("plain")
     assert failed.failed and "spectral" in failed.error
     assert not result.run_for("spectral").failed
+
+
+def test_json_records_carry_solve_diagnostics(tiny_result):
+    blob = tiny_result.to_dict()
+    paths = {r["solver"]: {rec["solve_path"] for rec in r["records"][:-1]}
+             for r in blob["runs"]}
+    assert paths == {"newton": {"cholesky"}, "ssn": {"cholesky"}, "gd": {None}}
+    for r in blob["runs"]:
+        for rec in r["records"]:
+            assert {"residual_ratio", "cg_iters", "solve_path"} <= rec.keys()

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from subnewton.linsolve import InexactnessSpec, NotPositiveDefiniteError, \
-    _cg_iterates, solve_exact, solve_inexact, verify_inexact
+from subnewton.linsolve import PATH_CG, PATH_FALLBACK, InexactnessSpec, \
+    NotPositiveDefiniteError, _cg_iterates, solve_exact, solve_inexact, verify_inexact
 
 
 def random_spd(rng, p, shift=0.1):
@@ -58,7 +60,7 @@ def test_theta1_zero_gives_exact_solution():
     h = random_spd(rng, 12)
     g = rng.standard_normal(12)
     spec = InexactnessSpec(theta1=0.0, theta2=0.7)
-    p = solve_inexact(h, g, spec)
+    p, _ = solve_inexact(h, g, spec)
     np.testing.assert_allclose(p, -solve_exact(h, g), atol=1e-12)
     diag = verify_inexact(h, g, p, spec)
     assert diag.ok and diag.residual_ratio <= 1e-9
@@ -66,7 +68,7 @@ def test_theta1_zero_gives_exact_solution():
 
 def test_identity_converges_in_one_cg_step():
     g = np.array([0.3, -1.2, 0.7])
-    p = solve_inexact(np.eye(3), g, InexactnessSpec(theta1=0.5, theta2=0.5))
+    p, _ = solve_inexact(np.eye(3), g, InexactnessSpec(theta1=0.5, theta2=0.5))
     np.testing.assert_array_equal(p, -g)
 
 
@@ -76,7 +78,7 @@ def test_random_spd_meets_contract():
     for _ in range(10):
         h = random_spd(rng, 30)
         g = rng.standard_normal(30)
-        p = solve_inexact(h, g, spec)
+        p, _ = solve_inexact(h, g, spec)
         assert verify_inexact(h, g, p, spec).ok
 
 
@@ -86,13 +88,49 @@ def test_descent_whenever_pd():
         spec = InexactnessSpec(theta1=theta1, theta2=0.5)
         h = random_spd(rng, 15)
         g = rng.standard_normal(15)
-        p = solve_inexact(h, g, spec)
+        p, _ = solve_inexact(h, g, spec)
         assert float(p @ g) < 0
 
 
 def test_zero_gradient_rejected():
     with pytest.raises(ValueError):
         solve_inexact(np.eye(2), np.zeros(2), InexactnessSpec(theta1=0.1, theta2=0.1))
+
+
+def test_ill_conditioned_system_falls_back_within_flop_parity_budget():
+    """CG cannot reach theta1 on a 1e8-conditioned system within ceil(p/6)
+    matvecs (one Cholesky's worth of flops), so the solve factors instead.
+
+    g = H^(1/2) z keeps ||H|| ||H^-1 g|| / ||g|| near 1e4, so the exact solve
+    can still meet its 1e-10 residual contract in double precision."""
+    rng = np.random.default_rng(7)
+    p = 120
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    eigs = np.logspace(0, 8, p)
+    h = (q * eigs) @ q.T
+    h = 0.5 * (h + h.T)
+    g = (q * np.sqrt(eigs)) @ rng.standard_normal(p)
+    spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
+    direction, diag = solve_inexact(h, g, spec)
+    assert diag.path == PATH_FALLBACK
+    assert 1 <= diag.cg_iters <= math.ceil(p / 6)
+    np.testing.assert_array_equal(direction, -solve_exact(h, g))
+    assert diag.ok
+    assert verify_inexact(h, g, direction, spec).ok
+
+
+def test_well_conditioned_system_accepted_by_cg_under_budget():
+    rng = np.random.default_rng(8)
+    p = 60
+    h = random_spd(rng, p, shift=1.0)
+    g = rng.standard_normal(p)
+    spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
+    direction, diag = solve_inexact(h, g, spec)
+    assert diag.path == PATH_CG
+    assert 1 <= diag.cg_iters < math.ceil(p / 6)
+    check = verify_inexact(h, g, direction, spec)
+    assert check.ok and diag.ok
+    assert diag.residual_ratio == check.residual_ratio <= 1e-2
 
 
 def test_cg_energy_error_monotone():
@@ -150,5 +188,5 @@ def test_theta1_threshold_forces_strong_descent():
         kt = khat / gamma
         theta1 = 0.5 * np.sqrt((1 - eps) / kt)
         g = rng.standard_normal(12)
-        p = solve_inexact(h, g, InexactnessSpec(theta1=theta1, theta2=0.5))
+        p, _ = solve_inexact(h, g, InexactnessSpec(theta1=theta1, theta2=0.5))
         assert float(p @ g) <= -float(g @ g) / (2 * khat) * (1 - 1e-9)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,26 @@ def test_deterministic_traces_modulo_wall_clock(small_logistic):
                 a.sample_size_h, a.min_eig_h, a.stop_flag) == \
                (b.k, b.f_value, b.grad_norm_full, b.grad_norm_used, b.alpha,
                 b.sample_size_h, b.min_eig_h, b.stop_flag)
+
+
+def test_inexact_trace_records_solve_path_and_cg_iters(small_logistic):
+    cfg = SolverConfig(variant="ssn-hessian", sample_frac_h=0.3, seed=4, max_iters=40,
+                       grad_tol=1e-9, inexact=InexactnessSpec(theta1=0.1, theta2=0.5))
+    trace = run(small_logistic, cfg, np.zeros(small_logistic.p))
+    assert trace.stop == "GradTol"
+    *steps, terminal = trace.records
+    assert steps
+    budget = math.ceil(small_logistic.p / 6)
+    for rec in steps:
+        assert rec.solve_path in ("cg", "cholesky-fallback")
+        assert 0 <= rec.cg_iters <= budget
+        if rec.solve_path == "cg":
+            assert rec.cg_iters >= 1 and rec.residual_ratio <= 0.1
+    assert terminal.solve_path is None and terminal.cg_iters is None
+
+    exact = run(small_logistic, replace(cfg, inexact=None), np.zeros(small_logistic.p))
+    assert all(rec.solve_path == "cholesky" and rec.cg_iters == 0
+               for rec in exact.records[:-1])
 
 
 def test_divergence_flagged_on_wild_gd_step(small_logistic):
