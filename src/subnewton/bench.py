@@ -96,6 +96,7 @@ class ExperimentResult:
                             "residual_ratio": rec.residual_ratio,
                             "cg_iters": rec.cg_iters,
                             "solve_path": rec.solve_path,
+                            "data_passes": rec.data_passes,
                             "rel_err_x": float(r.rel_err_x[i]),
                             "rel_err_f": float(r.rel_err_f[i]),
                             "stop_flag": rec.stop_flag,

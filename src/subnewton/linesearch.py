@@ -7,6 +7,10 @@ Accepts the largest step alpha in {alpha_hat, alpha_hat*shrink, ...} with
 where g is whichever gradient produced the direction: the full gradient for
 full-gradient methods, the sub-sampled one when the gradient is sampled (the
 left-hand side always evaluates the full objective).
+
+The search sees F only along the line, as a function of alpha, and takes
+F(x) from the caller.  The drivers evaluate that line from the margins A x
+and A p, so a trial costs O(n) rather than a pass over the data.
 """
 
 from __future__ import annotations
@@ -43,20 +47,20 @@ class LineSearchParams:
             raise ValueError("max_backtracks must be >= 1")
 
 
-def armijo(value_fn, x, p, g_used, params: LineSearchParams) -> tuple[float, int]:
+def armijo(line, f0: float, slope: float, params: LineSearchParams) -> tuple[float, int]:
     """Backtrack from alpha_hat until the sufficient-decrease test holds.
 
-    Returns (alpha, trials).  Overflowing trial evaluations count as failed
-    trials rather than aborting, so the search can back off from wild steps.
+    ``line(alpha)`` returns F(x + alpha p), ``f0`` is F(x) and ``slope`` is
+    p'g.  Returns (alpha, trials); only trial steps are evaluated.
+    Overflowing trial evaluations count as failed trials rather than
+    aborting, so the search can back off from wild steps.
     """
-    slope = float(p @ g_used)
     if slope >= 0:
         raise ValueError(f"direction is not a descent direction (p'g = {slope:.3g})")
-    f0 = value_fn(x)
     alpha = params.alpha_hat
     for trial in range(1, params.max_backtracks + 1):
         try:
-            f_trial = value_fn(x + alpha * p)
+            f_trial = line(alpha)
         except EvaluationError:
             f_trial = None
         if f_trial is not None and f_trial <= f0 + alpha * params.beta * slope:

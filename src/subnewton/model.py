@@ -186,7 +186,6 @@ class ConditionEstimates:
     gamma: float
     big_k: float
     per_component_k: np.ndarray
-    lipschitz_l: float | None = None
     _prefix_means: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -261,6 +260,7 @@ class ObjectiveModel:
                 np.max(np.where(norms > 0, np.log(norms), -np.inf) + 0.5 * norms**2)
             )
         self.bound_cap = BOUND_CAP
+        self.data_passes = 0  # full-data products so far (A x and A'w)
 
     # -- scalar objective ------------------------------------------------
 
@@ -273,14 +273,17 @@ class ObjectiveModel:
         return self.dataset.p
 
     def _margins(self, x):
-        t = self.dataset.features @ x
-        return np.asarray(t).ravel()
+        # every full-data product A x goes through here; A'w is in gradient
+        self.data_passes += 1
+        return np.asarray(self.dataset.features @ x).ravel()
 
-    def value(self, x: np.ndarray) -> float:
-        """F(x) = mean(Phi(a_i'x) - b_i a_i'x) + (reg/2)||x||^2."""
+    def value(self, x: np.ndarray, t: np.ndarray | None = None) -> float:
+        """F(x) = mean(Phi(a_i'x) - b_i a_i'x) + (reg/2)||x||^2; given the
+        margins t = A x, it costs O(n) instead of a pass over the data."""
         x = self._check_x(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            t = self._margins(x)
+            if t is None:
+                t = self._margins(x)
             b = self.dataset.labels
             val = float(np.mean(self._fam.phi(t) - b * t)) \
                 + 0.5 * self.reg * float(x @ x)
@@ -288,11 +291,13 @@ class ObjectiveModel:
             raise EvaluationError(f"objective value is non-finite at ||x||={np.linalg.norm(x):.3g}")
         return val
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """mean_i (Phi'(a_i'x) - b_i) a_i + reg * x."""
+    def gradient(self, x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+        """mean_i (Phi'(a_i'x) - b_i) a_i + reg * x; ``t`` as in ``value``."""
         x = self._check_x(x)
-        t = self._margins(x)
+        if t is None:
+            t = self._margins(x)
         w = self._fam.phi_prime(t) - self.dataset.labels
+        self.data_passes += 1
         g = np.asarray(self.dataset.features.T @ w).ravel() / self.n + self.reg * x
         if not np.all(np.isfinite(g)):
             raise EvaluationError("gradient is non-finite")

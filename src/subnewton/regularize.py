@@ -20,9 +20,7 @@ SYMMETRY_TOL = 1e-8
 @dataclass(frozen=True)
 class RegularizedHessian:
     matrix: np.ndarray
-    lambda_floor: float
-    kind: str  # "none" | "spectral" | "ridge"
-    min_eig: float
+    min_eig: float | None = None  # set by spectral_floor, which has the spectrum
 
 
 def _symmetrize(h: np.ndarray) -> np.ndarray:
@@ -52,13 +50,11 @@ def spectral_floor(h: np.ndarray, lam: float) -> RegularizedHessian:
     h = _symmetrize(h)
     eigs, vecs = np.linalg.eigh(h)
     if lam <= eigs[0]:
-        return RegularizedHessian(matrix=h, lambda_floor=lam, kind="spectral",
-                                  min_eig=float(eigs[0]))
+        return RegularizedHessian(matrix=h, min_eig=float(eigs[0]))
     floored = np.maximum(eigs, lam)
     out = (vecs * floored) @ vecs.T
     out = 0.5 * (out + out.T)
-    return RegularizedHessian(matrix=out, lambda_floor=lam, kind="spectral",
-                              min_eig=float(floored.min()))
+    return RegularizedHessian(matrix=out, min_eig=float(floored.min()))
 
 
 def ridge(h: np.ndarray, lam: float) -> RegularizedHessian:
@@ -68,5 +64,4 @@ def ridge(h: np.ndarray, lam: float) -> RegularizedHessian:
     h = _symmetrize(h)
     out = h.copy()
     out[np.diag_indices_from(out)] += lam
-    return RegularizedHessian(matrix=out, lambda_floor=lam, kind="ridge",
-                              min_eig=float(np.linalg.eigvalsh(out)[0]))
+    return RegularizedHessian(matrix=out)

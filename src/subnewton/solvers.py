@@ -19,15 +19,20 @@ Variants
 
 Every run owns its RNG (seeded from the config), draws fresh samples each
 iteration, and logs one record per iteration.  Timing covers only the
-algorithmic work; trace diagnostics (objective value, full gradient norm,
-eigenvalue checks) run outside the clock so benchmark comparisons stay fair.
+algorithmic work and holds one full gradient per iteration.  A Newton-like
+or quasi-Newton iteration passes over the data three times in the clock:
+A p, so Armijo trials cost O(n) from the margins t + alpha A p, then fresh
+margins A x at the new iterate and A'w for its gradient.  F and the gradient
+there come from those margins; the record, the next stop test, direction
+and Armijo F(x) reuse them.  Diagnostics (``ssn-full``'s full gradient,
+eigenvalue checks, the first-order baselines' values) run outside the clock.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,6 +155,7 @@ class TraceRecord:
     bound_saturated: bool = False
     stop_flag: str = ""
     wall_nanos: int = 0
+    data_passes: int = 0  # products with the full A or A' inside this iteration's clock
     x: np.ndarray | None = None
 
 
@@ -202,26 +208,6 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
     if config.variant in SSN_VARIANTS or config.variant == "newton":
         return _run_newton_like(model, config, x0)
     return run_baseline(model, config, x0)
-
-
-def run_ssn_hessian(model, config, x0) -> Trace:
-    return run(model, replace(config, variant="ssn-hessian"), x0)
-
-
-def run_ssn_spectral(model, config, x0) -> Trace:
-    return run(model, replace(config, variant="ssn-spectral"), x0)
-
-
-def run_ssn_ridge(model, config, x0) -> Trace:
-    return run(model, replace(config, variant="ssn-ridge"), x0)
-
-
-def run_ssn_full(model, config, x0) -> Trace:
-    return run(model, replace(config, variant="ssn-full"), x0)
-
-
-def run_newton(model, config, x0) -> Trace:
-    return run(model, replace(config, variant="newton"), x0)
 
 
 # -- shared plumbing ----------------------------------------------------------
@@ -278,12 +264,7 @@ def _rate_header(config, est, size_h) -> dict:
             pred = rate_ridge(config.line_search.beta, theta2, config.lambda_user,
                               est.big_k, est.khat(size_h), est.gamma, alpha=1.0)
         elif config.variant == "ssn-full":
-            if config.inexact is None:
-                pred = rate_alg4(config.line_search.beta, config.eps1, kap, kt, alpha=1.0)
-            else:
-                pred = rate_alg4(config.line_search.beta, config.eps1, kap, kt, alpha=1.0,
-                                 theta1=config.inexact.theta1,
-                                 theta2=config.inexact.theta2, inexact=True)
+            pred = _alg4_rate(config, est, size_h)
         else:
             return {}
     except ValueError:
@@ -291,31 +272,28 @@ def _rate_header(config, est, size_h) -> dict:
     return pred.as_dict()
 
 
-def _resolve_sigma(config, est, size_h) -> float:
-    if config.sigma is not None:
-        sigma = config.sigma
-        if est.strongly_convex:
-            kt = est.kappa_tilde(size_h, config.replacement)
-            if config.inexact is None:
-                floor = rate_alg4(config.line_search.beta, config.eps1, est.kappa, kt,
-                                  1.0).sigma_min
-            else:
-                floor = rate_alg4(config.line_search.beta, config.eps1, est.kappa, kt, 1.0,
-                                  theta1=config.inexact.theta1,
-                                  theta2=config.inexact.theta2, inexact=True).sigma_min
-            if sigma < floor:
-                warnings.warn(
-                    f"sigma = {sigma:.4g} is below the guarantee floor {floor:.4g}; "
-                    "the STOP certificate may not hold", stacklevel=3)
-        return sigma
-    if not est.strongly_convex:
-        raise SolverError("sigma=None needs gamma > 0 to compute the guarantee floor")
+def _alg4_rate(config, est, size_h):
+    """Algorithm 4's guarantee constants at the step-size floor."""
     kt = est.kappa_tilde(size_h, config.replacement)
     if config.inexact is None:
-        return rate_alg4(config.line_search.beta, config.eps1, est.kappa, kt, 1.0).sigma_min
+        return rate_alg4(config.line_search.beta, config.eps1, est.kappa, kt, 1.0)
     return rate_alg4(config.line_search.beta, config.eps1, est.kappa, kt, 1.0,
                      theta1=config.inexact.theta1, theta2=config.inexact.theta2,
-                     inexact=True).sigma_min
+                     inexact=True)
+
+
+def _resolve_sigma(config, est, size_h) -> float:
+    if config.sigma is None:
+        if not est.strongly_convex:
+            raise SolverError("sigma=None needs gamma > 0 to compute the guarantee floor")
+        return _alg4_rate(config, est, size_h).sigma_min
+    if est.strongly_convex:
+        floor = _alg4_rate(config, est, size_h).sigma_min
+        if config.sigma < floor:
+            warnings.warn(
+                f"sigma = {config.sigma:.4g} is below the guarantee floor {floor:.4g}; "
+                "the STOP certificate may not hold", stacklevel=3)
+    return config.sigma
 
 
 def _draw_h(model, config, rng, size_h):
@@ -345,8 +323,27 @@ def _direction(h, g, config):
     return solve_inexact(h, g, config.inexact)
 
 
-def _diverged(f_value, f0) -> bool:
-    return not np.isfinite(f_value) or f_value > f0 + 10.0 * max(1.0, abs(f0))
+def _line(model, x, p, t):
+    """alpha -> F(x + alpha p), from the margins t = A x and one product A p."""
+    ap = model._margins(p)
+    return lambda alpha: model.value(x + alpha * p, t + alpha * ap)
+
+
+def _log_step(trace, rec) -> bool:
+    """Append a step record; a diverged step marks the run failed (True)."""
+    trace.records.append(rec)
+    f0 = trace.f0
+    if not np.isfinite(rec.f_value) or rec.f_value > f0 + 10.0 * max(1.0, abs(f0)):
+        rec.stop_flag = trace.stop = STOP_ERROR
+        return True
+    return False
+
+
+def _out_of_iterations(trace) -> Trace:
+    if trace.records:
+        trace.records[-1].stop_flag = STOP_MAX_ITERS
+    trace.stop = STOP_MAX_ITERS
+    return trace
 
 
 def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
@@ -373,8 +370,11 @@ def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         "rate_prediction": _rate_header(config, est, size_h),
     }
     rng = np.random.default_rng(config.seed)
-    f0 = model.value(x0)
-    trace = Trace(variant=config.variant, header=header, f0=f0, x0=x0.copy())
+    sampled_g = config.variant == "ssn-full"
+    t = model._margins(x0)
+    f_value = model.value(x0, t)
+    grad_full = model.gradient(x0, t)
+    trace = Trace(variant=config.variant, header=header, f0=f_value, x0=x0.copy())
 
     x = x0.copy()
     wall = 0
@@ -384,14 +384,13 @@ def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         if limit_ns is not None and wall >= limit_ns:
             break
         tic = time.perf_counter_ns()
+        passes = model.data_passes
         try:
-            grad_full = model.gradient(x) if config.variant != "ssn-full" else None
-            if grad_full is not None:
-                gnorm = float(np.linalg.norm(grad_full))
-                if gnorm <= config.grad_tol:
-                    wall += time.perf_counter_ns() - tic
-                    _terminal(trace, model, x, k, gnorm, gnorm, STOP_GRAD_TOL, wall)
-                    return trace
+            gnorm = float(np.linalg.norm(grad_full))
+            if not sampled_g and gnorm <= config.grad_tol:
+                wall += time.perf_counter_ns() - tic
+                _terminal(trace, x, k, f_value, gnorm, gnorm, STOP_GRAD_TOL, wall)
+                return trace
 
             sample_h = _draw_h(model, config, rng, size_h)
             h_raw = subsampled_hessian(model, x, sample_h)
@@ -411,7 +410,7 @@ def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
             size_g = None
             grad_clamped = False
             saturated = False
-            if config.variant == "ssn-full":
+            if sampled_g:
                 if config.sample_frac_g is not None:
                     size_g = max(1, round(config.sample_frac_g * model.n))
                 else:
@@ -424,13 +423,14 @@ def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
                 gnorm_used = float(np.linalg.norm(g_used))
                 if gnorm_used < sigma * eps2_k:
                     wall += time.perf_counter_ns() - tic
-                    rec = _terminal(trace, model, x, k, None, gnorm_used, STOP_SIGMA, wall)
+                    rec = _terminal(trace, x, k, f_value, gnorm, gnorm_used, STOP_SIGMA,
+                                    wall)
                     rec.sample_size_h = size_h
                     rec.sample_size_g = size_g
                     return trace
                 if gnorm_used <= config.grad_tol:
                     wall += time.perf_counter_ns() - tic
-                    _terminal(trace, model, x, k, None, gnorm_used, STOP_GRAD_TOL, wall)
+                    _terminal(trace, x, k, f_value, gnorm, gnorm_used, STOP_GRAD_TOL, wall)
                     return trace
             else:
                 g_used = grad_full
@@ -438,23 +438,30 @@ def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
 
             p, diag = _direction_with_retries(
                 model, config, rng, x, h, g_used, size_h)
-            alpha, trials = armijo(model.value, x, p, g_used, config.line_search)
-            x_prev = x
+            alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g_used),
+                                   config.line_search)
+            grad_prev = grad_full
             x = x + alpha * p
+            # fresh margins, not t + alpha * A p: no rounding drift builds up
+            t = model._margins(x)
+            f_value = model.value(x, t)
+            if not sampled_g:
+                grad_full = model.gradient(x, t)
         except (NotPositiveDefiniteError, LineSearchError, EvaluationError) as exc:
             trace.stop = STOP_ERROR
             raise SolverError(f"{config.variant} failed at iteration {k}: {exc}",
                               trace=trace) from exc
         wall += time.perf_counter_ns() - tic
+        passes = model.data_passes - passes
 
         # diagnostics live outside the clock
-        f_value = model.value(x)
-        grad_norm_full = float(np.linalg.norm(model.gradient(x)))
         grad_error = None
-        if config.track_events and config.variant == "ssn-full":
-            grad_error = float(np.linalg.norm(g_used - model.gradient(x_prev)))
+        if sampled_g:
+            grad_full = model.gradient(x, t)
+            if config.track_events:
+                grad_error = float(np.linalg.norm(g_used - grad_prev))
         rec = TraceRecord(
-            k=k, f_value=f_value, grad_norm_full=grad_norm_full,
+            k=k, f_value=f_value, grad_norm_full=float(np.linalg.norm(grad_full)),
             grad_norm_used=gnorm_used, alpha=alpha, ls_trials=trials,
             sample_size_h=size_h, sample_size_g=size_g,
             residual_ratio=diag.residual_ratio if diag else None,
@@ -466,19 +473,13 @@ def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
             else (min_eigenvalue(h_raw) if config.track_events else None),
             grad_error_used=grad_error,
             grad_clamped=grad_clamped, bound_saturated=saturated,
-            wall_nanos=wall, x=x.copy(),
+            wall_nanos=wall, data_passes=passes, x=x.copy(),
         )
-        trace.records.append(rec)
         if config.eps2_schedule == "geometric":
             eps2_k *= config.rho2
-        if _diverged(f_value, f0):
-            rec.stop_flag = STOP_ERROR
-            trace.stop = STOP_ERROR
+        if _log_step(trace, rec):
             return trace
-    if trace.records:
-        trace.records[-1].stop_flag = STOP_MAX_ITERS
-    trace.stop = STOP_MAX_ITERS
-    return trace
+    return _out_of_iterations(trace)
 
 
 def _direction_with_retries(model, config, rng, x, h, g_used, size_h):
@@ -502,11 +503,9 @@ def _direction_with_retries(model, config, rng, x, h, g_used, size_h):
             "switch to ssn-spectral or ssn-ridge (lambda_user > 0)") from None
 
 
-def _terminal(trace, model, x, k, gnorm_full, gnorm_used, flag, wall):
+def _terminal(trace, x, k, f_value, gnorm_full, gnorm_used, flag, wall):
     """Record the stopping check itself (no step taken)."""
-    if gnorm_full is None:
-        gnorm_full = float(np.linalg.norm(model.gradient(x)))
-    rec = TraceRecord(k=k, f_value=model.value(x), grad_norm_full=gnorm_full,
+    rec = TraceRecord(k=k, f_value=f_value, grad_norm_full=gnorm_full,
                       grad_norm_used=gnorm_used, alpha=0.0, stop_flag=flag,
                       wall_nanos=wall, x=x.copy())
     trace.records.append(rec)
@@ -531,8 +530,6 @@ def _config_echo(config: SolverConfig) -> dict:
 
 def run_baseline(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
     x0 = np.asarray(x0, dtype=float).ravel()
-    if config.variant == "newton":
-        return _run_newton_like(model, config, x0)
     if config.variant == "gd":
         return _run_first_order(model, config, x0, accelerated=False)
     if config.variant == "agd":
@@ -558,8 +555,9 @@ def _run_first_order(model, config, x0, accelerated: bool) -> Trace:
     header = {"config": _config_echo(config), "gamma": est.gamma, "big_k": est.big_k,
               "kappa": est.kappa, "step": step, "momentum": momentum,
               "rate_prediction": {}}
-    f0 = model.value(x0)
-    trace = Trace(variant=config.variant, header=header, f0=f0, x0=x0.copy())
+    t = model._margins(x0)
+    f_value = model.value(x0, t)
+    trace = Trace(variant=config.variant, header=header, f0=f_value, x0=x0.copy())
 
     x = x0.copy()
     x_prev = x0.copy()
@@ -567,15 +565,16 @@ def _run_first_order(model, config, x0, accelerated: bool) -> Trace:
     wall = 0
     # the stop test reads last iteration's (out-of-clock) diagnostic gradient,
     # keeping the timed region at exactly one gradient per iteration
-    gnorm_at_x = float(np.linalg.norm(model.gradient(x0)))
+    gnorm_at_x = float(np.linalg.norm(model.gradient(x0, t)))
     limit_ns = None if config.time_limit is None else int(config.time_limit * 1e9)
     for k in range(config.max_iters):
         if gnorm_at_x <= config.grad_tol:
-            _terminal(trace, model, x, k, gnorm_at_x, gnorm_at_x, STOP_GRAD_TOL, wall)
+            _terminal(trace, x, k, f_value, gnorm_at_x, gnorm_at_x, STOP_GRAD_TOL, wall)
             return trace
         if limit_ns is not None and wall >= limit_ns:
             break
         tic = time.perf_counter_ns()
+        passes = model.data_passes
         if accelerated:
             if momentum is not None:
                 y = x + momentum * (x - x_prev)
@@ -590,25 +589,21 @@ def _run_first_order(model, config, x0, accelerated: bool) -> Trace:
             g = model.gradient(x)
             x = x - step * g
         wall += time.perf_counter_ns() - tic
+        passes = model.data_passes - passes
 
         try:
-            f_value = model.value(x)
-            gnorm_at_x = float(np.linalg.norm(model.gradient(x)))
+            t = model._margins(x)
+            f_value = model.value(x, t)
+            gnorm_at_x = float(np.linalg.norm(model.gradient(x, t)))
         except EvaluationError:
             f_value = np.inf
             gnorm_at_x = np.inf
         rec = TraceRecord(k=k, f_value=f_value, grad_norm_full=gnorm_at_x,
                           grad_norm_used=float(np.linalg.norm(g)), alpha=step,
-                          wall_nanos=wall, x=x.copy())
-        trace.records.append(rec)
-        if _diverged(f_value, f0):
-            rec.stop_flag = STOP_ERROR
-            trace.stop = STOP_ERROR
+                          wall_nanos=wall, data_passes=passes, x=x.copy())
+        if _log_step(trace, rec):
             return trace
-    if trace.records:
-        trace.records[-1].stop_flag = STOP_MAX_ITERS
-    trace.stop = STOP_MAX_ITERS
-    return trace
+    return _out_of_iterations(trace)
 
 
 def _run_quasi_newton(model, config, x0) -> Trace:
@@ -616,11 +611,12 @@ def _run_quasi_newton(model, config, x0) -> Trace:
     header = {"config": _config_echo(config),
               "memory": config.lbfgs_memory if limited else None,
               "rate_prediction": {}}
-    f0 = model.value(x0)
-    trace = Trace(variant=config.variant, header=header, f0=f0, x0=x0.copy())
+    t = model._margins(x0)
+    f_value = model.value(x0, t)
+    trace = Trace(variant=config.variant, header=header, f0=f_value, x0=x0.copy())
 
     x = x0.copy()
-    g = model.gradient(x)
+    g = model.gradient(x, t)
     b_inv = np.eye(model.p)
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
     wall = 0
@@ -629,10 +625,11 @@ def _run_quasi_newton(model, config, x0) -> Trace:
         if limit_ns is not None and wall >= limit_ns:
             break
         tic = time.perf_counter_ns()
+        passes = model.data_passes
         gnorm = float(np.linalg.norm(g))
         if gnorm <= config.grad_tol:
             wall += time.perf_counter_ns() - tic
-            _terminal(trace, model, x, k, gnorm, gnorm, STOP_GRAD_TOL, wall)
+            _terminal(trace, x, k, f_value, gnorm, gnorm, STOP_GRAD_TOL, wall)
             return trace
         if limited:
             p = -_two_loop(g, history)
@@ -645,14 +642,17 @@ def _run_quasi_newton(model, config, x0) -> Trace:
             else:
                 b_inv = np.eye(model.p)
         try:
-            alpha, trials = armijo(model.value, x, p, g, config.line_search)
+            alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g),
+                                   config.line_search)
         except LineSearchError as exc:
             trace.stop = STOP_ERROR
             raise SolverError(f"{config.variant} line search failed at k={k}: {exc}",
                               trace=trace) from exc
         s = alpha * p
         x = x + s
-        g_new = model.gradient(x)
+        t = model._margins(x)
+        f_value = model.value(x, t)
+        g_new = model.gradient(x, t)
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
@@ -667,19 +667,13 @@ def _run_quasi_newton(model, config, x0) -> Trace:
         g = g_new
         wall += time.perf_counter_ns() - tic
 
-        f_value = model.value(x)
         rec = TraceRecord(k=k, f_value=f_value, grad_norm_full=float(np.linalg.norm(g)),
                           grad_norm_used=gnorm, alpha=alpha, ls_trials=trials,
-                          wall_nanos=wall, x=x.copy())
-        trace.records.append(rec)
-        if _diverged(f_value, f0):
-            rec.stop_flag = STOP_ERROR
-            trace.stop = STOP_ERROR
+                          wall_nanos=wall, data_passes=model.data_passes - passes,
+                          x=x.copy())
+        if _log_step(trace, rec):
             return trace
-    if trace.records:
-        trace.records[-1].stop_flag = STOP_MAX_ITERS
-    trace.stop = STOP_MAX_ITERS
-    return trace
+    return _out_of_iterations(trace)
 
 
 def _two_loop(g, history) -> np.ndarray:

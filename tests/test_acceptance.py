@@ -31,7 +31,7 @@ from subnewton.regularize import ridge as ridge_op
 from subnewton.regularize import spectral_floor
 from subnewton.sampling import draw, gradient_sample_size, hessian_sample_size, \
     subsampled_gradient, subsampled_hessian
-from subnewton.solvers import SolverConfig, run, run_newton
+from subnewton.solvers import SolverConfig, run
 from subnewton.theory import grad_quadratic_roots, rate_alg1, rate_alg1_inexact
 
 from conftest import central_diff_gradient, central_diff_hessian
@@ -67,8 +67,8 @@ def desk_estimates(desk):
 
 @pytest.fixture(scope="module")
 def desk_f_star(desk):
-    trace = run_newton(desk, SolverConfig(variant="newton", grad_tol=1e-12,
-                                          max_iters=200), np.zeros(desk.p))
+    trace = run(desk, SolverConfig(variant="newton", grad_tol=1e-12,
+                                   max_iters=200), np.zeros(desk.p))
     assert trace.stop == "GradTol"
     return trace.f_final
 
@@ -311,8 +311,8 @@ def test_criterion_9_benchmark_ordering():
         assert measure_gram_condition(dataset) >= 1e4
         x0 = np.zeros(model.p)
 
-        oracle = run_newton(model, SolverConfig(variant="newton", grad_tol=1e-10,
-                                                max_iters=300), x0)
+        oracle = run(model, SolverConfig(variant="newton", grad_tol=1e-10,
+                                         max_iters=300), x0)
         assert oracle.stop == "GradTol"
         f_star = oracle.f_final
 

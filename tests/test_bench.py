@@ -176,4 +176,8 @@ def test_json_records_carry_solve_diagnostics(tiny_result):
     assert paths == {"newton": {"cholesky"}, "ssn": {"cholesky"}, "gd": {None}}
     for r in blob["runs"]:
         for rec in r["records"]:
-            assert {"residual_ratio", "cg_iters", "solve_path"} <= rec.keys()
+            assert {"residual_ratio", "cg_iters", "solve_path", "data_passes"} <= rec.keys()
+    passes = {r["solver"]: {rec["data_passes"] for rec in r["records"]
+                            if rec["stop_flag"] in ("", "MaxIters")}
+              for r in blob["runs"]}
+    assert passes == {"newton": {3}, "ssn": {3}, "gd": {2}}

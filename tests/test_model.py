@@ -40,6 +40,22 @@ def test_value_overflow_is_error():
         m.value(np.array([1e200, 0.0]))
 
 
+@pytest.mark.parametrize("fixture", ["small_ridge", "small_logistic", "small_poisson"])
+def test_evaluation_from_margins_and_pass_count(fixture, request):
+    m = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(3)
+    x, p = 0.3 * rng.standard_normal(m.p), 0.3 * rng.standard_normal(m.p)
+    t, ap = m.dataset.features @ x, m.dataset.features @ p
+    before = m.data_passes
+    assert m.value(x, t) == m.value(x)
+    np.testing.assert_array_equal(m.gradient(x, t), m.gradient(x))
+    # the margins save A x; A'w is still one pass
+    assert m.data_passes - before == 1 + 1 + 2
+    for alpha in (1.0, 0.5, 1e-3):
+        along = m.value(x + alpha * p, t + alpha * ap)
+        assert along == pytest.approx(m.value(x + alpha * p), rel=1e-12)
+
+
 # -- gradient -----------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from subnewton.data import generate_synthetic
 from subnewton.linesearch import LineSearchParams
 from subnewton.linsolve import InexactnessSpec
 from subnewton.model import Dataset, ObjectiveModel
-from subnewton.solvers import SolverConfig, SolverError, run, run_newton
+from subnewton.solvers import SolverConfig, SolverError, run
 from subnewton.theory import rate_alg1, rate_alg4, rate_ridge, rate_spectral
 
 
@@ -48,8 +48,8 @@ def test_full_sample_variants_collapse_to_newton(variant, problem, small_logisti
 
 def test_newton_one_step_on_quadratic():
     model = quadratic_model()
-    trace = run_newton(model, SolverConfig(variant="newton", grad_tol=1e-8,
-                                           max_iters=10), np.ones(model.p) * 2)
+    trace = run(model, SolverConfig(variant="newton", grad_tol=1e-8,
+                                    max_iters=10), np.ones(model.p) * 2)
     assert trace.records[0].alpha == 1.0
     assert trace.stop == "GradTol"
     assert trace.n_iters == 2  # one Newton step plus the stopping check
@@ -144,6 +144,32 @@ def test_inexact_trace_records_solve_path_and_cg_iters(small_logistic):
                for rec in exact.records[:-1])
 
 
+FULL_GRADIENT_CONFIGS = [
+    dict(variant="ssn-hessian", sample_frac_h=0.3),
+    dict(variant="ssn-hessian", sample_frac_h=0.3,
+         inexact=InexactnessSpec(theta1=0.1, theta2=0.5)),
+    dict(variant="ssn-spectral", sample_frac_h=0.3, lambda_user=0.05),
+    dict(variant="ssn-ridge", sample_frac_h=0.3, lambda_user=0.05),
+    dict(variant="newton"),
+]
+
+
+@pytest.mark.parametrize("settings", FULL_GRADIENT_CONFIGS,
+                         ids=lambda d: d["variant"] + ("-inexact" if "inexact" in d else ""))
+def test_records_reuse_in_clock_evaluations_exactly(small_logistic, settings):
+    m = small_logistic
+    trace = run(m, SolverConfig(grad_tol=1e-9, max_iters=40, seed=5, **settings),
+                np.zeros(m.p))
+    assert trace.stop == "GradTol"
+    for rec in trace.records:
+        assert rec.f_value == m.value(rec.x)
+        assert rec.grad_norm_full == float(np.linalg.norm(m.gradient(rec.x)))
+    *steps, terminal = trace.records
+    # A p for the line search, fresh margins A x and A'w at the new iterate
+    assert steps and all(rec.data_passes == 3 for rec in steps)
+    assert terminal.data_passes == 0
+
+
 def test_divergence_flagged_on_wild_gd_step(small_logistic):
     cfg = SolverConfig(variant="gd", gd_step=1e6, max_iters=50, grad_tol=0.0)
     trace = run(small_logistic, cfg, np.zeros(small_logistic.p))
@@ -234,9 +260,9 @@ def test_time_limit_stops_early(small_logistic):
 
 @pytest.fixture(scope="module")
 def oracle_star(small_logistic):
-    trace = run_newton(small_logistic,
-                       SolverConfig(variant="newton", grad_tol=1e-12, max_iters=100),
-                       np.zeros(small_logistic.p))
+    trace = run(small_logistic,
+                SolverConfig(variant="newton", grad_tol=1e-12, max_iters=100),
+                np.zeros(small_logistic.p))
     assert trace.stop == "GradTol"
     return trace.x_final, trace.f_final
 
