@@ -10,8 +10,6 @@ snapshots stored in the traces.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,8 +110,9 @@ class ExperimentResult:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every (solver, repetition) pair and derive the error series.
 
-    Repetitions re-seed each config with seed + rep.  Runs may execute in
-    parallel when SSN_THREADS > 1; results are assembled serially either way.
+    Repetitions re-seed each config with seed + rep.  Runs execute one at a
+    time: they share the model's pass counter, and a record's clock must not
+    overlap another run's work.
     """
     model = ObjectiveModel(spec.dataset, spec.family, spec.reg)
     x0 = np.zeros(model.p) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
@@ -128,12 +127,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 cfg = replace(cfg, time_limit=spec.time_limit)
             jobs.append((name, rep, cfg))
 
-    threads = int(os.environ.get("SSN_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda j: _one_run(model, j, x0), jobs))
-    else:
-        outcomes = [_one_run(model, j, x0) for j in jobs]
+    outcomes = [_one_run(model, j, x0) for j in jobs]
 
     traced = [(name, rep, tr, err) for name, rep, tr, err in outcomes if tr.records]
     if not traced:

@@ -18,21 +18,30 @@ Variants
 ``bfgs``/``lbfgs`` quasi-Newton baselines with Armijo.
 
 Every run owns its RNG (seeded from the config), draws fresh samples each
-iteration, and logs one record per iteration.  Timing covers only the
-algorithmic work and holds one full gradient per iteration.  A Newton-like
-or quasi-Newton iteration passes over the data three times in the clock:
-A p, so Armijo trials cost O(n) from the margins t + alpha A p, then fresh
-margins A x at the new iterate and A'w for its gradient.  F and the gradient
-there come from those margins; the record, the next stop test, direction
-and Armijo F(x) reuse them.  Diagnostics (``ssn-full``'s full gradient,
-eigenvalue checks, the first-order baselines' values) run outside the clock.
+iteration, and logs one record per iteration.  ``run`` holds the one loop:
+each family (Newton-like, quasi-Newton, first-order) supplies its header and
+its move from x_k to x_{k+1}, and the loop owns the clock, the stop test,
+the evaluation at x_{k+1}, the error handling and the record.
+
+The clock covers the move and what the next move reads at x_{k+1}.  A
+Newton-like or quasi-Newton iteration passes over the data three times in
+it: A p, so Armijo trials cost O(n) from the margins t + alpha A p, then
+fresh margins A x at the new iterate and A'w for its gradient.  F and the
+gradient there come from those margins; the record, the next stop test,
+direction and Armijo F(x) reuse them.  ``ssn-full`` steps on a sampled
+gradient, so its full gradient is a diagnostic (A p and A x in the clock).
+GD reads only the gradient at x_{k+1} (A x and A'w), so F there is a
+diagnostic; AGD's one gradient is at y_k (A y and A'w), so F and the
+gradient at x_{k+1} both are.  Diagnostics, which include ``track_events``'
+lambda_min of the sampled Hessian and ``grad_error_used``, run outside the
+clock.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -201,13 +210,80 @@ class Trace:
 
 
 def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
-    """Dispatch a solver run; returns its trace."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape[0] != model.p:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, expected {model.p}")
-    if config.variant in SSN_VARIANTS or config.variant == "newton":
-        return _run_newton_like(model, config, x0)
-    return run_baseline(model, config, x0)
+    """Run one solver and return its trace.
+
+    Each variant's family supplies the header and the move from x_k to
+    x_{k+1}; this loop owns the rest of the iteration for all of them.
+    """
+    x = np.asarray(x0, dtype=float).ravel()
+    if x.shape[0] != model.p:
+        raise ValueError(f"x0 has dimension {x.shape[0]}, expected {model.p}")
+    if config.variant in ("gd", "agd"):
+        family = _first_order
+    elif config.variant in ("bfgs", "lbfgs"):
+        family = _quasi_newton
+    else:
+        family = _newton_like
+    header, move = family(model, config, x)
+    # the clock holds what the next move reads at x_{k+1}: F for its line
+    # search, and the full gradient unless the move samples it (ssn-full) or
+    # takes it at another point (agd's y_k)
+    timed_f = config.variant not in ("gd", "agd")
+    timed_g = config.variant not in ("ssn-full", "agd")
+    t = model._margins(x)
+    f_value = model.value(x, t)
+    grad = model.gradient(x, t)
+    trace = Trace(variant=config.variant, header={"config": asdict(config), **header},
+                  f0=f_value, x0=x.copy())
+
+    wall = 0
+    limit_ns = None if config.time_limit is None else int(config.time_limit * 1e9)
+    for k in range(config.max_iters):
+        if limit_ns is not None and wall >= limit_ns:
+            break
+        tic = time.perf_counter_ns()
+        passes = model.data_passes
+        try:
+            gnorm = float(np.linalg.norm(grad))
+            if config.variant != "ssn-full" and gnorm <= config.grad_tol:
+                x_next, fields, diagnose = None, {"stop_flag": STOP_GRAD_TOL}, None
+            else:
+                x_next, fields, diagnose = move(x, t, f_value, grad)
+            if x_next is not None:
+                x = x_next
+                # fresh margins, not t + alpha * A p: no rounding drift builds up
+                t = model._margins(x) if timed_f or timed_g else None
+                f_value = model.value(x, t) if timed_f else None
+                grad = model.gradient(x, t) if timed_g else None
+            wall += time.perf_counter_ns() - tic
+            passes = model.data_passes - passes
+
+            # diagnostics live outside the clock
+            if t is None:
+                t = model._margins(x)
+            if f_value is None:
+                f_value = model.value(x, t)
+            if grad is None:
+                grad = model.gradient(x, t)
+            if diagnose is not None:
+                fields.update(diagnose())
+        except (NotPositiveDefiniteError, LineSearchError, EvaluationError) as exc:
+            trace.stop = STOP_ERROR
+            raise SolverError(f"{config.variant} failed at iteration {k}: {exc}",
+                              trace=trace) from exc
+        # a record without a step is the stop check that fired (alpha = 0)
+        rec = TraceRecord(k=k, f_value=f_value, grad_norm_full=float(np.linalg.norm(grad)),
+                          **{"grad_norm_used": gnorm, "alpha": 0.0, **fields},
+                          wall_nanos=wall, data_passes=passes, x=x.copy())
+        trace.records.append(rec)
+        if rec.f_value > trace.f0 + 10.0 * max(1.0, abs(trace.f0)):
+            rec.stop_flag = STOP_ERROR  # diverged
+        if rec.stop_flag:
+            trace.stop = rec.stop_flag
+            return trace
+    if trace.records:
+        trace.records[-1].stop_flag = STOP_MAX_ITERS
+    return trace
 
 
 # -- shared plumbing ----------------------------------------------------------
@@ -315,39 +391,18 @@ def _draw_g(model, rng, size_g):
     return draw(model.n, size_g, "with", rng)
 
 
-def _direction(h, g, config):
-    """Newton direction for H p = -g, with the inexact solve's diagnostics
-    (None for an exact solve)."""
-    if config.inexact is None:
-        return -solve_exact(h, g), None
-    return solve_inexact(h, g, config.inexact)
-
-
 def _line(model, x, p, t):
     """alpha -> F(x + alpha p), from the margins t = A x and one product A p."""
     ap = model._margins(p)
     return lambda alpha: model.value(x + alpha * p, t + alpha * ap)
 
 
-def _log_step(trace, rec) -> bool:
-    """Append a step record; a diverged step marks the run failed (True)."""
-    trace.records.append(rec)
-    f0 = trace.f0
-    if not np.isfinite(rec.f_value) or rec.f_value > f0 + 10.0 * max(1.0, abs(f0)):
-        rec.stop_flag = trace.stop = STOP_ERROR
-        return True
-    return False
+# -- Newton-like: ssn-* and newton --------------------------------------------
 
 
-def _out_of_iterations(trace) -> Trace:
-    if trace.records:
-        trace.records[-1].stop_flag = STOP_MAX_ITERS
-    trace.stop = STOP_MAX_ITERS
-    return trace
-
-
-def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
-    est = _estimates_for(model, config, x0)
+def _newton_like(model, config, x0):
+    """Solves with a sampled (or, for newton, full) Hessian, with Armijo."""
+    est =_estimates_for(model, config, x0)
     size_h, clamped_h, lemma_sized = _hessian_sample_plan(model, config, est)
     if config.variant == "ssn-hessian" and not est.strongly_convex:
         raise SolverError("ssn-hessian needs gamma > 0; use ssn-spectral or ssn-ridge")
@@ -355,10 +410,9 @@ def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
             and not est.strongly_convex:
         raise SolverError("ssn-ridge with lambda_user = 0 needs gamma > 0; "
                           "singular samples would leave no positive floor")
-
-    sigma = _resolve_sigma(config, est, size_h) if config.variant == "ssn-full" else 0.0
+    sampled_g = config.variant == "ssn-full"
+    sigma = _resolve_sigma(config, est, size_h) if sampled_g else None
     header = {
-        "config": _config_echo(config),
         "gamma": est.gamma,
         "big_k": est.big_k,
         "kappa": est.kappa,
@@ -366,120 +420,71 @@ def _run_newton_like(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         "sample_size_h": size_h,
         "sample_clamped_h": clamped_h,
         "lemma_sized": lemma_sized,
-        "sigma": sigma if config.variant == "ssn-full" else None,
+        "sigma": sigma,
         "rate_prediction": _rate_header(config, est, size_h),
     }
     rng = np.random.default_rng(config.seed)
-    sampled_g = config.variant == "ssn-full"
-    t = model._margins(x0)
-    f_value = model.value(x0, t)
-    grad_full = model.gradient(x0, t)
-    trace = Trace(variant=config.variant, header=header, f0=f_value, x0=x0.copy())
-
-    x = x0.copy()
-    wall = 0
-    limit_ns = None if config.time_limit is None else int(config.time_limit * 1e9)
     eps2_k = config.eps2
-    for k in range(config.max_iters):
-        if limit_ns is not None and wall >= limit_ns:
-            break
-        tic = time.perf_counter_ns()
-        passes = model.data_passes
-        try:
-            gnorm = float(np.linalg.norm(grad_full))
-            if not sampled_g and gnorm <= config.grad_tol:
-                wall += time.perf_counter_ns() - tic
-                _terminal(trace, x, k, f_value, gnorm, gnorm, STOP_GRAD_TOL, wall)
-                return trace
 
-            sample_h = _draw_h(model, config, rng, size_h)
-            h_raw = subsampled_hessian(model, x, sample_h)
-
-            lam_applied = None
-            min_eig = None
-            if config.variant == "ssn-spectral":
-                min_eig = min_eigenvalue(h_raw)
-                lam_applied = max(min_eig, 0.0) + config.lambda_user
-                h = spectral_floor(h_raw, lam_applied).matrix
-            elif config.variant == "ssn-ridge":
-                lam_applied = config.lambda_user
-                h = ridge(h_raw, lam_applied).matrix
-            else:
-                h = h_raw
-
-            size_g = None
-            grad_clamped = False
-            saturated = False
-            if sampled_g:
-                if config.sample_frac_g is not None:
-                    size_g = max(1, round(config.sample_frac_g * model.n))
-                else:
-                    bound = model.gradient_norm_bound(x)
-                    saturated = bound >= model.bound_cap
-                    size_g, grad_clamped = clamped_size(
-                        gradient_sample_size(bound, eps2_k, config.delta), model.n)
-                sample_g = _draw_g(model, rng, size_g)
-                g_used = subsampled_gradient(model, x, sample_g)
-                gnorm_used = float(np.linalg.norm(g_used))
-                if gnorm_used < sigma * eps2_k:
-                    wall += time.perf_counter_ns() - tic
-                    rec = _terminal(trace, x, k, f_value, gnorm, gnorm_used, STOP_SIGMA,
-                                    wall)
-                    rec.sample_size_h = size_h
-                    rec.sample_size_g = size_g
-                    return trace
-                if gnorm_used <= config.grad_tol:
-                    wall += time.perf_counter_ns() - tic
-                    _terminal(trace, x, k, f_value, gnorm, gnorm_used, STOP_GRAD_TOL, wall)
-                    return trace
-            else:
-                g_used = grad_full
-                gnorm_used = gnorm
-
-            p, diag = _direction_with_retries(
-                model, config, rng, x, h, g_used, size_h)
-            alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g_used),
-                                   config.line_search)
-            grad_prev = grad_full
-            x = x + alpha * p
-            # fresh margins, not t + alpha * A p: no rounding drift builds up
-            t = model._margins(x)
-            f_value = model.value(x, t)
-            if not sampled_g:
-                grad_full = model.gradient(x, t)
-        except (NotPositiveDefiniteError, LineSearchError, EvaluationError) as exc:
-            trace.stop = STOP_ERROR
-            raise SolverError(f"{config.variant} failed at iteration {k}: {exc}",
-                              trace=trace) from exc
-        wall += time.perf_counter_ns() - tic
-        passes = model.data_passes - passes
-
-        # diagnostics live outside the clock
-        grad_error = None
+    def move(x, t, f_value, grad):
+        nonlocal eps2_k
+        h_raw, h, lam_applied, min_eig = _sampled_curvature(model, config, rng, x, size_h)
+        g_used, size_g, grad_clamped, saturated = grad, None, False, False
         if sampled_g:
-            grad_full = model.gradient(x, t)
-            if config.track_events:
-                grad_error = float(np.linalg.norm(g_used - grad_prev))
-        rec = TraceRecord(
-            k=k, f_value=f_value, grad_norm_full=float(np.linalg.norm(grad_full)),
-            grad_norm_used=gnorm_used, alpha=alpha, ls_trials=trials,
-            sample_size_h=size_h, sample_size_g=size_g,
-            residual_ratio=diag.residual_ratio if diag else None,
-            descent_ratio=diag.descent_ratio if diag else None,
-            cg_iters=diag.cg_iters if diag else 0,
-            solve_path=diag.path if diag else PATH_EXACT,
-            lambda_applied=lam_applied,
-            min_eig_h=min_eig if min_eig is not None
-            else (min_eigenvalue(h_raw) if config.track_events else None),
-            grad_error_used=grad_error,
-            grad_clamped=grad_clamped, bound_saturated=saturated,
-            wall_nanos=wall, data_passes=passes, x=x.copy(),
-        )
+            if config.sample_frac_g is not None:
+                size_g = max(1, round(config.sample_frac_g * model.n))
+            else:
+                bound = model.gradient_norm_bound(x)
+                saturated = bound >= model.bound_cap
+                size_g, grad_clamped = clamped_size(
+                    gradient_sample_size(bound, eps2_k, config.delta), model.n)
+            g_used = subsampled_gradient(model, x, _draw_g(model, rng, size_g))
+        gnorm_used = float(np.linalg.norm(g_used))
+        if sampled_g and gnorm_used < sigma * eps2_k:
+            return None, {"grad_norm_used": gnorm_used, "stop_flag": STOP_SIGMA,
+                          "sample_size_h": size_h, "sample_size_g": size_g}, None
+        if sampled_g and gnorm_used <= config.grad_tol:
+            return None, {"grad_norm_used": gnorm_used, "stop_flag": STOP_GRAD_TOL}, None
+
+        p, diag = _direction_with_retries(model, config, rng, x, h, g_used, size_h)
+        alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g_used),
+                               config.line_search)
         if config.eps2_schedule == "geometric":
             eps2_k *= config.rho2
-        if _log_step(trace, rec):
-            return trace
-    return _out_of_iterations(trace)
+        diagnose = None
+        if config.track_events:
+            def diagnose():
+                return {"min_eig_h": min_eigenvalue(h_raw) if min_eig is None else min_eig,
+                        "grad_error_used": float(np.linalg.norm(g_used - grad))
+                        if sampled_g else None}
+        return x + alpha * p, {
+            "grad_norm_used": gnorm_used, "alpha": alpha, "ls_trials": trials,
+            "sample_size_h": size_h, "sample_size_g": size_g,
+            "residual_ratio": diag.residual_ratio if diag else None,
+            "descent_ratio": diag.descent_ratio if diag else None,
+            "cg_iters": diag.cg_iters if diag else 0,
+            "solve_path": diag.path if diag else PATH_EXACT,
+            "lambda_applied": lam_applied, "min_eig_h": min_eig,
+            "grad_clamped": grad_clamped, "bound_saturated": saturated,
+        }, diagnose
+
+    return header, move
+
+
+def _sampled_curvature(model, config, rng, x, size_h):
+    """Draw a curvature sample, assemble H_S and regularize it.
+
+    Returns (H_S, the matrix to solve with, lambda applied, lambda_min(H_S)
+    if the spectral floor computed it).
+    """
+    h_raw = subsampled_hessian(model, x, _draw_h(model, config, rng, size_h))
+    if config.variant == "ssn-spectral":
+        min_eig = min_eigenvalue(h_raw)
+        lam = max(min_eig, 0.0) + config.lambda_user
+        return h_raw, spectral_floor(h_raw, lam).matrix, lam, min_eig
+    if config.variant == "ssn-ridge":
+        return h_raw, ridge(h_raw, config.lambda_user).matrix, config.lambda_user, None
+    return h_raw, h_raw, None, None
 
 
 def _direction_with_retries(model, config, rng, x, h, g_used, size_h):
@@ -491,10 +496,8 @@ def _direction_with_retries(model, config, rng, x, h, g_used, size_h):
         if config.variant not in ("ssn-hessian", "ssn-ridge"):
             raise
         for _ in range(config.resample_retries):
-            h_retry = subsampled_hessian(model, x, _draw_h(model, config, rng, size_h))
-            if config.variant == "ssn-ridge":
-                h_retry = ridge(h_retry, config.lambda_user).matrix
             try:
+                h_retry = _sampled_curvature(model, config, rng, x, size_h)[1]
                 return _direction(h_retry, g_used, config)
             except NotPositiveDefiniteError:
                 continue
@@ -503,177 +506,83 @@ def _direction_with_retries(model, config, rng, x, h, g_used, size_h):
             "switch to ssn-spectral or ssn-ridge (lambda_user > 0)") from None
 
 
-def _terminal(trace, x, k, f_value, gnorm_full, gnorm_used, flag, wall):
-    """Record the stopping check itself (no step taken)."""
-    rec = TraceRecord(k=k, f_value=f_value, grad_norm_full=gnorm_full,
-                      grad_norm_used=gnorm_used, alpha=0.0, stop_flag=flag,
-                      wall_nanos=wall, x=x.copy())
-    trace.records.append(rec)
-    trace.stop = flag
-    return rec
-
-
-def _config_echo(config: SolverConfig) -> dict:
-    echo = {}
-    for key, val in config.__dict__.items():
-        if isinstance(val, LineSearchParams):
-            echo["line_search"] = dict(val.__dict__)
-        elif isinstance(val, InexactnessSpec):
-            echo["inexact"] = dict(val.__dict__)
-        else:
-            echo[key] = val
-    return echo
+def _direction(h, g, config):
+    """Newton direction for H p = -g, with the inexact solve's diagnostics
+    (None for an exact solve)."""
+    if config.inexact is None:
+        return -solve_exact(h, g), None
+    return solve_inexact(h, g, config.inexact)
 
 
 # -- baselines ----------------------------------------------------------------
 
 
-def run_baseline(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if config.variant == "gd":
-        return _run_first_order(model, config, x0, accelerated=False)
-    if config.variant == "agd":
-        return _run_first_order(model, config, x0, accelerated=True)
-    if config.variant in ("bfgs", "lbfgs"):
-        return _run_quasi_newton(model, config, x0)
-    raise ValueError(f"unknown baseline {config.variant!r}")
-
-
-def _first_order_step(model, config, est) -> float:
-    if config.gd_step is not None:
-        return config.gd_step
-    return 1.0 / est.big_k
-
-
-def _run_first_order(model, config, x0, accelerated: bool) -> Trace:
+def _first_order(model, config, x0):
+    """Fixed-step GD at x_k, or AGD at its extrapolated point y_k."""
     est = _estimates_for(model, config, x0)
-    step = _first_order_step(model, config, est)
+    step = config.gd_step if config.gd_step is not None else 1.0 / est.big_k
     momentum = None
-    if accelerated and est.strongly_convex:
+    if config.variant == "agd" and est.strongly_convex:
         rk = np.sqrt(est.kappa)
         momentum = (rk - 1.0) / (rk + 1.0)
-    header = {"config": _config_echo(config), "gamma": est.gamma, "big_k": est.big_k,
-              "kappa": est.kappa, "step": step, "momentum": momentum,
-              "rate_prediction": {}}
-    t = model._margins(x0)
-    f_value = model.value(x0, t)
-    trace = Trace(variant=config.variant, header=header, f0=f_value, x0=x0.copy())
+    header = {"gamma": est.gamma, "big_k": est.big_k, "kappa": est.kappa, "step": step,
+              "momentum": momentum, "rate_prediction": {}}
+    x_prev, t_k = x0, 1.0
 
-    x = x0.copy()
-    x_prev = x0.copy()
-    t_k = 1.0
-    wall = 0
-    # the stop test reads last iteration's (out-of-clock) diagnostic gradient,
-    # keeping the timed region at exactly one gradient per iteration
-    gnorm_at_x = float(np.linalg.norm(model.gradient(x0, t)))
-    limit_ns = None if config.time_limit is None else int(config.time_limit * 1e9)
-    for k in range(config.max_iters):
-        if gnorm_at_x <= config.grad_tol:
-            _terminal(trace, x, k, f_value, gnorm_at_x, gnorm_at_x, STOP_GRAD_TOL, wall)
-            return trace
-        if limit_ns is not None and wall >= limit_ns:
-            break
-        tic = time.perf_counter_ns()
-        passes = model.data_passes
-        if accelerated:
-            if momentum is not None:
-                y = x + momentum * (x - x_prev)
-            else:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-                y = x + ((t_k - 1.0) / t_next) * (x - x_prev)
-                t_k = t_next
-            g = model.gradient(y)
-            x_prev = x
-            x = y - step * g
+    def move(x, t, f_value, grad):
+        nonlocal x_prev, t_k
+        if config.variant == "gd":
+            return x - step * grad, {"alpha": step}, None
+        if momentum is not None:
+            y = x + momentum * (x - x_prev)
         else:
-            g = model.gradient(x)
-            x = x - step * g
-        wall += time.perf_counter_ns() - tic
-        passes = model.data_passes - passes
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
+            y = x + ((t_k - 1.0) / t_next) * (x - x_prev)
+            t_k = t_next
+        g = model.gradient(y)
+        x_prev = x
+        return y - step * g, {"grad_norm_used": float(np.linalg.norm(g)),
+                              "alpha": step}, None
 
-        try:
-            t = model._margins(x)
-            f_value = model.value(x, t)
-            gnorm_at_x = float(np.linalg.norm(model.gradient(x, t)))
-        except EvaluationError:
-            f_value = np.inf
-            gnorm_at_x = np.inf
-        rec = TraceRecord(k=k, f_value=f_value, grad_norm_full=gnorm_at_x,
-                          grad_norm_used=float(np.linalg.norm(g)), alpha=step,
-                          wall_nanos=wall, data_passes=passes, x=x.copy())
-        if _log_step(trace, rec):
-            return trace
-    return _out_of_iterations(trace)
+    return header, move
 
 
-def _run_quasi_newton(model, config, x0) -> Trace:
+def _quasi_newton(model, config, x0):
+    """BFGS on a dense inverse-Hessian estimate, or L-BFGS on its last
+    ``lbfgs_memory`` curvature pairs, with Armijo steps."""
     limited = config.variant == "lbfgs"
-    header = {"config": _config_echo(config),
-              "memory": config.lbfgs_memory if limited else None,
-              "rate_prediction": {}}
-    t = model._margins(x0)
-    f_value = model.value(x0, t)
-    trace = Trace(variant=config.variant, header=header, f0=f_value, x0=x0.copy())
-
-    x = x0.copy()
-    g = model.gradient(x, t)
+    header = {"memory": config.lbfgs_memory if limited else None, "rate_prediction": {}}
     b_inv = np.eye(model.p)
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
-    wall = 0
-    limit_ns = None if config.time_limit is None else int(config.time_limit * 1e9)
-    for k in range(config.max_iters):
-        if limit_ns is not None and wall >= limit_ns:
-            break
-        tic = time.perf_counter_ns()
-        passes = model.data_passes
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= config.grad_tol:
-            wall += time.perf_counter_ns() - tic
-            _terminal(trace, x, k, f_value, gnorm, gnorm, STOP_GRAD_TOL, wall)
-            return trace
-        if limited:
-            p = -_two_loop(g, history)
-        else:
-            p = -(b_inv @ g)
+    s = g_prev = None
+
+    def move(x, t, f_value, g):
+        nonlocal b_inv, s, g_prev
+        if s is not None:  # the curvature pair of the previous step
+            y = g - g_prev
+            sy = float(s @ y)
+            if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+                if limited:
+                    history.append((s, y, 1.0 / sy))
+                    if len(history) > config.lbfgs_memory:
+                        history.pop(0)
+                else:
+                    rho_k = 1.0 / sy
+                    v = np.eye(model.p) - rho_k * np.outer(s, y)
+                    b_inv = v @ b_inv @ v.T + rho_k * np.outer(s, s)
+        p = -_two_loop(g, history) if limited else -(b_inv @ g)
         if float(p @ g) >= 0:
             p = -g  # curvature update went bad; steepest-descent restart
             if limited:
                 history.clear()
             else:
                 b_inv = np.eye(model.p)
-        try:
-            alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g),
-                                   config.line_search)
-        except LineSearchError as exc:
-            trace.stop = STOP_ERROR
-            raise SolverError(f"{config.variant} line search failed at k={k}: {exc}",
-                              trace=trace) from exc
-        s = alpha * p
-        x = x + s
-        t = model._margins(x)
-        f_value = model.value(x, t)
-        g_new = model.gradient(x, t)
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            if limited:
-                history.append((s, y, 1.0 / sy))
-                if len(history) > config.lbfgs_memory:
-                    history.pop(0)
-            else:
-                rho_k = 1.0 / sy
-                v = np.eye(model.p) - rho_k * np.outer(s, y)
-                b_inv = v @ b_inv @ v.T + rho_k * np.outer(s, s)
-        g = g_new
-        wall += time.perf_counter_ns() - tic
+        alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g),
+                               config.line_search)
+        s, g_prev = alpha * p, g
+        return x + s, {"alpha": alpha, "ls_trials": trials}, None
 
-        rec = TraceRecord(k=k, f_value=f_value, grad_norm_full=float(np.linalg.norm(g)),
-                          grad_norm_used=gnorm, alpha=alpha, ls_trials=trials,
-                          wall_nanos=wall, data_passes=model.data_passes - passes,
-                          x=x.copy())
-        if _log_step(trace, rec):
-            return trace
-    return _out_of_iterations(trace)
+    return header, move
 
 
 def _two_loop(g, history) -> np.ndarray:

@@ -181,3 +181,23 @@ def test_json_records_carry_solve_diagnostics(tiny_result):
                             if rec["stop_flag"] in ("", "MaxIters")}
               for r in blob["runs"]}
     assert passes == {"newton": {3}, "ssn": {3}, "gd": {2}}
+
+
+def test_runs_execute_serially_whatever_the_environment(monkeypatch):
+    # concurrent runs would share the model's pass counter and clocks
+    monkeypatch.setenv("SSN_THREADS", "2")
+    dataset, _ = generate_synthetic(3000, 40, family="logistic", seed=4)
+    spec = ExperimentSpec(
+        dataset=dataset, family="logistic", reg=1e-3,
+        solvers=[
+            ("ssn", SolverConfig(variant="ssn-hessian", sample_frac_h=0.3, seed=2,
+                                 max_iters=6)),
+            ("lbfgs", SolverConfig(variant="lbfgs", max_iters=6)),
+        ],
+        grad_tol=0.0, repetitions=2,
+    )
+    result = run_experiment(spec)
+    assert len(result.runs) == 4 and not any(r.failed for r in result.runs)
+    for r in result.runs:
+        assert r.trace.n_iters == 6
+        assert all(rec.data_passes == 3 for rec in r.trace.records)

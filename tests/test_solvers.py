@@ -144,29 +144,41 @@ def test_inexact_trace_records_solve_path_and_cg_iters(small_logistic):
                for rec in exact.records[:-1])
 
 
-FULL_GRADIENT_CONFIGS = [
-    dict(variant="ssn-hessian", sample_frac_h=0.3),
-    dict(variant="ssn-hessian", sample_frac_h=0.3,
-         inexact=InexactnessSpec(theta1=0.1, theta2=0.5)),
-    dict(variant="ssn-spectral", sample_frac_h=0.3, lambda_user=0.05),
-    dict(variant="ssn-ridge", sample_frac_h=0.3, lambda_user=0.05),
-    dict(variant="newton"),
+# (settings, full-data passes per step).  A line-search step makes three:
+# A p for its trials, then fresh margins A x and A'w at the new iterate.
+# ssn-full samples its gradient, so A'w there is a diagnostic; gd has no line
+# search (A x, A'w); agd's one gradient is at y_k (A y, A'w).
+RECORD_CASES = [
+    (dict(variant="ssn-hessian", sample_frac_h=0.3), 3),
+    (dict(variant="ssn-hessian", sample_frac_h=0.3,
+          inexact=InexactnessSpec(theta1=0.1, theta2=0.5)), 3),
+    (dict(variant="ssn-spectral", sample_frac_h=0.3, lambda_user=0.05), 3),
+    (dict(variant="ssn-ridge", sample_frac_h=0.3, lambda_user=0.05), 3),
+    (dict(variant="newton"), 3),
+    (dict(variant="bfgs"), 3),
+    (dict(variant="lbfgs", lbfgs_memory=4), 3),
+    (dict(variant="ssn-full", sample_frac_h=0.3, sample_frac_g=1.0, sigma=0.0,
+          track_events=True), 2),
+    (dict(variant="gd"), 2),
+    (dict(variant="agd"), 2),
 ]
 
 
-@pytest.mark.parametrize("settings", FULL_GRADIENT_CONFIGS,
-                         ids=lambda d: d["variant"] + ("-inexact" if "inexact" in d else ""))
-def test_records_reuse_in_clock_evaluations_exactly(small_logistic, settings):
+@pytest.mark.parametrize("settings,passes", RECORD_CASES,
+                         ids=[c["variant"] + ("-inexact" if "inexact" in c else "")
+                              for c, _ in RECORD_CASES])
+def test_records_reuse_in_clock_evaluations_exactly(small_logistic, settings, passes):
     m = small_logistic
-    trace = run(m, SolverConfig(grad_tol=1e-9, max_iters=40, seed=5, **settings),
-                np.zeros(m.p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
+        trace = run(m, SolverConfig(grad_tol=1e-9, max_iters=40, seed=5, **settings),
+                    np.zeros(m.p))
     assert trace.stop == "GradTol"
     for rec in trace.records:
         assert rec.f_value == m.value(rec.x)
         assert rec.grad_norm_full == float(np.linalg.norm(m.gradient(rec.x)))
     *steps, terminal = trace.records
-    # A p for the line search, fresh margins A x and A'w at the new iterate
-    assert steps and all(rec.data_passes == 3 for rec in steps)
+    assert steps and all(rec.data_passes == passes for rec in steps)
     assert terminal.data_passes == 0
 
 
@@ -174,6 +186,15 @@ def test_divergence_flagged_on_wild_gd_step(small_logistic):
     cfg = SolverConfig(variant="gd", gd_step=1e6, max_iters=50, grad_tol=0.0)
     trace = run(small_logistic, cfg, np.zeros(small_logistic.p))
     assert trace.stop == "Error"
+
+
+@pytest.mark.parametrize("variant", ["gd", "agd"])
+def test_non_finite_evaluation_raises_with_partial_trace(small_logistic, variant):
+    # one step lands where ||x||^2 overflows
+    cfg = SolverConfig(variant=variant, gd_step=1e200, max_iters=50, grad_tol=0.0)
+    with pytest.raises(SolverError, match="non-finite") as info:
+        run(small_logistic, cfg, np.zeros(small_logistic.p))
+    assert info.value.trace.stop == "Error"
 
 
 def test_gamma_zero_rejected_for_plain_subsampling():
