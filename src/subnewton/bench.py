@@ -10,7 +10,7 @@ snapshots stored in the traces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -221,20 +221,21 @@ def config_from_dict(d: dict) -> SolverConfig:
     """Build a SolverConfig from flat JSON keys.
 
     Line-search fields (beta, alpha_hat, shrink, max_backtracks) and
-    inexactness fields (theta1, theta2, cg_max_iters) are lifted into their
-    parameter objects; everything else maps one-to-one.
+    inexactness fields (theta1, theta2) are lifted into their parameter
+    objects; other keys map one-to-one, and unknown ones raise ValueError.
     """
     d = dict(d)
-    ls_keys = {"beta": "beta", "alpha_hat": "alpha_hat", "shrink": "shrink",
-               "max_backtracks": "max_backtracks"}
-    ls_kwargs = {v: d.pop(k) for k, v in ls_keys.items() if k in d}
+    ls_kwargs = {k: d.pop(k) for k in ("beta", "alpha_hat", "shrink", "max_backtracks")
+                 if k in d}
     kwargs = {"line_search": LineSearchParams(**ls_kwargs)} if ls_kwargs else {}
     if "theta1" in d or "theta2" in d:
-        kwargs["inexact"] = InexactnessSpec(
-            theta1=d.pop("theta1", 0.0), theta2=d.pop("theta2", 0.0),
-            max_iters=d.pop("cg_max_iters", 500))
+        kwargs["inexact"] = InexactnessSpec(theta1=d.pop("theta1", 0.0),
+                                            theta2=d.pop("theta2", 0.0))
     if "lambda" in d:
         d["lambda_user"] = d.pop("lambda")
+    unknown = sorted(set(d) - {f.name for f in fields(SolverConfig)})
+    if unknown:
+        raise ValueError(f"unknown solver keys: {', '.join(unknown)}")
     return SolverConfig(**d, **kwargs)
 
 

@@ -1,5 +1,5 @@
-"""Newton-direction solves: exact via Cholesky, inexact via conjugate
-gradients under a two-part acceptance contract.
+"""Newton-direction solves: exact via Cholesky or an eigendecomposition,
+inexact via conjugate gradients under a two-part acceptance contract.
 
 An inexact direction p for the system H p = -g is accepted when
 
@@ -30,9 +30,10 @@ import scipy.linalg
 EXACT_RESIDUAL_RTOL = 1e-10
 MAX_REFINEMENTS = 3
 
-# how a Newton direction was solved for: an exact solve, CG accepted by the
-# contract, or CG that missed it and fell back to the exact solve
+# how a Newton direction was solved for: exactly (Cholesky or an eigenbasis),
+# CG accepted by the contract, or CG that missed it and fell back to Cholesky
 PATH_EXACT = "cholesky"
+PATH_EIGEN = "eigh"
 PATH_CG = "cg"
 PATH_FALLBACK = "cholesky-fallback"
 
@@ -43,23 +44,16 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class InexactnessSpec:
-    """Tolerances of the two-part acceptance contract.
-
-    ``max_iters`` is an upper cap on CG iterations; the solve also stops CG
-    at the flop-parity budget ceil(p/6), whichever is smaller.
-    """
+    """Tolerances of the two-part acceptance contract."""
 
     theta1: float
     theta2: float
-    max_iters: int = 500
 
     def __post_init__(self):
         if not 0 <= self.theta1 < 1:
             raise ValueError(f"theta1 must be in [0, 1), got {self.theta1}")
         if not 0 <= self.theta2 < 1:
             raise ValueError(f"theta2 must be in [0, 1), got {self.theta2}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -102,6 +96,18 @@ def solve_exact(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise NotPositiveDefiniteError("refinement stalled; matrix numerically singular")
 
 
+def solve_eigen(eigvals: np.ndarray, eigvecs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve V diag(eigvals) V' y = rhs in O(p^2) from a known eigendecomposition.
+
+    Raises ``NotPositiveDefiniteError`` unless the smallest eigenvalue exceeds
+    p * machine epsilon * the largest (numpy's rank tolerance).
+    """
+    smallest = float(eigvals.min())
+    if not smallest > eigvals.size * np.finfo(float).eps * float(eigvals.max()):
+        raise NotPositiveDefiniteError(f"smallest eigenvalue {smallest:.3g} is not positive")
+    return eigvecs @ ((eigvecs.T @ rhs) / eigvals)
+
+
 def _cg_iterates(h, g, budget):
     """Conjugate-gradient iterates for H p = -g from the zero start.
 
@@ -133,10 +139,9 @@ def solve_inexact(h: np.ndarray, g: np.ndarray,
 
     CG runs from the zero start and returns the first iterate meeting the
     residual condition that also passes the descent condition.  It gets
-    min(spec.max_iters, ceil(p/6)) iterations: ceil(p/6) matvecs cost about
-    as many flops as the Cholesky factorization the solve falls back to when
-    CG misses the contract, which bounds a miss at about two exact solves.
-    theta1 = 0 goes straight to the exact solve.
+    ceil(p/6) iterations, whose matvecs cost about the flops of the Cholesky
+    factorization it falls back to when CG misses the contract; a miss thus
+    costs about two exact solves.  theta1 = 0 goes straight to the exact solve.
     """
     g = np.asarray(g, dtype=float).ravel()
     gnorm = float(np.linalg.norm(g))
@@ -147,7 +152,7 @@ def solve_inexact(h: np.ndarray, g: np.ndarray,
         return p, replace(verify_inexact(h, g, p, spec), path=PATH_FALLBACK)
 
     target = spec.theta1 * gnorm
-    budget = min(spec.max_iters, math.ceil(g.size / 6))
+    budget = math.ceil(g.size / 6)
     cg_iters = 0
     for p, res in _cg_iterates(h, g, budget):
         cg_iters += 1

@@ -9,18 +9,10 @@ direction even when the raw sample is singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # accumulation asymmetry beyond this means the input was not a Hessian
 SYMMETRY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class RegularizedHessian:
-    matrix: np.ndarray
-    min_eig: float | None = None  # set by spectral_floor, which has the spectrum
 
 
 def _symmetrize(h: np.ndarray) -> np.ndarray:
@@ -40,28 +32,30 @@ def min_eigenvalue(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(_symmetrize(h))[0])
 
 
-def spectral_floor(h: np.ndarray, lam: float) -> RegularizedHessian:
+def spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the validated matrix: the
+    one eigendecomposition the floor and the ssn-spectral solve share."""
+    return np.linalg.eigh(_symmetrize(h))
+
+
+def spectral_floor(h: np.ndarray, lam: float) -> np.ndarray:
     """Floor the spectrum at ``lam``: eigenvalues become max(eig_i, lam),
     eigenvectors are kept.  A floor at or below the smallest eigenvalue
     returns the input unchanged (the operator is the identity there).
     """
     if lam < 0:
         raise ValueError("spectral floor must be nonnegative")
-    h = _symmetrize(h)
-    eigs, vecs = np.linalg.eigh(h)
+    eigs, vecs = spectrum(h)
     if lam <= eigs[0]:
-        return RegularizedHessian(matrix=h, min_eig=float(eigs[0]))
-    floored = np.maximum(eigs, lam)
-    out = (vecs * floored) @ vecs.T
-    out = 0.5 * (out + out.T)
-    return RegularizedHessian(matrix=out, min_eig=float(floored.min()))
+        return _symmetrize(h)
+    out = (vecs * np.maximum(eigs, lam)) @ vecs.T
+    return 0.5 * (out + out.T)
 
 
-def ridge(h: np.ndarray, lam: float) -> RegularizedHessian:
+def ridge(h: np.ndarray, lam: float) -> np.ndarray:
     """H + lam*I; every eigenvalue shifts by exactly lam."""
     if lam < 0:
         raise ValueError("ridge shift must be nonnegative")
-    h = _symmetrize(h)
-    out = h.copy()
+    out = _symmetrize(h)
     out[np.diag_indices_from(out)] += lam
-    return RegularizedHessian(matrix=out)
+    return out

@@ -4,9 +4,10 @@ Variants
 --------
 ``ssn-hessian``   fresh curvature sample each iteration, full gradient,
                   exact or inexact solve, Armijo step (needs gamma > 0).
-``ssn-spectral``  any sample size; the sampled Hessian's spectrum is floored
-                  at lambda_k = max(lambda_min(H), 0) + lambda_user before
-                  the solve, so no strong convexity is needed.
+``ssn-spectral``  any sample size; one eigendecomposition of the sampled H
+                  gives its floor lambda_k = max(lambda_min(H), 0) + lambda_user
+                  (so no strong convexity is needed) and the exact step in its
+                  eigenbasis, which meets any ``inexact`` spec without CG.
 ``ssn-ridge``     same, with H + lambda_user * I instead of the floor.
 ``ssn-full``      samples the gradient too; stops early once the sampled
                   gradient norm falls below sigma * eps2, which certifies
@@ -46,12 +47,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .linesearch import LineSearchError, LineSearchParams, armijo
-# verify_inexact is bound here, though unused, so that perfbench/tracing.py
-# can wrap every linsolve entry point under the names solvers binds
-from .linsolve import PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, \
-    solve_exact, solve_inexact, verify_inexact  # noqa: F401
+# verify_inexact and spectral_floor are bound here, though unused, so that
+# perfbench/tracing.py can wrap them under the names solvers binds
+from .linsolve import PATH_EIGEN, PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, \
+    solve_eigen, solve_exact, solve_inexact, verify_inexact  # noqa: F401
 from .model import ConditionEstimates, EvaluationError, ObjectiveModel
-from .regularize import min_eigenvalue, ridge, spectral_floor
+from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
 from .sampling import SampleSet, clamped_size, draw, gradient_sample_size, \
     hessian_sample_size, subsampled_gradient, subsampled_hessian
 from .theory import rate_alg1, rate_alg1_inexact, rate_alg4, rate_ridge, \
@@ -65,6 +66,7 @@ STOP_GRAD_TOL = "GradTol"
 STOP_SIGMA = "SigmaStop"
 STOP_MAX_ITERS = "MaxIters"
 STOP_ERROR = "Error"
+RESAMPLE_RETRIES = 3  # redraws of a singular sample before giving up
 
 
 class SolverError(RuntimeError):
@@ -105,7 +107,6 @@ class SolverConfig:
     sample_frac_g: float | None = None
     gd_step: float | None = None
     lbfgs_memory: int = 10
-    resample_retries: int = 3
     domain_radius: float | None = None
     track_events: bool = False  # per-iteration concentration-event diagnostics
     time_limit: float | None = None  # wall-clock budget in seconds
@@ -156,7 +157,7 @@ class TraceRecord:
     residual_ratio: float | None = None
     descent_ratio: float | None = None
     cg_iters: int | None = None
-    solve_path: str | None = None  # "cholesky", "cg" or "cholesky-fallback"
+    solve_path: str | None = None  # "cholesky", "eigh", "cg" or "cholesky-fallback"
     lambda_applied: float | None = None
     min_eig_h: float | None = None
     grad_error_used: float | None = None
@@ -331,14 +332,11 @@ def _rate_header(config, est, size_h) -> dict:
                 pred = rate_alg1_inexact(config.line_search.beta, config.eps,
                                          config.inexact.theta1, config.inexact.theta2,
                                          kap, kt, alpha=1.0)
-        elif config.variant == "ssn-spectral":
+        elif config.variant in ("ssn-spectral", "ssn-ridge"):
+            rate = rate_spectral if config.variant == "ssn-spectral" else rate_ridge
             theta2 = config.inexact.theta2 if config.inexact else 0.5
-            pred = rate_spectral(config.line_search.beta, theta2, config.lambda_user,
-                                 est.big_k, est.khat(size_h), est.gamma, alpha=1.0)
-        elif config.variant == "ssn-ridge":
-            theta2 = config.inexact.theta2 if config.inexact else 0.5
-            pred = rate_ridge(config.line_search.beta, theta2, config.lambda_user,
-                              est.big_k, est.khat(size_h), est.gamma, alpha=1.0)
+            pred = rate(config.line_search.beta, theta2, config.lambda_user,
+                        est.big_k, est.khat(size_h), est.gamma, alpha=1.0)
         elif config.variant == "ssn-full":
             pred = _alg4_rate(config, est, size_h)
         else:
@@ -425,10 +423,11 @@ def _newton_like(model, config, x0):
     }
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
+    exact_path = PATH_EIGEN if config.variant == "ssn-spectral" else PATH_EXACT
 
     def move(x, t, f_value, grad):
         nonlocal eps2_k
-        h_raw, h, lam_applied, min_eig = _sampled_curvature(model, config, rng, x, size_h)
+        curvature = _sampled_curvature(model, config, rng, x, size_h)
         g_used, size_g, grad_clamped, saturated = grad, None, False, False
         if sampled_g:
             if config.sample_frac_g is not None:
@@ -446,7 +445,8 @@ def _newton_like(model, config, x0):
         if sampled_g and gnorm_used <= config.grad_tol:
             return None, {"grad_norm_used": gnorm_used, "stop_flag": STOP_GRAD_TOL}, None
 
-        p, diag = _direction_with_retries(model, config, rng, x, h, g_used, size_h)
+        p, diag, (h_raw, _, lam_applied, min_eig) = _direction(
+            model, config, rng, x, curvature, g_used, size_h)
         alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g_used),
                                config.line_search)
         if config.eps2_schedule == "geometric":
@@ -463,7 +463,7 @@ def _newton_like(model, config, x0):
             "residual_ratio": diag.residual_ratio if diag else None,
             "descent_ratio": diag.descent_ratio if diag else None,
             "cg_iters": diag.cg_iters if diag else 0,
-            "solve_path": diag.path if diag else PATH_EXACT,
+            "solve_path": diag.path if diag else exact_path,
             "lambda_applied": lam_applied, "min_eig_h": min_eig,
             "grad_clamped": grad_clamped, "bound_saturated": saturated,
         }, diagnose
@@ -474,44 +474,42 @@ def _newton_like(model, config, x0):
 def _sampled_curvature(model, config, rng, x, size_h):
     """Draw a curvature sample, assemble H_S and regularize it.
 
-    Returns (H_S, the matrix to solve with, lambda applied, lambda_min(H_S)
-    if the spectral floor computed it).
+    Returns (H_S, the operator to solve with, lambda applied, lambda_min(H_S)
+    if the spectral floor computed it).  ssn-spectral's operator is the pair
+    (floored eigenvalues, eigenvectors) from H_S's one eigendecomposition.
     """
     h_raw = subsampled_hessian(model, x, _draw_h(model, config, rng, size_h))
     if config.variant == "ssn-spectral":
-        min_eig = min_eigenvalue(h_raw)
-        lam = max(min_eig, 0.0) + config.lambda_user
-        return h_raw, spectral_floor(h_raw, lam).matrix, lam, min_eig
+        eigs, vecs = spectrum(h_raw)
+        lam = max(float(eigs[0]), 0.0) + config.lambda_user
+        return h_raw, (np.maximum(eigs, lam), vecs), lam, float(eigs[0])
     if config.variant == "ssn-ridge":
-        return h_raw, ridge(h_raw, config.lambda_user).matrix, config.lambda_user, None
+        return h_raw, ridge(h_raw, config.lambda_user), config.lambda_user, None
     return h_raw, h_raw, None, None
 
 
-def _direction_with_retries(model, config, rng, x, h, g_used, size_h):
-    """Solve for the step; a singular sample in ssn-hessian is redrawn a few
-    times (a probability-delta event) before giving up with advice."""
-    try:
-        return _direction(h, g_used, config)
-    except NotPositiveDefiniteError:
-        if config.variant not in ("ssn-hessian", "ssn-ridge"):
-            raise
-        for _ in range(config.resample_retries):
-            try:
-                h_retry = _sampled_curvature(model, config, rng, x, size_h)[1]
-                return _direction(h_retry, g_used, config)
-            except NotPositiveDefiniteError:
-                continue
-        raise NotPositiveDefiniteError(
-            f"sampled Hessian stayed singular after {config.resample_retries} redraws; "
-            "switch to ssn-spectral or ssn-ridge (lambda_user > 0)") from None
-
-
-def _direction(h, g, config):
-    """Newton direction for H p = -g, with the inexact solve's diagnostics
-    (None for an exact solve)."""
-    if config.inexact is None:
-        return -solve_exact(h, g), None
-    return solve_inexact(h, g, config.inexact)
+def _direction(model, config, rng, x, curvature, g, size_h):
+    """Newton direction for H p = -g from a curvature sample, with the
+    inexact solve's diagnostics (None for an exact solve) and the sample that
+    produced it.  ssn-spectral solves exactly in its floored eigenbasis, which
+    meets any inexact spec.  A singular sample in ssn-hessian or ssn-ridge is
+    redrawn a few times (a probability-delta event) before giving up."""
+    for attempt in range(RESAMPLE_RETRIES + 1):
+        if attempt:
+            curvature = _sampled_curvature(model, config, rng, x, size_h)
+        h = curvature[1]
+        try:
+            if config.variant == "ssn-spectral":
+                return -solve_eigen(*h, g), None, curvature
+            if config.inexact is None:
+                return -solve_exact(h, g), None, curvature
+            return (*solve_inexact(h, g, config.inexact), curvature)
+        except NotPositiveDefiniteError:
+            if config.variant not in ("ssn-hessian", "ssn-ridge"):
+                raise
+    raise NotPositiveDefiniteError(
+        f"sampled Hessian stayed singular after {RESAMPLE_RETRIES} redraws; "
+        "switch to ssn-spectral or ssn-ridge (lambda_user > 0)") from None
 
 
 # -- baselines ----------------------------------------------------------------
@@ -562,14 +560,15 @@ def _quasi_newton(model, config, x0):
             y = g - g_prev
             sy = float(s @ y)
             if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+                rho_k = 1.0 / sy
                 if limited:
-                    history.append((s, y, 1.0 / sy))
+                    history.append((s, y, rho_k))
                     if len(history) > config.lbfgs_memory:
                         history.pop(0)
-                else:
-                    rho_k = 1.0 / sy
-                    v = np.eye(model.p) - rho_k * np.outer(s, y)
-                    b_inv = v @ b_inv @ v.T + rho_k * np.outer(s, s)
+                else:  # (I - rho s y') B (I - rho y s') + rho s s' in O(p^2)
+                    by = b_inv @ y
+                    b_inv = b_inv - rho_k * (np.outer(s, by) + np.outer(by, s)) \
+                        + (rho_k * rho_k * float(y @ by) + rho_k) * np.outer(s, s)
         p = -_two_loop(g, history) if limited else -(b_inv @ g)
         if float(p @ g) >= 0:
             p = -g  # curvature update went bad; steepest-descent restart

@@ -261,16 +261,16 @@ def test_criterion_7_operator_exactness():
             h = 0.5 * (h + h.T)
             lam = float(rng.random() * 3)
             before = np.linalg.eigvalsh(h)
-            floored = np.linalg.eigvalsh(spectral_floor(h, lam).matrix)
+            floored = np.linalg.eigvalsh(spectral_floor(h, lam))
             assert np.abs(floored - np.maximum(before, lam)).max() <= 1e-10
-            shifted = np.linalg.eigvalsh(ridge_op(h, lam).matrix)
+            shifted = np.linalg.eigvalsh(ridge_op(h, lam))
             assert np.abs(shifted - (before + lam)).max() <= 1e-10
         # gradient-descent limit: flooring at khat >= lambda_max makes the
         # Newton step exactly -g / khat
         h = rng.standard_normal((8, 8))
         h = h @ h.T / 8
         khat = float(np.linalg.eigvalsh(h)[-1]) * 1.2
-        floored = spectral_floor(h, khat).matrix
+        floored = spectral_floor(h, khat)
         g = rng.standard_normal(8)
         direction = -np.linalg.solve(floored, g)
         assert np.linalg.norm(direction - (-g / khat)) <= 1e-10 * np.linalg.norm(g)

@@ -100,6 +100,18 @@ def test_compare_runs_spec_file(dataset_file, tmp_path, capsys):
     assert "reference solver" in capsys.readouterr().out
 
 
+def test_compare_rejects_unknown_solver_key(dataset_file, tmp_path, capsys):
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps({
+        "dataset": {"path": str(dataset_file), "format": "svmlight"},
+        "family": "logistic",
+        "solvers": [{"name": "ssn", "variant": "ssn-hessian", "sample_frac": 0.2}],
+    }))
+    code = run_cli("compare", "--spec", str(spec_path), "-o", str(tmp_path / "r"))
+    assert code == 1
+    assert "unknown solver keys: sample_frac" in capsys.readouterr().err
+
+
 def test_outputs_reproducible_modulo_timing(dataset_file, tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

@@ -48,14 +48,14 @@ def test_min_eig_rejects_bad_input():
 
 def test_floor_diagonal_case():
     out = spectral_floor(np.diag([3.0, 1.0, 0.1]), 0.5)
-    np.testing.assert_allclose(out.matrix, np.diag([3.0, 1.0, 0.5]), atol=1e-12)
-    assert out.min_eig == pytest.approx(0.5)
+    np.testing.assert_allclose(out, np.diag([3.0, 1.0, 0.5]), atol=1e-12)
+    assert np.linalg.eigvalsh(out).min() == pytest.approx(0.5)
 
 
 def test_floor_below_min_is_identity():
     h = np.diag([3.0, 1.0, 0.5])
     out = spectral_floor(h, 0.2)
-    np.testing.assert_array_equal(out.matrix, h)
+    np.testing.assert_array_equal(out, h)
 
 
 def test_floor_above_max_gives_scaled_identity():
@@ -63,7 +63,7 @@ def test_floor_above_max_gives_scaled_identity():
     h = random_symmetric(rng, 6)
     lam = float(np.linalg.eigvalsh(h)[-1]) + 1.0
     out = spectral_floor(h, lam)
-    np.testing.assert_allclose(out.matrix, lam * np.eye(6), atol=1e-10)
+    np.testing.assert_allclose(out, lam * np.eye(6), atol=1e-10)
 
 
 def test_floor_idempotent():
@@ -71,8 +71,8 @@ def test_floor_idempotent():
     for _ in range(20):
         h = random_symmetric(rng, 8)
         lam = float(rng.random() * 2)
-        once = spectral_floor(h, lam).matrix
-        twice = spectral_floor(once, lam).matrix
+        once = spectral_floor(h, lam)
+        twice = spectral_floor(once, lam)
         assert np.abs(once - twice).max() <= 1e-10
 
 
@@ -83,10 +83,10 @@ def test_floor_never_decreases_spectrum_and_keeps_eigenvectors():
         lam = float(rng.random() * 3)
         out = spectral_floor(h, lam)
         before = np.linalg.eigvalsh(h)
-        after = np.linalg.eigvalsh(out.matrix)
+        after = np.linalg.eigvalsh(out)
         np.testing.assert_allclose(after, np.maximum(before, lam), atol=1e-10)
         assert after.min() >= before.min() - 1e-12
-        assert out.min_eig >= lam - 1e-10 or lam <= before.min()
+        assert after.min() >= lam - 1e-10 or lam <= before.min()
 
 
 def test_gradient_descent_limit_collinearity():
@@ -95,7 +95,7 @@ def test_gradient_descent_limit_collinearity():
     h = random_symmetric(rng, 9)
     h = h @ h.T / 9  # PSD
     khat = float(np.linalg.eigvalsh(h)[-1]) * 1.5
-    floored = spectral_floor(h, khat).matrix
+    floored = spectral_floor(h, khat)
     np.testing.assert_allclose(floored, khat * np.eye(9), atol=1e-10)
     g = rng.standard_normal(9)
     direction = -np.linalg.solve(floored, g)
@@ -110,13 +110,13 @@ def test_gradient_descent_limit_collinearity():
 
 def test_ridge_diagonal_case():
     out = ridge(np.diag([1.0, 2.0]), 0.5)
-    np.testing.assert_allclose(out.matrix, np.diag([1.5, 2.5]), atol=1e-15)
+    np.testing.assert_allclose(out, np.diag([1.5, 2.5]), atol=1e-15)
 
 
 def test_ridge_zero_is_noop():
     rng = np.random.default_rng(6)
     h = random_symmetric(rng, 5)
-    np.testing.assert_array_equal(ridge(h, 0.0).matrix, 0.5 * (h + h.T))
+    np.testing.assert_array_equal(ridge(h, 0.0), 0.5 * (h + h.T))
 
 
 def test_ridge_shifts_whole_spectrum():
@@ -124,7 +124,7 @@ def test_ridge_shifts_whole_spectrum():
     for _ in range(100):
         h = random_symmetric(rng, 6)
         lam = float(rng.random() * 4)
-        shifted = np.linalg.eigvalsh(ridge(h, lam).matrix)
+        shifted = np.linalg.eigvalsh(ridge(h, lam))
         np.testing.assert_allclose(shifted, np.linalg.eigvalsh(h) + lam, atol=1e-10)
 
 

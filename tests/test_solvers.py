@@ -6,12 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
+from subnewton import solvers
 from subnewton.data import generate_synthetic
 from subnewton.linesearch import LineSearchParams
 from subnewton.linsolve import InexactnessSpec
 from subnewton.model import Dataset, ObjectiveModel
+from subnewton.regularize import min_eigenvalue, spectral_floor
 from subnewton.solvers import SolverConfig, SolverError, run
 from subnewton.theory import rate_alg1, rate_alg4, rate_ridge, rate_spectral
 
@@ -218,6 +221,104 @@ def test_spectral_decreases_without_strong_convexity():
     for i, rec in enumerate(trace.records):
         if rec.alpha > 0 and rec.grad_norm_used > 1e-6:
             assert rec.f_value < fs[i]
+
+
+def record_assemblies(monkeypatch):
+    """Keep every sampled Hessian the solvers assemble, in order."""
+    assembled = []
+    assemble = solvers.subsampled_hessian
+
+    def recording(*args):
+        assembled.append(assemble(*args))
+        return assembled[-1]
+
+    monkeypatch.setattr(solvers, "subsampled_hessian", recording)
+    return assembled
+
+
+@pytest.mark.parametrize("inexact", [None, InexactnessSpec(theta1=1e-3, theta2=0.5)],
+                         ids=["exact", "inexact"])
+def test_spectral_step_takes_one_eigh_and_nothing_else(small_logistic, monkeypatch,
+                                                      inexact):
+    calls = {"eigh": 0, "eigvalsh": 0, "cho_factor": 0}
+    assembled = record_assemblies(monkeypatch)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if assembled:  # set-up (curvature constants) is over
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(np.linalg, "eigh")
+    counted(np.linalg, "eigvalsh")
+    counted(scipy.linalg, "cho_factor")
+    cfg = SolverConfig(variant="ssn-spectral", sample_frac_h=0.3, lambda_user=0.05,
+                       grad_tol=1e-9, max_iters=40, seed=2, inexact=inexact)
+    trace = run(small_logistic, cfg, np.zeros(small_logistic.p))
+    steps = [rec for rec in trace.records if rec.alpha > 0]
+    assert trace.stop == "GradTol" and len(steps) >= 5
+    assert calls == {"eigh": len(steps), "eigvalsh": 0, "cho_factor": 0}
+    assert all(rec.solve_path == "eigh" and rec.cg_iters == 0 for rec in steps)
+
+
+def test_spectral_direction_is_the_floored_operator_solve(small_logistic, monkeypatch):
+    m = small_logistic
+    assembled = record_assemblies(monkeypatch)
+    lines = []
+    line = solvers._line
+
+    def recording_line(model, x, p, t):
+        lines.append((x, p))
+        return line(model, x, p, t)
+
+    monkeypatch.setattr(solvers, "_line", recording_line)
+    cfg = SolverConfig(variant="ssn-spectral", sample_frac_h=0.3, lambda_user=0.05,
+                       grad_tol=1e-9, max_iters=40, seed=2)
+    trace = run(m, cfg, np.zeros(m.p))
+    steps = [rec for rec in trace.records if rec.alpha > 0]
+    assert len(steps) == len(lines) == len(assembled) >= 5
+    for rec, (x, p), h in zip(steps, lines, assembled):
+        expected = -np.linalg.solve(spectral_floor(h, rec.lambda_applied), m.gradient(x))
+        assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_spectral_without_shift_on_singular_sample_raises():
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                  [2.0, -1.0, 0.0]])
+    b = np.array([1.0, -0.5, 0.3, 0.2])
+    model = ObjectiveModel(Dataset(features=a, labels=b), "ridge", reg=0.0)
+    cfg = SolverConfig(variant="ssn-spectral", sample_frac_h=0.5, lambda_user=0.0,
+                       max_iters=5, seed=4)
+    with pytest.raises(SolverError, match="not positive") as exc:
+        run(model, cfg, np.ones(3))
+    assert exc.value.trace.stop == "Error"
+
+
+def test_redrawn_sample_reports_its_own_min_eig(monkeypatch):
+    dataset, _ = generate_synthetic(300, 10, family="ridge", seed=1)
+    features = dataset.features.copy()
+    features[::2] = 0.0  # half the rows carry no curvature: samples go singular
+    model = ObjectiveModel(Dataset(features=features, labels=dataset.labels),
+                           "ridge", reg=0.0)
+    assembled = record_assemblies(monkeypatch)
+    seen = []  # assemblies made before each step's line search
+    armijo = solvers.armijo
+
+    def noting(*args):
+        seen.append(len(assembled))
+        return armijo(*args)
+
+    monkeypatch.setattr(solvers, "armijo", noting)
+    cfg = SolverConfig(variant="ssn-hessian", sample_frac_h=0.08, seed=0,
+                       max_iters=40, track_events=True)
+    trace = run(model, cfg, np.zeros(model.p))
+    steps = [rec for rec in trace.records if rec.alpha > 0]
+    assert len(steps) == len(seen) and len(assembled) > len(steps)  # redraws happened
+    for rec, count in zip(steps, seen):
+        assert rec.min_eig_h == min_eigenvalue(assembled[count - 1])
 
 
 def test_ridge_huge_shift_is_gradient_direction(small_logistic):
