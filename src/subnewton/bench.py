@@ -217,18 +217,26 @@ def _jsonable(obj):
 # -- spec files ---------------------------------------------------------------
 
 
+LINE_SEARCH_KEYS = ("beta", "alpha_hat", "shrink", "max_backtracks")
+INEXACT_KEYS = ("theta1", "theta2")
+
+
 def config_from_dict(d: dict) -> SolverConfig:
     """Build a SolverConfig from flat JSON keys.
 
     Line-search fields (beta, alpha_hat, shrink, max_backtracks) and
     inexactness fields (theta1, theta2) are lifted into their parameter
-    objects; other keys map one-to-one, and unknown ones raise ValueError.
+    objects; other keys map one-to-one.  Unknown keys, and ``line_search`` or
+    ``inexact`` given as nested objects, raise ValueError.
     """
     d = dict(d)
-    ls_kwargs = {k: d.pop(k) for k in ("beta", "alpha_hat", "shrink", "max_backtracks")
-                 if k in d}
+    for nested, flat in (("line_search", LINE_SEARCH_KEYS), ("inexact", INEXACT_KEYS)):
+        if nested in d:
+            raise ValueError(f"solver key {nested!r} takes no object; give its fields "
+                             f"as flat keys: {', '.join(flat)}")
+    ls_kwargs = {k: d.pop(k) for k in LINE_SEARCH_KEYS if k in d}
     kwargs = {"line_search": LineSearchParams(**ls_kwargs)} if ls_kwargs else {}
-    if "theta1" in d or "theta2" in d:
+    if any(k in d for k in INEXACT_KEYS):
         kwargs["inexact"] = InexactnessSpec(theta1=d.pop("theta1", 0.0),
                                             theta2=d.pop("theta2", 0.0))
     if "lambda" in d:

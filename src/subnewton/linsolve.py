@@ -1,5 +1,6 @@
 """Newton-direction solves: exact via Cholesky or an eigendecomposition,
-inexact via conjugate gradients under a two-part acceptance contract.
+inexact via preconditioned conjugate gradients under a two-part acceptance
+contract.
 
 An inexact direction p for the system H p = -g is accepted when
 
@@ -17,15 +18,34 @@ costs p^3/3 flops and one CG matvec 2p^2, so CG gets at most ceil(p/6)
 iterations (flop parity) before the solve falls back to Cholesky.  A solve
 where CG never meets the contract then costs about two exact solves; with a
 full p-iteration CG run it would cost about seven.
+
+A sampled Hessian can also come as a matrix-free operator
+(``model.SampledHessian``): a product costs 4|S|p flops over the gathered rows
+A_S and forms no p x p matrix, while the fallback must first assemble that
+matrix (|S|p^2 to 2|S|p^2 flops) and then factor it.  With a preconditioner
+(2p^2 flops per application) the ceil(p/6) iterations cost
+(2/3)|S|p^2 + p^3/3 flops, below the assembly plus factorization they stand
+in for, so the same budget keeps a missed solve within about two exact ones.
+
+The preconditioner is H^-1 of an earlier sample, kept by the caller across
+solves.  A fallback refreshes it: the Cholesky factor of the matrix it
+assembled becomes an explicit inverse (LAPACK potri, about twice the
+factorization's flops, paid only on a fallback), returned in the
+diagnostics.  A dense symmetric product applies it several times faster
+than two triangular solves with the factor, at the same flop count.  A
+stale preconditioner only costs iterations: the contract is always checked
+against the H of the current solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+
+from .model import SampledHessian
 
 EXACT_RESIDUAL_RTOL = 1e-10
 MAX_REFINEMENTS = 3
@@ -59,29 +79,49 @@ class InexactnessSpec:
 @dataclass(frozen=True)
 class InexactDiagnostics:
     """Acceptance ratios of a direction; ``solve_inexact`` also fills in the
-    CG iterations it ran and the path (``PATH_CG`` or ``PATH_FALLBACK``)
-    that produced the direction."""
+    CG iterations it ran, the path (``PATH_CG`` or ``PATH_FALLBACK``) that
+    produced the direction and, after a fallback, the inverse of the matrix
+    it factored, to precondition later solves."""
 
     ok: bool
     residual_ratio: float
     descent_ratio: float
     cg_iters: int = 0
     path: str | None = None
+    preconditioner: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def solve_exact(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _dense(h) -> np.ndarray:
+    return h.dense() if isinstance(h, SampledHessian) else np.asarray(h, dtype=float)
+
+
+def _cholesky(h: np.ndarray):
+    try:
+        return scipy.linalg.cho_factor(h, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from None
+
+
+def _inverse(factor) -> np.ndarray:
+    """H^-1 from H's lower Cholesky factor, with both triangles filled."""
+    inv, info = scipy.linalg.lapack.dpotri(factor[0], lower=True, overwrite_c=True)
+    if info != 0:
+        raise NotPositiveDefiniteError(f"potri failed with info={info}")
+    return np.where(np.tri(inv.shape[0], dtype=bool), inv, inv.T)
+
+
+def solve_exact(h: np.ndarray, rhs: np.ndarray, factor=None) -> np.ndarray:
     """Solve H y = rhs for symmetric positive definite H via Cholesky.
 
+    ``factor`` is H's lower ``cho_factor`` if the caller already has it.
     The residual is driven below 1e-10 * ||rhs|| with a few steps of
     iterative refinement; failure to reach that (or to factorize) raises
     ``NotPositiveDefiniteError``.
     """
     h = np.asarray(h, dtype=float)
     rhs = np.asarray(rhs, dtype=float).ravel()
-    try:
-        factor = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from None
+    if factor is None:
+        factor = _cholesky(h)
     y = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
@@ -108,63 +148,76 @@ def solve_eigen(eigvals: np.ndarray, eigvecs: np.ndarray, rhs: np.ndarray) -> np
     return eigvecs @ ((eigvecs.T @ rhs) / eigvals)
 
 
-def _cg_iterates(h, g, budget):
-    """Conjugate-gradient iterates for H p = -g from the zero start.
+def _cg_iterates(h, g, budget, precond=None):
+    """Preconditioned conjugate-gradient iterates for H p = -g from the zero
+    start; ``precond`` is a symmetric positive definite M ~ H^-1 applied as
+    M @ r, and None runs plain CG.
 
-    Yields (p, residual_norm) after every update.  Stops early if rounding
-    destroys the curvature d'Hd > 0.
+    Yields (p, ||H p + g||) after every update.  Stops early if rounding
+    destroys the curvature d'Hd > 0 or the preconditioned residual r'Mr > 0.
     """
     p = np.zeros_like(g)
     r = -g.copy()          # residual of H p = -g
-    d = r.copy()
-    rr = float(r @ r)
+    z = r if precond is None else precond @ r
+    d = z.copy()
+    rz = float(r @ z)
     for _ in range(budget):
         hd = h @ d
         dhd = float(d @ hd)
         if dhd <= 0:
             return
-        alpha = rr / dhd
+        alpha = rz / dhd
         p = p + alpha * d
         r = r - alpha * hd
-        rr_next = float(r @ r)
-        yield p, np.sqrt(rr_next)
-        d = r + (rr_next / rr) * d
-        rr = rr_next
+        rr = float(r @ r)
+        yield p, np.sqrt(rr)
+        z = r if precond is None else precond @ r
+        rz_next = rr if precond is None else float(r @ z)
+        if rz_next <= 0:
+            return
+        d = z + (rz_next / rz) * d
+        rz = rz_next
 
 
-def solve_inexact(h: np.ndarray, g: np.ndarray,
-                  spec: InexactnessSpec) -> tuple[np.ndarray, InexactDiagnostics]:
+def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, InexactDiagnostics]:
     """Direction p approximately solving H p = -g under the acceptance
     contract, with the diagnostics of the accepted direction.
 
-    CG runs from the zero start and returns the first iterate meeting the
-    residual condition that also passes the descent condition.  It gets
-    ceil(p/6) iterations, whose matvecs cost about the flops of the Cholesky
-    factorization it falls back to when CG misses the contract; a miss thus
-    costs about two exact solves.  theta1 = 0 goes straight to the exact solve.
+    ``h`` is a p x p array or a ``SampledHessian``, which CG only multiplies
+    by.  CG, preconditioned by ``precond`` if given, runs from the zero start
+    and returns the first iterate meeting the residual condition that also
+    passes the descent condition.  It gets ceil(p/6) iterations before the
+    solve assembles H and falls back to Cholesky; the fallback's diagnostics
+    carry H^-1 as the preconditioner for later solves.  theta1 = 0 goes
+    straight to the exact solve.
     """
     g = np.asarray(g, dtype=float).ravel()
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
         raise ValueError("gradient is zero; nothing to solve")
     if spec.theta1 == 0.0:
+        h = _dense(h)
         p = -solve_exact(h, g)
         return p, replace(verify_inexact(h, g, p, spec), path=PATH_FALLBACK)
 
     target = spec.theta1 * gnorm
     budget = math.ceil(g.size / 6)
     cg_iters = 0
-    for p, res in _cg_iterates(h, g, budget):
+    for p, res in _cg_iterates(h, g, budget, precond):
         cg_iters += 1
         if res <= target:
             diag = verify_inexact(h, g, p, spec)
             if diag.ok:
                 return p, replace(diag, cg_iters=cg_iters, path=PATH_CG)
-    p = -solve_exact(h, g)
+    h = _dense(h)
+    factor = _cholesky(h)
+    p = -solve_exact(h, g, factor)
     diag = verify_inexact(h, g, p, spec)
     if not diag.ok:
         raise NotPositiveDefiniteError("exact fallback violates the descent contract")
-    return p, replace(diag, cg_iters=cg_iters, path=PATH_FALLBACK)
+    return p, replace(diag, cg_iters=cg_iters, path=PATH_FALLBACK,
+                      preconditioner=_inverse(factor))
 
 
 def verify_inexact(h, g, p, spec: InexactnessSpec) -> InexactDiagnostics:

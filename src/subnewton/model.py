@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .regularize import ridge
+
 # exp() arguments are clamped here; e^700 is just below the float64 overflow
 # edge, so individual terms stay finite and only aggregate overflow can occur.
 EXP_CLAMP = 700.0
@@ -173,6 +175,44 @@ class Dataset:
         return a.toarray() if sp.issparse(a) else a
 
 
+def weighted_gram(a, w: np.ndarray) -> np.ndarray:
+    """A' diag(w) A as a dense array, for dense or CSR rows A."""
+    if sp.issparse(a):
+        return np.asarray(((a.multiply(w[:, None])).T @ a).todense(), dtype=float)
+    return (a * w[:, None]).T @ a
+
+
+@dataclass(frozen=True)
+class SampledHessian:
+    """(1/|S|) A_S' diag(Phi''(A_S x)) A_S + reg * I, plus ssn-ridge's
+    lambda_user * I, held as the gathered rows A_S and their curvatures.
+
+    ``h @ d`` costs two products with A_S, O(nnz(A_S)) for dense or CSR
+    rows, and never forms the p x p matrix.  ``dense()`` assembles it: bit
+    for bit the matrix ``component_hessian_accumulate`` returns, passed
+    through ``ridge`` when ``ridge_shift`` is set.
+    """
+
+    rows: object  # A_S, dense or CSR
+    curvature: np.ndarray  # Phi''(A_S x)
+    reg: float
+    ridge_shift: float | None = None  # ssn-ridge's lambda_user
+
+    def __matmul__(self, d: np.ndarray) -> np.ndarray:
+        w = self.curvature / self.curvature.size
+        shift = self.reg + (self.ridge_shift or 0.0)
+        return np.asarray(self.rows.T @ (w * np.asarray(self.rows @ d).ravel())).ravel() \
+            + shift * d
+
+    def dense(self) -> np.ndarray:
+        h = weighted_gram(self.rows, self.curvature)
+        h /= self.curvature.size
+        h[np.diag_indices_from(h)] += self.reg
+        if not np.all(np.isfinite(h)):
+            raise EvaluationError("hessian accumulation is non-finite")
+        return h if self.ridge_shift is None else ridge(h, self.ridge_shift)
+
+
 @dataclass
 class ConditionEstimates:
     """Curvature constants of a finite-sum objective.
@@ -321,6 +361,11 @@ class ObjectiveModel:
         sequences produce bit-identical matrices.  S = 0..n-1 reproduces the
         full Hessian exactly.
         """
+        return self.sampled_hessian(indices, x).dense()
+
+    def sampled_hessian(self, indices, x: np.ndarray) -> SampledHessian:
+        """The same sampled Hessian as an operator: gathers the rows A_S and
+        their curvatures Phi''(A_S x), and assembles nothing."""
         idx = np.asarray(indices, dtype=int).ravel()
         if idx.size == 0:
             raise ValueError("empty sample")
@@ -328,17 +373,8 @@ class ObjectiveModel:
             raise IndexError("sample index out of range")
         x = self._check_x(x)
         a_s = self.dataset.features[idx]
-        t = np.asarray(a_s @ x).ravel()
-        w = self._fam.phi_double(t)
-        if sp.issparse(a_s):
-            h = np.asarray(((a_s.multiply(w[:, None])).T @ a_s).todense(), dtype=float)
-        else:
-            h = (a_s * w[:, None]).T @ a_s
-        h /= idx.size
-        h[np.diag_indices_from(h)] += self.reg
-        if not np.all(np.isfinite(h)):
-            raise EvaluationError("hessian accumulation is non-finite")
-        return h
+        return SampledHessian(a_s, self._fam.phi_double(np.asarray(a_s @ x).ravel()),
+                              self.reg)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Full Hessian; same accumulation path as the all-indices sample."""
@@ -400,12 +436,7 @@ class ObjectiveModel:
         return ConditionEstimates(gamma=gamma, big_k=big_k, per_component_k=per_k)
 
     def _data_gram(self, weights: np.ndarray) -> np.ndarray:
-        a = self.dataset.features
-        if sp.issparse(a):
-            g = np.asarray(((a.multiply(weights[:, None])).T @ a).todense(), dtype=float)
-        else:
-            g = (a * weights[:, None]).T @ a
-        return g / self.n
+        return weighted_gram(self.dataset.features, weights) / self.n
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()

@@ -4,6 +4,10 @@ Variants
 --------
 ``ssn-hessian``   fresh curvature sample each iteration, full gradient,
                   exact or inexact solve, Armijo step (needs gamma > 0).
+                  Inexact solves leave the sample unassembled and run CG
+                  preconditioned by the inverse of the last sample a CG
+                  miss made them assemble and factor (ssn-ridge and ssn-full
+                  alike).
 ``ssn-spectral``  any sample size; one eigendecomposition of the sampled H
                   gives its floor lambda_k = max(lambda_min(H), 0) + lambda_user
                   (so no strong convexity is needed) and the exact step in its
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -51,10 +55,11 @@ from .linesearch import LineSearchError, LineSearchParams, armijo
 # perfbench/tracing.py can wrap them under the names solvers binds
 from .linsolve import PATH_EIGEN, PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, \
     solve_eigen, solve_exact, solve_inexact, verify_inexact  # noqa: F401
-from .model import ConditionEstimates, EvaluationError, ObjectiveModel
+from .model import ConditionEstimates, EvaluationError, ObjectiveModel, SampledHessian
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
 from .sampling import SampleSet, clamped_size, draw, gradient_sample_size, \
-    hessian_sample_size, subsampled_gradient, subsampled_hessian
+    hessian_sample_size, subsampled_gradient, subsampled_hessian, \
+    subsampled_hessian_operator
 from .theory import rate_alg1, rate_alg1_inexact, rate_alg4, rate_ridge, \
     rate_spectral
 
@@ -157,7 +162,10 @@ class TraceRecord:
     residual_ratio: float | None = None
     descent_ratio: float | None = None
     cg_iters: int | None = None
-    solve_path: str | None = None  # "cholesky", "eigh", "cg" or "cholesky-fallback"
+    # "cholesky" or "eigh" (exact), "cg" (preconditioned CG met the contract
+    # without assembling H) or "cholesky-fallback" (CG missed; H assembled,
+    # factored, and its inverse kept to precondition later solves)
+    solve_path: str | None = None
     lambda_applied: float | None = None
     min_eig_h: float | None = None
     grad_error_used: float | None = None
@@ -424,9 +432,10 @@ def _newton_like(model, config, x0):
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
     exact_path = PATH_EIGEN if config.variant == "ssn-spectral" else PATH_EXACT
+    precond = None  # H^-1 of the last fallback's sample, kept for later CG solves
 
     def move(x, t, f_value, grad):
-        nonlocal eps2_k
+        nonlocal eps2_k, precond
         curvature = _sampled_curvature(model, config, rng, x, size_h)
         g_used, size_g, grad_clamped, saturated = grad, None, False, False
         if sampled_g:
@@ -446,7 +455,9 @@ def _newton_like(model, config, x0):
             return None, {"grad_norm_used": gnorm_used, "stop_flag": STOP_GRAD_TOL}, None
 
         p, diag, (h_raw, _, lam_applied, min_eig) = _direction(
-            model, config, rng, x, curvature, g_used, size_h)
+            model, config, rng, x, curvature, g_used, size_h, precond)
+        if diag is not None and diag.preconditioner is not None:
+            precond = diag.preconditioner
         alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g_used),
                                config.line_search)
         if config.eps2_schedule == "geometric":
@@ -454,7 +465,9 @@ def _newton_like(model, config, x0):
         diagnose = None
         if config.track_events:
             def diagnose():
-                return {"min_eig_h": min_eigenvalue(h_raw) if min_eig is None else min_eig,
+                # an unassembled (inexact) sample is assembled here, off the clock
+                h = h_raw.dense() if isinstance(h_raw, SampledHessian) else h_raw
+                return {"min_eig_h": min_eigenvalue(h) if min_eig is None else min_eig,
                         "grad_error_used": float(np.linalg.norm(g_used - grad))
                         if sampled_g else None}
         return x + alpha * p, {
@@ -472,13 +485,22 @@ def _newton_like(model, config, x0):
 
 
 def _sampled_curvature(model, config, rng, x, size_h):
-    """Draw a curvature sample, assemble H_S and regularize it.
+    """Draw a curvature sample and regularize it.
 
     Returns (H_S, the operator to solve with, lambda applied, lambda_min(H_S)
-    if the spectral floor computed it).  ssn-spectral's operator is the pair
-    (floored eigenvalues, eigenvectors) from H_S's one eigendecomposition.
+    if the spectral floor computed it).  Inexact solves other than
+    ssn-spectral's take H_S unassembled, as a ``SampledHessian``: CG only
+    multiplies by it.  ssn-spectral's operator is the pair (floored
+    eigenvalues, eigenvectors) from H_S's one eigendecomposition.
     """
-    h_raw = subsampled_hessian(model, x, _draw_h(model, config, rng, size_h))
+    sample = _draw_h(model, config, rng, size_h)
+    if config.inexact is not None and config.variant != "ssn-spectral":
+        h_raw = subsampled_hessian_operator(model, x, sample)
+        if config.variant == "ssn-ridge":
+            return h_raw, replace(h_raw, ridge_shift=config.lambda_user), \
+                config.lambda_user, None
+        return h_raw, h_raw, None, None
+    h_raw = subsampled_hessian(model, x, sample)
     if config.variant == "ssn-spectral":
         eigs, vecs = spectrum(h_raw)
         lam = max(float(eigs[0]), 0.0) + config.lambda_user
@@ -488,12 +510,13 @@ def _sampled_curvature(model, config, rng, x, size_h):
     return h_raw, h_raw, None, None
 
 
-def _direction(model, config, rng, x, curvature, g, size_h):
+def _direction(model, config, rng, x, curvature, g, size_h, precond):
     """Newton direction for H p = -g from a curvature sample, with the
     inexact solve's diagnostics (None for an exact solve) and the sample that
     produced it.  ssn-spectral solves exactly in its floored eigenbasis, which
-    meets any inexact spec.  A singular sample in ssn-hessian or ssn-ridge is
-    redrawn a few times (a probability-delta event) before giving up."""
+    meets any inexact spec; inexact CG is preconditioned by ``precond``.  A
+    singular sample in ssn-hessian or ssn-ridge is redrawn a few times (a
+    probability-delta event) before giving up."""
     for attempt in range(RESAMPLE_RETRIES + 1):
         if attempt:
             curvature = _sampled_curvature(model, config, rng, x, size_h)
@@ -503,7 +526,7 @@ def _direction(model, config, rng, x, curvature, g, size_h):
                 return -solve_eigen(*h, g), None, curvature
             if config.inexact is None:
                 return -solve_exact(h, g), None, curvature
-            return (*solve_inexact(h, g, config.inexact), curvature)
+            return (*solve_inexact(h, g, config.inexact, precond), curvature)
         except NotPositiveDefiniteError:
             if config.variant not in ("ssn-hessian", "ssn-ridge"):
                 raise

@@ -16,6 +16,15 @@ def small_logistic():
 
 
 @pytest.fixture(scope="session")
+def ill_logistic():
+    """n=2000, p=100 logistic problem with a 1e8-conditioned design, on which
+    plain CG misses theta1 = 1e-2 within its ceil(p/6) budget on every step."""
+    dataset, _ = generate_synthetic(n=2000, p=100, family="logistic", seed=0,
+                                    condition_target=1e8, signal_direction="weak")
+    return ObjectiveModel(dataset, "logistic", reg=1e-8)
+
+
+@pytest.fixture(scope="session")
 def small_ridge():
     dataset, _ = generate_synthetic(300, 10, family="ridge", seed=7,
                                     condition_target=50.0)

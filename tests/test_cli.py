@@ -112,6 +112,24 @@ def test_compare_rejects_unknown_solver_key(dataset_file, tmp_path, capsys):
     assert "unknown solver keys: sample_frac" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,flat", [
+    ("inexact", {"theta1": 0.1}, "theta1, theta2"),
+    ("line_search", {"beta": 0.2}, "beta, alpha_hat, shrink, max_backtracks"),
+])
+def test_compare_rejects_nested_parameter_objects(dataset_file, tmp_path, capsys,
+                                                  key, value, flat):
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps({
+        "dataset": {"path": str(dataset_file), "format": "svmlight"},
+        "family": "logistic",
+        "solvers": [{"name": "ssn", "variant": "ssn-hessian", key: value}],
+    }))
+    code = run_cli("compare", "--spec", str(spec_path), "-o", str(tmp_path / "r"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert repr(key) in err and flat in err
+
+
 def test_outputs_reproducible_modulo_timing(dataset_file, tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

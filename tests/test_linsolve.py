@@ -7,6 +7,7 @@ import pytest
 
 from subnewton.linsolve import PATH_CG, PATH_FALLBACK, InexactnessSpec, \
     NotPositiveDefiniteError, _cg_iterates, solve_exact, solve_inexact, verify_inexact
+from subnewton.sampling import draw, subsampled_hessian_operator
 
 
 def random_spd(rng, p, shift=0.1):
@@ -190,3 +191,64 @@ def test_theta1_threshold_forces_strong_descent():
         g = rng.standard_normal(12)
         p, _ = solve_inexact(h, g, InexactnessSpec(theta1=theta1, theta2=0.5))
         assert float(p @ g) <= -float(g @ g) / (2 * khat) * (1 - 1e-9)
+
+
+# -- preconditioned CG ----------------------------------------------------------
+
+
+def test_identity_preconditioner_reproduces_plain_cg():
+    rng = np.random.default_rng(11)
+    h = random_spd(rng, 30)
+    g = rng.standard_normal(30)
+    plain = list(_cg_iterates(h, g, 10))
+    pcg = list(_cg_iterates(h, g, 10, np.eye(30)))
+    assert len(plain) == len(pcg) == 10
+    for (p1, r1), (p2, r2) in zip(plain, pcg):
+        np.testing.assert_allclose(p2, p1, rtol=1e-10, atol=1e-12)
+        assert r2 == pytest.approx(r1, rel=1e-8, abs=1e-14)
+
+
+def test_exact_inverse_preconditioner_meets_the_contract_in_one_iteration():
+    rng = np.random.default_rng(12)
+    h = random_spd(rng, 50, shift=0.01)
+    g = rng.standard_normal(50)
+    spec = InexactnessSpec(theta1=1e-6, theta2=0.5)
+    direction, diag = solve_inexact(h, g, spec, precond=np.linalg.inv(h))
+    assert diag.path == PATH_CG and diag.cg_iters == 1
+    assert diag.preconditioner is None
+    assert verify_inexact(h, g, direction, spec).ok
+
+
+def test_fallback_returns_the_inverse_of_the_factored_matrix():
+    rng = np.random.default_rng(13)
+    h = random_spd(rng, 40, shift=1.0)
+    g = rng.standard_normal(40)
+    # a residual tolerance CG cannot meet in ceil(40/6) = 7 iterations
+    direction, diag = solve_inexact(h, g, InexactnessSpec(theta1=1e-12, theta2=0.5))
+    assert diag.path == PATH_FALLBACK
+    inv = diag.preconditioner
+    np.testing.assert_array_equal(inv, inv.T)
+    np.testing.assert_allclose(inv, np.linalg.inv(h), rtol=1e-10, atol=1e-12)
+
+
+def test_stale_preconditioner_from_another_sample_meets_the_contract(ill_logistic):
+    """Plain CG misses theta1 on this 1e8-conditioned sample; preconditioned by
+    the inverse of another sample of the same problem, CG meets the contract
+    within budget, checked against the fresh operator."""
+    m = ill_logistic
+    rng = np.random.default_rng(14)
+    x = np.zeros(m.p)
+    g = m.gradient(x)
+    spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
+    older, fresh = (subsampled_hessian_operator(m, x, draw(m.n, 400, "without", rng))
+                    for _ in range(2))
+    _, first = solve_inexact(older, g, spec)
+    assert first.path == PATH_FALLBACK
+    _, plain = solve_inexact(fresh, g, spec)
+    assert plain.path == PATH_FALLBACK
+    direction, diag = solve_inexact(fresh, g, spec, precond=first.preconditioner)
+    assert diag.path == PATH_CG
+    assert 1 <= diag.cg_iters <= math.ceil(m.p / 6)
+    check = verify_inexact(fresh.dense(), g, direction, spec)
+    assert check.ok
+    assert check.residual_ratio == pytest.approx(diag.residual_ratio, rel=1e-6)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +13,8 @@ from subnewton.data import generate_synthetic
 from subnewton.model import Dataset, ObjectiveModel
 from subnewton.sampling import SampleSet, draw, gradient_lemma_check, \
     gradient_sample_size, hessian_lemma_check, hessian_sample_size, \
-    subsampled_gradient, subsampled_hessian
+    subsampled_gradient, subsampled_hessian, subsampled_hessian_operator
+from subnewton.regularize import ridge
 
 
 # -- sample-size formulas -----------------------------------------------------
@@ -200,3 +203,42 @@ def test_event_detector_catches_rank_deficient_samples():
         s = draw(m.n, 5, "without", draws)  # fewer rows than columns
         h = subsampled_hessian(m, np.zeros(m.p), s)
         assert np.linalg.eigvalsh(h)[0] < threshold
+
+
+# -- the matrix-free sampled Hessian ------------------------------------------
+
+
+@pytest.mark.parametrize("ridge_shift", [None, 0.3], ids=["plain", "ridge"])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_operator_products_match_the_assembled_hessian(storage, ridge_shift):
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((300, 40)) * (rng.random((300, 40)) < 0.2)
+    b = (rng.random(300) < 0.5).astype(float)
+    features = sp.csr_matrix(a) if storage == "csr" else a
+    m = ObjectiveModel(Dataset(features=features, labels=b), "logistic", reg=0.01)
+    x = 0.3 * rng.standard_normal(m.p)
+    s = draw(m.n, 90, "without", rng)
+    op = subsampled_hessian_operator(m, x, s)
+    h = subsampled_hessian(m, x, s)
+    if ridge_shift is not None:
+        op, h = replace(op, ridge_shift=ridge_shift), ridge(h, ridge_shift)
+    for _ in range(5):
+        d = rng.standard_normal(m.p)
+        ref = h @ d
+        assert np.linalg.norm(op @ d - ref) <= 1e-12 * np.linalg.norm(ref)
+    np.testing.assert_array_equal(op.dense(), h)
+
+
+def test_operator_dense_is_the_sampled_assembly_bit_for_bit(small_logistic):
+    m = small_logistic
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal(m.p)
+    s = draw(m.n, 120, "with", rng)
+    a_s = m.dataset.features[s.indices]
+    w = m._fam.phi_double(a_s @ x)
+    ref = (a_s * w[:, None]).T @ a_s
+    ref /= s.size
+    ref[np.diag_indices_from(ref)] += m.reg
+    dense = subsampled_hessian_operator(m, x, s).dense()
+    np.testing.assert_array_equal(dense, ref)
+    np.testing.assert_array_equal(dense, subsampled_hessian(m, x, s))

@@ -9,10 +9,11 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+from subnewton import model as model_module
 from subnewton import solvers
 from subnewton.data import generate_synthetic
 from subnewton.linesearch import LineSearchParams
-from subnewton.linsolve import InexactnessSpec
+from subnewton.linsolve import InexactnessSpec, verify_inexact
 from subnewton.model import Dataset, ObjectiveModel
 from subnewton.regularize import min_eigenvalue, spectral_floor
 from subnewton.solvers import SolverConfig, SolverError, run
@@ -145,6 +146,73 @@ def test_inexact_trace_records_solve_path_and_cg_iters(small_logistic):
     exact = run(small_logistic, replace(cfg, inexact=None), np.zeros(small_logistic.p))
     assert all(rec.solve_path == "cholesky" and rec.cg_iters == 0
                for rec in exact.records[:-1])
+
+
+# variants that run CG, on a problem where plain CG misses theta1 every step
+PCG_CASES = [
+    dict(variant="ssn-hessian"),
+    dict(variant="ssn-ridge", lambda_user=1e-4, max_iters=30),
+    dict(variant="ssn-full", sample_frac_g=0.5, sigma=0.0, max_iters=30),
+]
+
+
+@pytest.mark.parametrize("settings", PCG_CASES, ids=[c["variant"] for c in PCG_CASES])
+def test_kept_preconditioner_makes_cg_steps_without_assembly(ill_logistic, monkeypatch,
+                                                             settings):
+    """After the first step's fallback, CG preconditioned by the kept inverse
+    meets the contract on the fresh sample without assembling it."""
+    m = ill_logistic
+    spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
+    events, solves = [], []
+
+    def mark(owner, name, event):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(event)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    mark(solvers, "_draw_h", "draw")
+    mark(model_module, "weighted_gram", "assemble")  # every p x p assembly
+    mark(solvers, "armijo", "step")
+    solve = solvers.solve_inexact
+
+    def recording(h, g, *args):
+        out = solve(h, g, *args)
+        solves.append((h, g, out[0]))
+        return out
+    monkeypatch.setattr(solvers, "solve_inexact", recording)
+
+    cfg = SolverConfig(sample_frac_h=0.2, seed=3, grad_tol=1e-8, inexact=spec,
+                       **{"max_iters": 100, **settings})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
+        trace = run(m, cfg, np.zeros(m.p))
+    steps = [r for r in trace.records if r.alpha > 0]
+    assert len(steps) >= 20
+    paths = [r.solve_path for r in steps]
+    assert paths.count("cholesky-fallback") <= 0.1 * len(steps)
+    assert paths.count("cg") + paths.count("cholesky-fallback") == len(steps)
+    for rec in steps:
+        if rec.solve_path == "cg":
+            assert rec.residual_ratio <= spec.theta1
+            assert rec.descent_ratio >= 1 - spec.theta2
+
+    # assemblies per step; set-up (curvature constants) ends at the first draw
+    assemblies, count = [], 0
+    for event in events[events.index("draw"):]:
+        if event == "step":
+            assemblies.append(count)
+            count = 0
+        elif event == "assemble":
+            count += 1
+    assert assemblies == [int(rec.solve_path == "cholesky-fallback") for rec in steps]
+
+    # every accepted direction meets the contract on its own fresh sample
+    assert len(solves) == len(steps)
+    for h, g, p in solves:
+        assert verify_inexact(h.dense(), g, p, spec).ok
 
 
 # (settings, full-data passes per step).  A line-search step makes three:
