@@ -49,7 +49,6 @@ class SolverRun:
     trace: Trace
     rel_err_x: np.ndarray
     rel_err_f: np.ndarray
-    wall_seconds: np.ndarray
     failed: bool = False
     error: str | None = None
 
@@ -139,10 +138,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     runs = []
     for name, rep, tr, err in outcomes:
-        rel_x, rel_f, wall = _series(tr, x_star, f_star)
+        rel_x, rel_f = _series(tr, x_star, f_star)
         runs.append(SolverRun(name=name, rep=rep, trace=tr, rel_err_x=rel_x,
-                              rel_err_f=rel_f, wall_seconds=wall,
-                              failed=err is not None, error=err))
+                              rel_err_f=rel_f, failed=err is not None, error=err))
     return ExperimentResult(runs=runs, x_star=x_star, f_star=f_star, reference=ref)
 
 
@@ -162,8 +160,7 @@ def _series(trace: Trace, x_star, f_star):
     rel_x = np.array([float(np.linalg.norm(r.x - x_star)) / xs_norm
                       for r in trace.records])
     rel_f = np.array([abs(r.f_value - f_star) / fs for r in trace.records])
-    wall = np.array([r.wall_nanos / 1e9 for r in trace.records])
-    return rel_x, rel_f, wall
+    return rel_x, rel_f
 
 
 # -- export -------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,8 +23,7 @@ from .data import DataFormatError, generate_synthetic, load_dataset, \
     measure_gram_condition, save_dataset
 from .model import ObjectiveModel
 from .sampling import gradient_lemma_check, hessian_lemma_check
-from .solvers import SolverError, run
-from .theory import rate_alg1, rate_alg1_inexact, rate_alg4
+from .solvers import SolverError, _alg4_rate, _hessian_sample_plan, _rate_header, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,53 +38,33 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+# (flag, config_from_dict key, type).  The flags have no defaults of their
+# own: a flag left out stays out of the config, which keeps the default of
+# SolverConfig (or LineSearchParams).
+SOLVER_FLAGS = (
+    ("--solver", "variant", str), ("--eps", "eps", float), ("--eps1", "eps1", float),
+    ("--eps2", "eps2", float), ("--delta", "delta", float), ("--beta", "beta", float),
+    ("--alpha-hat", "alpha_hat", float), ("--shrink", "shrink", float),
+    ("--theta1", "theta1", float), ("--theta2", "theta2", float),
+    ("--lambda", "lambda", float), ("--sigma", "sigma", float),
+    ("--sample-frac-h", "sample_frac_h", float),
+    ("--sample-frac-g", "sample_frac_g", float), ("--seed", "seed", int),
+    ("--grad-tol", "grad_tol", float), ("--max-iters", "max_iters", int),
+    ("--replacement", "replacement", str),
+)
+
+
 def _add_solver_flags(p):
-    p.add_argument("--solver", default="ssn-hessian")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--eps1", type=float, default=0.25)
-    p.add_argument("--eps2", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.25)
-    p.add_argument("--alpha-hat", type=float, default=1.0)
-    p.add_argument("--shrink", type=float, default=0.5)
-    p.add_argument("--theta1", type=float, default=None)
-    p.add_argument("--theta2", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--sample-frac-h", type=float, default=None)
-    p.add_argument("--sample-frac-g", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grad-tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--replacement", choices=("with", "without"), default="without")
+    for flag, key, kind in SOLVER_FLAGS:
+        p.add_argument(flag, dest=key, type=kind, default=argparse.SUPPRESS)
     p.add_argument("--reg", type=float, default=0.0, help="l2 penalty of the objective")
     p.add_argument("--family", default="logistic")
 
 
 def _config_from_args(args) -> bench.SolverConfig:
-    d = {
-        "variant": args.solver,
-        "eps": args.eps,
-        "eps1": args.eps1,
-        "eps2": args.eps2,
-        "delta": args.delta,
-        "beta": args.beta,
-        "alpha_hat": args.alpha_hat,
-        "shrink": args.shrink,
-        "lambda": args.lam,
-        "sigma": args.sigma,
-        "sample_frac_h": args.sample_frac_h,
-        "sample_frac_g": args.sample_frac_g,
-        "seed": args.seed,
-        "grad_tol": args.grad_tol,
-        "max_iters": args.max_iters,
-        "replacement": args.replacement,
-    }
-    if args.theta1 is not None or args.theta2 is not None:
-        d["theta1"] = args.theta1 if args.theta1 is not None else 0.0
-        d["theta2"] = args.theta2 if args.theta2 is not None else 0.0
-    d = {k: v for k, v in d.items() if v is not None or k in ("sigma",)}
-    return bench.config_from_dict(d)
+    given = vars(args)
+    return bench.config_from_dict({key: given[key] for _, key, _ in SOLVER_FLAGS
+                                   if key in given})
 
 
 def main(argv=None) -> int:
@@ -177,8 +157,7 @@ def _dispatch(args) -> int:
                 runs=[bench.SolverRun(
                     name=config.variant, rep=0, trace=trace,
                     rel_err_x=np.zeros(trace.n_iters),
-                    rel_err_f=np.zeros(trace.n_iters),
-                    wall_seconds=np.array([r.wall_nanos / 1e9 for r in trace.records]))],
+                    rel_err_f=np.zeros(trace.n_iters))],
                 x_star=trace.x_final, f_star=trace.f_final, reference=config.variant)
             bench.export(result, "csv", args.out)
             print(f"trace written to {args.out}")
@@ -222,24 +201,16 @@ def _dispatch(args) -> int:
             print("gamma = 0: rate constants undefined without strong convexity",
                   file=sys.stderr)
             return EXIT_NUMERICAL
-        size = model.n if config.sample_frac_h is None \
-            else max(1, round(config.sample_frac_h * model.n))
-        kt = est.kappa_tilde(size, config.replacement)
+        # the sample sizes and constants the ssn-hessian and ssn-full headers give
+        hessian_only, joint = (replace(config, variant=v) for v in ("ssn-hessian", "ssn-full"))
+        size = _hessian_sample_plan(model, hessian_only, est)[0]
         out = {
             "gamma": est.gamma, "K": est.big_k, "kappa": est.kappa,
-            "kappa1": est.kappa1, "kappa_tilde": kt,
+            "kappa1": est.kappa1, "kappa_tilde": est.kappa_tilde(size, config.replacement),
+            "hessian_only": _rate_header(hessian_only, est, size),
+            "joint_sampling": _alg4_rate(
+                joint, est, _hessian_sample_plan(model, joint, est)[0]).as_dict(),
         }
-        beta = config.line_search.beta
-        if config.inexact is None:
-            out["hessian_only"] = rate_alg1(beta, config.eps, est.kappa, kt, 1.0).as_dict()
-            out["joint_sampling"] = rate_alg4(beta, config.eps1, est.kappa, kt, 1.0).as_dict()
-        else:
-            out["hessian_only"] = rate_alg1_inexact(
-                beta, config.eps, config.inexact.theta1, config.inexact.theta2,
-                est.kappa, kt, 1.0).as_dict()
-            out["joint_sampling"] = rate_alg4(
-                beta, config.eps1, est.kappa, kt, 1.0, theta1=config.inexact.theta1,
-                theta2=config.inexact.theta2, inexact=True).as_dict()
         print(json.dumps(out, indent=1))
         return EXIT_OK
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .regularize import ridge
-
 # exp() arguments are clamped here; e^700 is just below the float64 overflow
 # edge, so individual terms stay finite and only aggregate overflow can occur.
 EXP_CLAMP = 700.0
@@ -184,33 +182,32 @@ def weighted_gram(a, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledHessian:
-    """(1/|S|) A_S' diag(Phi''(A_S x)) A_S + reg * I, plus ssn-ridge's
-    lambda_user * I, held as the gathered rows A_S and their curvatures.
+    """(1/|S|) A_S' diag(Phi''(A_S x)) A_S + shift * I, held as the gathered
+    rows A_S and their curvatures.
 
+    ``shift`` is the objective's reg; ssn-ridge adds its lambda_user to it.
     ``h @ d`` costs two products with A_S, O(nnz(A_S)) for dense or CSR
-    rows, and never forms the p x p matrix.  ``dense()`` assembles it: bit
-    for bit the matrix ``component_hessian_accumulate`` returns, passed
-    through ``ridge`` when ``ridge_shift`` is set.
+    rows, and never forms the p x p matrix.  ``dense()`` assembles it,
+    keeping the sample's index order, so identical index sequences give
+    bit-identical matrices.
     """
 
     rows: object  # A_S, dense or CSR
     curvature: np.ndarray  # Phi''(A_S x)
-    reg: float
-    ridge_shift: float | None = None  # ssn-ridge's lambda_user
+    shift: float
 
     def __matmul__(self, d: np.ndarray) -> np.ndarray:
         w = self.curvature / self.curvature.size
-        shift = self.reg + (self.ridge_shift or 0.0)
         return np.asarray(self.rows.T @ (w * np.asarray(self.rows @ d).ravel())).ravel() \
-            + shift * d
+            + self.shift * d
 
     def dense(self) -> np.ndarray:
         h = weighted_gram(self.rows, self.curvature)
         h /= self.curvature.size
-        h[np.diag_indices_from(h)] += self.reg
+        h[np.diag_indices_from(h)] += self.shift
         if not np.all(np.isfinite(h)):
             raise EvaluationError("hessian accumulation is non-finite")
-        return h if self.ridge_shift is None else ridge(h, self.ridge_shift)
+        return h
 
 
 @dataclass
@@ -354,18 +351,10 @@ class ObjectiveModel:
         w = float(self._fam.phi_prime(t)[0] - self.dataset.labels[i])
         return w * a + self.reg * x
 
-    def component_hessian_accumulate(self, indices, x: np.ndarray) -> np.ndarray:
-        """(1/|S|) sum_{j in S} Phi''(a_j'x) a_j a_j' + reg * I.
-
-        Accumulation keeps the given index order, so identical index
-        sequences produce bit-identical matrices.  S = 0..n-1 reproduces the
-        full Hessian exactly.
-        """
-        return self.sampled_hessian(indices, x).dense()
-
     def sampled_hessian(self, indices, x: np.ndarray) -> SampledHessian:
-        """The same sampled Hessian as an operator: gathers the rows A_S and
-        their curvatures Phi''(A_S x), and assembles nothing."""
+        """(1/|S|) sum_{j in S} Phi''(a_j'x) a_j a_j' + reg * I, unassembled:
+        gathers the rows A_S and their curvatures Phi''(A_S x).  S = 0..n-1
+        reproduces the full Hessian exactly."""
         idx = np.asarray(indices, dtype=int).ravel()
         if idx.size == 0:
             raise ValueError("empty sample")
@@ -377,8 +366,8 @@ class ObjectiveModel:
                               self.reg)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Full Hessian; same accumulation path as the all-indices sample."""
-        return self.component_hessian_accumulate(np.arange(self.n), x)
+        """Full Hessian; same assembly as the all-indices sample."""
+        return self.sampled_hessian(np.arange(self.n), x).dense()
 
     # -- bounds and constants ---------------------------------------------
 

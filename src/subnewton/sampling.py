@@ -1,5 +1,5 @@
-"""Lemma-driven sample sizes, uniform index draws, and sub-sampled Hessians,
-assembled or as matrix-free operators.
+"""Lemma-driven sample sizes, uniform index draws, and assembled sub-sampled
+Hessians and gradients.
 
 Two closed-form sample sizes drive everything:
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ObjectiveModel, SampledHessian
+from .model import ObjectiveModel
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,11 @@ def clamped_size(requested: int, n: int) -> tuple[int, bool]:
 
 
 def subsampled_hessian(model: ObjectiveModel, x: np.ndarray, sample: SampleSet) -> np.ndarray:
-    return subsampled_hessian_operator(model, x, sample).dense()
-
-
-def subsampled_hessian_operator(model: ObjectiveModel, x: np.ndarray,
-                                sample: SampleSet) -> SampledHessian:
-    """The sampled Hessian unassembled: products cost O(nnz(A_S)), and
-    ``.dense()`` is the matrix ``subsampled_hessian`` returns."""
+    """The sampled Hessian assembled; ``model.sampled_hessian`` holds it
+    unassembled, for matrix-free products."""
     if sample.source_n != model.n:
         raise ValueError("sample drawn from a different population size")
-    return model.sampled_hessian(sample.indices, x)
+    return model.sampled_hessian(sample.indices, x).dense()
 
 
 def subsampled_gradient(model: ObjectiveModel, x: np.ndarray, sample: SampleSet) -> np.ndarray:

@@ -4,10 +4,6 @@ Variants
 --------
 ``ssn-hessian``   fresh curvature sample each iteration, full gradient,
                   exact or inexact solve, Armijo step (needs gamma > 0).
-                  Inexact solves leave the sample unassembled and run CG
-                  preconditioned by the inverse of the last sample a CG
-                  miss made them assemble and factor (ssn-ridge and ssn-full
-                  alike).
 ``ssn-spectral``  any sample size; one eigendecomposition of the sampled H
                   gives its floor lambda_k = max(lambda_min(H), 0) + lambda_user
                   (so no strong convexity is needed) and the exact step in its
@@ -27,6 +23,12 @@ iteration, and logs one record per iteration.  ``run`` holds the one loop:
 each family (Newton-like, quasi-Newton, first-order) supplies its header and
 its move from x_k to x_{k+1}, and the loop owns the clock, the stop test,
 the evaluation at x_{k+1}, the error handling and the record.
+
+All Newton-like variants share one step, ``_direction``, over one sampled
+Hessian type, ``model.SampledHessian``.  Exact and ssn-spectral solves
+assemble the sample; inexact ones run CG on its matrix-free products (for
+ssn-ridge, with lambda_user added to its diagonal shift), preconditioned by
+the inverse of the last sample a CG miss made them assemble and factor.
 
 The clock covers the move and what the next move reads at x_{k+1}.  A
 Newton-like or quasi-Newton iteration passes over the data three times in
@@ -58,8 +60,7 @@ from .linsolve import PATH_EIGEN, PATH_EXACT, InexactnessSpec, NotPositiveDefini
 from .model import ConditionEstimates, EvaluationError, ObjectiveModel, SampledHessian
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
 from .sampling import SampleSet, clamped_size, draw, gradient_sample_size, \
-    hessian_sample_size, subsampled_gradient, subsampled_hessian, \
-    subsampled_hessian_operator
+    hessian_sample_size, subsampled_gradient, subsampled_hessian
 from .theory import rate_alg1, rate_alg1_inexact, rate_alg4, rate_ridge, \
     rate_spectral
 
@@ -431,12 +432,11 @@ def _newton_like(model, config, x0):
     }
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
-    exact_path = PATH_EIGEN if config.variant == "ssn-spectral" else PATH_EXACT
     precond = None  # H^-1 of the last fallback's sample, kept for later CG solves
 
     def move(x, t, f_value, grad):
         nonlocal eps2_k, precond
-        curvature = _sampled_curvature(model, config, rng, x, size_h)
+        sample = _draw_h(model, config, rng, size_h)  # before g's: fixes the RNG stream
         g_used, size_g, grad_clamped, saturated = grad, None, False, False
         if sampled_g:
             if config.sample_frac_g is not None:
@@ -454,10 +454,8 @@ def _newton_like(model, config, x0):
         if sampled_g and gnorm_used <= config.grad_tol:
             return None, {"grad_norm_used": gnorm_used, "stop_flag": STOP_GRAD_TOL}, None
 
-        p, diag, (h_raw, _, lam_applied, min_eig) = _direction(
-            model, config, rng, x, curvature, g_used, size_h, precond)
-        if diag is not None and diag.preconditioner is not None:
-            precond = diag.preconditioner
+        p, solve, h_raw, precond = _direction(model, config, rng, x, sample, g_used,
+                                              size_h, precond)
         alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g_used),
                                config.line_search)
         if config.eps2_schedule == "geometric":
@@ -465,68 +463,60 @@ def _newton_like(model, config, x0):
         diagnose = None
         if config.track_events:
             def diagnose():
-                # an unassembled (inexact) sample is assembled here, off the clock
-                h = h_raw.dense() if isinstance(h_raw, SampledHessian) else h_raw
-                return {"min_eig_h": min_eigenvalue(h) if min_eig is None else min_eig,
-                        "grad_error_used": float(np.linalg.norm(g_used - grad))
-                        if sampled_g else None}
+                out = {"grad_error_used": float(np.linalg.norm(g_used - grad))
+                       if sampled_g else None}
+                if solve.get("min_eig_h") is None:
+                    # an unassembled (inexact) sample is assembled here, off the clock
+                    out["min_eig_h"] = min_eigenvalue(
+                        h_raw.dense() if isinstance(h_raw, SampledHessian) else h_raw)
+                return out
         return x + alpha * p, {
             "grad_norm_used": gnorm_used, "alpha": alpha, "ls_trials": trials,
-            "sample_size_h": size_h, "sample_size_g": size_g,
-            "residual_ratio": diag.residual_ratio if diag else None,
-            "descent_ratio": diag.descent_ratio if diag else None,
-            "cg_iters": diag.cg_iters if diag else 0,
-            "solve_path": diag.path if diag else exact_path,
-            "lambda_applied": lam_applied, "min_eig_h": min_eig,
+            "sample_size_h": size_h, "sample_size_g": size_g, **solve,
             "grad_clamped": grad_clamped, "bound_saturated": saturated,
         }, diagnose
 
     return header, move
 
 
-def _sampled_curvature(model, config, rng, x, size_h):
-    """Draw a curvature sample and regularize it.
+def _direction(model, config, rng, x, sample, g, size_h, precond):
+    """Newton direction for H p = -g from the curvature sample ``sample``.
 
-    Returns (H_S, the operator to solve with, lambda applied, lambda_min(H_S)
-    if the spectral floor computed it).  Inexact solves other than
-    ssn-spectral's take H_S unassembled, as a ``SampledHessian``: CG only
-    multiplies by it.  ssn-spectral's operator is the pair (floored
-    eigenvalues, eigenvectors) from H_S's one eigendecomposition.
+    H is the sampled Hessian H_S, shifted by lambda_user (ssn-ridge) or
+    floored at lambda_k in the eigenbasis of its one eigendecomposition
+    (ssn-spectral, which meets any inexact spec with that exact step).
+    Exact and ssn-spectral solves assemble H_S; inexact CG solves only
+    multiply by it, preconditioned by ``precond``.  A singular sample in
+    ssn-hessian or ssn-ridge is redrawn a few times (a probability-delta
+    event) before giving up.
+
+    Returns the direction, the solve's record fields, the raw H_S of the
+    sample that produced it (unassembled after a CG solve) for off-clock
+    diagnostics, and the preconditioner to keep.
     """
-    sample = _draw_h(model, config, rng, size_h)
-    if config.inexact is not None and config.variant != "ssn-spectral":
-        h_raw = subsampled_hessian_operator(model, x, sample)
-        if config.variant == "ssn-ridge":
-            return h_raw, replace(h_raw, ridge_shift=config.lambda_user), \
-                config.lambda_user, None
-        return h_raw, h_raw, None, None
-    h_raw = subsampled_hessian(model, x, sample)
-    if config.variant == "ssn-spectral":
-        eigs, vecs = spectrum(h_raw)
-        lam = max(float(eigs[0]), 0.0) + config.lambda_user
-        return h_raw, (np.maximum(eigs, lam), vecs), lam, float(eigs[0])
-    if config.variant == "ssn-ridge":
-        return h_raw, ridge(h_raw, config.lambda_user), config.lambda_user, None
-    return h_raw, h_raw, None, None
-
-
-def _direction(model, config, rng, x, curvature, g, size_h, precond):
-    """Newton direction for H p = -g from a curvature sample, with the
-    inexact solve's diagnostics (None for an exact solve) and the sample that
-    produced it.  ssn-spectral solves exactly in its floored eigenbasis, which
-    meets any inexact spec; inexact CG is preconditioned by ``precond``.  A
-    singular sample in ssn-hessian or ssn-ridge is redrawn a few times (a
-    probability-delta event) before giving up."""
+    lam = config.lambda_user if config.variant == "ssn-ridge" else None
     for attempt in range(RESAMPLE_RETRIES + 1):
         if attempt:
-            curvature = _sampled_curvature(model, config, rng, x, size_h)
-        h = curvature[1]
+            sample = _draw_h(model, config, rng, size_h)
         try:
+            if config.inexact is not None and config.variant != "ssn-spectral":
+                h_raw = model.sampled_hessian(sample.indices, x)
+                h = h_raw if lam is None else replace(h_raw, shift=h_raw.shift + lam)
+                p, diag = solve_inexact(h, g, config.inexact, precond)
+                return p, {"residual_ratio": diag.residual_ratio,
+                           "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
+                           "solve_path": diag.path, "lambda_applied": lam}, h_raw, \
+                    precond if diag.preconditioner is None else diag.preconditioner
+            h_raw = subsampled_hessian(model, x, sample)
             if config.variant == "ssn-spectral":
-                return -solve_eigen(*h, g), None, curvature
-            if config.inexact is None:
-                return -solve_exact(h, g), None, curvature
-            return (*solve_inexact(h, g, config.inexact, precond), curvature)
+                eigs, vecs = spectrum(h_raw)
+                floor = max(float(eigs[0]), 0.0) + config.lambda_user
+                return -solve_eigen(np.maximum(eigs, floor), vecs, g), {
+                    "cg_iters": 0, "solve_path": PATH_EIGEN, "lambda_applied": floor,
+                    "min_eig_h": float(eigs[0])}, h_raw, precond
+            h = h_raw if lam is None else ridge(h_raw, lam)
+            return -solve_exact(h, g), {"cg_iters": 0, "solve_path": PATH_EXACT,
+                                        "lambda_applied": lam}, h_raw, precond
         except NotPositiveDefiniteError:
             if config.variant not in ("ssn-hessian", "ssn-ridge"):
                 raise

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from subnewton import cli
 from subnewton.cli import main
+from subnewton.data import load_dataset
+from subnewton.model import ObjectiveModel
+from subnewton.solvers import SolverConfig, SolverError, run
 
 
 def run_cli(*argv):
@@ -69,6 +74,34 @@ def test_rates_prints_guarantee_constants(dataset_file, capsys):
     assert blob["kappa"] >= 1
     assert 0 < blob["hessian_only"]["rho"] < 1
     assert blob["hessian_only"]["theta1_max"] > 0
+
+
+def test_rates_price_the_sample_sizes_the_solvers_draw(tmp_path, capsys):
+    """Without --sample-frac-h the solvers draw the lemma-sized sample, and
+    rates reports the constants of that size, as the run header does."""
+    path = tmp_path / "tall.svm"
+    assert run_cli("gen", "--n", "40000", "--p", "10", "--seed", "7", "-o", str(path)) == 0
+    capsys.readouterr()
+    assert run_cli("rates", "--data", str(path), "--reg", "1.0") == 0
+    blob = json.loads(capsys.readouterr().out)
+    model = ObjectiveModel(load_dataset(str(path)), "logistic", reg=1.0)
+    for key, variant in (("hessian_only", "ssn-hessian"), ("joint_sampling", "ssn-full")):
+        header = run(model, SolverConfig(variant=variant, max_iters=1),
+                     np.zeros(model.p)).header
+        assert header["lemma_sized"] and header["sample_size_h"] < model.n
+        assert blob[key] == header["rate_prediction"]
+
+
+def test_run_without_solver_flags_uses_the_config_defaults(dataset_file, monkeypatch):
+    seen = []
+
+    def capture(model, config, x0):
+        seen.append(config)
+        raise SolverError("stop before solving")
+
+    monkeypatch.setattr(cli, "run", capture)
+    assert run_cli("run", "--data", str(dataset_file)) == 2
+    assert seen == [SolverConfig()]
 
 
 def test_inspect_reports_condition_metrics(dataset_file, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from subnewton.linsolve import PATH_CG, PATH_FALLBACK, InexactnessSpec, \
     NotPositiveDefiniteError, _cg_iterates, solve_exact, solve_inexact, verify_inexact
-from subnewton.sampling import draw, subsampled_hessian_operator
+from subnewton.sampling import draw
 
 
 def random_spd(rng, p, shift=0.1):
@@ -240,7 +240,7 @@ def test_stale_preconditioner_from_another_sample_meets_the_contract(ill_logisti
     x = np.zeros(m.p)
     g = m.gradient(x)
     spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
-    older, fresh = (subsampled_hessian_operator(m, x, draw(m.n, 400, "without", rng))
+    older, fresh = (m.sampled_hessian(draw(m.n, 400, "without", rng).indices, x)
                     for _ in range(2))
     _, first = solve_inexact(older, g, spec)
     assert first.path == PATH_FALLBACK

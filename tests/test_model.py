@@ -115,13 +115,13 @@ def test_component_gradient_index_error(small_logistic):
 def test_hessian_full_sample_identity(small_logistic):
     m = small_logistic
     x = np.full(m.p, 0.2)
-    h_all = m.component_hessian_accumulate(np.arange(m.n), x)
+    h_all = m.sampled_hessian(np.arange(m.n), x).dense()
     np.testing.assert_allclose(h_all, m.hessian(x), atol=1e-12)
 
 
 def test_hessian_single_logistic_component():
     m = single_row_model("logistic", [1.0, 0.0], 1.0)
-    h = m.component_hessian_accumulate([0], np.zeros(2))
+    h = m.sampled_hessian([0], np.zeros(2)).dense()
     np.testing.assert_allclose(h, [[0.25, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
@@ -138,7 +138,7 @@ def test_hessian_matches_gradient_finite_differences(fixture, request):
 
 def test_hessian_empty_sample_error(small_logistic):
     with pytest.raises(ValueError):
-        small_logistic.component_hessian_accumulate([], np.zeros(small_logistic.p))
+        small_logistic.sampled_hessian([], np.zeros(small_logistic.p)).dense()
 
 
 @pytest.mark.parametrize("fixture", ["small_ridge", "small_logistic", "small_poisson"])
@@ -148,7 +148,7 @@ def test_sampled_hessians_stay_psd(fixture, request):
     for _ in range(10):
         x = rng.standard_normal(m.p) * 0.4
         idx = rng.integers(0, m.n, size=rng.integers(1, 30))
-        h = m.component_hessian_accumulate(idx, x)
+        h = m.sampled_hessian(idx, x).dense()
         assert np.linalg.eigvalsh(h)[0] >= m.reg - 1e-10
 
 
@@ -233,7 +233,7 @@ def test_model_constants_bound_true_curvature(fixture, request):
         assert eigs[0] >= est.gamma - 1e-9
         assert eigs[-1] <= est.big_k + 1e-9
         i = int(rng.integers(m.n))
-        hi = m.component_hessian_accumulate([i], x)
+        hi = m.sampled_hessian([i], x).dense()
         assert np.linalg.eigvalsh(hi)[-1] <= est.per_component_k[i] + 1e-9
 
 
@@ -266,8 +266,8 @@ def test_sparse_storage_matches_dense(small_logistic):
     np.testing.assert_allclose(m.gradient(x), dense.gradient(x), atol=1e-12)
     np.testing.assert_allclose(m.hessian(x), dense.hessian(x), atol=1e-12)
     np.testing.assert_allclose(
-        m.component_hessian_accumulate([3, 5], x),
-        dense.component_hessian_accumulate([3, 5], x), atol=1e-12)
+        m.sampled_hessian([3, 5], x).dense(),
+        dense.sampled_hessian([3, 5], x).dense(), atol=1e-12)
 
 
 def test_dimension_mismatch_rejected(small_logistic):

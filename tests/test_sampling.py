@@ -13,7 +13,7 @@ from subnewton.data import generate_synthetic
 from subnewton.model import Dataset, ObjectiveModel
 from subnewton.sampling import SampleSet, draw, gradient_lemma_check, \
     gradient_sample_size, hessian_lemma_check, hessian_sample_size, \
-    subsampled_gradient, subsampled_hessian, subsampled_hessian_operator
+    subsampled_gradient, subsampled_hessian
 from subnewton.regularize import ridge
 
 
@@ -140,7 +140,7 @@ def test_singleton_sample_is_component(lemma_model):
     np.testing.assert_allclose(subsampled_gradient(m, x, s),
                                m.component_gradient(17, x), atol=1e-14)
     np.testing.assert_allclose(subsampled_hessian(m, x, s),
-                               m.component_hessian_accumulate([17], x), atol=1e-14)
+                               m.sampled_hessian([17], x).dense(), atol=1e-14)
 
 
 def test_subsampled_hessian_symmetric(lemma_model):
@@ -218,15 +218,18 @@ def test_operator_products_match_the_assembled_hessian(storage, ridge_shift):
     m = ObjectiveModel(Dataset(features=features, labels=b), "logistic", reg=0.01)
     x = 0.3 * rng.standard_normal(m.p)
     s = draw(m.n, 90, "without", rng)
-    op = subsampled_hessian_operator(m, x, s)
-    h = subsampled_hessian(m, x, s)
+    op = m.sampled_hessian(s.indices, x)
+    h = assembled = subsampled_hessian(m, x, s)
     if ridge_shift is not None:
-        op, h = replace(op, ridge_shift=ridge_shift), ridge(h, ridge_shift)
+        op, h = replace(op, shift=op.shift + ridge_shift), ridge(h, ridge_shift)
+        # the same sample assembled with the shift reg + lambda added once
+        shifted = ObjectiveModel(m.dataset, "logistic", reg=m.reg + ridge_shift)
+        assembled = subsampled_hessian(shifted, x, s)
     for _ in range(5):
         d = rng.standard_normal(m.p)
         ref = h @ d
         assert np.linalg.norm(op @ d - ref) <= 1e-12 * np.linalg.norm(ref)
-    np.testing.assert_array_equal(op.dense(), h)
+    np.testing.assert_array_equal(op.dense(), assembled)
 
 
 def test_operator_dense_is_the_sampled_assembly_bit_for_bit(small_logistic):
@@ -239,6 +242,6 @@ def test_operator_dense_is_the_sampled_assembly_bit_for_bit(small_logistic):
     ref = (a_s * w[:, None]).T @ a_s
     ref /= s.size
     ref[np.diag_indices_from(ref)] += m.reg
-    dense = subsampled_hessian_operator(m, x, s).dense()
+    dense = m.sampled_hessian(s.indices, x).dense()
     np.testing.assert_array_equal(dense, ref)
     np.testing.assert_array_equal(dense, subsampled_hessian(m, x, s))

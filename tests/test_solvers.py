@@ -436,6 +436,28 @@ def test_sigma_warning_below_floor(small_logistic):
         run(small_logistic, cfg, np.zeros(small_logistic.p))
 
 
+def test_geometric_eps2_schedule_grows_the_gradient_sample():
+    """eps2_k = eps2 * rho2^k: the lemma-sized gradient sample grows by about
+    1/rho2^2 per step until it is clamped at n; under "constant" it stays."""
+    dataset, _ = generate_synthetic(40000, 10, family="logistic", seed=7)
+    m = ObjectiveModel(dataset, "logistic", reg=1.0)
+    cfg = SolverConfig(variant="ssn-full", eps2=0.9, rho2=0.8, sample_frac_h=0.05,
+                       sigma=0.0, max_iters=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sigma = 0 is below the STOP floor
+        geometric = run(m, replace(cfg, eps2_schedule="geometric"), np.zeros(m.p))
+        constant = run(m, cfg, np.zeros(m.p))
+    grown = [r.sample_size_g for r in geometric.records]
+    clamp = [r.grad_clamped for r in geometric.records].index(True)
+    assert clamp >= 4 and grown[clamp:] == [m.n] * (len(grown) - clamp)
+    # G(x_k) grows with ||x_k|| from x0 = 0, most in the first step
+    for a, b in zip(grown[:clamp], grown[1:clamp]):
+        assert b / a == pytest.approx(1 / cfg.rho2**2, rel=0.05)
+    kept = [r.sample_size_g for r in constant.records]
+    assert not any(r.grad_clamped for r in constant.records)
+    assert max(kept) <= 1.05 * min(kept) < 1.05 * grown[0] / cfg.rho2**2
+
+
 def test_time_limit_stops_early(small_logistic):
     cfg = SolverConfig(variant="gd", max_iters=10_000_000, grad_tol=0.0,
                        time_limit=0.05)
