@@ -211,6 +211,10 @@ def _dispatch(args) -> int:
             "joint_sampling": _alg4_rate(
                 joint, est, _hessian_sample_plan(model, joint, est)[0]).as_dict(),
         }
+        if config.variant in ("ssn-spectral", "ssn-ridge"):
+            # the rate_spectral / rate_ridge prediction of that variant's run header
+            out[config.variant] = _rate_header(
+                config, est, _hessian_sample_plan(model, config, est)[0])
         print(json.dumps(out, indent=1))
         return EXIT_OK
 

@@ -15,8 +15,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .model import EXP_CLAMP, FAMILIES, Dataset
+from .model import EXP_CLAMP, FAMILIES, Dataset, weighted_gram
+
+# An svmlight file whose stored fraction nnz/(n*p) is at most this loads as
+# CSR, otherwise dense.  Measured at 20000 x 500 with one BLAS thread, CSR
+# against dense: A x takes 0.36 vs 6.5 ms at 1%, 0.91 vs 5.8 ms at 10% and
+# 3.1 vs 6.8 ms at 20%; a sampled Gram (|S| = 1000) 1.2 vs 17, 16.5 vs 12.1
+# and 34 vs 16 ms.  A Newton step's one sampled Gram and three full-data
+# products still favour CSR at 10% (19 vs 30 ms) but dense at 20% (43 vs
+# 36 ms).
+SPARSE_MAX_DENSITY = 0.1
 
 
 class DataFormatError(ValueError):
@@ -117,8 +127,7 @@ def generate_synthetic(
 
 def measure_gram_condition(dataset: Dataset) -> float:
     """Condition number of (1/n) A'A via a direct eigensolve."""
-    a = dataset.rows_dense(slice(None))
-    eigs = np.linalg.eigvalsh(a.T @ a / dataset.n)
+    eigs = np.linalg.eigvalsh(weighted_gram(dataset.features) / dataset.n)
     lo, hi = float(eigs[0]), float(eigs[-1])
     return math.inf if lo <= 0 else hi / lo
 
@@ -128,7 +137,13 @@ def measure_gram_condition(dataset: Dataset) -> float:
 
 def load_dataset(path, fmt: str = "svmlight") -> Dataset:
     """Parse a dataset file; p is the maximum feature index seen (svmlight)
-    or the column count (csv).  Errors report 1-based line numbers."""
+    or the column count (csv).  Errors report 1-based line numbers.
+
+    svmlight features are parsed straight into CSR (column indices sorted,
+    a repeated index on a line keeps its last value) and stay CSR when at
+    most ``SPARSE_MAX_DENSITY`` of the n x p entries are stored; denser
+    files load as a dense array.  csv always loads dense.
+    """
     if fmt == "svmlight":
         return _load_svmlight(path)
     if fmt == "csv":
@@ -137,27 +152,33 @@ def load_dataset(path, fmt: str = "svmlight") -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path, fmt: str = "svmlight") -> None:
-    a = dataset.rows_dense(slice(None))
+    """Write a dataset as svmlight (zero entries skipped) or csv; ``repr``
+    keeps every float exact on re-read.  Sparse features are written row by
+    row, without a dense n x p copy."""
     b = dataset.labels
     with open(path, "w") as fh:
         if fmt == "svmlight":
+            a = sp.csr_matrix(dataset.features)
             for i in range(dataset.n):
+                lo, hi = a.indptr[i], a.indptr[i + 1]
                 feats = " ".join(
-                    f"{j + 1}:{float(a[i, j])!r}"
-                    for j in range(dataset.p) if a[i, j] != 0.0
+                    f"{j + 1}:{v!r}"
+                    for j, v in zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist())
+                    if v != 0.0
                 )
                 fh.write(f"{float(b[i])!r} {feats}".rstrip() + "\n")
         elif fmt == "csv":
             for i in range(dataset.n):
-                fh.write(",".join(repr(float(v)) for v in (b[i], *a[i])) + "\n")
+                row = dataset.rows_dense(i).ravel()
+                fh.write(",".join(repr(float(v)) for v in (b[i], *row)) + "\n")
         else:
             raise ValueError(f"unknown format {fmt!r}")
 
 
 def _load_svmlight(path) -> Dataset:
+    # one pass straight into CSR arrays; only a file that loads dense gets an n x p array
     labels: list[float] = []
-    rows: list[dict[int, float]] = []
-    p = 0
+    indptr, indices, values = [0], [], []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -177,15 +198,23 @@ def _load_svmlight(path) -> Dataset:
                     raise DataFormatError(path, line_no, f"bad feature token {tok!r}") from None
                 if idx < 1:
                     raise DataFormatError(path, line_no, f"feature index {idx} must be >= 1")
-                entries[idx - 1] = val
-                p = max(p, idx)
-            rows.append(entries)
-    if not rows:
+                entries[idx] = val  # a repeated index keeps its last value
+            keys = sorted(entries)
+            indices.extend(keys)
+            values.extend(map(entries.__getitem__, keys))
+            indptr.append(len(indices))
+    if not labels:
         raise DataFormatError(path, 0, "empty dataset file")
-    a = np.zeros((len(rows), p))
-    for i, entries in enumerate(rows):
-        for j, v in entries.items():
-            a[i, j] = v
+    cols = np.array(indices, dtype=np.int64) - 1
+    vals = np.array(values, dtype=float)
+    n = len(labels)
+    p = int(cols.max()) + 1 if cols.size else 0
+    if cols.size <= SPARSE_MAX_DENSITY * n * p:
+        a = sp.csr_matrix((vals, cols, np.array(indptr)), shape=(n, p))
+    else:
+        # scattered, not CSR.toarray(), which would turn a stored -0.0 into 0.0
+        a = np.zeros((n, p))
+        a[np.repeat(np.arange(n), np.diff(indptr)), cols] = vals
     return Dataset(features=a, labels=np.array(labels))
 
 

@@ -134,14 +134,18 @@ class Dataset:
     def __post_init__(self):
         feats = self.features
         if sp.issparse(feats):
-            object.__setattr__(self, "features", feats.tocsr())
+            # a float64 copy in canonical form: sorted, duplicates summed
+            feats = feats.tocsr().astype(float)
+            feats.sum_duplicates()
+            values = feats.data
         else:
             feats = np.asarray(feats, dtype=float)
             if feats.ndim != 2:
                 raise ValueError("features must be a 2-D array")
-            if not np.all(np.isfinite(feats)):
-                raise ValueError("features contain non-finite entries")
-            object.__setattr__(self, "features", feats)
+            values = feats
+        if not np.all(np.isfinite(values)):
+            raise ValueError("features contain non-finite entries")
+        object.__setattr__(self, "features", feats)
         labels = np.asarray(self.labels, dtype=float).ravel()
         object.__setattr__(self, "labels", labels)
         n, p = self.features.shape
@@ -173,11 +177,15 @@ class Dataset:
         return a.toarray() if sp.issparse(a) else a
 
 
-def weighted_gram(a, w: np.ndarray) -> np.ndarray:
-    """A' diag(w) A as a dense array, for dense or CSR rows A."""
-    if sp.issparse(a):
-        return np.asarray(((a.multiply(w[:, None])).T @ a).todense(), dtype=float)
-    return (a * w[:, None]).T @ a
+def weighted_gram(a, w: np.ndarray | None = None) -> np.ndarray:
+    """A' diag(w) A as a dense array, for dense or CSR rows A; without ``w``
+    it is A'A, formed with no weighted copy of A."""
+    if w is not None:
+        a_w = a.multiply(w[:, None]) if sp.issparse(a) else a * w[:, None]
+    else:
+        a_w = a
+    gram = a_w.T @ a
+    return gram.toarray() if sp.issparse(gram) else gram
 
 
 @dataclass(frozen=True)

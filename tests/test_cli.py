@@ -92,6 +92,18 @@ def test_rates_price_the_sample_sizes_the_solvers_draw(tmp_path, capsys):
         assert blob[key] == header["rate_prediction"]
 
 
+@pytest.mark.parametrize("variant", ["ssn-spectral", "ssn-ridge"])
+def test_rates_report_the_given_regularized_variant(dataset_file, capsys, variant):
+    assert run_cli("rates", "--data", str(dataset_file), "--reg", "0.05",
+                   "--solver", variant, "--lambda", "0.1") == 0
+    blob = json.loads(capsys.readouterr().out)
+    model = ObjectiveModel(load_dataset(str(dataset_file)), "logistic", reg=0.05)
+    header = run(model, SolverConfig(variant=variant, lambda_user=0.1, max_iters=1),
+                 np.zeros(model.p)).header
+    assert header["rate_prediction"]
+    assert blob[variant] == header["rate_prediction"]
+
+
 def test_run_without_solver_flags_uses_the_config_defaults(dataset_file, monkeypatch):
     seen = []
 

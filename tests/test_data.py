@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from subnewton.data import DataFormatError, generate_synthetic, load_dataset, \
-    measure_gram_condition, save_dataset
+from subnewton.data import SPARSE_MAX_DENSITY, DataFormatError, generate_synthetic, \
+    load_dataset, measure_gram_condition, save_dataset
+from subnewton.model import Dataset, ObjectiveModel
+from subnewton.solvers import SolverConfig, run
 
 
 def test_identity_conditioning_target():
@@ -113,7 +118,6 @@ def test_empty_file_rejected(tmp_path):
 
 
 def test_sparse_zero_features_skipped_on_write(tmp_path):
-    from subnewton.model import Dataset
     ds = Dataset(features=np.array([[0.0, 3.0], [1.0, 0.0]]),
                  labels=np.array([1.0, 0.0]))
     path = tmp_path / "z.svm"
@@ -147,3 +151,110 @@ def test_weak_signal_direction_profile():
     strong = vt[:20] @ meta.planted_coefficients
     weak = vt[20:] @ meta.planted_coefficients
     assert np.linalg.norm(strong) <= 1e-8 * np.linalg.norm(weak)
+
+
+# -- sparse storage -----------------------------------------------------------
+
+
+def dense_parse(path) -> np.ndarray:
+    """Reference svmlight parse into a dense array: the last value of a
+    repeated index wins, p is the largest index seen."""
+    rows = []
+    for raw in path.read_text().splitlines():
+        line = raw.split("#", 1)[0].split()
+        if line:
+            rows.append({int(i): float(v) for i, v in (t.split(":", 1) for t in line[1:])})
+    a = np.zeros((len(rows), max(max(r, default=0) for r in rows)))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            a[i, j - 1] = v
+    return a
+
+
+def sparse_logistic(n, p, density, seed):
+    rng = np.random.default_rng(seed)
+    a = sp.random(n, p, density=density, format="csr", random_state=rng,
+                  data_rvs=rng.standard_normal)
+    probs = 1.0 / (1.0 + np.exp(-(a @ rng.standard_normal(p))))
+    return Dataset(features=a, labels=(rng.random(n) < probs).astype(float))
+
+
+@pytest.fixture(scope="module")
+def sparse_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sparse") / "s.svm"
+    save_dataset(sparse_logistic(2000, 50, 0.02, seed=11), path)
+    return path
+
+
+def test_sparse_file_loads_as_csr(sparse_file):
+    ds = load_dataset(sparse_file)
+    assert ds.storage == "sparse"
+    assert ds.features.nnz <= SPARSE_MAX_DENSITY * ds.n * ds.p
+    assert ds.features.has_sorted_indices
+    np.testing.assert_array_equal(ds.features.toarray(), dense_parse(sparse_file))
+
+
+def test_dense_file_loads_dense_and_bit_identical(tmp_path):
+    dataset, _ = generate_synthetic(40, 6, seed=12)
+    path = tmp_path / "g.svm"
+    save_dataset(dataset, path)
+    back = load_dataset(path)
+    assert back.storage == "dense"
+    assert back.features.dtype == np.float64 and back.features.flags.c_contiguous
+    assert back.features.tobytes() == dense_parse(path).tobytes()
+    assert back.features.tobytes() == dataset.features.tobytes()
+
+
+def test_out_of_order_and_repeated_indices_match_dense_parse(tmp_path):
+    path = tmp_path / "dup.svm"
+    lines = ["1 40:1.5 3:2.0 40:-4.0 1:0.25", "0 7:1.0 2:3.0 7:9.0 7:-1.0"]
+    lines += [f"{i % 2} {i + 1}:1.0" for i in range(38)]
+    path.write_text("\n".join(lines) + "\n")
+    ds = load_dataset(path)
+    assert ds.storage == "sparse"  # 43 of 40 x 40 entries stored
+    assert ds.features.has_sorted_indices
+    np.testing.assert_array_equal(ds.features.toarray(), dense_parse(path))
+    assert ds.features[0, 39] == -4.0 and ds.features[1, 6] == -1.0
+
+
+def test_sparse_load_never_allocates_the_dense_matrix(tmp_path):
+    n, p = 20_000, 500
+    path = tmp_path / "big.svm"
+    save_dataset(sparse_logistic(n, p, 0.01, seed=13), path)
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.storage == "sparse"
+    assert peak < n * p * 8 / 4
+
+
+def test_csr_round_trip_stays_csr(sparse_file, tmp_path):
+    ds = load_dataset(sparse_file)
+    path = tmp_path / "rt.svm"
+    save_dataset(ds, path)
+    back = load_dataset(path)
+    assert back.storage == "sparse"
+    np.testing.assert_array_equal(back.features.toarray(), ds.features.toarray())
+    np.testing.assert_array_equal(back.labels, ds.labels)
+    assert path.read_bytes() == sparse_file.read_bytes()
+
+
+def test_gram_condition_agrees_between_storages(sparse_file):
+    ds = load_dataset(sparse_file)
+    dense = Dataset(features=ds.features.toarray(), labels=ds.labels)
+    assert measure_gram_condition(ds) == pytest.approx(measure_gram_condition(dense),
+                                                       rel=1e-10)
+
+
+def test_spectral_solve_on_csr_matches_dense_storage(sparse_file):
+    ds = load_dataset(sparse_file)
+    dense = Dataset(features=ds.features.toarray(), labels=ds.labels)
+    config = SolverConfig(variant="ssn-spectral", sample_frac_h=0.05, lambda_user=1e-3,
+                          seed=5)
+    traces = [run(ObjectiveModel(d, "logistic", reg=1e-6), config, np.zeros(ds.p))
+              for d in (ds, dense)]
+    assert traces[0].stop == traces[1].stop == "GradTol"
+    assert traces[0].same_iterates(traces[1])

@@ -270,6 +270,31 @@ def test_sparse_storage_matches_dense(small_logistic):
         dense.sampled_hessian([3, 5], x).dense(), atol=1e-12)
 
 
+def test_sparse_non_finite_features_rejected():
+    a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, np.nan]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        Dataset(features=a, labels=np.zeros(2))
+
+
+def test_sparse_integer_features_cast_to_float():
+    a = sp.csr_matrix(np.array([[1, 0], [0, 3]], dtype=np.int64))
+    ds = Dataset(features=a, labels=np.zeros(2))
+    assert ds.features.dtype == np.float64
+    np.testing.assert_array_equal(ds.features.toarray(), [[1.0, 0.0], [0.0, 3.0]])
+
+
+def test_sparse_duplicate_entries_summed_into_canonical_form():
+    # row 0 stores column 1 twice, out of order: 2 + 5 at (0, 1)
+    a = sp.csr_matrix((np.array([2.0, 1.0, 5.0]), np.array([1, 0, 1]), np.array([0, 3, 3])),
+                      shape=(2, 2))
+    assert not a.has_canonical_format
+    ds = Dataset(features=a, labels=np.zeros(2))
+    assert ds.features.has_canonical_format
+    np.testing.assert_array_equal(ds.features.indices, [0, 1])
+    np.testing.assert_array_equal(ds.features.toarray(), [[1.0, 7.0], [0.0, 0.0]])
+    assert not a.has_canonical_format  # the caller's matrix is left as it was
+
+
 def test_dimension_mismatch_rejected(small_logistic):
     with pytest.raises(ValueError):
         small_logistic.value(np.zeros(small_logistic.p + 1))
