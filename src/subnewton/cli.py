@@ -23,12 +23,18 @@ from .data import DataFormatError, generate_synthetic, load_dataset, \
     measure_gram_condition, save_dataset
 from .model import ObjectiveModel
 from .sampling import gradient_lemma_check, hessian_lemma_check
-from .solvers import SolverError, _alg4_rate, _hessian_sample_plan, _rate_header, run
+from .solvers import NotStronglyConvexError, SolverError, _alg4_rate, \
+    _hessian_sample_plan, _rate_header, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
+
+# printed after a failure that needs gamma > 0, in terms of this front end's flags
+GAMMA_ZERO_HINT = ("hint: this objective has gamma = 0 (no strong convexity); pass "
+                   "--reg > 0, or --solver ssn-spectral|ssn-ridge with --sample-frac-h "
+                   "(ssn-ridge also with --lambda > 0)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,6 +135,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        if isinstance(exc, NotStronglyConvexError):
+            print(GAMMA_ZERO_HINT, file=sys.stderr)
         return EXIT_NUMERICAL
 
 
@@ -200,6 +208,7 @@ def _dispatch(args) -> int:
         if not est.strongly_convex:
             print("gamma = 0: rate constants undefined without strong convexity",
                   file=sys.stderr)
+            print(GAMMA_ZERO_HINT, file=sys.stderr)
             return EXIT_NUMERICAL
         # the sample sizes and constants the ssn-hessian and ssn-full headers give
         hessian_only, joint = (replace(config, variant=v) for v in ("ssn-hessian", "ssn-full"))

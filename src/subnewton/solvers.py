@@ -83,6 +83,10 @@ class SolverError(RuntimeError):
         self.trace = trace
 
 
+class NotStronglyConvexError(SolverError):
+    """The configuration needs gamma > 0 and the objective has gamma = 0."""
+
+
 @dataclass
 class SolverConfig:
     """Everything tunable about one solver run.
@@ -317,7 +321,7 @@ def _hessian_sample_plan(model, config, est) -> tuple[int, bool, bool]:
     if config.variant == "newton":
         return model.n, False, False
     if not est.strongly_convex:
-        raise SolverError(
+        raise NotStronglyConvexError(
             "gamma = 0 (no strong convexity): the lemma sample size is undefined; "
             "pass sample_frac_h and use ssn-spectral or ssn-ridge"
         )
@@ -368,7 +372,8 @@ def _alg4_rate(config, est, size_h):
 def _resolve_sigma(config, est, size_h) -> float:
     if config.sigma is None:
         if not est.strongly_convex:
-            raise SolverError("sigma=None needs gamma > 0 to compute the guarantee floor")
+            raise NotStronglyConvexError(
+                "sigma=None needs gamma > 0 to compute the guarantee floor")
         return _alg4_rate(config, est, size_h).sigma_min
     if est.strongly_convex:
         floor = _alg4_rate(config, est, size_h).sigma_min
@@ -412,11 +417,11 @@ def _newton_like(model, config, x0):
     est =_estimates_for(model, config, x0)
     size_h, clamped_h, lemma_sized = _hessian_sample_plan(model, config, est)
     if config.variant == "ssn-hessian" and not est.strongly_convex:
-        raise SolverError("ssn-hessian needs gamma > 0; use ssn-spectral or ssn-ridge")
+        raise NotStronglyConvexError("ssn-hessian needs gamma > 0; use ssn-spectral or ssn-ridge")
     if config.variant == "ssn-ridge" and config.lambda_user == 0.0 \
             and not est.strongly_convex:
-        raise SolverError("ssn-ridge with lambda_user = 0 needs gamma > 0; "
-                          "singular samples would leave no positive floor")
+        raise NotStronglyConvexError("ssn-ridge with lambda_user = 0 needs gamma > 0; "
+                                     "singular samples would leave no positive floor")
     sampled_g = config.variant == "ssn-full"
     sigma = _resolve_sigma(config, est, size_h) if sampled_g else None
     header = {

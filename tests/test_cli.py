@@ -204,3 +204,18 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
                    "--family", "ridge", "--solver", "ssn-hessian")
     assert code == 2
     assert "failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "rates"])
+def test_gamma_zero_failure_names_the_flags_that_fix_it(dataset_file, capsys, command):
+    # logistic with the default --reg 0 has gamma = 0, so the default
+    # ssn-hessian has no lemma sample size and no rate constants
+    code = run_cli(command, "--data", str(dataset_file))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert cli.GAMMA_ZERO_HINT in err
+    for flag in ("--reg", "--solver ssn-spectral|ssn-ridge", "--sample-frac-h"):
+        assert flag in err
+    # the hint's way out works: the spectral variant runs on the same file
+    assert run_cli("run", "--data", str(dataset_file), "--solver", "ssn-spectral",
+                   "--sample-frac-h", "0.2") == 0

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from subnewton.model import ConditionEstimates, Dataset, EvaluationError, ObjectiveModel
+from subnewton import model as model_module
+from subnewton.model import EXP_CLAMP, ConditionEstimates, Dataset, EvaluationError, \
+    LogisticFamily, ObjectiveModel, PoissonFamily, RidgeFamily, _sigmoid
 
 from conftest import central_diff_gradient, central_diff_hessian
 
@@ -40,6 +42,14 @@ def test_value_overflow_is_error():
         m.value(np.array([1e200, 0.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_value_overflow_raises_without_a_warning():
+    # the message reports max|x_i|, which cannot overflow where ||x|| does
+    m = single_row_model("ridge", [1.0, 0.0], 0.0, reg=1.0)
+    with pytest.raises(EvaluationError, match=r"max\|x_i\|=1e\+200"):
+        m.value(np.array([1e200, 0.0]))
+
+
 @pytest.mark.parametrize("fixture", ["small_ridge", "small_logistic", "small_poisson"])
 def test_evaluation_from_margins_and_pass_count(fixture, request):
     m = request.getfixturevalue(fixture)
@@ -54,6 +64,52 @@ def test_evaluation_from_margins_and_pass_count(fixture, request):
     for alpha in (1.0, 0.5, 1e-3):
         along = m.value(x + alpha * p, t + alpha * ap)
         assert along == pytest.approx(m.value(x + alpha * p), rel=1e-12)
+
+
+# -- link kernels -------------------------------------------------------------
+
+LINK_EDGES = np.array([800.0, -800.0, 745.0, -745.0, 36.0, -36.0, 0.0, -0.0, 5e-324,
+                       np.inf, -np.inf])
+
+
+def link_margins():
+    return np.concatenate([10.0 * np.random.default_rng(41).standard_normal(2000),
+                           LINK_EDGES])
+
+
+def two_branch_sigmoid(t):
+    # the sign-split form: 1/(1+e^{-t}) on t >= 0, e^t/(1+e^t) below
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_logistic_kernels_match_the_two_branch_forms():
+    t = link_margins()
+    s = two_branch_sigmoid(t)
+    np.testing.assert_array_equal(_sigmoid(t), s)
+    np.testing.assert_array_equal(LogisticFamily.phi_prime(t), s)
+    np.testing.assert_array_equal(LogisticFamily.phi_double(t), s * (1.0 - s))
+    phi, ref = LogisticFamily.phi(t), np.logaddexp(0.0, t)
+    finite = np.isfinite(ref)
+    np.testing.assert_array_equal(phi[~finite], ref[~finite])
+    ulps = np.abs(phi[finite] - ref[finite]) / np.spacing(np.abs(ref[finite]))
+    assert ulps.max() <= 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ridge_and_poisson_kernels_unchanged():
+    t = link_margins()
+    np.testing.assert_array_equal(RidgeFamily.phi(t), 0.5 * t * t)
+    np.testing.assert_array_equal(RidgeFamily.phi_prime(t), t)
+    np.testing.assert_array_equal(RidgeFamily.phi_double(t), np.ones_like(t))
+    clamped = np.exp(np.minimum(t, EXP_CLAMP))
+    for kernel in (PoissonFamily.phi, PoissonFamily.phi_prime, PoissonFamily.phi_double):
+        np.testing.assert_array_equal(kernel(t), clamped)
 
 
 # -- gradient -----------------------------------------------------------------
@@ -235,6 +291,45 @@ def test_model_constants_bound_true_curvature(fixture, request):
         i = int(rng.integers(m.n))
         hi = m.sampled_hessian([i], x).dense()
         assert np.linalg.eigvalsh(hi)[-1] <= est.per_component_k[i] + 1e-9
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("family", ["ridge", "logistic"])
+def test_constant_curvature_bounds_from_one_unweighted_gram(family, storage, monkeypatch):
+    """gamma = reg + c_lo*lambda_min and K = reg + c_hi*lambda_max agree with
+    explicitly weighted Grams, from one Gram and one eigvalsh."""
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((300, 9)) * rng.random(9)
+    a[rng.random(a.shape) < 0.3] = 0.0
+    b = (rng.random(300) < 0.5).astype(float)
+    feats = sp.csr_matrix(a) if storage == "sparse" else a
+    m = ObjectiveModel(Dataset(features=feats, labels=b), family, reg=0.07)
+    calls = {"weighted_gram": 0, "eigvalsh": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(model_module, "weighted_gram")
+    counted(np.linalg, "eigvalsh")
+    est = m.curvature_constants()
+    monkeypatch.undo()
+    assert calls == {"weighted_gram": 1, "eigvalsh": 1}
+
+    fam = model_module.FAMILIES[family]
+
+    def reference(c):
+        eigs = np.linalg.eigvalsh(a.T @ (np.full((300, 1), c) * a) / 300)
+        return eigs[0], eigs[-1]
+    assert est.big_k == pytest.approx(0.07 + reference(fam.curvature_hi)[1], rel=1e-12)
+    if fam.curvature_lo > 0:
+        assert est.gamma == pytest.approx(0.07 + reference(fam.curvature_lo)[0], rel=1e-12)
+    else:
+        assert est.gamma == 0.07
 
 
 def test_rank_deficient_ridge_flagged_not_strongly_convex():
