@@ -81,25 +81,8 @@ class ExperimentResult:
                     "diagnostics": r.trace.header.get("rate_prediction", {}),
                     "header": _jsonable(
                         {k: v for k, v in r.trace.header.items() if k != "rate_prediction"}),
-                    "records": [
-                        {
-                            "k": rec.k,
-                            "wall_seconds": rec.wall_nanos / 1e9,
-                            "f_value": rec.f_value,
-                            "grad_norm": rec.grad_norm_full,
-                            "alpha": rec.alpha,
-                            "sample_h": rec.sample_size_h,
-                            "sample_g": rec.sample_size_g,
-                            "residual_ratio": rec.residual_ratio,
-                            "cg_iters": rec.cg_iters,
-                            "solve_path": rec.solve_path,
-                            "data_passes": rec.data_passes,
-                            "rel_err_x": float(r.rel_err_x[i]),
-                            "rel_err_f": float(r.rel_err_f[i]),
-                            "stop_flag": rec.stop_flag,
-                        }
-                        for i, rec in enumerate(r.trace.records)
-                    ],
+                    "records": [_record(*entry) for entry in
+                                zip(r.trace.records, r.rel_err_x, r.rel_err_f)],
                 }
                 for r in self.runs
             ],
@@ -154,6 +137,14 @@ def _one_run(model, job, x0):
         return name, rep, trace, str(exc)
 
 
+def single_result(name: str, trace: Trace) -> ExperimentResult:
+    """One run's result, with relative errors against its own final iterate:
+    the reference ``run_experiment`` picks for a one-solver spec."""
+    rel_x, rel_f = _series(trace, trace.x_final, trace.f_final)
+    return ExperimentResult(runs=[SolverRun(name, 0, trace, rel_x, rel_f)],
+                            x_star=trace.x_final, f_star=trace.f_final, reference=name)
+
+
 def _series(trace: Trace, x_star, f_star):
     xs_norm = max(float(np.linalg.norm(x_star)), np.finfo(float).tiny)
     fs = max(abs(f_star), np.finfo(float).tiny)
@@ -185,16 +176,31 @@ def _export_csv(result: ExperimentResult, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in result.runs:
-            for i, rec in enumerate(r.trace.records):
-                row = (r.name, r.rep, rec.k, rec.wall_nanos / 1e9, rec.f_value,
-                       rec.grad_norm_full, rec.alpha,
-                       _blank(rec.sample_size_h), _blank(rec.sample_size_g),
-                       float(r.rel_err_x[i]), float(r.rel_err_f[i]), rec.stop_flag)
-                fh.write(",".join(str(v) for v in row) + "\n")
+            for entry in zip(r.trace.records, r.rel_err_x, r.rel_err_f):
+                row = {"solver": r.name, "rep": r.rep, **_record(*entry)}
+                fh.write(",".join("" if row[c] is None else str(row[c])
+                                  for c in CSV_COLUMNS) + "\n")
 
 
-def _blank(v):
-    return "" if v is None else v
+def _record(rec, rel_err_x, rel_err_f) -> dict:
+    """One record's exported fields: the JSON record, and the CSV row's
+    source for the columns in ``CSV_COLUMNS``."""
+    return {
+        "k": rec.k,
+        "wall_seconds": rec.wall_nanos / 1e9,
+        "f_value": rec.f_value,
+        "grad_norm": rec.grad_norm_full,
+        "alpha": rec.alpha,
+        "sample_h": rec.sample_size_h,
+        "sample_g": rec.sample_size_g,
+        "residual_ratio": rec.residual_ratio,
+        "cg_iters": rec.cg_iters,
+        "solve_path": rec.solve_path,
+        "data_passes": rec.data_passes,
+        "rel_err_x": float(rel_err_x),
+        "rel_err_f": float(rel_err_f),
+        "stop_flag": rec.stop_flag,
+    }
 
 
 def _jsonable(obj):

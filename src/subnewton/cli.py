@@ -2,8 +2,9 @@
 
 Subcommands: ``gen`` (synthetic dataset to file), ``run`` (one solver on one
 dataset, trace CSV out), ``compare`` (experiment spec file to result files),
-``verify`` (statistical concentration suites), ``rates`` (guarantee-constant
-diagnostics for a config), ``inspect`` (dataset condition metrics).
+``verify`` (statistical concentration suites), ``rates`` (the guarantee
+constants of the run headers ``solvers.plan`` gives for a config),
+``inspect`` (dataset condition metrics).
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
 failure.
@@ -23,8 +24,7 @@ from .data import DataFormatError, generate_synthetic, load_dataset, \
     measure_gram_condition, save_dataset
 from .model import ObjectiveModel
 from .sampling import gradient_lemma_check, hessian_lemma_check
-from .solvers import NotStronglyConvexError, SolverError, _alg4_rate, \
-    _hessian_sample_plan, _rate_header, run
+from .solvers import NotStronglyConvexError, SolverError, plan, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,8 +63,10 @@ SOLVER_FLAGS = (
 def _add_solver_flags(p):
     for flag, key, kind in SOLVER_FLAGS:
         p.add_argument(flag, dest=key, type=kind, default=argparse.SUPPRESS)
-    p.add_argument("--reg", type=float, default=0.0, help="l2 penalty of the objective")
-    p.add_argument("--family", default="logistic")
+
+
+def _model(args) -> ObjectiveModel:
+    return ObjectiveModel(load_dataset(args.data, args.format), args.family, args.reg)
 
 
 def _config_from_args(args) -> bench.SolverConfig:
@@ -78,20 +80,25 @@ def main(argv=None) -> int:
                      description="sub-sampled Newton solvers and diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the objective flags of run, rates and inspect, read by _model
+    objective = argparse.ArgumentParser(add_help=False)
+    objective.add_argument("--data", required=True)
+    objective.add_argument("--format", choices=("svmlight", "csv"), default="svmlight")
+    objective.add_argument("--family", default="logistic")
+    objective.add_argument("--reg", type=float, default=0.0,
+                           help="l2 penalty of the objective")
+
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--p", type=int, required=True)
     p_gen.add_argument("--family", default="logistic")
-    p_gen.add_argument("--density", type=float, default=1.0)
     p_gen.add_argument("--condition", type=float, default=1.0)
     p_gen.add_argument("--signal-norm", type=float, default=3.0)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--format", choices=("svmlight", "csv"), default="svmlight")
     p_gen.add_argument("-o", "--out", required=True)
 
-    p_run = sub.add_parser("run", help="run one solver on one dataset")
-    p_run.add_argument("--data", required=True)
-    p_run.add_argument("--format", choices=("svmlight", "csv"), default="svmlight")
+    p_run = sub.add_parser("run", parents=[objective], help="run one solver on one dataset")
     _add_solver_flags(p_run)
     p_run.add_argument("-o", "--out", default=None, help="trace CSV path")
 
@@ -113,16 +120,11 @@ def main(argv=None) -> int:
     p_ver.add_argument("--margin", type=float, default=0.02)
     p_ver.add_argument("--seed", type=int, default=0)
 
-    p_rates = sub.add_parser("rates", help="print guarantee constants for a config")
-    p_rates.add_argument("--data", required=True)
-    p_rates.add_argument("--format", choices=("svmlight", "csv"), default="svmlight")
+    p_rates = sub.add_parser("rates", parents=[objective],
+                             help="print guarantee constants for a config")
     _add_solver_flags(p_rates)
 
-    p_ins = sub.add_parser("inspect", help="dataset condition metrics")
-    p_ins.add_argument("--data", required=True)
-    p_ins.add_argument("--format", choices=("svmlight", "csv"), default="svmlight")
-    p_ins.add_argument("--family", default="logistic")
-    p_ins.add_argument("--reg", type=float, default=0.0)
+    sub.add_parser("inspect", parents=[objective], help="dataset condition metrics")
 
     args = parser.parse_args(argv)
     try:
@@ -143,8 +145,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "gen":
         dataset, meta = generate_synthetic(
-            n=args.n, p=args.p, density=args.density,
-            condition_target=args.condition, family=args.family,
+            n=args.n, p=args.p, condition_target=args.condition, family=args.family,
             seed=args.seed, signal_norm=args.signal_norm)
         save_dataset(dataset, args.out, args.format)
         print(f"wrote {args.out}: n={dataset.n} p={dataset.p} "
@@ -152,22 +153,14 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "run":
-        dataset = load_dataset(args.data, args.format)
-        model = ObjectiveModel(dataset, args.family, args.reg)
-        config = _config_from_args(args)
+        model, config = _model(args), _config_from_args(args)
         trace = run(model, config, np.zeros(model.p))
         print("config:", json.dumps(trace.header["config"], sort_keys=True,
                                     default=str))
         print(f"{config.variant}: {trace.n_iters} iterations, stop={trace.stop}, "
               f"F={trace.f_final:.10g}, ||grad||={trace.grad_norm_final:.4g}")
         if args.out:
-            result = bench.ExperimentResult(
-                runs=[bench.SolverRun(
-                    name=config.variant, rep=0, trace=trace,
-                    rel_err_x=np.zeros(trace.n_iters),
-                    rel_err_f=np.zeros(trace.n_iters))],
-                x_star=trace.x_final, f_star=trace.f_final, reference=config.variant)
-            bench.export(result, "csv", args.out)
+            bench.export(bench.single_result(config.variant, trace), "csv", args.out)
             print(f"trace written to {args.out}")
         return EXIT_OK
 
@@ -201,36 +194,26 @@ def _dispatch(args) -> int:
         return EXIT_OK if ok else EXIT_VERIFY
 
     if args.command == "rates":
-        dataset = load_dataset(args.data, args.format)
-        model = ObjectiveModel(dataset, args.family, args.reg)
-        config = _config_from_args(args)
-        est = model.curvature_constants()
-        if not est.strongly_convex:
-            print("gamma = 0: rate constants undefined without strong convexity",
-                  file=sys.stderr)
-            print(GAMMA_ZERO_HINT, file=sys.stderr)
-            return EXIT_NUMERICAL
-        # the sample sizes and constants the ssn-hessian and ssn-full headers give
-        hessian_only, joint = (replace(config, variant=v) for v in ("ssn-hessian", "ssn-full"))
-        size = _hessian_sample_plan(model, hessian_only, est)[0]
+        # the headers of the ssn-hessian and ssn-full runs of this config
+        model, config = _model(args), _config_from_args(args)
+        x0 = np.zeros(model.p)
+        hessian_only, joint = (plan(model, replace(config, variant=v), x0)
+                               for v in ("ssn-hessian", "ssn-full"))
         out = {
-            "gamma": est.gamma, "K": est.big_k, "kappa": est.kappa,
-            "kappa1": est.kappa1, "kappa_tilde": est.kappa_tilde(size, config.replacement),
-            "hessian_only": _rate_header(hessian_only, est, size),
-            "joint_sampling": _alg4_rate(
-                joint, est, _hessian_sample_plan(model, joint, est)[0]).as_dict(),
+            "gamma": hessian_only["gamma"], "K": hessian_only["big_k"],
+            "kappa": hessian_only["kappa"], "kappa1": hessian_only["kappa1"],
+            "kappa_tilde": hessian_only["kappa_tilde"],
+            "hessian_only": hessian_only["rate_prediction"],
+            "joint_sampling": joint["rate_prediction"],
         }
         if config.variant in ("ssn-spectral", "ssn-ridge"):
-            # the rate_spectral / rate_ridge prediction of that variant's run header
-            out[config.variant] = _rate_header(
-                config, est, _hessian_sample_plan(model, config, est)[0])
+            out[config.variant] = plan(model, config, x0)["rate_prediction"]
         print(json.dumps(out, indent=1))
         return EXIT_OK
 
     if args.command == "inspect":
-        dataset = load_dataset(args.data, args.format)
-        model = ObjectiveModel(dataset, args.family, args.reg)
-        est = model.curvature_constants()
+        model = _model(args)
+        dataset, est = model.dataset, model.curvature_constants()
         out = {
             "n": dataset.n, "p": dataset.p, "storage": dataset.storage,
             "gram_condition": measure_gram_condition(dataset),

@@ -50,7 +50,7 @@ class SyntheticMeta:
 def generate_synthetic(
     n: int,
     p: int,
-    density: float = 1.0,
+    *,
     condition_target: float = 1.0,
     family: str = "logistic",
     seed: int = 0,
@@ -60,9 +60,9 @@ def generate_synthetic(
 ) -> tuple[Dataset, SyntheticMeta]:
     """Draw an (n, p) design with Gram condition number close to the target.
 
-    A Gaussian matrix (sparsified to ``density`` before any scaling) supplies
-    the singular vectors; its singular values are replaced by a geometric
-    ladder spanning sqrt(condition_target), which pins the Gram spectrum.
+    A Gaussian matrix supplies the singular vectors; its singular values are
+    replaced by a geometric ladder spanning sqrt(condition_target), which
+    pins the Gram spectrum.
     Labels: ridge adds N(0, ridge_noise) to the planted response, logistic
     draws Bernoulli from the planted probabilities, Poisson draws exact
     counts.  Fixed seeds reproduce the dataset byte-for-byte.
@@ -77,8 +77,6 @@ def generate_synthetic(
         raise ValueError(f"unknown family {family!r}")
     if not (p >= 1 and n >= p):
         raise ValueError(f"need n >= p >= 1, got n={n}, p={p}")
-    if not 0 < density <= 1:
-        raise ValueError("density must be in (0, 1]")
     if condition_target < 1:
         raise ValueError("condition target must be >= 1")
     if signal_direction not in ("random", "weak"):
@@ -86,13 +84,6 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, p))
-    if density < 1.0:
-        z *= rng.random((n, p)) < density
-        # a zeroed column would make the ladder unreachable; re-seed it
-        dead = ~np.any(z, axis=0)
-        if np.any(dead):
-            z[:, dead] = rng.standard_normal((n, int(dead.sum())))
-
     u, _, vt = np.linalg.svd(z, full_matrices=False)
     ladder = np.geomspace(1.0, 1.0 / math.sqrt(condition_target), num=p)
     a = math.sqrt(n) * (u * ladder) @ vt

@@ -22,7 +22,9 @@ Every run owns its RNG (seeded from the config), draws fresh samples each
 iteration, and logs one record per iteration.  ``run`` holds the one loop:
 each family (Newton-like, quasi-Newton, first-order) supplies its header and
 its move from x_k to x_{k+1}, and the loop owns the clock, the stop test,
-the evaluation at x_{k+1}, the error handling and the record.
+the evaluation at x_{k+1}, the error handling and the record.  ``plan``
+gives a Newton-like run's header (sample size, sigma, guarantee constants)
+without running it.
 
 All Newton-like variants share one step, ``_direction``, over one sampled
 Hessian type, ``model.SampledHessian``.  Exact and ssn-spectral solves
@@ -61,8 +63,8 @@ from .model import ConditionEstimates, EvaluationError, ObjectiveModel, SampledH
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
 from .sampling import SampleSet, clamped_size, draw, gradient_sample_size, \
     hessian_sample_size, subsampled_gradient, subsampled_hessian
-from .theory import rate_alg1, rate_alg1_inexact, rate_alg4, rate_ridge, \
-    rate_spectral
+from .theory import RatePrediction, rate_alg1, rate_alg1_inexact, rate_alg4, \
+    rate_ridge, rate_spectral
 
 SSN_VARIANTS = ("ssn-hessian", "ssn-spectral", "ssn-ridge", "ssn-full")
 BASELINE_VARIANTS = ("newton", "gd", "agd", "bfgs", "lbfgs")
@@ -71,6 +73,7 @@ ALL_VARIANTS = SSN_VARIANTS + BASELINE_VARIANTS
 STOP_GRAD_TOL = "GradTol"
 STOP_SIGMA = "SigmaStop"
 STOP_MAX_ITERS = "MaxIters"
+STOP_TIME_LIMIT = "TimeLimit"
 STOP_ERROR = "Error"
 RESAMPLE_RETRIES = 3  # redraws of a singular sample before giving up
 
@@ -252,8 +255,10 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
 
     wall = 0
     limit_ns = None if config.time_limit is None else int(config.time_limit * 1e9)
+    stop = STOP_MAX_ITERS
     for k in range(config.max_iters):
         if limit_ns is not None and wall >= limit_ns:
+            stop = STOP_TIME_LIMIT
             break
         tic = time.perf_counter_ns()
         passes = model.data_passes
@@ -295,8 +300,9 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         if rec.stop_flag:
             trace.stop = rec.stop_flag
             return trace
+    trace.stop = stop
     if trace.records:
-        trace.records[-1].stop_flag = STOP_MAX_ITERS
+        trace.records[-1].stop_flag = stop
     return trace
 
 
@@ -310,78 +316,92 @@ def _estimates_for(model, config, x0) -> ConditionEstimates:
     return model.curvature_constants(domain_radius=radius)
 
 
-def _hessian_sample_plan(model, config, est) -> tuple[int, bool, bool]:
-    """Resolve the per-iteration curvature sample size.
+def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
+    """The header of a Newton-like run of ``config`` from ``x0``.
 
-    Returns (size, clamped, lemma_sized).  Direct fractions bypass the lemma;
-    otherwise the Chernoff size for (eps, delta) is used, clamped to n.
+    Holds the curvature constants, the per-iteration Hessian sample size
+    (a direct ``sample_frac_h``, n for newton, else the Chernoff size for
+    (eps, delta) clamped to n), kappa_tilde at that size, ssn-full's sigma
+    and the guarantee constants at the step-size floor.  Raises
+    NotStronglyConvexError where the config needs gamma > 0.
     """
+    if config.variant not in SSN_VARIANTS + ("newton",):
+        raise ValueError(f"{config.variant} is not a Newton-like variant")
+    est = _estimates_for(model, config, x0)
+    clamped_h = lemma_sized = False
     if config.sample_frac_h is not None:
-        return max(1, round(config.sample_frac_h * model.n)), False, False
-    if config.variant == "newton":
-        return model.n, False, False
-    if not est.strongly_convex:
+        size_h = max(1, round(config.sample_frac_h * model.n))
+    elif config.variant == "newton":
+        size_h = model.n
+    elif not est.strongly_convex:
         raise NotStronglyConvexError(
             "gamma = 0 (no strong convexity): the lemma sample size is undefined; "
             "pass sample_frac_h and use ssn-spectral or ssn-ridge"
         )
-    eps_h = config.eps1 if config.variant == "ssn-full" else config.eps
-    requested = hessian_sample_size(est.kappa1, eps_h, config.delta, model.p)
-    size, clamped = clamped_size(requested, model.n)
-    return size, clamped, True
-
-
-def _rate_header(config, est, size_h) -> dict:
-    """Guarantee constants for the header, evaluated at the step-size floor."""
-    if not est.strongly_convex:
-        return {}
-    kt = est.kappa_tilde(size_h, config.replacement)
-    kap = est.kappa
-    try:
-        if config.variant in ("ssn-hessian", "newton"):
-            if config.inexact is None:
-                pred = rate_alg1(config.line_search.beta, config.eps, kap, kt, alpha=1.0)
-            else:
-                pred = rate_alg1_inexact(config.line_search.beta, config.eps,
-                                         config.inexact.theta1, config.inexact.theta2,
-                                         kap, kt, alpha=1.0)
-        elif config.variant in ("ssn-spectral", "ssn-ridge"):
-            rate = rate_spectral if config.variant == "ssn-spectral" else rate_ridge
-            theta2 = config.inexact.theta2 if config.inexact else 0.5
-            pred = rate(config.line_search.beta, theta2, config.lambda_user,
-                        est.big_k, est.khat(size_h), est.gamma, alpha=1.0)
-        elif config.variant == "ssn-full":
-            pred = _alg4_rate(config, est, size_h)
+    else:
+        eps_h = config.eps1 if config.variant == "ssn-full" else config.eps
+        requested = hessian_sample_size(est.kappa1, eps_h, config.delta, model.p)
+        size_h, clamped_h = clamped_size(requested, model.n)
+        lemma_sized = True
+    if config.variant == "ssn-hessian" and not est.strongly_convex:
+        raise NotStronglyConvexError("ssn-hessian needs gamma > 0; use ssn-spectral or ssn-ridge")
+    if config.variant == "ssn-ridge" and config.lambda_user == 0.0 \
+            and not est.strongly_convex:
+        raise NotStronglyConvexError("ssn-ridge with lambda_user = 0 needs gamma > 0; "
+                                     "singular samples would leave no positive floor")
+    pred = _rate(config, est, size_h)
+    sigma = None
+    if config.variant == "ssn-full":
+        if config.sigma is None:
+            if pred is None:
+                raise NotStronglyConvexError(
+                    "sigma=None needs gamma > 0 to compute the guarantee floor")
+            sigma = pred.sigma_min
         else:
-            return {}
-    except ValueError:
-        return {}
-    return pred.as_dict()
+            sigma = config.sigma
+            if pred is not None and sigma < pred.sigma_min:
+                warnings.warn(
+                    f"sigma = {sigma:.4g} is below the guarantee floor {pred.sigma_min:.4g}; "
+                    "the STOP certificate may not hold", stacklevel=3)
+    return {
+        "gamma": est.gamma,
+        "big_k": est.big_k,
+        "kappa": est.kappa,
+        "kappa1": est.kappa1,
+        "kappa_tilde": est.kappa_tilde(size_h, config.replacement),
+        "sample_size_h": size_h,
+        "sample_clamped_h": clamped_h,
+        "lemma_sized": lemma_sized,
+        "sigma": sigma,
+        "rate_prediction": {} if pred is None else pred.as_dict(),
+    }
 
 
-def _alg4_rate(config, est, size_h):
-    """Algorithm 4's guarantee constants at the step-size floor."""
+def _rate(config, est, size_h) -> RatePrediction | None:
+    """Guarantee constants at the step-size floor; None without gamma > 0,
+    or where constants outside the theory's assumptions make it raise
+    (ssn-full's sigma needs them, so its errors propagate)."""
+    if not est.strongly_convex:
+        return None
+    beta, inexact = config.line_search.beta, config.inexact
     kt = est.kappa_tilde(size_h, config.replacement)
-    if config.inexact is None:
-        return rate_alg4(config.line_search.beta, config.eps1, est.kappa, kt, 1.0)
-    return rate_alg4(config.line_search.beta, config.eps1, est.kappa, kt, 1.0,
-                     theta1=config.inexact.theta1, theta2=config.inexact.theta2,
-                     inexact=True)
-
-
-def _resolve_sigma(config, est, size_h) -> float:
-    if config.sigma is None:
-        if not est.strongly_convex:
-            raise NotStronglyConvexError(
-                "sigma=None needs gamma > 0 to compute the guarantee floor")
-        return _alg4_rate(config, est, size_h).sigma_min
-    if est.strongly_convex:
-        floor = _alg4_rate(config, est, size_h).sigma_min
-        if config.sigma < floor:
-            warnings.warn(
-                f"sigma = {config.sigma:.4g} is below the guarantee floor {floor:.4g}; "
-                "the STOP certificate may not hold", stacklevel=3)
-    return config.sigma
+    if config.variant == "ssn-full":
+        if inexact is None:
+            return rate_alg4(beta, config.eps1, est.kappa, kt, 1.0)
+        return rate_alg4(beta, config.eps1, est.kappa, kt, 1.0, theta1=inexact.theta1,
+                         theta2=inexact.theta2, inexact=True)
+    try:
+        if config.variant in ("ssn-spectral", "ssn-ridge"):
+            rate = rate_spectral if config.variant == "ssn-spectral" else rate_ridge
+            theta2 = inexact.theta2 if inexact else 0.5
+            return rate(beta, theta2, config.lambda_user, est.big_k, est.khat(size_h),
+                        est.gamma, alpha=1.0)
+        if inexact is None:
+            return rate_alg1(beta, config.eps, est.kappa, kt, alpha=1.0)
+        return rate_alg1_inexact(beta, config.eps, inexact.theta1, inexact.theta2,
+                                 est.kappa, kt, alpha=1.0)
+    except ValueError:
+        return None
 
 
 def _draw_h(model, config, rng, size_h):
@@ -414,27 +434,9 @@ def _line(model, x, p, t):
 
 def _newton_like(model, config, x0):
     """Solves with a sampled (or, for newton, full) Hessian, with Armijo."""
-    est =_estimates_for(model, config, x0)
-    size_h, clamped_h, lemma_sized = _hessian_sample_plan(model, config, est)
-    if config.variant == "ssn-hessian" and not est.strongly_convex:
-        raise NotStronglyConvexError("ssn-hessian needs gamma > 0; use ssn-spectral or ssn-ridge")
-    if config.variant == "ssn-ridge" and config.lambda_user == 0.0 \
-            and not est.strongly_convex:
-        raise NotStronglyConvexError("ssn-ridge with lambda_user = 0 needs gamma > 0; "
-                                     "singular samples would leave no positive floor")
+    header = plan(model, config, x0)
+    size_h, sigma = header["sample_size_h"], header["sigma"]
     sampled_g = config.variant == "ssn-full"
-    sigma = _resolve_sigma(config, est, size_h) if sampled_g else None
-    header = {
-        "gamma": est.gamma,
-        "big_k": est.big_k,
-        "kappa": est.kappa,
-        "kappa1": est.kappa1,
-        "sample_size_h": size_h,
-        "sample_clamped_h": clamped_h,
-        "lemma_sized": lemma_sized,
-        "sigma": sigma,
-        "rate_prediction": _rate_header(config, est, size_h),
-    }
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
     precond = None  # H^-1 of the last fallback's sample, kept for later CG solves

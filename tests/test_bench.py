@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from subnewton.bench import CSV_COLUMNS, ExperimentResult, ExperimentSpec, \
-    config_from_dict, export, load_experiment_spec, load_result_dict, run_experiment
+    config_from_dict, export, load_experiment_spec, load_result_dict, run_experiment, \
+    single_result
 from subnewton.data import generate_synthetic, save_dataset
-from subnewton.solvers import SolverConfig
+from subnewton.model import ObjectiveModel
+from subnewton.solvers import SolverConfig, run
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +87,34 @@ def test_csv_export_schema_and_row_count(tiny_result, tmp_path):
     assert lines[0] == ",".join(CSV_COLUMNS)
     expected_rows = sum(r.trace.n_iters for r in tiny_result.runs)
     assert len(lines) - 1 == expected_rows
+
+
+def test_csv_cells_are_the_json_record_values(tiny_result, tmp_path):
+    export(tiny_result, "csv", tmp_path / "out.csv")
+    export(tiny_result, "json", tmp_path / "out.json")
+    with open(tmp_path / "out.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    records = [{"solver": r["solver"], "rep": r["rep"], **rec}
+               for r in load_result_dict(tmp_path / "out.json")["runs"]
+               for rec in r["records"]]
+    assert len(rows) == len(records)
+    assert any(rec["sample_h"] is None for rec in records)  # gd's blank cells
+    for row, rec in zip(rows, records):
+        assert row == {c: "" if rec[c] is None else str(rec[c]) for c in CSV_COLUMNS}
+
+
+def test_single_result_is_the_one_solver_experiment(tiny_spec):
+    cfg = SolverConfig(variant="ssn-hessian", sample_frac_h=0.4, seed=1, grad_tol=1e-9)
+    spec = ExperimentSpec(dataset=tiny_spec.dataset, family="logistic", reg=0.05,
+                          solvers=[("ssn", cfg)])
+    expected = run_experiment(spec).run_for("ssn")
+    model = ObjectiveModel(tiny_spec.dataset, "logistic", 0.05)
+    result = single_result("ssn", run(model, cfg, np.zeros(model.p)))
+    assert result.reference == "ssn"
+    got = result.run_for("ssn")
+    assert got.rel_err_x[0] > 0 and got.rel_err_x[-1] == 0.0
+    np.testing.assert_array_equal(got.rel_err_x, expected.rel_err_x)
+    np.testing.assert_array_equal(got.rel_err_f, expected.rel_err_f)
 
 
 def test_csv_export_empty_result(tmp_path):

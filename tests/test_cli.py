@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -92,6 +93,15 @@ def test_rates_price_the_sample_sizes_the_solvers_draw(tmp_path, capsys):
         assert blob[key] == header["rate_prediction"]
 
 
+def test_rates_print_the_header_kappa_tilde(dataset_file, capsys):
+    assert run_cli("rates", "--data", str(dataset_file), "--reg", "0.05") == 0
+    blob = json.loads(capsys.readouterr().out)
+    model = ObjectiveModel(load_dataset(str(dataset_file)), "logistic", reg=0.05)
+    header = run(model, SolverConfig(max_iters=1), np.zeros(model.p)).header
+    assert blob["kappa_tilde"] == header["kappa_tilde"]
+    assert header["kappa_tilde"] > 1
+
+
 @pytest.mark.parametrize("variant", ["ssn-spectral", "ssn-ridge"])
 def test_rates_report_the_given_regularized_variant(dataset_file, capsys, variant):
     assert run_cli("rates", "--data", str(dataset_file), "--reg", "0.05",
@@ -143,6 +153,29 @@ def test_compare_runs_spec_file(dataset_file, tmp_path, capsys):
     assert (tmp_path / "result.csv").exists()
     assert (tmp_path / "result.json").exists()
     assert "reference solver" in capsys.readouterr().out
+
+
+def test_run_trace_equals_the_one_solver_compare(dataset_file, tmp_path):
+    """run -o measures errors against its own final iterate, the reference
+    compare picks for a one-solver spec."""
+    assert run_cli("run", "--data", str(dataset_file), "--reg", "0.05",
+                   "-o", str(tmp_path / "run.csv")) == 0
+    spec_path = tmp_path / "one.json"
+    spec_path.write_text(json.dumps({
+        "dataset": {"path": str(dataset_file)}, "family": "logistic", "reg": 0.05,
+        "solvers": [{"name": "ssn-hessian", "variant": "ssn-hessian"}],
+    }))
+    assert run_cli("compare", "--spec", str(spec_path), "-o", str(tmp_path / "cmp")) == 0
+    tables = []
+    for name in ("run.csv", "cmp.csv"):
+        with open(tmp_path / name) as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            del row["wall_seconds"]
+        tables.append(rows)
+    assert len(tables[0]) > 1
+    assert tables[0] == tables[1]
+    assert float(tables[0][0]["rel_err_x"]) > 0
 
 
 def test_compare_rejects_unknown_solver_key(dataset_file, tmp_path, capsys):

@@ -51,13 +51,6 @@ def test_label_domains_per_family():
     assert np.all(d_poi.labels == np.floor(d_poi.labels))
 
 
-def test_density_zeroes_before_scaling():
-    full, _ = generate_synthetic(100, 6, density=1.0, seed=4)
-    thin, meta = generate_synthetic(100, 6, density=0.3, condition_target=10.0, seed=4)
-    assert not np.array_equal(full.features, thin.features)
-    assert 5.0 <= meta.condition_measured <= 20.0
-
-
 def test_infeasible_shape_rejected():
     with pytest.raises(ValueError):
         generate_synthetic(5, 10, seed=0)

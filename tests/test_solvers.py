@@ -462,9 +462,17 @@ def test_time_limit_stops_early(small_logistic):
     cfg = SolverConfig(variant="gd", max_iters=10_000_000, grad_tol=0.0,
                        time_limit=0.05)
     trace = run(small_logistic, cfg, np.zeros(small_logistic.p))
-    assert trace.stop == "MaxIters"
+    assert trace.stop == "TimeLimit"
+    assert trace.records[-1].stop_flag == "TimeLimit"
     assert trace.records[-1].wall_nanos >= 0.05e9
     assert trace.n_iters < 10_000_000
+
+
+def test_max_iters_reached_within_the_time_limit_reads_max_iters(small_logistic):
+    cfg = SolverConfig(variant="gd", max_iters=5, grad_tol=0.0, time_limit=60.0)
+    trace = run(small_logistic, cfg, np.zeros(small_logistic.p))
+    assert trace.n_iters == 5
+    assert trace.stop == trace.records[-1].stop_flag == "MaxIters"
 
 
 # -- theorem-backed per-iteration checks ----------------------------------------
@@ -697,6 +705,30 @@ def test_header_echoes_config_and_rates(small_logistic):
     pred = trace.header["rate_prediction"]
     assert 0 < pred["rho"] < 1
     assert pred["alpha_floor"] > 0
+
+
+@pytest.mark.parametrize("variant,extra", [
+    ("ssn-hessian", {}),
+    ("ssn-hessian", {"inexact": InexactnessSpec(theta1=0.01, theta2=0.5)}),
+    ("ssn-spectral", {"sample_frac_h": 0.3, "lambda_user": 0.1}),
+    ("ssn-ridge", {"sample_frac_h": 0.3, "lambda_user": 0.1}),
+    ("ssn-full", {}),
+    ("newton", {}),
+])
+def test_plan_is_the_run_header(small_logistic, variant, extra):
+    cfg = SolverConfig(variant=variant, max_iters=1, **extra)
+    x0 = np.zeros(small_logistic.p)
+    header = dict(run(small_logistic, cfg, x0).header)
+    del header["config"]
+    planned = solvers.plan(small_logistic, cfg, x0)
+    assert planned == header
+    est = small_logistic.curvature_constants()
+    assert planned["kappa_tilde"] == est.kappa_tilde(planned["sample_size_h"], "without")
+
+
+def test_plan_covers_only_newton_like_variants(small_logistic):
+    with pytest.raises(ValueError, match="not a Newton-like variant"):
+        solvers.plan(small_logistic, SolverConfig(variant="gd"), np.zeros(small_logistic.p))
 
 
 def test_spectral_and_ridge_step_size_floors(small_logistic):
