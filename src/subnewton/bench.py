@@ -67,7 +67,9 @@ class ExperimentResult:
         raise KeyError(f"no run named {name!r} rep {rep}")
 
     def to_dict(self) -> dict:
-        return {
+        """The result as plain JSON values; non-finite numbers (such as kappa
+        at gamma = 0) become None, since JSON has no Infinity or NaN."""
+        return _jsonable({
             "reference": self.reference,
             "f_star": self.f_star,
             "x_star_norm": float(np.linalg.norm(self.x_star)),
@@ -79,14 +81,14 @@ class ExperimentResult:
                     "error": r.error,
                     "stop": r.trace.stop,
                     "diagnostics": r.trace.header.get("rate_prediction", {}),
-                    "header": _jsonable(
-                        {k: v for k, v in r.trace.header.items() if k != "rate_prediction"}),
+                    "header": {k: v for k, v in r.trace.header.items()
+                               if k != "rate_prediction"},
                     "records": [_record(*entry) for entry in
                                 zip(r.trace.records, r.rel_err_x, r.rel_err_f)],
                 }
                 for r in self.runs
             ],
-        }
+        })
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -209,11 +211,11 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
     return obj
 
 

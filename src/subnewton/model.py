@@ -11,6 +11,11 @@ exact: component means reproduce the full gradient/Hessian bit-for-bit.
 
 Three families are provided: ridge regression (Phi(t) = t^2/2), logistic
 regression (Phi(t) = ln(1+e^t)) and Poisson regression (Phi(t) = e^t).
+
+A model's data and reg are fixed once it is built, so its curvature
+constants are computed once per model and kept, read-only: later runs and
+plans on the same model reuse them.  Poisson's depend on a domain radius,
+and the model keeps those of the last radius asked for.
 """
 
 from __future__ import annotations
@@ -223,7 +228,7 @@ class SampledHessian:
         return h
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionEstimates:
     """Curvature constants of a finite-sum objective.
 
@@ -231,6 +236,7 @@ class ConditionEstimates:
     smoothness upper bound, and per_component_k holds one smoothness bound
     per f_i.  khat(q) is the mean of the q largest per-component bounds; the
     condition numbers kappa = K/gamma and kappa_q = khat(q)/gamma follow.
+    Frozen, with read-only arrays, since a model shares one with all callers.
     """
 
     gamma: float
@@ -239,10 +245,11 @@ class ConditionEstimates:
     _prefix_means: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ks = np.asarray(self.per_component_k, dtype=float)
-        order = np.sort(ks)[::-1]
-        self.per_component_k = ks
-        self._prefix_means = np.cumsum(order) / np.arange(1, ks.size + 1)
+        ks = np.array(self.per_component_k, dtype=float)
+        means = np.cumsum(np.sort(ks)[::-1]) / np.arange(1, ks.size + 1)
+        for name, arr in (("per_component_k", ks), ("_prefix_means", means)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -284,6 +291,7 @@ class ObjectiveModel:
 
     Per-dataset constants used by the gradient-norm bound are computed once
     at construction, so evaluating the bound at an iterate only costs ||x||.
+    ``reg`` is fixed at construction.
     """
 
     def __init__(self, dataset: Dataset, family: str, reg: float = 0.0):
@@ -294,7 +302,7 @@ class ObjectiveModel:
         self.dataset = dataset
         self.family = family
         self._fam = FAMILIES[family]
-        self.reg = float(reg)
+        self._reg = float(reg)
         self._fam.validate_labels(dataset.labels)
 
         norms = dataset.row_norms()
@@ -311,6 +319,11 @@ class ObjectiveModel:
             )
         self.bound_cap = BOUND_CAP
         self.data_passes = 0  # full-data products so far (A x and A'w)
+        self._constants: tuple[float | None, ConditionEstimates] | None = None
+
+    @property
+    def reg(self) -> float:
+        return self._reg
 
     # -- scalar objective ------------------------------------------------
 
@@ -367,10 +380,12 @@ class ObjectiveModel:
         w = float(self._fam.phi_prime(t)[0] - self.dataset.labels[i])
         return w * a + self.reg * x
 
-    def sampled_hessian(self, indices, x: np.ndarray) -> SampledHessian:
+    def sampled_hessian(self, indices, x: np.ndarray,
+                        t: np.ndarray | None = None) -> SampledHessian:
         """(1/|S|) sum_{j in S} Phi''(a_j'x) a_j a_j' + reg * I, unassembled:
-        gathers the rows A_S and their curvatures Phi''(A_S x).  S = 0..n-1
-        reproduces the full Hessian exactly."""
+        gathers the rows A_S and their curvatures Phi''(A_S x).  Given the
+        iterate's margins t = A x, the curvatures come from t[S] with no
+        product A_S x.  S = 0..n-1 reproduces the full Hessian exactly."""
         idx = np.asarray(indices, dtype=int).ravel()
         if idx.size == 0:
             raise ValueError("empty sample")
@@ -378,8 +393,8 @@ class ObjectiveModel:
             raise IndexError("sample index out of range")
         x = self._check_x(x)
         a_s = self.dataset.features[idx]
-        return SampledHessian(a_s, self._fam.phi_double(np.asarray(a_s @ x).ravel()),
-                              self.reg)
+        t_s = np.asarray(a_s @ x).ravel() if t is None else t[idx]
+        return SampledHessian(a_s, self._fam.phi_double(t_s), self.reg)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Full Hessian; same assembly as the all-indices sample."""
@@ -417,12 +432,23 @@ class ObjectiveModel:
         from one eigvalsh of the unweighted Gram A'A/n: gamma = reg +
         c_lo*lambda_min and K = reg + c_hi*lambda_max.  Poisson's K needs the
         per-row weights.  Eigenvalues are only computed for p <= 2000.
+
+        The result is kept with its radius (None unless Poisson), so only
+        the first call, or the first at a new radius, pays for the Gram and
+        eigvalsh.
         """
-        norms = self._row_norms
+        radius = None
         if self.family == "poisson":
             radius = 1.0 if domain_radius is None else float(domain_radius)
             if radius < 0:
                 raise ValueError("domain radius must be nonnegative")
+        if self._constants is None or self._constants[0] != radius:
+            self._constants = (radius, self._curvature_constants(radius))
+        return self._constants[1]
+
+    def _curvature_constants(self, radius: float | None) -> ConditionEstimates:
+        norms = self._row_norms
+        if self.family == "poisson":
             coeff = np.exp(np.minimum(norms * radius, EXP_CLAMP))
         else:
             coeff = np.full(self.n, self._fam.curvature_hi)

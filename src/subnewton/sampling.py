@@ -101,12 +101,14 @@ def clamped_size(requested: int, n: int) -> tuple[int, bool]:
     return (n, True) if requested > n else (requested, False)
 
 
-def subsampled_hessian(model: ObjectiveModel, x: np.ndarray, sample: SampleSet) -> np.ndarray:
+def subsampled_hessian(model: ObjectiveModel, x: np.ndarray, sample: SampleSet,
+                       t: np.ndarray | None = None) -> np.ndarray:
     """The sampled Hessian assembled; ``model.sampled_hessian`` holds it
-    unassembled, for matrix-free products."""
+    unassembled, for matrix-free products.  ``t`` = A x, if given, supplies
+    the sample's margins."""
     if sample.source_n != model.n:
         raise ValueError("sample drawn from a different population size")
-    return model.sampled_hessian(sample.indices, x).dense()
+    return model.sampled_hessian(sample.indices, x, t).dense()
 
 
 def subsampled_gradient(model: ObjectiveModel, x: np.ndarray, sample: SampleSet) -> np.ndarray:

@@ -32,18 +32,23 @@ assemble the sample; inexact ones run CG on its matrix-free products (for
 ssn-ridge, with lambda_user added to its diagonal shift), preconditioned by
 the inverse of the last sample a CG miss made them assemble and factor.
 
-The clock covers the move and what the next move reads at x_{k+1}.  A
-Newton-like or quasi-Newton iteration passes over the data three times in
-it: A p, so Armijo trials cost O(n) from the margins t + alpha A p, then
-fresh margins A x at the new iterate and A'w for its gradient.  F and the
-gradient there come from those margins; the record, the next stop test,
-direction and Armijo F(x) reuse them.  ``ssn-full`` steps on a sampled
-gradient, so its full gradient is a diagnostic (A p and A x in the clock).
-GD reads only the gradient at x_{k+1} (A x and A'w), so F there is a
-diagnostic; AGD's one gradient is at y_k (A y and A'w), so F and the
-gradient at x_{k+1} both are.  Diagnostics, which include ``track_events``'
-lambda_min of the sampled Hessian and ``grad_error_used``, run outside the
-clock.
+The clock covers the move and what the next move reads at x_{k+1}: fresh
+margins A x there, F and the gradient (A'w) from them, which the record,
+the next stop test, the direction, its Hessian weights and Armijo's F(x)
+reuse.  A Newton-like or quasi-Newton step predicts the unit step: on the
+first iteration, and after a search that accepted its first trial, the
+first trial takes fresh margins A(x + alpha p).  If Armijo accepts it, they
+and their F are x_{k+1}'s, so the step passes over the data twice (that A x
+and A'w).  If not, one product A p makes the remaining trials cost O(n)
+from t + alpha A p, then x_{k+1} takes fresh margins: four passes.  After
+a search that backtracked, the step starts with A p: three passes (A p,
+A x, A'w).  Every iterate's margins are thus one fresh product with A, so
+no rounding drift builds up.  ``ssn-full`` steps on a sampled gradient, so
+its full gradient is a diagnostic (one pass fewer in each case).  GD reads
+only the gradient at x_{k+1} (A x and A'w), so F there is a diagnostic;
+AGD's one gradient is at y_k (A y and A'w), so F and the gradient at
+x_{k+1} both are.  Diagnostics, which include ``track_events``' lambda_min
+of the sampled Hessian and ``grad_error_used``, run outside the clock.
 """
 
 from __future__ import annotations
@@ -265,14 +270,16 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         try:
             gnorm = float(np.linalg.norm(grad))
             if config.variant != "ssn-full" and gnorm <= config.grad_tol:
-                x_next, fields, diagnose = None, {"stop_flag": STOP_GRAD_TOL}, None
+                x_next, at_next, fields, diagnose = None, None, {"stop_flag": STOP_GRAD_TOL}, None
             else:
-                x_next, fields, diagnose = move(x, t, f_value, grad)
+                x_next, at_next, fields, diagnose = move(x, t, f_value, grad)
             if x_next is not None:
                 x = x_next
-                # fresh margins, not t + alpha * A p: no rounding drift builds up
-                t = model._margins(x) if timed_f or timed_g else None
-                f_value = model.value(x, t) if timed_f else None
+                if at_next is not None:  # the accepted predicted step's fresh A x and F
+                    t, f_value = at_next
+                else:  # fresh margins, not t + alpha * A p: no rounding drift builds up
+                    t = model._margins(x) if timed_f or timed_g else None
+                    f_value = model.value(x, t) if timed_f else None
                 grad = model.gradient(x, t) if timed_g else None
             wall += time.perf_counter_ns() - tic
             passes = model.data_passes - passes
@@ -423,10 +430,54 @@ def _draw_g(model, rng, size_g):
     return draw(model.n, size_g, "with", rng)
 
 
-def _line(model, x, p, t):
-    """alpha -> F(x + alpha p), from the margins t = A x and one product A p."""
-    ap = model._margins(p)
-    return lambda alpha: model.value(x + alpha * p, t + alpha * ap)
+class _Line:
+    """alpha -> F(x + alpha p) for Armijo, given the margins t = A x.
+
+    With ``predict``, the first trial is evaluated at fresh margins
+    A(x + alpha p), which ``end`` hands to x_{k+1} if Armijo accepts it.
+    Every other trial costs O(n) from t + alpha A p, after one product A p.
+    """
+
+    def __init__(self, model, x, p, t, predict):
+        self.model, self.x, self.p, self.t = model, x, p, t
+        self.predict = predict
+        self.ap = self.first = None
+
+    def __call__(self, alpha):
+        if self.predict:
+            self.predict = False
+            x_new = self.x + alpha * self.p
+            t_new = self.model._margins(x_new)
+            self.first = (x_new, t_new, self.model.value(x_new, t_new))
+            return self.first[2]
+        if self.ap is None:
+            self.ap = self.model._margins(self.p)
+        return self.model.value(self.x + alpha * self.p, self.t + alpha * self.ap)
+
+    def end(self, alpha, trials):
+        """x_{k+1} = x + alpha p, and its (margins, F) if the accepted step
+        is the predicted first trial, else None."""
+        if trials == 1 and self.first is not None:
+            x_new, t_new, f_new = self.first
+            return x_new, (t_new, f_new)
+        return self.x + alpha * self.p, None
+
+
+def _searcher(model, params):
+    """Armijo steps for one run: each search predicts the unit step on the
+    first iteration and after a search that accepted its first trial.
+    ``search(x, p, t, f_value, slope)`` returns (alpha, trials, x_next,
+    at_next) with ``at_next`` as in ``_Line.end``."""
+    predict = True
+
+    def search(x, p, t, f_value, slope):
+        nonlocal predict
+        line = _Line(model, x, p, t, predict)
+        alpha, trials = armijo(line, f_value, slope, params)
+        predict = trials == 1
+        return (alpha, trials, *line.end(alpha, trials))
+
+    return search
 
 
 # -- Newton-like: ssn-* and newton --------------------------------------------
@@ -440,6 +491,7 @@ def _newton_like(model, config, x0):
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
     precond = None  # H^-1 of the last fallback's sample, kept for later CG solves
+    search = _searcher(model, config.line_search)
 
     def move(x, t, f_value, grad):
         nonlocal eps2_k, precond
@@ -456,15 +508,15 @@ def _newton_like(model, config, x0):
             g_used = subsampled_gradient(model, x, _draw_g(model, rng, size_g))
         gnorm_used = float(np.linalg.norm(g_used))
         if sampled_g and gnorm_used < sigma * eps2_k:
-            return None, {"grad_norm_used": gnorm_used, "stop_flag": STOP_SIGMA,
-                          "sample_size_h": size_h, "sample_size_g": size_g}, None
+            return None, None, {"grad_norm_used": gnorm_used, "stop_flag": STOP_SIGMA,
+                                "sample_size_h": size_h, "sample_size_g": size_g}, None
         if sampled_g and gnorm_used <= config.grad_tol:
-            return None, {"grad_norm_used": gnorm_used, "stop_flag": STOP_GRAD_TOL}, None
+            return None, None, {"grad_norm_used": gnorm_used,
+                                "stop_flag": STOP_GRAD_TOL}, None
 
-        p, solve, h_raw, precond = _direction(model, config, rng, x, sample, g_used,
+        p, solve, h_raw, precond = _direction(model, config, rng, x, t, sample, g_used,
                                               size_h, precond)
-        alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g_used),
-                               config.line_search)
+        alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g_used))
         if config.eps2_schedule == "geometric":
             eps2_k *= config.rho2
         diagnose = None
@@ -477,7 +529,7 @@ def _newton_like(model, config, x0):
                     out["min_eig_h"] = min_eigenvalue(
                         h_raw.dense() if isinstance(h_raw, SampledHessian) else h_raw)
                 return out
-        return x + alpha * p, {
+        return x_next, at_next, {
             "grad_norm_used": gnorm_used, "alpha": alpha, "ls_trials": trials,
             "sample_size_h": size_h, "sample_size_g": size_g, **solve,
             "grad_clamped": grad_clamped, "bound_saturated": saturated,
@@ -486,8 +538,9 @@ def _newton_like(model, config, x0):
     return header, move
 
 
-def _direction(model, config, rng, x, sample, g, size_h, precond):
-    """Newton direction for H p = -g from the curvature sample ``sample``.
+def _direction(model, config, rng, x, t, sample, g, size_h, precond):
+    """Newton direction for H p = -g from the curvature sample ``sample``
+    at x, whose margins t = A x give the sample's Hessian weights.
 
     H is the sampled Hessian H_S, shifted by lambda_user (ssn-ridge) or
     floored at lambda_k in the eigenbasis of its one eigendecomposition
@@ -507,14 +560,14 @@ def _direction(model, config, rng, x, sample, g, size_h, precond):
             sample = _draw_h(model, config, rng, size_h)
         try:
             if config.inexact is not None and config.variant != "ssn-spectral":
-                h_raw = model.sampled_hessian(sample.indices, x)
+                h_raw = model.sampled_hessian(sample.indices, x, t)
                 h = h_raw if lam is None else replace(h_raw, shift=h_raw.shift + lam)
                 p, diag = solve_inexact(h, g, config.inexact, precond)
                 return p, {"residual_ratio": diag.residual_ratio,
                            "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
                            "solve_path": diag.path, "lambda_applied": lam}, h_raw, \
                     precond if diag.preconditioner is None else diag.preconditioner
-            h_raw = subsampled_hessian(model, x, sample)
+            h_raw = subsampled_hessian(model, x, sample, t)
             if config.variant == "ssn-spectral":
                 eigs, vecs = spectrum(h_raw)
                 floor = max(float(eigs[0]), 0.0) + config.lambda_user
@@ -550,7 +603,7 @@ def _first_order(model, config, x0):
     def move(x, t, f_value, grad):
         nonlocal x_prev, t_k
         if config.variant == "gd":
-            return x - step * grad, {"alpha": step}, None
+            return x - step * grad, None, {"alpha": step}, None
         if momentum is not None:
             y = x + momentum * (x - x_prev)
         else:
@@ -559,8 +612,8 @@ def _first_order(model, config, x0):
             t_k = t_next
         g = model.gradient(y)
         x_prev = x
-        return y - step * g, {"grad_norm_used": float(np.linalg.norm(g)),
-                              "alpha": step}, None
+        return y - step * g, None, {"grad_norm_used": float(np.linalg.norm(g)),
+                                    "alpha": step}, None
 
     return header, move
 
@@ -573,6 +626,7 @@ def _quasi_newton(model, config, x0):
     b_inv = np.eye(model.p)
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
     s = g_prev = None
+    search = _searcher(model, config.line_search)
 
     def move(x, t, f_value, g):
         nonlocal b_inv, s, g_prev
@@ -596,10 +650,9 @@ def _quasi_newton(model, config, x0):
                 history.clear()
             else:
                 b_inv = np.eye(model.p)
-        alpha, trials = armijo(_line(model, x, p, t), f_value, float(p @ g),
-                               config.line_search)
+        alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g))
         s, g_prev = alpha * p, g
-        return x + s, {"alpha": alpha, "ls_trials": trials}, None
+        return x_next, at_next, {"alpha": alpha, "ls_trials": trials}, None
 
     return header, move
 

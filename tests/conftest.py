@@ -57,3 +57,23 @@ def central_diff_hessian(grad, x, h=1e-6):
         e[i] = h
         hess[:, i] = (grad(x + e) - grad(x - e)) / (2 * h)
     return 0.5 * (hess + hess.T)
+
+
+def line_search_passes(records, base=3):
+    """Full-data passes each line-search step should make.
+
+    A step after a search that backtracked (and not the first step) makes
+    ``base``: A p, then A x and A'w at x_{k+1} (ssn-full, base 2, has no
+    A'w).  Otherwise it predicts the unit step with fresh margins
+    A(x + alpha p): one pass fewer if its first trial is accepted, one
+    more if not (A p for the backtracking).  Terminal records make none.
+    """
+    expected, predict = [], True
+    for rec in records:
+        if not rec.ls_trials:
+            expected.append(0)
+            continue
+        accepted_first = rec.ls_trials == 1
+        expected.append(base + (-1 if accepted_first else 1) if predict else base)
+        predict = accepted_first
+    return expected

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from subnewton import model as model_module
+from subnewton.data import generate_synthetic
 from subnewton.model import EXP_CLAMP, ConditionEstimates, Dataset, EvaluationError, \
     LogisticFamily, ObjectiveModel, PoissonFamily, RidgeFamily, _sigmoid
+from subnewton.solvers import SolverConfig, run
 
 from conftest import central_diff_gradient, central_diff_hessian
 
@@ -330,6 +334,87 @@ def test_constant_curvature_bounds_from_one_unweighted_gram(family, storage, mon
         assert est.gamma == pytest.approx(0.07 + reference(fam.curvature_lo)[0], rel=1e-12)
     else:
         assert est.gamma == 0.07
+
+
+def test_curvature_constants_kept_per_model_and_read_only(monkeypatch):
+    dataset, _ = generate_synthetic(300, 9, family="logistic", seed=5)
+    m = ObjectiveModel(dataset, "logistic", reg=0.01)
+    unweighted = []
+    gram = model_module.weighted_gram
+
+    def counted(a, w=None):
+        if w is None:
+            unweighted.append(a)
+        return gram(a, w)
+    monkeypatch.setattr(model_module, "weighted_gram", counted)
+    cfg = SolverConfig(variant="ssn-hessian", sample_frac_h=0.5, max_iters=5, seed=1)
+    first = run(m, cfg, np.zeros(m.p))
+    second = run(m, replace(cfg, seed=2), np.zeros(m.p))
+    assert len(unweighted) == 1
+    assert first.header["kappa"] == second.header["kappa"]
+    est = m.curvature_constants()
+    assert m.curvature_constants(domain_radius=3.0) is est  # the radius is Poisson's
+    with pytest.raises(ValueError, match="read-only"):
+        est.per_component_k[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.gamma = 0.0
+    with pytest.raises(AttributeError):
+        m.reg = 1.0
+    assert est.khat(1) == float(np.max(est.per_component_k))
+
+
+def test_poisson_curvature_constants_kept_per_radius(monkeypatch):
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((200, 8)) * 0.3
+    b = rng.poisson(np.exp(a @ rng.standard_normal(8) * 0.5)).astype(float)
+    m = ObjectiveModel(Dataset(features=a, labels=b), "poisson", reg=0.1)
+    grams = []
+    gram = model_module.weighted_gram
+
+    def counted(*args):
+        grams.append(args)
+        return gram(*args)
+    monkeypatch.setattr(model_module, "weighted_gram", counted)
+    cfg = SolverConfig(variant="gd", max_iters=3)
+    run(m, cfg, np.zeros(m.p))  # radius 2 ||x0|| + 1 = 1
+    run(m, cfg, np.zeros(m.p))
+    assert len(grams) == 1
+    radius = 2.0 * float(np.linalg.norm(np.full(m.p, 0.1))) + 1.0
+    run(m, cfg, np.full(m.p, 0.1))  # a new radius
+    assert len(grams) == 2
+    assert m.curvature_constants(domain_radius=radius) is \
+        m.curvature_constants(domain_radius=radius)
+    assert len(grams) == 2
+    m.curvature_constants()  # back to the default radius 1
+    assert len(grams) == 3
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_sampled_hessian_from_margins_matches_the_x_form(small_logistic, storage):
+    """Given t = A x, the weights are Phi''(t[S]).  CSR rows and the full
+    index range reproduce the x-only form bitwise.  A dense BLAS product
+    with a subset of rows may round a row differently (OpenBLAS handles
+    rows past the last multiple of 4 in a separate kernel), so there the
+    two forms agree to rounding."""
+    feats = small_logistic.dataset.features
+    if storage == "sparse":
+        feats = sp.csr_matrix(np.where(np.abs(feats) < 0.5, 0.0, feats))
+    m = ObjectiveModel(Dataset(features=feats, labels=small_logistic.dataset.labels),
+                       "logistic", reg=0.05)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(m.p)
+    t = m._margins(x)
+    for idx in (rng.choice(m.n, 1), rng.choice(m.n, 7), rng.choice(m.n, 64, replace=False),
+                np.arange(m.n)):
+        from_t, from_x = m.sampled_hessian(idx, x, t), m.sampled_hessian(idx, x)
+        np.testing.assert_array_equal(from_t.curvature, LogisticFamily.phi_double(t[idx]))
+        if storage == "sparse" or idx.size == m.n:
+            np.testing.assert_array_equal(from_t.curvature, from_x.curvature)
+            np.testing.assert_array_equal(from_t.dense(), from_x.dense())
+        else:
+            np.testing.assert_allclose(from_t.curvature, from_x.curvature, rtol=1e-13)
+            np.testing.assert_allclose(from_t.dense(), from_x.dense(), rtol=1e-13,
+                                       atol=1e-15)
 
 
 def test_rank_deficient_ridge_flagged_not_strongly_convex():

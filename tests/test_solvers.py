@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from conftest import line_search_passes
 
 from subnewton import model as model_module
 from subnewton import solvers
@@ -215,8 +216,9 @@ def test_kept_preconditioner_makes_cg_steps_without_assembly(ill_logistic, monke
         assert verify_inexact(h.dense(), g, p, spec).ok
 
 
-# (settings, full-data passes per step).  A line-search step makes three:
-# A p for its trials, then fresh margins A x and A'w at the new iterate.
+# (settings, full-data passes per step).  A line-search step makes three
+# when it starts from A p (A p, then fresh A x and A'w at the new iterate),
+# two or four when it predicts the unit step (``line_search_passes``).
 # ssn-full samples its gradient, so A'w there is a diagnostic; gd has no line
 # search (A x, A'w); agd's one gradient is at y_k (A y, A'w).
 RECORD_CASES = [
@@ -249,8 +251,39 @@ def test_records_reuse_in_clock_evaluations_exactly(small_logistic, settings, pa
         assert rec.f_value == m.value(rec.x)
         assert rec.grad_norm_full == float(np.linalg.norm(m.gradient(rec.x)))
     *steps, terminal = trace.records
-    assert steps and all(rec.data_passes == passes for rec in steps)
-    assert terminal.data_passes == 0
+    assert steps and terminal.data_passes == 0
+    if settings["variant"] in ("gd", "agd"):
+        assert all(rec.data_passes == passes for rec in steps)
+    else:
+        assert [rec.data_passes for rec in trace.records] \
+            == line_search_passes(trace.records, base=passes)
+
+
+def test_accepted_full_steps_make_two_passes(small_logistic):
+    # the predicted unit step's fresh margins and F become x_{k+1}'s: A x, A'w
+    m = small_logistic
+    trace = run(m, SolverConfig(variant="newton", grad_tol=1e-9), np.zeros(m.p))
+    *steps, _ = trace.records
+    assert trace.stop == "GradTol" and len(steps) >= 3
+    assert all(rec.alpha == 1.0 and rec.ls_trials == 1 for rec in steps)
+    assert [rec.data_passes for rec in steps] == [2] * len(steps)
+    for rec in steps:
+        assert rec.f_value == m.value(rec.x)
+
+
+def test_backtracking_first_step_makes_four_passes_then_three(small_logistic):
+    # alpha_hat = 4 is rejected every time: the first search pays the missed
+    # prediction (A(x + 4p), A p, A x, A'w), later ones start from A p
+    m = small_logistic
+    cfg = SolverConfig(variant="newton", grad_tol=1e-9,
+                       line_search=LineSearchParams(alpha_hat=4.0))
+    trace = run(m, cfg, np.zeros(m.p))
+    *steps, _ = trace.records
+    assert trace.stop == "GradTol" and len(steps) >= 3
+    assert all(rec.ls_trials > 1 for rec in steps)
+    assert [rec.data_passes for rec in steps] == [4] + [3] * (len(steps) - 1)
+    for rec in steps:
+        assert rec.f_value == m.value(rec.x)
 
 
 def test_divergence_flagged_on_wild_gd_step(small_logistic):
@@ -336,13 +369,13 @@ def test_spectral_direction_is_the_floored_operator_solve(small_logistic, monkey
     m = small_logistic
     assembled = record_assemblies(monkeypatch)
     lines = []
-    line = solvers._line
+    line = solvers._Line
 
-    def recording_line(model, x, p, t):
+    def recording_line(model, x, p, t, predict):
         lines.append((x, p))
-        return line(model, x, p, t)
+        return line(model, x, p, t, predict)
 
-    monkeypatch.setattr(solvers, "_line", recording_line)
+    monkeypatch.setattr(solvers, "_Line", recording_line)
     cfg = SolverConfig(variant="ssn-spectral", sample_frac_h=0.3, lambda_user=0.05,
                        grad_tol=1e-9, max_iters=40, seed=2)
     trace = run(m, cfg, np.zeros(m.p))
