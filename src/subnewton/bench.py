@@ -69,7 +69,7 @@ class ExperimentResult:
     def to_dict(self) -> dict:
         """The result as plain JSON values; non-finite numbers (such as kappa
         at gamma = 0) become None, since JSON has no Infinity or NaN."""
-        return _jsonable({
+        return jsonable({
             "reference": self.reference,
             "f_star": self.f_star,
             "x_star_norm": float(np.linalg.norm(self.x_star)),
@@ -205,13 +205,15 @@ def _record(rec, rel_err_x, rel_err_f) -> dict:
     }
 
 
-def _jsonable(obj):
+def jsonable(obj):
+    """``obj`` with numpy values as Python ones and non-finite floats as
+    None, so that ``json.dumps`` writes strict JSON."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return jsonable(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):

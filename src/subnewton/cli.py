@@ -194,21 +194,23 @@ def _dispatch(args) -> int:
         return EXIT_OK if ok else EXIT_VERIFY
 
     if args.command == "rates":
-        # the headers of the ssn-hessian and ssn-full runs of this config
+        # the headers of this config's ssn-hessian and ssn-full runs and, for
+        # ssn-spectral or ssn-ridge, of its own run; Algorithms 1 and 4 need
+        # gamma > 0, so without it a regularized config reads null for them
         model, config = _model(args), _config_from_args(args)
         x0 = np.zeros(model.p)
-        hessian_only, joint = (plan(model, replace(config, variant=v), x0)
-                               for v in ("ssn-hessian", "ssn-full"))
-        out = {
-            "gamma": hessian_only["gamma"], "K": hessian_only["big_k"],
-            "kappa": hessian_only["kappa"], "kappa1": hessian_only["kappa1"],
-            "kappa_tilde": hessian_only["kappa_tilde"],
-            "hessian_only": hessian_only["rate_prediction"],
-            "joint_sampling": joint["rate_prediction"],
-        }
-        if config.variant in ("ssn-spectral", "ssn-ridge"):
-            out[config.variant] = plan(model, config, x0)["rate_prediction"]
-        print(json.dumps(out, indent=1))
+        regularized = config.variant in ("ssn-spectral", "ssn-ridge")
+        declined = regularized and not model.curvature_constants().strongly_convex
+        headers = {key: None if declined else plan(model, replace(config, variant=v), x0)
+                   for key, v in (("hessian_only", "ssn-hessian"),
+                                  ("joint_sampling", "ssn-full"))}
+        if regularized:
+            headers[config.variant] = plan(model, config, x0)
+        ref = headers["hessian_only"] or headers[config.variant]
+        out = {"gamma": ref["gamma"], "K": ref["big_k"], "kappa": ref["kappa"],
+               "kappa1": ref["kappa1"], "kappa_tilde": ref["kappa_tilde"],
+               **{key: h and h["rate_prediction"] for key, h in headers.items()}}
+        print(json.dumps(bench.jsonable(out), indent=1))
         return EXIT_OK
 
     if args.command == "inspect":
@@ -217,12 +219,10 @@ def _dispatch(args) -> int:
         out = {
             "n": dataset.n, "p": dataset.p, "storage": dataset.storage,
             "gram_condition": measure_gram_condition(dataset),
-            "gamma": est.gamma, "K": est.big_k,
-            "kappa": est.kappa if est.strongly_convex else None,
-            "kappa1": est.kappa1 if est.strongly_convex else None,
+            "gamma": est.gamma, "K": est.big_k, "kappa": est.kappa, "kappa1": est.kappa1,
             "strongly_convex": est.strongly_convex,
         }
-        print(json.dumps(out, indent=1))
+        print(json.dumps(bench.jsonable(out), indent=1))
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -28,6 +28,9 @@ from .model import EXP_CLAMP, FAMILIES, Dataset, weighted_gram
 # 36 ms).
 SPARSE_MAX_DENSITY = 0.1
 
+# standard deviation of the Gaussian noise on synthetic ridge labels
+RIDGE_NOISE = 0.1
+
 
 class DataFormatError(ValueError):
     """Malformed dataset file; carries the offending line number."""
@@ -42,7 +45,6 @@ class SyntheticMeta:
     """Generation record: measured Gram condition number and the planted
     coefficients the labels were drawn from."""
 
-    condition_target: float
     condition_measured: float
     planted_coefficients: np.ndarray
 
@@ -55,7 +57,6 @@ def generate_synthetic(
     family: str = "logistic",
     seed: int = 0,
     signal_norm: float = 3.0,
-    ridge_noise: float = 0.1,
     signal_direction: str = "random",
 ) -> tuple[Dataset, SyntheticMeta]:
     """Draw an (n, p) design with Gram condition number close to the target.
@@ -63,7 +64,7 @@ def generate_synthetic(
     A Gaussian matrix supplies the singular vectors; its singular values are
     replaced by a geometric ladder spanning sqrt(condition_target), which
     pins the Gram spectrum.
-    Labels: ridge adds N(0, ridge_noise) to the planted response, logistic
+    Labels: ridge adds N(0, RIDGE_NOISE) to the planted response, logistic
     draws Bernoulli from the planted probabilities, Poisson draws exact
     counts.  Fixed seeds reproduce the dataset byte-for-byte.
 
@@ -99,7 +100,7 @@ def generate_synthetic(
     t = a @ x_star
 
     if family == "ridge":
-        b = t + ridge_noise * rng.standard_normal(n)
+        b = t + RIDGE_NOISE * rng.standard_normal(n)
     elif family == "logistic":
         probs = 1.0 / (1.0 + np.exp(-np.clip(t, -EXP_CLAMP, EXP_CLAMP)))
         b = (rng.random(n) < probs).astype(float)
@@ -109,7 +110,6 @@ def generate_synthetic(
 
     dataset = Dataset(features=a, labels=b)
     meta = SyntheticMeta(
-        condition_target=float(condition_target),
         condition_measured=measure_gram_condition(dataset),
         planted_coefficients=x_star,
     )

@@ -79,9 +79,10 @@ class InexactnessSpec:
 @dataclass(frozen=True)
 class InexactDiagnostics:
     """Acceptance ratios of a direction; ``solve_inexact`` also fills in the
-    CG iterations it ran, the path (``PATH_CG`` or ``PATH_FALLBACK``) that
-    produced the direction and, after a fallback, the inverse of the matrix
-    it factored, to precondition later solves."""
+    CG iterations it ran, the path (``PATH_CG``, ``PATH_FALLBACK``, or
+    ``PATH_EXACT`` at theta1 = 0) that produced the direction and, after a
+    fallback, the inverse of the matrix it factored, to precondition later
+    solves."""
 
     ok: bool
     residual_ratio: float
@@ -190,7 +191,7 @@ def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray |
     passes the descent condition.  It gets ceil(p/6) iterations before the
     solve assembles H and falls back to Cholesky; the fallback's diagnostics
     carry H^-1 as the preconditioner for later solves.  theta1 = 0 goes
-    straight to the exact solve.
+    straight to the exact solve, with no CG and path ``PATH_EXACT``.
     """
     g = np.asarray(g, dtype=float).ravel()
     gnorm = float(np.linalg.norm(g))
@@ -199,7 +200,7 @@ def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray |
     if spec.theta1 == 0.0:
         h = _dense(h)
         p = -solve_exact(h, g)
-        return p, replace(verify_inexact(h, g, p, spec), path=PATH_FALLBACK)
+        return p, replace(verify_inexact(h, g, p, spec), path=PATH_EXACT)
 
     target = spec.theta1 * gnorm
     budget = math.ceil(g.size / 6)

@@ -276,14 +276,20 @@ class ConditionEstimates:
     def kappa_q(self, q: int) -> float:
         return self.khat(q) / self.gamma if self.gamma > 0 else math.inf
 
-    def kappa_tilde(self, sample_size: int, replacement: str) -> float:
-        """Sampling condition number: kappa_1 when drawing with replacement,
-        kappa_{|S|} without."""
+    def draw_khat(self, sample_size: int, replacement: str) -> float:
+        """Smoothness bound of a sampled Hessian: K_max = khat(1) when drawing
+        with replacement (any component may repeat), khat(min(|S|, n))
+        without."""
         if replacement == "with":
-            return self.kappa1
+            return self.khat(1)
         if replacement == "without":
-            return self.kappa_q(min(sample_size, self.n))
+            return self.khat(min(sample_size, self.n))
         raise ValueError(f"replacement must be 'with' or 'without', got {replacement!r}")
+
+    def kappa_tilde(self, sample_size: int, replacement: str) -> float:
+        """Sampling condition number draw_khat / gamma: kappa_1 or kappa_{|S|}."""
+        khat = self.draw_khat(sample_size, replacement)
+        return khat / self.gamma if self.gamma > 0 else math.inf
 
 
 class ObjectiveModel:
@@ -308,7 +314,6 @@ class ObjectiveModel:
         norms = dataset.row_norms()
         absb = np.abs(dataset.labels)
         self._row_norms = norms
-        self._max_row_norm = float(norms.max())
         self._max_bnorm = float((absb * norms).max())
         self._max_sq_plus_reg = float((norms**2).max() + self.reg)
         self._max_one_plus_b_norm = float(((1.0 + absb) * norms).max())
@@ -317,7 +322,6 @@ class ObjectiveModel:
             self._log_poisson_row = float(
                 np.max(np.where(norms > 0, np.log(norms), -np.inf) + 0.5 * norms**2)
             )
-        self.bound_cap = BOUND_CAP
         self.data_passes = 0  # full-data products so far (A x and A'w)
         self._constants: tuple[float | None, ConditionEstimates] | None = None
 
@@ -406,7 +410,7 @@ class ObjectiveModel:
         """G(x) with ||grad f_i(x)|| <= G(x) for every component.
 
         Family-specific closed forms over precomputed data constants; the
-        Poisson bound saturates at ``bound_cap`` instead of overflowing.
+        Poisson bound saturates at ``BOUND_CAP`` instead of overflowing.
         """
         x = self._check_x(x)
         xnorm = float(np.linalg.norm(x))
@@ -416,7 +420,7 @@ class ObjectiveModel:
             return self.reg * xnorm + self._max_one_plus_b_norm
         log_mid = 0.5 * xnorm**2 + self._log_poisson_row
         mid = math.exp(log_mid) if log_mid < math.log(BOUND_CAP) else BOUND_CAP
-        return min(self.reg * xnorm + mid + self._max_bnorm, self.bound_cap)
+        return min(self.reg * xnorm + mid + self._max_bnorm, BOUND_CAP)
 
     def curvature_constants(self, domain_radius: float | None = None) -> ConditionEstimates:
         """Per-component and aggregate curvature bounds.

@@ -64,12 +64,12 @@ from .linesearch import LineSearchError, LineSearchParams, armijo
 # perfbench/tracing.py can wrap them under the names solvers binds
 from .linsolve import PATH_EIGEN, PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, \
     solve_eigen, solve_exact, solve_inexact, verify_inexact  # noqa: F401
-from .model import ConditionEstimates, EvaluationError, ObjectiveModel, SampledHessian
+from .model import BOUND_CAP, ConditionEstimates, EvaluationError, ObjectiveModel, \
+    SampledHessian
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
 from .sampling import SampleSet, clamped_size, draw, gradient_sample_size, \
     hessian_sample_size, subsampled_gradient, subsampled_hessian
-from .theory import RatePrediction, rate_alg1, rate_alg1_inexact, rate_alg4, \
-    rate_ridge, rate_spectral
+from .theory import RatePrediction, rate_alg1, rate_alg4, rate_ridge, rate_spectral
 
 SSN_VARIANTS = ("ssn-hessian", "ssn-spectral", "ssn-ridge", "ssn-full")
 BASELINE_VARIANTS = ("newton", "gd", "agd", "bfgs", "lbfgs")
@@ -103,7 +103,8 @@ class SolverConfig:
     same role in the joint-sampling variant (``eps1`` for curvature, ``eps2``
     for the gradient).  ``sample_frac_h``/``sample_frac_g`` bypass the lemma
     sizes with direct |S|/n fractions.  ``sigma=None`` means "use the
-    smallest STOP multiplier the guarantee admits".
+    smallest STOP multiplier the guarantee admits".  ``eps2`` shrinks by
+    ``rho2`` after every ssn-full step; the default 1.0 keeps it constant.
     """
 
     variant: str = "ssn-hessian"
@@ -115,8 +116,7 @@ class SolverConfig:
     inexact: InexactnessSpec | None = None
     lambda_user: float = 0.0
     sigma: float | None = None
-    eps2_schedule: str = "constant"  # "constant" | "geometric"
-    rho2: float = 0.9
+    rho2: float = 1.0
     max_iters: int = 100
     grad_tol: float = 1e-8
     seed: int = 0
@@ -142,10 +142,8 @@ class SolverConfig:
             raise ValueError("lambda_user must be nonnegative")
         if self.sigma is not None and self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if self.eps2_schedule not in ("constant", "geometric"):
-            raise ValueError(f"unknown eps2 schedule {self.eps2_schedule!r}")
-        if not 0 < self.rho2 < 1:
-            raise ValueError("rho2 must be in (0, 1)")
+        if not 0 < self.rho2 <= 1:
+            raise ValueError("rho2 must be in (0, 1]")
         if self.replacement not in ("with", "without"):
             raise ValueError("replacement must be 'with' or 'without'")
         for name in ("sample_frac_h", "sample_frac_g"):
@@ -329,8 +327,8 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
     Holds the curvature constants, the per-iteration Hessian sample size
     (a direct ``sample_frac_h``, n for newton, else the Chernoff size for
     (eps, delta) clamped to n), kappa_tilde at that size, ssn-full's sigma
-    and the guarantee constants at the step-size floor.  Raises
-    NotStronglyConvexError where the config needs gamma > 0.
+    and the guarantee constants of ``_rate``.  Raises NotStronglyConvexError
+    where the config needs gamma > 0.
     """
     if config.variant not in SSN_VARIANTS + ("newton",):
         raise ValueError(f"{config.variant} is not a Newton-like variant")
@@ -385,28 +383,26 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
 
 
 def _rate(config, est, size_h) -> RatePrediction | None:
-    """Guarantee constants at the step-size floor; None without gamma > 0,
-    or where constants outside the theory's assumptions make it raise
-    (ssn-full's sigma needs them, so its errors propagate)."""
+    """Guarantee constants of the solve the run makes: rho at the unit step
+    (alpha = 1), alpha_floor the bound on the accepted step, K-hat and
+    kappa_tilde those of the run's draw; ssn-spectral's eigenbasis step is
+    exact whatever the spec.  None where Algorithm 1 or 4 lacks gamma > 0,
+    or where Algorithm 1's condition numbers fall outside its assumptions
+    (ssn-full's sigma needs its constants, so Algorithm 4's errors
+    propagate)."""
+    beta = config.line_search.beta
+    inexact = None if config.variant == "ssn-spectral" else config.inexact
+    if config.variant in ("ssn-spectral", "ssn-ridge"):
+        rate = rate_spectral if config.variant == "ssn-spectral" else rate_ridge
+        return rate(beta, config.lambda_user, est.big_k,
+                    est.draw_khat(size_h, config.replacement), est.gamma, 1.0, inexact)
     if not est.strongly_convex:
         return None
-    beta, inexact = config.line_search.beta, config.inexact
     kt = est.kappa_tilde(size_h, config.replacement)
     if config.variant == "ssn-full":
-        if inexact is None:
-            return rate_alg4(beta, config.eps1, est.kappa, kt, 1.0)
-        return rate_alg4(beta, config.eps1, est.kappa, kt, 1.0, theta1=inexact.theta1,
-                         theta2=inexact.theta2, inexact=True)
+        return rate_alg4(beta, config.eps1, est.kappa, kt, 1.0, inexact)
     try:
-        if config.variant in ("ssn-spectral", "ssn-ridge"):
-            rate = rate_spectral if config.variant == "ssn-spectral" else rate_ridge
-            theta2 = inexact.theta2 if inexact else 0.5
-            return rate(beta, theta2, config.lambda_user, est.big_k, est.khat(size_h),
-                        est.gamma, alpha=1.0)
-        if inexact is None:
-            return rate_alg1(beta, config.eps, est.kappa, kt, alpha=1.0)
-        return rate_alg1_inexact(beta, config.eps, inexact.theta1, inexact.theta2,
-                                 est.kappa, kt, alpha=1.0)
+        return rate_alg1(beta, config.eps, est.kappa, kt, 1.0, inexact)
     except ValueError:
         return None
 
@@ -502,7 +498,7 @@ def _newton_like(model, config, x0):
                 size_g = max(1, round(config.sample_frac_g * model.n))
             else:
                 bound = model.gradient_norm_bound(x)
-                saturated = bound >= model.bound_cap
+                saturated = bound >= BOUND_CAP
                 size_g, grad_clamped = clamped_size(
                     gradient_sample_size(bound, eps2_k, config.delta), model.n)
             g_used = subsampled_gradient(model, x, _draw_g(model, rng, size_g))
@@ -517,8 +513,7 @@ def _newton_like(model, config, x0):
         p, solve, h_raw, precond = _direction(model, config, rng, x, t, sample, g_used,
                                               size_h, precond)
         alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g_used))
-        if config.eps2_schedule == "geometric":
-            eps2_k *= config.rho2
+        eps2_k *= config.rho2
         diagnose = None
         if config.track_events:
             def diagnose():

@@ -5,6 +5,12 @@ threshold theta1_max, STOP multiplier floor sigma_min, and local iteration
 count is computed here and nowhere else; solver tests and trace headers both
 read from these calculators, so the formulas cannot drift apart.
 
+Each algorithm of the paper has one calculator: ``rate_alg1`` (Hessian-only
+sub-sampling), ``rate_spectral`` and ``rate_ridge`` (its two regularized
+forms, which also cover gamma = 0) and ``rate_alg4`` (joint gradient and
+Hessian sub-sampling).  Each takes the run's ``InexactnessSpec``; None means
+an exact solve, which meets the contract at theta1 = theta2 = 0.
+
 Throughout, the guaranteed contraction is
 
     F(x_{k+1}) - F* <= (1 - rho) (F(x_k) - F*),
@@ -17,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .linsolve import InexactnessSpec
 
 
 @dataclass(frozen=True)
@@ -36,45 +44,34 @@ class RatePrediction:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-def _check_unit(name, value, lo_open=True, hi_open=True):
-    lo_ok = value > 0 if lo_open else value >= 0
-    hi_ok = value < 1 if hi_open else value <= 1
-    if not (lo_ok and hi_ok):
-        lo = "(" if lo_open else "["
-        hi = ")" if hi_open else "]"
-        raise ValueError(f"{name} must lie in {lo}0, 1{hi}, got {value}")
+def _check_unit(name, value):
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
 def rate_alg1(beta: float, eps: float, kappa: float, kappa_tilde: float,
-              alpha: float) -> RatePrediction:
-    """Hessian-only sub-sampling with exact solves:
-    rho = 2 alpha beta / kappa_tilde, step floor 2(1-beta)(1-eps)/kappa."""
+              alpha: float, inexact: InexactnessSpec | None = None) -> RatePrediction:
+    """Hessian-only sub-sampling (Algorithm 1).
+
+    Exact solves: rho = 2 alpha beta / kappa_tilde, step floor
+    2(1-beta)(1-eps)/kappa.  Inexact solves: below theta1_max =
+    sqrt((1-eps)/(4 kappa_tilde)) the rate matches the exact one up to a
+    factor two, rho = alpha beta / kappa_tilde; above it, rho =
+    2(1-theta2)(1-theta1)^2(1-eps) alpha beta / kappa_tilde^2, and the
+    floor gains a factor (1-theta2).
+    """
     _check_unit("beta", beta)
     _check_unit("eps", eps)
     if kappa < 1 or kappa_tilde < 1:
         raise ValueError("condition numbers must be >= 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return RatePrediction(
-        rho=2.0 * alpha * beta / kappa_tilde,
-        alpha_floor=2.0 * (1.0 - beta) * (1.0 - eps) / kappa,
-    )
-
-
-def rate_alg1_inexact(beta: float, eps: float, theta1: float, theta2: float,
-                      kappa: float, kappa_tilde: float, alpha: float) -> RatePrediction:
-    """Hessian-only sub-sampling with inexact solves.
-
-    Below theta1_max = sqrt((1-eps)/(4 kappa_tilde)) the rate matches the
-    exact method up to a factor two: rho = alpha beta / kappa_tilde;
-    above it, rho = 2(1-theta2)(1-theta1)^2(1-eps) alpha beta / kappa_tilde^2.
-    """
-    _check_unit("beta", beta)
-    _check_unit("eps", eps)
-    _check_unit("theta1", theta1, lo_open=False)
-    _check_unit("theta2", theta2, lo_open=False)
-    if kappa < 1 or kappa_tilde < 1:
-        raise ValueError("condition numbers must be >= 1")
+    if inexact is None:
+        return RatePrediction(
+            rho=2.0 * alpha * beta / kappa_tilde,
+            alpha_floor=2.0 * (1.0 - beta) * (1.0 - eps) / kappa,
+        )
+    theta1, theta2 = inexact.theta1, inexact.theta2
     theta1_max = math.sqrt((1.0 - eps) / (4.0 * kappa_tilde))
     if theta1 <= theta1_max:
         rho = alpha * beta / kappa_tilde
@@ -88,21 +85,21 @@ def rate_alg1_inexact(beta: float, eps: float, theta1: float, theta2: float,
     )
 
 
-def rate_spectral(beta: float, theta2: float, lam: float, big_k: float,
-                  khat: float, gamma: float, alpha: float,
+def rate_spectral(beta: float, lam: float, big_k: float, khat: float, gamma: float,
+                  alpha: float, inexact: InexactnessSpec | None = None,
                   eps: float | None = None) -> RatePrediction:
     """Spectral-floor regularization at level lam.
 
-    rho = alpha beta gamma / max(khat, lam) (needs gamma > 0; without strong
-    convexity only the gradient-decrease coefficient applies), theta1_max =
+    rho = alpha beta gamma / max(khat, lam) (0 at gamma = 0, where only the
+    gradient-decrease coefficient applies), theta1_max =
     (1/2) sqrt(lam / max(lam, khat)), step floor 2(1-theta2)(1-beta) lam / K.
     With lemma-driven sampling at accuracy eps the floor improves to
     2(1-theta2)(1-beta)(1-eps)/kappa.
     """
     _check_unit("beta", beta)
-    _check_unit("theta2", theta2)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    theta2 = 0.0 if inexact is None else inexact.theta2
     denom = max(khat, lam)
     rho = alpha * beta * gamma / denom if gamma > 0 else 0.0
     if eps is None:
@@ -118,20 +115,21 @@ def rate_spectral(beta: float, theta2: float, lam: float, big_k: float,
     )
 
 
-def rate_ridge(beta: float, theta2: float, lam: float, big_k: float,
-               khat: float, gamma: float, alpha: float,
+def rate_ridge(beta: float, lam: float, big_k: float, khat: float, gamma: float,
+               alpha: float, inexact: InexactnessSpec | None = None,
                eps: float | None = None) -> RatePrediction:
     """Ridge regularization at level lam.
 
-    rho = alpha beta gamma / (khat + lam), theta1_max = (1/2) sqrt(lam/(K+lam)),
-    step floor 2(1-theta2)(1-beta) lam / K.  With lemma-driven sampling at
-    accuracy eps: theta1_max = (1/2) sqrt(((1-eps) gamma + lam)/(khat + lam))
-    and floor 2(1-theta2)(1-beta)((1-eps) gamma + lam)/K.
+    rho = alpha beta gamma / (khat + lam) (0 at gamma = 0), theta1_max =
+    (1/2) sqrt(lam/(K+lam)), step floor 2(1-theta2)(1-beta) lam / K.  With
+    lemma-driven sampling at accuracy eps: theta1_max =
+    (1/2) sqrt(((1-eps) gamma + lam)/(khat + lam)) and floor
+    2(1-theta2)(1-beta)((1-eps) gamma + lam)/K.
     """
     _check_unit("beta", beta)
-    _check_unit("theta2", theta2)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    theta2 = 0.0 if inexact is None else inexact.theta2
     denom = khat + lam
     rho = alpha * beta * gamma / denom if gamma > 0 else 0.0
     if eps is None:
@@ -150,9 +148,8 @@ def rate_ridge(beta: float, theta2: float, lam: float, big_k: float,
 
 
 def rate_alg4(beta: float, eps1: float, kappa: float, kappa_tilde: float,
-              alpha: float, theta1: float = 0.0, theta2: float = 0.0,
-              inexact: bool = False) -> RatePrediction:
-    """Joint gradient and Hessian sub-sampling (requires eps1 <= 1/2).
+              alpha: float, inexact: InexactnessSpec | None = None) -> RatePrediction:
+    """Joint gradient and Hessian sub-sampling (Algorithm 4, needs eps1 <= 1/2).
 
     Exact solves: rho = 8 alpha beta / (9 kappa_tilde), step floor
     (1-beta)(1-eps1)/kappa, and the STOP rule is sound for
@@ -166,14 +163,13 @@ def rate_alg4(beta: float, eps1: float, kappa: float, kappa_tilde: float,
         raise ValueError(f"eps1 must be <= 1/2, got {eps1}")
     if kappa < 1 or kappa_tilde < 1:
         raise ValueError("condition numbers must be >= 1")
-    if not inexact:
+    if inexact is None:
         return RatePrediction(
             rho=8.0 * alpha * beta / (9.0 * kappa_tilde),
             alpha_floor=(1.0 - beta) * (1.0 - eps1) / kappa,
             sigma_min=4.0 * kappa_tilde / (1.0 - beta),
         )
-    _check_unit("theta1", theta1, lo_open=False)
-    _check_unit("theta2", theta2, lo_open=False)
+    theta1, theta2 = inexact.theta1, inexact.theta2
     theta1_max = math.sqrt((1.0 - eps1) / (4.0 * kappa_tilde))
     if theta1 <= theta1_max:
         rho = 4.0 * alpha * beta / (9.0 * kappa_tilde)

@@ -32,7 +32,7 @@ from subnewton.regularize import spectral_floor
 from subnewton.sampling import draw, gradient_sample_size, hessian_sample_size, \
     subsampled_gradient, subsampled_hessian
 from subnewton.solvers import SolverConfig, run
-from subnewton.theory import grad_quadratic_roots, rate_alg1, rate_alg1_inexact
+from subnewton.theory import grad_quadratic_roots, rate_alg1
 
 from conftest import central_diff_gradient, central_diff_hessian
 
@@ -168,8 +168,8 @@ def test_criterion_4_decrease_predicate_inexact(desk, desk_estimates, desk_f_sta
         beta, eps, theta2, frac = 0.25, 0.5, 0.5, 0.2
         size = round(frac * desk.n)
         kt = est.kappa_tilde(size, "without")
-        theta1 = rate_alg1_inexact(beta, eps, 0.0, theta2, est.kappa, kt,
-                                   1.0).theta1_max
+        theta1 = rate_alg1(beta, eps, est.kappa, kt, 1.0,
+                           InexactnessSpec(0.0, theta2)).theta1_max
         x0 = np.random.default_rng(1).standard_normal(desk.p)
         x0 *= 20.0 / np.linalg.norm(x0)
         checked = failures = 0

@@ -114,6 +114,28 @@ def test_rates_report_the_given_regularized_variant(dataset_file, capsys, varian
     assert blob[variant] == header["rate_prediction"]
 
 
+@pytest.mark.parametrize("variant", ["ssn-spectral", "ssn-ridge"])
+def test_rates_at_gamma_zero_print_the_regularized_guarantee(dataset_file, capsys,
+                                                             variant):
+    """At reg 0 only the regularized variants have a guarantee: rates prints
+    the given variant's block, and null for Algorithms 1 and 4 and the
+    infinite kappas, as strict JSON."""
+    assert run_cli("rates", "--data", str(dataset_file), "--reg", "0", "--solver", variant,
+                   "--lambda", "1e-3", "--sample-frac-h", "0.5") == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    blob = json.loads(capsys.readouterr().out, parse_constant=reject)
+    model = ObjectiveModel(load_dataset(str(dataset_file)), "logistic", reg=0.0)
+    header = run(model, SolverConfig(variant=variant, lambda_user=1e-3, sample_frac_h=0.5,
+                                     max_iters=1), np.zeros(model.p)).header
+    assert blob[variant] == header["rate_prediction"] and blob[variant]["rho"] == 0.0
+    assert blob["gamma"] == 0.0 and blob["K"] == header["big_k"]
+    for key in ("hessian_only", "joint_sampling", "kappa", "kappa1", "kappa_tilde"):
+        assert blob[key] is None
+
+
 def test_run_without_solver_flags_uses_the_config_defaults(dataset_file, monkeypatch):
     seen = []
 
@@ -133,6 +155,21 @@ def test_inspect_reports_condition_metrics(dataset_file, capsys):
     assert blob["n"] == 300 and blob["p"] == 10
     assert blob["gram_condition"] >= 1
     assert blob["strongly_convex"] is True
+
+
+def test_inspect_writes_null_for_an_infinite_condition_number(tmp_path, capsys):
+    # a zero column makes the Gram singular: its condition number is infinite
+    path = tmp_path / "flat.csv"
+    path.write_text("1.0,1.0,0.0,0.0\n-0.5,0.0,1.0,0.0\n0.3,1.0,1.0,0.0\n")
+    assert run_cli("inspect", "--data", str(path), "--format", "csv",
+                   "--family", "ridge") == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    blob = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert blob["gram_condition"] is None and blob["kappa"] is None
+    assert blob["strongly_convex"] is False
 
 
 def test_compare_runs_spec_file(dataset_file, tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from subnewton.linsolve import PATH_CG, PATH_FALLBACK, InexactnessSpec, \
+from subnewton.linsolve import PATH_CG, PATH_EXACT, PATH_FALLBACK, InexactnessSpec, \
     NotPositiveDefiniteError, _cg_iterates, solve_exact, solve_inexact, verify_inexact
 from subnewton.sampling import draw
 
@@ -61,10 +61,12 @@ def test_theta1_zero_gives_exact_solution():
     h = random_spd(rng, 12)
     g = rng.standard_normal(12)
     spec = InexactnessSpec(theta1=0.0, theta2=0.7)
-    p, _ = solve_inexact(h, g, spec)
+    p, solved = solve_inexact(h, g, spec)
     np.testing.assert_allclose(p, -solve_exact(h, g), atol=1e-12)
     diag = verify_inexact(h, g, p, spec)
     assert diag.ok and diag.residual_ratio <= 1e-9
+    # solved exactly up front: no CG ran, so no fallback happened
+    assert solved.path == PATH_EXACT and solved.cg_iters == 0
 
 
 def test_identity_converges_in_one_cg_step():

@@ -243,7 +243,7 @@ def test_bound_dominates_every_component(fixture, request):
 def test_poisson_bound_saturates():
     m = single_row_model("poisson", [1.0, 1.0], 2.0)
     huge = np.full(2, 40.0)
-    assert m.gradient_norm_bound(huge) == m.bound_cap
+    assert m.gradient_norm_bound(huge) == model_module.BOUND_CAP
 
 
 # -- curvature constants ------------------------------------------------------

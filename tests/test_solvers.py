@@ -471,15 +471,15 @@ def test_sigma_warning_below_floor(small_logistic):
 
 def test_geometric_eps2_schedule_grows_the_gradient_sample():
     """eps2_k = eps2 * rho2^k: the lemma-sized gradient sample grows by about
-    1/rho2^2 per step until it is clamped at n; under "constant" it stays."""
+    1/rho2^2 per step until it is clamped at n; at rho2 = 1 it stays."""
     dataset, _ = generate_synthetic(40000, 10, family="logistic", seed=7)
     m = ObjectiveModel(dataset, "logistic", reg=1.0)
     cfg = SolverConfig(variant="ssn-full", eps2=0.9, rho2=0.8, sample_frac_h=0.05,
                        sigma=0.0, max_iters=8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # sigma = 0 is below the STOP floor
-        geometric = run(m, replace(cfg, eps2_schedule="geometric"), np.zeros(m.p))
-        constant = run(m, cfg, np.zeros(m.p))
+        geometric = run(m, cfg, np.zeros(m.p))
+        constant = run(m, replace(cfg, rho2=1.0), np.zeros(m.p))
     grown = [r.sample_size_g for r in geometric.records]
     clamp = [r.grad_clamped for r in geometric.records].index(True)
     assert clamp >= 4 and grown[clamp:] == [m.n] * (len(grown) - clamp)
@@ -574,8 +574,8 @@ def test_spectral_decrease_bound_with_inexact_solves(small_logistic):
     for i, rec in enumerate(trace.records):
         if rec.alpha == 0.0:
             continue
-        pred = rate_spectral(beta, theta2, rec.lambda_applied, est.big_k, khat,
-                             est.gamma, alpha=rec.alpha)
+        pred = rate_spectral(beta, rec.lambda_applied, est.big_k, khat, est.gamma,
+                             alpha=rec.alpha, inexact=cfg.inexact)
         if 1e-3 > pred.theta1_max:
             continue  # solve tolerance exceeded the theorem budget
         drop = pred.grad_decrease_coeff * rec.grad_norm_used**2
@@ -599,8 +599,8 @@ def test_spectral_theta1_budget_lemma_floor(small_logistic):
     for rec in trace.records:
         if rec.alpha == 0.0 or rec.lambda_applied <= (1 - eps) * est.gamma:
             continue
-        budget = rate_spectral(0.25, 0.5, rec.lambda_applied, est.big_k, khat,
-                               est.gamma, 1.0).theta1_max
+        budget = rate_spectral(0.25, rec.lambda_applied, est.big_k, khat, est.gamma,
+                               1.0, InexactnessSpec(0.0, 0.5)).theta1_max
         assert budget >= lemma_floor - 1e-12
 
 
@@ -620,8 +620,8 @@ def test_ridge_decrease_bound_with_inexact_solves(small_logistic):
     for i, rec in enumerate(trace.records):
         if rec.alpha == 0.0:
             continue
-        pred = rate_ridge(beta, theta2, lam, est.big_k, khat, est.gamma,
-                          alpha=rec.alpha)
+        pred = rate_ridge(beta, lam, est.big_k, khat, est.gamma, alpha=rec.alpha,
+                          inexact=cfg.inexact)
         drop = pred.grad_decrease_coeff * rec.grad_norm_used**2
         assert rec.f_value <= fs[i] - drop + 1e-12
         checked += 1
@@ -727,6 +727,9 @@ def test_config_rejects_bad_values():
         SolverConfig(sample_frac_h=0.0)
     with pytest.raises(ValueError):
         SolverConfig(replacement="sometimes")
+    for rho2 in (0.0, 1.5):
+        with pytest.raises(ValueError, match="rho2"):
+            SolverConfig(rho2=rho2)
 
 
 def test_header_echoes_config_and_rates(small_logistic):
@@ -762,6 +765,62 @@ def test_plan_is_the_run_header(small_logistic, variant, extra):
 def test_plan_covers_only_newton_like_variants(small_logistic):
     with pytest.raises(ValueError, match="not a Newton-like variant"):
         solvers.plan(small_logistic, SolverConfig(variant="gd"), np.zeros(small_logistic.p))
+
+
+REGULARIZED_RATES = {"ssn-spectral": rate_spectral, "ssn-ridge": rate_ridge}
+
+
+@pytest.mark.parametrize("variant", ["ssn-spectral", "ssn-ridge"])
+@pytest.mark.parametrize("replacement", ["with", "without"])
+def test_regularized_plan_prices_the_draw_and_the_solve(small_logistic, variant,
+                                                        replacement):
+    """K-hat is that of the run's draw (K_max with replacement), and the
+    solve's theta2 that of its spec; ssn-spectral's eigenbasis step is exact
+    whatever the spec, so it is priced at theta2 = 0."""
+    m, x0 = small_logistic, np.zeros(small_logistic.p)
+    est = m.curvature_constants()
+    spec = InexactnessSpec(theta1=0.01, theta2=0.9)
+    for inexact in (None, spec):
+        cfg = SolverConfig(variant=variant, sample_frac_h=0.2, lambda_user=0.05,
+                           replacement=replacement, inexact=inexact)
+        planned = solvers.plan(m, cfg, x0)
+        size = planned["sample_size_h"]
+        khat = est.khat(1) if replacement == "with" else est.khat(size)
+        assert est.draw_khat(size, replacement) == khat
+        assert planned["kappa_tilde"] == khat / est.gamma
+        solved = inexact if variant == "ssn-ridge" else None
+        expected = REGULARIZED_RATES[variant](0.25, 0.05, est.big_k, khat, est.gamma, 1.0,
+                                              solved)
+        assert planned["rate_prediction"] == expected.as_dict()
+
+
+@pytest.mark.parametrize("variant", ["ssn-spectral", "ssn-ridge"])
+def test_regularized_plan_has_a_guarantee_at_gamma_zero(small_logistic, variant):
+    m = ObjectiveModel(small_logistic.dataset, "logistic", reg=0.0)
+    est = m.curvature_constants()
+    assert not est.strongly_convex
+    cfg = SolverConfig(variant=variant, sample_frac_h=0.5, lambda_user=1e-3)
+    pred = solvers.plan(m, cfg, np.zeros(m.p))["rate_prediction"]
+    expected = REGULARIZED_RATES[variant](0.25, 1e-3, est.big_k, est.khat(m.n // 2), 0.0,
+                                          1.0)
+    assert pred == expected.as_dict()
+    assert pred["rho"] == 0.0 and pred["alpha_floor"] > 0 and pred["theta1_max"] > 0
+    assert pred["grad_decrease_coeff"] > 0
+    for declined in ("ssn-hessian", "ssn-full"):
+        with pytest.raises(solvers.NotStronglyConvexError):
+            solvers.plan(m, replace(cfg, variant=declined), np.zeros(m.p))
+
+
+def test_theta1_zero_run_records_exact_solves(small_logistic):
+    """theta1 = 0 asks for the exact solve up front: the records read the
+    exact path with no CG, not a fallback."""
+    cfg = SolverConfig(variant="ssn-hessian", sample_frac_h=0.3, seed=4, max_iters=10,
+                       inexact=InexactnessSpec(theta1=0.0, theta2=0.5))
+    *steps, _ = run(small_logistic, cfg, np.zeros(small_logistic.p)).records
+    assert steps
+    for rec in steps:
+        assert rec.solve_path == "cholesky" and rec.cg_iters == 0
+        assert rec.residual_ratio <= 1e-10
 
 
 def test_spectral_and_ridge_step_size_floors(small_logistic):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subnewton.linsolve import InexactnessSpec
 from subnewton.theory import RatePrediction, eps_local_max, grad_quadratic_roots, \
-    local_iteration_count, rate_alg1, rate_alg1_inexact, rate_alg4, rate_ridge, \
-    rate_spectral
+    local_iteration_count, rate_alg1, rate_alg4, rate_ridge, rate_spectral
 
 
 # -- hessian-only, exact ------------------------------------------------------
@@ -38,12 +38,12 @@ def test_rate_alg1_half_beta_substitution():
 
 
 def test_inexact_threshold_spot_value():
-    pred = rate_alg1_inexact(0.25, 0.5, 0.1, 0.5, 2.0, 2.0, alpha=1.0)
+    pred = rate_alg1(0.25, 0.5, 2.0, 2.0, alpha=1.0, inexact=InexactnessSpec(0.1, 0.5))
     assert pred.theta1_max == pytest.approx(0.25)
 
 
 def test_inexact_floor_vanishes_as_theta2_to_one():
-    floors = [rate_alg1_inexact(0.25, 0.5, 0.1, t2, 2.0, 2.0, 1.0).alpha_floor
+    floors = [rate_alg1(0.25, 0.5, 2.0, 2.0, 1.0, InexactnessSpec(0.1, t2)).alpha_floor
               for t2 in (0.5, 0.9, 0.999)]
     assert floors[0] > floors[1] > floors[2]
     assert floors[2] < 1e-3
@@ -52,16 +52,16 @@ def test_inexact_floor_vanishes_as_theta2_to_one():
 def test_inexact_case_two_below_case_one_at_boundary():
     for kt in (2.0, 5.0, 20.0):
         for eps in (0.1, 0.5, 0.9):
-            case1 = rate_alg1_inexact(0.3, eps, 0.0, 0.0, kt, kt, 1.0).rho
+            case1 = rate_alg1(0.3, eps, kt, kt, 1.0, InexactnessSpec(0.0, 0.0)).rho
             # case (ii) formula evaluated directly at theta1 = theta2 = 0
             case2 = 2 * (1 - eps) * 1.0 * 0.3 / kt**2
             assert case2 <= case1 + 1e-15
 
 
 def test_inexact_case_selection():
-    pred_lo = rate_alg1_inexact(0.25, 0.5, 0.2, 0.5, 2.0, 2.0, 1.0)
+    pred_lo = rate_alg1(0.25, 0.5, 2.0, 2.0, 1.0, InexactnessSpec(0.2, 0.5))
     assert pred_lo.rho == pytest.approx(0.25 / 2.0)  # below threshold: alpha beta / kt
-    pred_hi = rate_alg1_inexact(0.25, 0.5, 0.6, 0.5, 2.0, 2.0, 1.0)
+    pred_hi = rate_alg1(0.25, 0.5, 2.0, 2.0, 1.0, InexactnessSpec(0.6, 0.5))
     expected = 2 * 0.5 * 0.4**2 * 0.5 * 0.25 / 4.0
     assert pred_hi.rho == pytest.approx(expected)
 
@@ -70,20 +70,22 @@ def test_inexact_case_selection():
 
 
 def test_spectral_rho_at_lambda_equal_khat():
-    pred = rate_spectral(0.25, 0.5, lam=3.0, big_k=5.0, khat=3.0, gamma=1.0, alpha=1.0)
+    pred = rate_spectral(0.25, lam=3.0, big_k=5.0, khat=3.0, gamma=1.0, alpha=1.0,
+                         inexact=InexactnessSpec(0.0, 0.5))
     assert pred.rho == pytest.approx(0.25 / 3.0)
     assert pred.grad_decrease_coeff == pytest.approx(0.25 / 6.0)
 
 
 def test_ridge_zero_shift_forces_exact_solves():
-    pred = rate_ridge(0.25, 0.5, lam=0.0, big_k=5.0, khat=3.0, gamma=1.0, alpha=1.0)
+    pred = rate_ridge(0.25, lam=0.0, big_k=5.0, khat=3.0, gamma=1.0, alpha=1.0,
+                      inexact=InexactnessSpec(0.0, 0.5))
     assert pred.theta1_max == 0.0
 
 
 def test_ridge_lemma_sampling_threshold():
     eps, gamma, lam, khat = 0.5, 2.0, 0.3, 4.0
-    pred = rate_ridge(0.25, 0.5, lam=lam, big_k=6.0, khat=khat, gamma=gamma,
-                      alpha=1.0, eps=eps)
+    pred = rate_ridge(0.25, lam=lam, big_k=6.0, khat=khat, gamma=gamma,
+                      alpha=1.0, inexact=InexactnessSpec(0.0, 0.5), eps=eps)
     assert pred.theta1_max == pytest.approx(
         0.5 * math.sqrt(((1 - eps) * gamma + lam) / (khat + lam)))
     assert pred.alpha_floor == pytest.approx(
@@ -95,8 +97,8 @@ def test_spectral_theta1_budget_exceeds_lemma_floor():
     # (1/2) sqrt((1-eps)/kt)
     eps, gamma, khat = 0.4, 1.0, 5.0
     lam = (1 - eps) * gamma * 1.01
-    pred = rate_spectral(0.25, 0.5, lam=lam, big_k=6.0, khat=khat, gamma=gamma,
-                         alpha=1.0)
+    pred = rate_spectral(0.25, lam=lam, big_k=6.0, khat=khat, gamma=gamma,
+                         alpha=1.0, inexact=InexactnessSpec(0.0, 0.5))
     kt = khat / gamma
     assert pred.theta1_max >= 0.5 * math.sqrt((1 - eps) / kt)
 
@@ -123,8 +125,7 @@ def test_alg4_inexact_case_two_relation():
             slow = 8 * 1.0 * 0.3 * (1 - eps1) / (9 * kt**2)
             assert slow == pytest.approx((1 - eps1) * exact / kt)
             pred = rate_alg4(0.3, eps1, kt, kt, 1.0,
-                             theta1=min(0.99, theta1_max * 1.5), theta2=0.0,
-                             inexact=True)
+                             InexactnessSpec(min(0.99, theta1_max * 1.5), 0.0))
             assert pred.rho == pytest.approx(
                 8 * 0.3 * (1 - min(0.99, theta1_max * 1.5)) ** 2 * (1 - eps1)
                 / (9 * kt**2))
@@ -136,7 +137,7 @@ def test_alg4_eps1_cap_enforced():
 
 
 def test_alg4_inexact_sigma_floor():
-    pred = rate_alg4(0.25, 0.25, 2.0, 2.0, 1.0, theta1=0.1, theta2=0.5, inexact=True)
+    pred = rate_alg4(0.25, 0.25, 2.0, 2.0, 1.0, InexactnessSpec(0.1, 0.5))
     assert pred.sigma_min == pytest.approx(4 * 2.0 / (0.9 * 0.5 * 0.75))
 
 
@@ -216,8 +217,9 @@ def test_alg1_rho_in_unit_interval(beta, eps, kt):
 @given(valid_beta, valid_eps, valid_theta, valid_theta, valid_kt)
 @settings(max_examples=200, deadline=None)
 def test_alg1_inexact_rho_in_unit_interval(beta, eps, t1, t2, kt):
-    floor = rate_alg1_inexact(beta, eps, t1, t2, kt, kt, 1.0).alpha_floor
-    pred = rate_alg1_inexact(beta, eps, t1, t2, kt, kt, alpha=floor)
+    spec = InexactnessSpec(t1, t2)
+    floor = rate_alg1(beta, eps, kt, kt, 1.0, spec).alpha_floor
+    pred = rate_alg1(beta, eps, kt, kt, alpha=floor, inexact=spec)
     assert 0 < pred.rho < 1
 
 
@@ -236,8 +238,9 @@ def test_regularized_rho_in_unit_interval(beta, theta2, lam, gamma):
     khat = gamma * 3 + lam  # keep khat >= gamma so rho < 1
     big_k = khat * 1.5
     for fn in (rate_spectral, rate_ridge):
-        floor = fn(beta, theta2, lam, big_k, khat, gamma, alpha=1.0).alpha_floor
-        pred = fn(beta, theta2, lam, big_k, khat, gamma, alpha=floor)
+        spec = InexactnessSpec(0.0, theta2)
+        floor = fn(beta, lam, big_k, khat, gamma, alpha=1.0, inexact=spec).alpha_floor
+        pred = fn(beta, lam, big_k, khat, gamma, alpha=floor, inexact=spec)
         assert 0 < pred.rho < 1
 
 
@@ -251,9 +254,10 @@ def test_inexact_case_selection_jump_documented():
     value at the boundary is the fast case scaled by
     2 (1-theta2) (1-theta1_max)^2 (1-eps) / kappa_tilde (strictly weaker)."""
     beta, eps, theta2, kt = 0.3, 0.4, 0.5, 8.0
-    boundary = rate_alg1_inexact(beta, eps, 0.0, theta2, kt, kt, 1.0).theta1_max
-    fast = rate_alg1_inexact(beta, eps, boundary, theta2, kt, kt, 1.0).rho
-    slow = rate_alg1_inexact(beta, eps, boundary * (1 + 1e-12), theta2, kt, kt, 1.0).rho
+    boundary = rate_alg1(beta, eps, kt, kt, 1.0, InexactnessSpec(0.0, theta2)).theta1_max
+    fast = rate_alg1(beta, eps, kt, kt, 1.0, InexactnessSpec(boundary, theta2)).rho
+    slow = rate_alg1(beta, eps, kt, kt, 1.0,
+                     InexactnessSpec(boundary * (1 + 1e-12), theta2)).rho
     expected_ratio = 2 * (1 - theta2) * (1 - boundary) ** 2 * (1 - eps) / kt
     assert slow < fast
     assert slow / fast == pytest.approx(expected_ratio, rel=1e-9)
