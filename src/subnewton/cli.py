@@ -3,7 +3,8 @@
 Subcommands: ``gen`` (synthetic dataset to file), ``run`` (one solver on one
 dataset, trace CSV out), ``compare`` (experiment spec file to result files),
 ``verify`` (statistical concentration suites), ``rates`` (the guarantee
-constants of the run headers ``solvers.plan`` gives for a config),
+constants of the run headers ``solvers.plan`` gives for a config, and the
+preconditioner of its CG solves),
 ``inspect`` (dataset condition metrics).
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
@@ -24,7 +25,7 @@ from .data import DataFormatError, generate_synthetic, load_dataset, \
     measure_gram_condition, save_dataset
 from .model import ObjectiveModel
 from .sampling import gradient_lemma_check, hessian_lemma_check
-from .solvers import NotStronglyConvexError, SolverError, plan, run
+from .solvers import NotStronglyConvexError, SolverError, plan, preconditioner_kind, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,7 +197,8 @@ def _dispatch(args) -> int:
     if args.command == "rates":
         # the headers of this config's ssn-hessian and ssn-full runs and, for
         # ssn-spectral or ssn-ridge, of its own run; Algorithms 1 and 4 need
-        # gamma > 0, so without it a regularized config reads null for them
+        # gamma > 0, so without it a regularized config reads null for them.
+        # The preconditioner is that of the config's own run.
         model, config = _model(args), _config_from_args(args)
         x0 = np.zeros(model.p)
         regularized = config.variant in ("ssn-spectral", "ssn-ridge")
@@ -209,6 +211,7 @@ def _dispatch(args) -> int:
         ref = headers["hessian_only"] or headers[config.variant]
         out = {"gamma": ref["gamma"], "K": ref["big_k"], "kappa": ref["kappa"],
                "kappa1": ref["kappa1"], "kappa_tilde": ref["kappa_tilde"],
+               "preconditioner": preconditioner_kind(model, config),
                **{key: h and h["rate_prediction"] for key, h in headers.items()}}
         print(json.dumps(bench.jsonable(out), indent=1))
         return EXIT_OK

@@ -167,7 +167,101 @@ def save_dataset(dataset: Dataset, path, fmt: str = "svmlight") -> None:
 
 
 def _load_svmlight(path) -> Dataset:
-    # one pass straight into CSR arrays; only a file that loads dense gets an n x p array
+    # straight into CSR arrays; only a file that loads dense gets an n x p array
+    try:
+        labels, cols, vals, indptr = _parse_lines(path)
+    except (ValueError, OverflowError):
+        # not well formed for the per-line parse: the per-token one raises
+        # the error (and line number) its rules give
+        labels, cols, vals, indptr = _parse_tokens(path)
+    n = labels.size
+    p = int(cols.max()) + 1 if cols.size else 0
+    if cols.size <= SPARSE_MAX_DENSITY * n * p:
+        a = sp.csr_matrix((vals, cols, indptr), shape=(n, p))
+    else:
+        # scattered, not CSR.toarray(), which would turn a stored -0.0 into 0.0
+        a = np.zeros((n, p))
+        a[np.repeat(np.arange(n), np.diff(indptr)), cols] = vals
+    return Dataset(features=a, labels=labels)
+
+
+# every byte but the two separators of "idx:val idx:val ...", and the ASCII
+# whitespace other than a space, which sends a file to the per-token parse
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b": ")
+_OTHER_SPACE = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# lines tokenized per numpy conversion; bounds the strings held at once
+_CHUNK_LINES = 8192
+
+
+def _parse_lines(path):
+    """(labels, 0-based columns, values, row pointer) of an svmlight file.
+
+    Each line's label is split off and its features kept as one string; a
+    chunk of lines at a time, the feature strings are joined, ":" becomes a
+    space, and each column converts in one ``np.array`` call, which follows
+    Python's int and float rules.  Columns are then sorted per row, a
+    repeated index keeping its last value.  Raises ValueError (or
+    OverflowError) unless every feature is one ``idx:val`` token and the
+    only whitespace between them is spaces: ``_parse_tokens`` reads any
+    other file.
+    """
+    labels, cols, vals, counts = [], [], [], []
+    label_s, feats = [], []
+
+    def convert():
+        joined = " ".join(feats)
+        if not joined.isascii() or any(c in joined for c in _OTHER_SPACE):
+            raise ValueError("not a space-separated ASCII line")
+        while "  " in joined:
+            joined = joined.replace("  ", " ")
+        # separators alternate ":", " ", ..., ":": one colon per token
+        colons = joined.count(":")
+        if joined and joined.encode().translate(None, _NOT_SEPARATOR) \
+                != b": " * (colons - 1) + b":":
+            raise ValueError("not one colon per token")
+        fields = joined.replace(":", " ").split(" ") if joined else []
+        labels.append(np.array(label_s, dtype=float))
+        cols.append(np.array(fields[0::2], dtype=np.int64))  # "" raises here
+        vals.append(np.array(fields[1::2], dtype=float))
+        label_s.clear()
+        feats.clear()
+
+    with open(path) as fh:
+        for raw in fh:
+            parts = raw.split("#", 1)[0].split(None, 1)
+            if not parts:
+                continue
+            label_s.append(parts[0])
+            if len(parts) == 2:
+                feats.append(parts[1].rstrip())
+                counts.append(feats[-1].count(":"))
+            else:
+                counts.append(0)
+            if len(label_s) == _CHUNK_LINES:
+                convert()
+    if label_s:
+        convert()
+    if not counts:
+        raise ValueError("empty dataset file")
+    col = np.concatenate(cols) - 1
+    val = np.concatenate(vals)
+    if col.size and col.min() < 0:
+        raise ValueError("feature index below 1")
+    row = np.repeat(np.arange(len(counts)), counts)
+    if not np.all((np.diff(col) > 0) | (np.diff(row) > 0)):
+        order = np.lexsort((col, row))  # stable: repeats stay in file order
+        row, col, val = row[order], col[order], val[order]
+        last = np.ones(col.size, dtype=bool)
+        last[:-1] = (np.diff(row) > 0) | (np.diff(col) > 0)
+        row, col, val = row[last], col[last], val[last]
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=len(counts)), out=indptr[1:])
+    return np.concatenate(labels), col, val, indptr
+
+
+def _parse_tokens(path):
+    """``_parse_lines``'s result, one ``int``/``float`` call per token; raises
+    ``DataFormatError`` at the first malformed line."""
     labels: list[float] = []
     indptr, indices, values = [0], [], []
     with open(path) as fh:
@@ -196,17 +290,8 @@ def _load_svmlight(path) -> Dataset:
             indptr.append(len(indices))
     if not labels:
         raise DataFormatError(path, 0, "empty dataset file")
-    cols = np.array(indices, dtype=np.int64) - 1
-    vals = np.array(values, dtype=float)
-    n = len(labels)
-    p = int(cols.max()) + 1 if cols.size else 0
-    if cols.size <= SPARSE_MAX_DENSITY * n * p:
-        a = sp.csr_matrix((vals, cols, np.array(indptr)), shape=(n, p))
-    else:
-        # scattered, not CSR.toarray(), which would turn a stored -0.0 into 0.0
-        a = np.zeros((n, p))
-        a[np.repeat(np.arange(n), np.diff(indptr)), cols] = vals
-    return Dataset(features=a, labels=np.array(labels))
+    return (np.array(labels), np.array(indices, dtype=np.int64) - 1,
+            np.array(values, dtype=float), np.array(indptr))
 
 
 def _load_csv(path) -> Dataset:

@@ -406,6 +406,28 @@ class ObjectiveModel:
 
     # -- bounds and constants ---------------------------------------------
 
+    @property
+    def has_curvature_bound(self) -> bool:
+        """Whether ``curvature_bound`` exists: Phi'' has a finite global bound
+        (ridge, logistic) and p <= EXACT_GAMMA_MAX_DIM."""
+        return math.isfinite(self._fam.curvature_hi) and self.p <= EXACT_GAMMA_MAX_DIM
+
+    def data_gram(self) -> np.ndarray:
+        """The unweighted Gram A'A/n, formed anew on every call and not kept:
+        a p x p array per model would outlive the runs that need it."""
+        return weighted_gram(self.dataset.features) / self.n
+
+    def curvature_bound(self, shift: float) -> np.ndarray:
+        """B = c_hi A'A/n + shift I, c_hi the family's global Phi'' bound.
+        Every full Hessian lies below it at shift = reg, and its top
+        eigenvalue is K; only defined where ``has_curvature_bound``."""
+        if not self.has_curvature_bound:
+            raise ValueError(f"{self.family} at p = {self.p} has no curvature bound")
+        b = self.data_gram()
+        b *= self._fam.curvature_hi
+        b[np.diag_indices_from(b)] += shift
+        return b
+
     def gradient_norm_bound(self, x: np.ndarray) -> float:
         """G(x) with ||grad f_i(x)|| <= G(x) for every component.
 
@@ -465,7 +487,7 @@ class ObjectiveModel:
             gram = weighted_gram(self.dataset.features, coeff) / self.n
             big_k = self.reg + float(np.linalg.eigvalsh(gram)[-1])
         else:
-            eigs = np.linalg.eigvalsh(weighted_gram(self.dataset.features) / self.n)
+            eigs = np.linalg.eigvalsh(self.data_gram())
             c_lo = self._fam.curvature_lo
             # eigenvalues at rounding level of the top one are rank deficiency
             if c_lo * float(eigs[0]) > 1e-12 * max(1.0, c_lo * float(eigs[-1])):

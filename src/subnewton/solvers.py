@@ -29,8 +29,11 @@ without running it.
 All Newton-like variants share one step, ``_direction``, over one sampled
 Hessian type, ``model.SampledHessian``.  Exact and ssn-spectral solves
 assemble the sample; inexact ones run CG on its matrix-free products (for
-ssn-ridge, with lambda_user added to its diagonal shift), preconditioned by
-the inverse of the last sample a CG miss made them assemble and factor.
+ssn-ridge, with lambda_user added to its diagonal shift).  A run's CG solves
+share one preconditioner, set before its first move and never replaced:
+the inverse of the data's curvature bound c_hi A'A/n + shift I (ridge and
+logistic up to p = 2000), else the inverse of the first sample a CG miss
+made them assemble and factor.
 
 The clock covers the move and what the next move reads at x_{k+1}: fresh
 margins A x there, F and the gradient (A'w) from them, which the record,
@@ -63,7 +66,7 @@ from .linesearch import LineSearchError, LineSearchParams, armijo
 # verify_inexact and spectral_floor are bound here, though unused, so that
 # perfbench/tracing.py can wrap them under the names solvers binds
 from .linsolve import PATH_EIGEN, PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, \
-    solve_eigen, solve_exact, solve_inexact, verify_inexact  # noqa: F401
+    solve_eigen, solve_exact, solve_inexact, spd_inverse, verify_inexact  # noqa: F401
 from .model import BOUND_CAP, ConditionEstimates, EvaluationError, ObjectiveModel, \
     SampledHessian
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
@@ -81,6 +84,11 @@ STOP_MAX_ITERS = "MaxIters"
 STOP_TIME_LIMIT = "TimeLimit"
 STOP_ERROR = "Error"
 RESAMPLE_RETRIES = 3  # redraws of a singular sample before giving up
+
+# the preconditioner of a run's CG solves (header "preconditioner"): the
+# inverse of the data's curvature bound, or of the first fallback's sample
+PRECOND_BOUND = "curvature-bound"
+PRECOND_FIRST_FALLBACK = "first-fallback"
 
 
 class SolverError(RuntimeError):
@@ -174,8 +182,9 @@ class TraceRecord:
     descent_ratio: float | None = None
     cg_iters: int | None = None
     # "cholesky" or "eigh" (exact), "cg" (preconditioned CG met the contract
-    # without assembling H) or "cholesky-fallback" (CG missed; H assembled,
-    # factored, and its inverse kept to precondition later solves)
+    # without assembling H) or "cholesky-fallback" (CG missed; H assembled
+    # and factored, and in a "first-fallback" run the first such H's inverse
+    # kept to precondition later solves)
     solve_path: str | None = None
     lambda_applied: float | None = None
     min_eig_h: float | None = None
@@ -326,9 +335,10 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
 
     Holds the curvature constants, the per-iteration Hessian sample size
     (a direct ``sample_frac_h``, n for newton, else the Chernoff size for
-    (eps, delta) clamped to n), kappa_tilde at that size, ssn-full's sigma
-    and the guarantee constants of ``_rate``.  Raises NotStronglyConvexError
-    where the config needs gamma > 0.
+    (eps, delta) clamped to n), kappa_tilde at that size, ssn-full's sigma,
+    the guarantee constants of ``_rate`` and the preconditioner of its CG
+    solves (``preconditioner_kind``).  Raises NotStronglyConvexError where
+    the config needs gamma > 0.
     """
     if config.variant not in SSN_VARIANTS + ("newton",):
         raise ValueError(f"{config.variant} is not a Newton-like variant")
@@ -379,7 +389,31 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
         "lemma_sized": lemma_sized,
         "sigma": sigma,
         "rate_prediction": {} if pred is None else pred.as_dict(),
+        "preconditioner": preconditioner_kind(model, config),
     }
+
+
+def _shift(model, config) -> float:
+    """The diagonal shift of the run's CG operator: reg, plus lambda_user
+    for ssn-ridge."""
+    return model.reg + config.lambda_user if config.variant == "ssn-ridge" else model.reg
+
+
+def preconditioner_kind(model: ObjectiveModel, config: SolverConfig) -> str | None:
+    """The preconditioner a run of ``config`` gives its CG solves: None
+    without CG (exact solves, theta1 = 0, ssn-spectral, the baselines);
+    ``PRECOND_BOUND`` where the model has a curvature bound that is
+    positive definite in exact arithmetic (a positive shift, or gamma > 0);
+    else ``PRECOND_FIRST_FALLBACK``.  A run whose bound Cholesky cannot
+    factor falls back to the latter and says so in its header."""
+    spec = config.inexact
+    if config.variant not in ("ssn-hessian", "ssn-ridge", "ssn-full", "newton") \
+            or spec is None or spec.theta1 == 0.0:
+        return None
+    if model.has_curvature_bound and (_shift(model, config) > 0
+                                      or model.curvature_constants().strongly_convex):
+        return PRECOND_BOUND
+    return PRECOND_FIRST_FALLBACK
 
 
 def _rate(config, est, size_h) -> RatePrediction | None:
@@ -401,8 +435,10 @@ def _rate(config, est, size_h) -> RatePrediction | None:
     kt = est.kappa_tilde(size_h, config.replacement)
     if config.variant == "ssn-full":
         return rate_alg4(beta, config.eps1, est.kappa, kt, 1.0, inexact)
+    # a newton Hessian is the full one: no sampling error, eps = 0
+    eps = 0.0 if config.variant == "newton" else config.eps
     try:
-        return rate_alg1(beta, config.eps, est.kappa, kt, 1.0, inexact)
+        return rate_alg1(beta, eps, est.kappa, kt, 1.0, inexact)
     except ValueError:
         return None
 
@@ -486,7 +522,12 @@ def _newton_like(model, config, x0):
     sampled_g = config.variant == "ssn-full"
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
-    precond = None  # H^-1 of the last fallback's sample, kept for later CG solves
+    precond = None  # the run's one CG preconditioner: B^-1, or the first fallback's H^-1
+    if header["preconditioner"] == PRECOND_BOUND:
+        try:
+            precond = spd_inverse(model.curvature_bound(_shift(model, config)))
+        except NotPositiveDefiniteError:  # singular in floating point
+            header["preconditioner"] = PRECOND_FIRST_FALLBACK
     search = _searcher(model, config.line_search)
 
     def move(x, t, f_value, grad):
@@ -541,7 +582,9 @@ def _direction(model, config, rng, x, t, sample, g, size_h, precond):
     floored at lambda_k in the eigenbasis of its one eigendecomposition
     (ssn-spectral, which meets any inexact spec with that exact step).
     Exact and ssn-spectral solves assemble H_S; inexact CG solves only
-    multiply by it, preconditioned by ``precond``.  A singular sample in
+    multiply by it, preconditioned by ``precond``, the run's one
+    preconditioner (None until a ``PRECOND_FIRST_FALLBACK`` run's first
+    fallback returns it).  A singular sample in
     ssn-hessian or ssn-ridge is redrawn a few times (a probability-delta
     event) before giving up.
 

@@ -61,7 +61,8 @@ def rate_alg1(beta: float, eps: float, kappa: float, kappa_tilde: float,
     floor gains a factor (1-theta2).
     """
     _check_unit("beta", beta)
-    _check_unit("eps", eps)
+    if not 0 <= eps < 1:  # eps = 0: the full Hessian (newton)
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
     if kappa < 1 or kappa_tilde < 1:
         raise ValueError("condition numbers must be >= 1")
     if alpha <= 0:

@@ -9,6 +9,7 @@ import pytest
 from subnewton import cli
 from subnewton.cli import main
 from subnewton.data import load_dataset
+from subnewton.linsolve import InexactnessSpec
 from subnewton.model import ObjectiveModel
 from subnewton.solvers import SolverConfig, SolverError, run
 
@@ -100,6 +101,30 @@ def test_rates_print_the_header_kappa_tilde(dataset_file, capsys):
     header = run(model, SolverConfig(max_iters=1), np.zeros(model.p)).header
     assert blob["kappa_tilde"] == header["kappa_tilde"]
     assert header["kappa_tilde"] > 1
+
+
+INEXACT_FLAGS = ("--theta1", "0.01", "--theta2", "0.5", "--sample-frac-h", "0.3")
+INEXACT = dict(inexact=InexactnessSpec(theta1=0.01, theta2=0.5), sample_frac_h=0.3)
+RATES_PRECONDITIONERS = [
+    ("logistic", (), {}, None),
+    ("logistic", INEXACT_FLAGS, INEXACT, "curvature-bound"),
+    ("logistic", ("--solver", "newton", *INEXACT_FLAGS), dict(variant="newton", **INEXACT),
+     "curvature-bound"),
+    ("poisson", INEXACT_FLAGS, INEXACT, "first-fallback"),
+    ("logistic", ("--solver", "ssn-spectral", "--lambda", "0.1", *INEXACT_FLAGS),
+     dict(variant="ssn-spectral", lambda_user=0.1, **INEXACT), None),
+]
+
+
+@pytest.mark.parametrize("family,flags,settings,label", RATES_PRECONDITIONERS)
+def test_rates_print_the_run_preconditioner(dataset_file, capsys, family, flags, settings,
+                                           label):
+    assert run_cli("rates", "--data", str(dataset_file), "--reg", "0.05",
+                   "--family", family, *flags) == 0
+    assert json.loads(capsys.readouterr().out)["preconditioner"] == label
+    model = ObjectiveModel(load_dataset(str(dataset_file)), family, reg=0.05)
+    header = run(model, SolverConfig(max_iters=1, **settings), np.zeros(model.p)).header
+    assert header["preconditioner"] == label
 
 
 @pytest.mark.parametrize("variant", ["ssn-spectral", "ssn-ridge"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from subnewton import data as data_module
 from subnewton.data import SPARSE_MAX_DENSITY, DataFormatError, generate_synthetic, \
     load_dataset, measure_gram_condition, save_dataset
 from subnewton.model import Dataset, ObjectiveModel
@@ -208,6 +209,65 @@ def test_out_of_order_and_repeated_indices_match_dense_parse(tmp_path):
     assert ds.features.has_sorted_indices
     np.testing.assert_array_equal(ds.features.toarray(), dense_parse(path))
     assert ds.features[0, 39] == -4.0 and ds.features[1, 6] == -1.0
+
+
+PER_LINE_CASES = {
+    "unsorted": ["1 40:1.5 3:2.0 1:0.25", "0 7:1.0 2:3.0 12:-1", "1"],
+    "repeated": ["1 3:1.0 3:-4.0 1:0.5 3:2.5", "0 2:-0.0 2:7 2:-0.0", "1 5:1 5:2"],
+    "commented": ["# header 1:2", "1 2:1.0 # trailing 9:9", "", "   # indented",
+                  "0 1:-0.0 3:2e-3#tight", "1 # label only"],
+}
+
+
+def same_parse(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("case", sorted(PER_LINE_CASES))
+def test_per_line_parse_matches_the_per_token_parse(tmp_path, case):
+    """Columns sorted, a repeated index keeping its last value, -0.0 kept,
+    comments dropped: bit for bit the per-token result."""
+    path = tmp_path / f"{case}.svm"
+    path.write_text("\n".join(PER_LINE_CASES[case]) + "\n")
+    assert same_parse(data_module._parse_lines(path), data_module._parse_tokens(path))
+    ds = load_dataset(path)
+    a = ds.features.toarray() if ds.storage == "sparse" else ds.features
+    np.testing.assert_array_equal(a, dense_parse(path))
+
+
+def test_per_line_parse_matches_on_shuffled_repeated_rows(tmp_path):
+    rng = np.random.default_rng(21)
+    lines = []
+    for i in range(300):
+        idx = rng.integers(1, 60, size=rng.integers(0, 8))  # unsorted, with repeats
+        vals = rng.standard_normal(idx.size) * (rng.random(idx.size) < 0.9)
+        vals[rng.random(idx.size) < 0.1] = -0.0
+        lines.append(" ".join([str(i % 2)] + [f"{j}:{v!r}" for j, v in
+                                              zip(idx.tolist(), vals.tolist())]))
+    path = tmp_path / "shuffled.svm"
+    path.write_text("\n".join(lines) + "\n")
+    fast, slow = data_module._parse_lines(path), data_module._parse_tokens(path)
+    assert same_parse(fast, slow)
+    assert np.signbit(fast[2]).any()
+
+
+@pytest.mark.parametrize("text", ["1 1:2\t3:4\n", "1 1:2 3:4\r\n0 2:1\r\n", "1 2:1:3 4\n",
+                                  "1 2:1  3:4\n", "0 1:2 :3\n", "1 0:1\n"])
+def test_load_agrees_with_the_per_token_parse_on_odd_lines(tmp_path, text):
+    """Tabs, CRLF, runs of spaces and malformed tokens: the same arrays, or
+    the same error at the same line, as the per-token parse."""
+    path = tmp_path / "odd.svm"
+    path.write_text(text)
+    try:
+        expected = data_module._parse_tokens(path)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        assert str(err.value) == str(exc)
+        return
+    ds = load_dataset(path)
+    np.testing.assert_array_equal(ds.labels, expected[0])
+    np.testing.assert_array_equal(ds.features, dense_parse(path))
 
 
 def test_sparse_load_never_allocates_the_dense_matrix(tmp_path):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from subnewton import linsolve
 from subnewton.linsolve import PATH_CG, PATH_EXACT, PATH_FALLBACK, InexactnessSpec, \
-    NotPositiveDefiniteError, _cg_iterates, solve_exact, solve_inexact, verify_inexact
+    NotPositiveDefiniteError, _cg_iterates, solve_exact, solve_inexact, spd_inverse, \
+    verify_inexact
 from subnewton.sampling import draw
 
 
@@ -254,3 +256,57 @@ def test_stale_preconditioner_from_another_sample_meets_the_contract(ill_logisti
     check = verify_inexact(fresh.dense(), g, direction, spec)
     assert check.ok
     assert check.residual_ratio == pytest.approx(diag.residual_ratio, rel=1e-6)
+
+
+def test_fallback_forms_the_inverse_only_without_a_preconditioner(monkeypatch):
+    """potri runs where its inverse is kept: a fallback under a given
+    preconditioner returns none and forms none."""
+    rng = np.random.default_rng(15)
+    h = random_spd(rng, 40, shift=1.0)
+    g = rng.standard_normal(40)
+    spec = InexactnessSpec(theta1=1e-12, theta2=0.5)  # CG misses in 7 iterations
+    calls = []
+    inverse = linsolve._inverse
+
+    def counted(factor):
+        calls.append(factor)
+        return inverse(factor)
+    monkeypatch.setattr(linsolve, "_inverse", counted)
+    _, plain = solve_inexact(h, g, spec)
+    assert plain.path == PATH_FALLBACK and plain.preconditioner is not None
+    assert len(calls) == 1
+    direction, given = solve_inexact(h, g, spec, precond=np.eye(40))
+    assert given.path == PATH_FALLBACK and given.preconditioner is None
+    assert len(calls) == 1
+    assert verify_inexact(h, g, direction, spec).ok
+
+
+def test_spd_inverse_inverts_and_rejects_singular():
+    rng = np.random.default_rng(16)
+    h = random_spd(rng, 30)
+    np.testing.assert_allclose(spd_inverse(h) @ h, np.eye(30), atol=1e-10)
+    h[:, 0] = h[0, :] = 0.0
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_inverse(h)
+
+
+def test_curvature_bound_preconditions_a_fresh_sample_better_than_another_sample(
+        ill_logistic):
+    """The inverse of the data's curvature bound c_hi A'A/n + reg I takes a
+    fresh sample to theta1 in fewer CG iterations than the inverse of another
+    sample does, and the direction meets the contract on the fresh sample."""
+    m = ill_logistic
+    bound = spd_inverse(m.curvature_bound(m.reg))
+    spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
+    x = np.zeros(m.p)
+    g = m.gradient(x)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        older, fresh = (m.sampled_hessian(draw(m.n, 400, "without", rng).indices, x)
+                        for _ in range(2))
+        _, first = solve_inexact(older, g, spec)
+        _, stale = solve_inexact(fresh, g, spec, precond=first.preconditioner)
+        direction, diag = solve_inexact(fresh, g, spec, precond=bound)
+        assert stale.path == diag.path == PATH_CG
+        assert diag.cg_iters < stale.cg_iters
+        assert verify_inexact(fresh.dense(), g, direction, spec).ok

@@ -10,8 +10,8 @@ import scipy.sparse as sp
 
 from subnewton import model as model_module
 from subnewton.data import generate_synthetic
-from subnewton.model import EXP_CLAMP, ConditionEstimates, Dataset, EvaluationError, \
-    LogisticFamily, ObjectiveModel, PoissonFamily, RidgeFamily, _sigmoid
+from subnewton.model import EXACT_GAMMA_MAX_DIM, EXP_CLAMP, ConditionEstimates, Dataset, \
+    EvaluationError, LogisticFamily, ObjectiveModel, PoissonFamily, RidgeFamily, _sigmoid
 from subnewton.solvers import SolverConfig, run
 
 from conftest import central_diff_gradient, central_diff_hessian
@@ -334,6 +334,47 @@ def test_constant_curvature_bounds_from_one_unweighted_gram(family, storage, mon
         assert est.gamma == pytest.approx(0.07 + reference(fam.curvature_lo)[0], rel=1e-12)
     else:
         assert est.gamma == 0.07
+
+
+@pytest.mark.parametrize("family", ["ridge", "logistic"])
+def test_curvature_bound_and_constants_share_the_unweighted_gram(family, monkeypatch):
+    """gamma and K are bit-identical to eigvalsh of weighted_gram(A)/n, from
+    one Gram; B = c_hi A'A/n + shift I has top eigenvalue K at shift = reg
+    and lies above the full Hessian."""
+    dataset, _ = generate_synthetic(300, 9, family=family, seed=6, condition_target=1e3)
+    m = ObjectiveModel(dataset, family, reg=0.03)
+    grams = []
+    gram = model_module.weighted_gram
+
+    def counted(*args):
+        grams.append(args)
+        return gram(*args)
+    monkeypatch.setattr(model_module, "weighted_gram", counted)
+    est = m.curvature_constants()
+    assert len(grams) == 1
+    monkeypatch.undo()
+    fam = model_module.FAMILIES[family]
+    eigs = np.linalg.eigvalsh(gram(dataset.features) / 300)
+    assert est.big_k == 0.03 + fam.curvature_hi * float(eigs[-1])
+    if fam.curvature_lo > 0:
+        assert est.gamma == 0.03 + fam.curvature_lo * float(eigs[0])
+
+    bound = m.curvature_bound(m.reg)
+    assert m.has_curvature_bound
+    np.testing.assert_array_equal(bound, bound.T)
+    assert np.linalg.eigvalsh(bound)[-1] == pytest.approx(est.big_k, rel=1e-12)
+    x = np.random.default_rng(6).standard_normal(9)
+    assert np.linalg.eigvalsh(bound - m.hessian(x))[0] >= -1e-12 * est.big_k
+    np.testing.assert_allclose(m.curvature_bound(0.5) - bound, 0.47 * np.eye(9), atol=1e-15)
+
+
+def test_no_curvature_bound_for_poisson_or_wide_data(small_poisson):
+    assert not small_poisson.has_curvature_bound
+    with pytest.raises(ValueError, match="no curvature bound"):
+        small_poisson.curvature_bound(0.1)
+    wide = ObjectiveModel(Dataset(sp.eye(1, EXACT_GAMMA_MAX_DIM + 1, format="csr"),
+                                  np.ones(1)), "logistic", reg=0.1)
+    assert not wide.has_curvature_bound
 
 
 def test_curvature_constants_kept_per_model_and_read_only(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse as sp
 from conftest import line_search_passes
 
 from subnewton import model as model_module
@@ -160,8 +161,9 @@ PCG_CASES = [
 @pytest.mark.parametrize("settings", PCG_CASES, ids=[c["variant"] for c in PCG_CASES])
 def test_kept_preconditioner_makes_cg_steps_without_assembly(ill_logistic, monkeypatch,
                                                              settings):
-    """After the first step's fallback, CG preconditioned by the kept inverse
-    meets the contract on the fresh sample without assembling it."""
+    """CG preconditioned by the run's one preconditioner (here the inverse
+    of the data's curvature bound, built before the first draw) meets the
+    contract on each fresh sample without assembling it."""
     m = ill_logistic
     spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
     events, solves = [], []
@@ -214,6 +216,144 @@ def test_kept_preconditioner_makes_cg_steps_without_assembly(ill_logistic, monke
     assert len(solves) == len(steps)
     for h, g, p in solves:
         assert verify_inexact(h.dense(), g, p, spec).ok
+
+
+def test_bound_preconditioned_run_never_falls_back_or_assembles(ill_logistic, monkeypatch):
+    """With the curvature-bound preconditioner, an ssn-hessian inexact run on
+    the 1e8-conditioned problem meets the contract by CG on every step: no
+    fallback, and no p x p Gram is formed once sampling starts."""
+    m = ill_logistic
+    events = []
+    draw_h, gram = solvers._draw_h, model_module.weighted_gram
+
+    def drawing(*args):
+        events.append("draw")
+        return draw_h(*args)
+
+    def assembling(*args):
+        events.append("gram")
+        return gram(*args)
+    monkeypatch.setattr(solvers, "_draw_h", drawing)
+    monkeypatch.setattr(model_module, "weighted_gram", assembling)
+    cfg = SolverConfig(sample_frac_h=0.2, seed=3, grad_tol=1e-8, max_iters=100,
+                       inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
+    trace = run(m, cfg, np.zeros(m.p))
+    assert trace.stop == "GradTol"
+    assert trace.header["preconditioner"] == "curvature-bound"
+    steps = [r for r in trace.records if r.alpha > 0]
+    assert len(steps) >= 20
+    assert all(r.solve_path == "cg" for r in steps)
+    assert "gram" not in events[events.index("draw"):]
+
+
+def test_ridge_bound_is_the_hessian_so_newton_cg_takes_one_iteration(small_ridge):
+    """For ridge, c_hi A'A/n + reg I is the Hessian itself: preconditioned
+    by its inverse, every inexact newton solve takes one CG iteration."""
+    cfg = SolverConfig(variant="newton", grad_tol=1e-10, max_iters=10,
+                       inexact=InexactnessSpec(theta1=1e-8, theta2=0.5))
+    trace = run(small_ridge, cfg, np.full(small_ridge.p, 2.0))
+    assert trace.header["preconditioner"] == "curvature-bound"
+    steps = [r for r in trace.records if r.alpha > 0]
+    assert steps
+    assert all(r.solve_path == "cg" and r.cg_iters == 1 for r in steps)
+    assert trace.stop == "GradTol"
+
+
+def test_poisson_and_singular_bounds_fall_back_to_the_first_fallback(small_poisson,
+                                                                    small_logistic):
+    """Poisson has no global curvature bound, and a reg-0 rank-deficient one
+    is singular: both runs keep the first fallback's inverse, without
+    raising."""
+    spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
+    cfg = SolverConfig(sample_frac_h=0.5, seed=2, max_iters=15, grad_tol=1e-8, inexact=spec)
+    trace = run(small_poisson, cfg, np.zeros(small_poisson.p))
+    assert trace.header["preconditioner"] == "first-fallback"
+    assert trace.stop == "GradTol"
+
+    d = small_logistic.dataset
+    a = np.hstack([d.features, np.zeros((d.n, 1))])  # a column the data never uses
+    m = ObjectiveModel(Dataset(a, d.labels), "logistic", reg=0.0)
+    with pytest.raises(solvers.NotPositiveDefiniteError):
+        solvers.spd_inverse(m.curvature_bound(0.0))
+    newton = SolverConfig(variant="newton", inexact=spec, max_iters=1)
+    trace = run(m, newton, np.zeros(m.p))
+    assert trace.header["preconditioner"] == "first-fallback"
+    assert trace.records[0].alpha > 0
+
+
+def test_bound_cholesky_failure_keeps_the_first_fallback(ill_logistic, monkeypatch):
+    """A curvature bound Cholesky cannot factor leaves the run on the
+    first-fallback rule: its header says so, plain CG misses on the first
+    step, and that fallback's inverse preconditions the rest of the run."""
+    def singular(h):
+        raise solvers.NotPositiveDefiniteError("singular")
+    monkeypatch.setattr(solvers, "spd_inverse", singular)
+    m = ill_logistic
+    cfg = SolverConfig(sample_frac_h=0.2, seed=3, max_iters=20, grad_tol=1e-8,
+                       inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
+    assert solvers.plan(m, cfg, np.zeros(m.p))["preconditioner"] == "curvature-bound"
+    trace = run(m, cfg, np.zeros(m.p))
+    assert trace.header["preconditioner"] == "first-fallback"
+    paths = [r.solve_path for r in trace.records if r.alpha > 0]
+    assert paths[0] == "cholesky-fallback" and paths.count("cg") >= 0.8 * len(paths)
+
+
+def wide_sparse_model():
+    """p = 2001 > EXACT_GAMMA_MAX_DIM, stored CSR so it stays small."""
+    rng = np.random.default_rng(9)
+    a = sp.random(60, 2001, density=0.01, format="csr", random_state=rng)
+    return ObjectiveModel(Dataset(a, (rng.random(60) < 0.5).astype(float)), "logistic",
+                          reg=0.1)
+
+
+SPEC = InexactnessSpec(theta1=0.1, theta2=0.5)
+PRECOND_CASES = [
+    ("logistic", dict(variant="ssn-hessian", inexact=SPEC), "curvature-bound"),
+    ("logistic", dict(variant="ssn-ridge", lambda_user=0.1, inexact=SPEC), "curvature-bound"),
+    ("logistic", dict(variant="ssn-full", sample_frac_g=0.5, sigma=0.0, inexact=SPEC),
+     "curvature-bound"),
+    ("logistic", dict(variant="newton", inexact=SPEC), "curvature-bound"),
+    ("ridge", dict(variant="ssn-hessian", inexact=SPEC), "curvature-bound"),
+    ("poisson", dict(variant="ssn-hessian", inexact=SPEC), "first-fallback"),
+    ("wide", dict(variant="ssn-hessian", inexact=SPEC), "first-fallback"),
+    ("logistic", dict(variant="ssn-hessian"), None),
+    ("logistic", dict(variant="newton"), None),
+    ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(0.0, 0.5)), None),
+    ("logistic", dict(variant="ssn-spectral", lambda_user=0.1, inexact=SPEC), None),
+]
+
+
+@pytest.mark.parametrize("family,settings,label", PRECOND_CASES,
+                         ids=[f"{f}-{c['variant']}-{lab}" for f, c, lab in PRECOND_CASES])
+def test_plan_names_the_preconditioner_of_the_run(family, settings, label, small_logistic,
+                                                  small_ridge, small_poisson):
+    m = {"logistic": small_logistic, "ridge": small_ridge, "poisson": small_poisson,
+         "wide": None}[family] or wide_sparse_model()
+    cfg = SolverConfig(sample_frac_h=0.5, max_iters=1, seed=1, **settings)
+    x0 = np.zeros(m.p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
+        planned = solvers.plan(m, cfg, x0)
+        header = dict(run(m, cfg, x0).header)
+    del header["config"]
+    assert planned["preconditioner"] == label
+    assert planned == header
+    assert solvers.preconditioner_kind(m, cfg) == label
+
+
+def test_newton_is_priced_without_sampling_error(small_logistic):
+    """newton's Hessian is the full one, so Algorithm 1 prices it at
+    eps = 0; ssn-hessian headers keep config.eps."""
+    m, x0 = small_logistic, np.zeros(small_logistic.p)
+    est = m.curvature_constants()
+    beta = LineSearchParams().beta
+    pred = solvers.plan(m, SolverConfig(variant="newton"), x0)["rate_prediction"]
+    assert pred["alpha_floor"] == pytest.approx(2 * (1 - beta) / est.kappa, rel=1e-15)
+    for inexact in (None, InexactnessSpec(theta1=0.01, theta2=0.5)):
+        cfg = SolverConfig(variant="ssn-hessian", inexact=inexact, sample_frac_h=0.3)
+        planned = solvers.plan(m, cfg, x0)
+        expected = rate_alg1(beta, cfg.eps, est.kappa, planned["kappa_tilde"], 1.0, inexact)
+        assert planned["rate_prediction"] == expected.as_dict()
 
 
 # (settings, full-data passes per step).  A line-search step makes three

@@ -22,6 +22,16 @@ def test_rate_alg1_spot_value():
     assert pred.rho == pytest.approx(0.09375)
 
 
+def test_rate_alg1_takes_eps_zero_for_the_full_hessian():
+    """eps = 0 prices an unsampled Hessian (newton): the step floor is
+    2(1-beta)/kappa; eps outside [0, 1) is refused."""
+    assert rate_alg1(0.25, 0.0, 2.0, 2.0, alpha=1.0).alpha_floor == 0.75
+    assert rate_alg1(0.25, 0.0, 2.0, 2.0, 1.0, InexactnessSpec(0.1, 0.5)).alpha_floor == 0.375
+    for eps in (-0.1, 1.0):
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
+            rate_alg1(0.25, eps, 2.0, 2.0, alpha=1.0)
+
+
 def test_rate_alg1_linear_in_beta():
     rhos = [rate_alg1(b, 0.5, 2.0, 2.0, alpha=0.3).rho for b in (1e-6, 1e-3, 0.1)]
     assert rhos[0] < rhos[1] < rhos[2]
