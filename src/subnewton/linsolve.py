@@ -26,32 +26,23 @@ matrix (|S|p^2 to 2|S|p^2 flops) and then factor it.  With a preconditioner
 (2p^2 flops per application) the ceil(p/6) iterations cost
 (2/3)|S|p^2 + p^3/3 flops, below the assembly plus factorization they stand
 in for, so the same budget keeps a missed solve within about two exact ones.
-Preconditioned by the curvature bound below, a solve seldom reaches it: on
-a 5000 x 500 logistic problem with a 1e8-conditioned design, a fresh sample
-of |S| = p rows meets theta1 = 1e-2 in 38-54 iterations, inside
-ceil(p/6) = 84, where the inverse of another sample needs 147-213.
 
-The preconditioner is the caller's, fixed for a whole run.  Solvers use the
-inverse of the data's curvature bound B = c_hi A'A/n + shift I, whose top
-eigenvalue is K.  Every sample's H is a reweighted subsample of it, so one
-M = B^-1 preconditions them all, with no sample's own error in it; at
-|S| = n/5 on the problem above, CG needs half the iterations that the
-inverse of an earlier sample gave it.
-
-Without such an M (Poisson, p > 2000, or a B Cholesky cannot factor), the
-first fallback's Cholesky factor becomes an explicit inverse (LAPACK potri,
-about twice the factorization's flops) returned in the diagnostics, and the
-caller keeps it; a fallback under a given preconditioner skips potri and
-returns none.  A dense symmetric product applies M several times faster
-than two triangular solves with the factor, at the same flop count.  An
-inexact M only costs iterations: the contract is always checked against
-the H of the current solve.
+The preconditioner is the caller's, fixed for a whole run; a fallback forms
+no inverse.  Solvers use the inverse of the full Hessian at the start point,
+which every later sample's H is a reweighted subsample of.  On a 5000 x 500
+logistic problem with a 1e8-conditioned design, started at zero, a fresh
+sample of |S| = p rows meets theta1 = 1e-2 in 38-54 iterations, inside
+ceil(p/6) = 84, where the inverse of another sample needs 147-213.  A dense
+symmetric product applies M several times faster than two triangular solves
+with a Cholesky factor, at the same flop count.  An inexact M only costs
+iterations: the contract is always checked against the H of the current
+solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -90,17 +81,14 @@ class InexactnessSpec:
 @dataclass(frozen=True)
 class InexactDiagnostics:
     """Acceptance ratios of a direction; ``solve_inexact`` also fills in the
-    CG iterations it ran, the path (``PATH_CG``, ``PATH_FALLBACK``, or
-    ``PATH_EXACT`` at theta1 = 0) that produced the direction and, after a
-    fallback that had no preconditioner, the inverse of the matrix it
-    factored, to precondition later solves."""
+    CG iterations it ran and the path (``PATH_CG``, ``PATH_FALLBACK``, or
+    ``PATH_EXACT`` at theta1 = 0) that produced the direction."""
 
     ok: bool
     residual_ratio: float
     descent_ratio: float
     cg_iters: int = 0
     path: str | None = None
-    preconditioner: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _dense(h) -> np.ndarray:
@@ -114,32 +102,26 @@ def _cholesky(h: np.ndarray):
         raise NotPositiveDefiniteError(str(exc)) from None
 
 
-def _inverse(factor) -> np.ndarray:
-    """H^-1 from H's lower Cholesky factor, with both triangles filled."""
-    inv, info = scipy.linalg.lapack.dpotri(factor[0], lower=True, overwrite_c=True)
+def spd_inverse(h: np.ndarray) -> np.ndarray:
+    """H^-1 of a symmetric positive definite H via Cholesky and LAPACK potri,
+    with both triangles filled; raises ``NotPositiveDefiniteError`` where
+    either fails."""
+    inv, info = scipy.linalg.lapack.dpotri(_cholesky(h)[0], lower=True, overwrite_c=True)
     if info != 0:
         raise NotPositiveDefiniteError(f"potri failed with info={info}")
     return np.where(np.tri(inv.shape[0], dtype=bool), inv, inv.T)
 
 
-def spd_inverse(h: np.ndarray) -> np.ndarray:
-    """H^-1 of a symmetric positive definite H via Cholesky and potri;
-    raises ``NotPositiveDefiniteError`` where the factorization fails."""
-    return _inverse(_cholesky(h))
-
-
-def solve_exact(h: np.ndarray, rhs: np.ndarray, factor=None) -> np.ndarray:
+def solve_exact(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve H y = rhs for symmetric positive definite H via Cholesky.
 
-    ``factor`` is H's lower ``cho_factor`` if the caller already has it.
     The residual is driven below 1e-10 * ||rhs|| with a few steps of
     iterative refinement; failure to reach that (or to factorize) raises
     ``NotPositiveDefiniteError``.
     """
     h = np.asarray(h, dtype=float)
     rhs = np.asarray(rhs, dtype=float).ravel()
-    if factor is None:
-        factor = _cholesky(h)
+    factor = _cholesky(h)
     y = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
@@ -206,10 +188,8 @@ def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray |
     by.  CG, preconditioned by ``precond`` if given, runs from the zero start
     and returns the first iterate meeting the residual condition that also
     passes the descent condition.  It gets ceil(p/6) iterations before the
-    solve assembles H and falls back to Cholesky; without ``precond``, the
-    fallback's diagnostics carry H^-1 as the preconditioner for later
-    solves (with one, they carry None, and no inverse is formed).  theta1 =
-    0 goes straight to the exact solve, with no CG and path ``PATH_EXACT``.
+    solve assembles H and falls back to Cholesky.  theta1 = 0 goes straight
+    to the exact solve, with no CG and path ``PATH_EXACT``.
     """
     g = np.asarray(g, dtype=float).ravel()
     gnorm = float(np.linalg.norm(g))
@@ -230,13 +210,11 @@ def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray |
             if diag.ok:
                 return p, replace(diag, cg_iters=cg_iters, path=PATH_CG)
     h = _dense(h)
-    factor = _cholesky(h)
-    p = -solve_exact(h, g, factor)
+    p = -solve_exact(h, g)
     diag = verify_inexact(h, g, p, spec)
     if not diag.ok:
         raise NotPositiveDefiniteError("exact fallback violates the descent contract")
-    return p, replace(diag, cg_iters=cg_iters, path=PATH_FALLBACK,
-                      preconditioner=_inverse(factor) if precond is None else None)
+    return p, replace(diag, cg_iters=cg_iters, path=PATH_FALLBACK)
 
 
 def verify_inexact(h, g, p, spec: InexactnessSpec) -> InexactDiagnostics:

@@ -401,32 +401,15 @@ class ObjectiveModel:
         return SampledHessian(a_s, self._fam.phi_double(t_s), self.reg)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Full Hessian; same assembly as the all-indices sample."""
-        return self.sampled_hessian(np.arange(self.n), x).dense()
+        """Full Hessian from the dataset's own rows, with no gathered copy;
+        for CSR or C-ordered dense rows it is the all-indices sample
+        assembled, bit for bit."""
+        x = self._check_x(x)
+        a = self.dataset.features
+        t = np.asarray(a @ x).ravel()
+        return SampledHessian(a, self._fam.phi_double(t), self.reg).dense()
 
     # -- bounds and constants ---------------------------------------------
-
-    @property
-    def has_curvature_bound(self) -> bool:
-        """Whether ``curvature_bound`` exists: Phi'' has a finite global bound
-        (ridge, logistic) and p <= EXACT_GAMMA_MAX_DIM."""
-        return math.isfinite(self._fam.curvature_hi) and self.p <= EXACT_GAMMA_MAX_DIM
-
-    def data_gram(self) -> np.ndarray:
-        """The unweighted Gram A'A/n, formed anew on every call and not kept:
-        a p x p array per model would outlive the runs that need it."""
-        return weighted_gram(self.dataset.features) / self.n
-
-    def curvature_bound(self, shift: float) -> np.ndarray:
-        """B = c_hi A'A/n + shift I, c_hi the family's global Phi'' bound.
-        Every full Hessian lies below it at shift = reg, and its top
-        eigenvalue is K; only defined where ``has_curvature_bound``."""
-        if not self.has_curvature_bound:
-            raise ValueError(f"{self.family} at p = {self.p} has no curvature bound")
-        b = self.data_gram()
-        b *= self._fam.curvature_hi
-        b[np.diag_indices_from(b)] += shift
-        return b
 
     def gradient_norm_bound(self, x: np.ndarray) -> float:
         """G(x) with ||grad f_i(x)|| <= G(x) for every component.
@@ -487,7 +470,7 @@ class ObjectiveModel:
             gram = weighted_gram(self.dataset.features, coeff) / self.n
             big_k = self.reg + float(np.linalg.eigvalsh(gram)[-1])
         else:
-            eigs = np.linalg.eigvalsh(self.data_gram())
+            eigs = np.linalg.eigvalsh(weighted_gram(self.dataset.features) / self.n)
             c_lo = self._fam.curvature_lo
             # eigenvalues at rounding level of the top one are rank deficiency
             if c_lo * float(eigs[0]) > 1e-12 * max(1.0, c_lo * float(eigs[-1])):

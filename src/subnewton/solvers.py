@@ -31,9 +31,8 @@ Hessian type, ``model.SampledHessian``.  Exact and ssn-spectral solves
 assemble the sample; inexact ones run CG on its matrix-free products (for
 ssn-ridge, with lambda_user added to its diagonal shift).  A run's CG solves
 share one preconditioner, set before its first move and never replaced:
-the inverse of the data's curvature bound c_hi A'A/n + shift I (ridge and
-logistic up to p = 2000), else the inverse of the first sample a CG miss
-made them assemble and factor.
+the inverse of the full Hessian at x0, with the same shift, up to p = 2000;
+above that, or where its Cholesky fails, CG runs unpreconditioned.
 
 The clock covers the move and what the next move reads at x_{k+1}: fresh
 margins A x there, F and the gradient (A'w) from them, which the record,
@@ -67,8 +66,8 @@ from .linesearch import LineSearchError, LineSearchParams, armijo
 # perfbench/tracing.py can wrap them under the names solvers binds
 from .linsolve import PATH_EIGEN, PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, \
     solve_eigen, solve_exact, solve_inexact, spd_inverse, verify_inexact  # noqa: F401
-from .model import BOUND_CAP, ConditionEstimates, EvaluationError, ObjectiveModel, \
-    SampledHessian
+from .model import BOUND_CAP, EXACT_GAMMA_MAX_DIM, ConditionEstimates, EvaluationError, \
+    ObjectiveModel, SampledHessian
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
 from .sampling import SampleSet, clamped_size, draw, gradient_sample_size, \
     hessian_sample_size, subsampled_gradient, subsampled_hessian
@@ -86,9 +85,8 @@ STOP_ERROR = "Error"
 RESAMPLE_RETRIES = 3  # redraws of a singular sample before giving up
 
 # the preconditioner of a run's CG solves (header "preconditioner"): the
-# inverse of the data's curvature bound, or of the first fallback's sample
-PRECOND_BOUND = "curvature-bound"
-PRECOND_FIRST_FALLBACK = "first-fallback"
+# inverse of the shifted full Hessian at x0
+PRECOND_START_HESSIAN = "start-hessian"
 
 
 class SolverError(RuntimeError):
@@ -164,6 +162,10 @@ class SolverConfig:
             raise ValueError("grad_tol must be nonnegative")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
+        if self.gd_step is not None and not self.gd_step > 0:
+            raise ValueError(f"gd_step must be positive, got {self.gd_step}")
+        if self.lbfgs_memory < 1:
+            raise ValueError(f"lbfgs_memory must be >= 1, got {self.lbfgs_memory}")
 
 
 @dataclass
@@ -181,10 +183,9 @@ class TraceRecord:
     residual_ratio: float | None = None
     descent_ratio: float | None = None
     cg_iters: int | None = None
-    # "cholesky" or "eigh" (exact), "cg" (preconditioned CG met the contract
-    # without assembling H) or "cholesky-fallback" (CG missed; H assembled
-    # and factored, and in a "first-fallback" run the first such H's inverse
-    # kept to precondition later solves)
+    # "cholesky" or "eigh" (exact), "cg" (CG, preconditioned if the header
+    # names one, met the contract without assembling H) or
+    # "cholesky-fallback" (CG missed; H assembled and factored)
     solve_path: str | None = None
     lambda_applied: float | None = None
     min_eig_h: float | None = None
@@ -400,20 +401,19 @@ def _shift(model, config) -> float:
 
 
 def preconditioner_kind(model: ObjectiveModel, config: SolverConfig) -> str | None:
-    """The preconditioner a run of ``config`` gives its CG solves: None
-    without CG (exact solves, theta1 = 0, ssn-spectral, the baselines);
-    ``PRECOND_BOUND`` where the model has a curvature bound that is
-    positive definite in exact arithmetic (a positive shift, or gamma > 0);
-    else ``PRECOND_FIRST_FALLBACK``.  A run whose bound Cholesky cannot
-    factor falls back to the latter and says so in its header."""
+    """The preconditioner a run of ``config`` gives its CG solves:
+    ``PRECOND_START_HESSIAN`` where it runs CG (an inexact spec with
+    theta1 > 0, in a variant other than ssn-spectral), p <= 2000 and the
+    shifted Hessian is positive definite in exact arithmetic (a positive
+    shift, or gamma > 0); else None.  A run whose start Hessian Cholesky
+    cannot factor runs without one and says so in its header."""
     spec = config.inexact
-    if config.variant not in ("ssn-hessian", "ssn-ridge", "ssn-full", "newton") \
-            or spec is None or spec.theta1 == 0.0:
-        return None
-    if model.has_curvature_bound and (_shift(model, config) > 0
-                                      or model.curvature_constants().strongly_convex):
-        return PRECOND_BOUND
-    return PRECOND_FIRST_FALLBACK
+    runs_cg = config.variant in ("ssn-hessian", "ssn-ridge", "ssn-full", "newton") \
+        and spec is not None and spec.theta1 > 0
+    if runs_cg and model.p <= EXACT_GAMMA_MAX_DIM \
+            and (_shift(model, config) > 0 or model.curvature_constants().strongly_convex):
+        return PRECOND_START_HESSIAN
+    return None
 
 
 def _rate(config, est, size_h) -> RatePrediction | None:
@@ -522,16 +522,18 @@ def _newton_like(model, config, x0):
     sampled_g = config.variant == "ssn-full"
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
-    precond = None  # the run's one CG preconditioner: B^-1, or the first fallback's H^-1
-    if header["preconditioner"] == PRECOND_BOUND:
+    precond = None  # the run's one CG preconditioner
+    if header["preconditioner"] == PRECOND_START_HESSIAN:
+        h0 = model.hessian(x0)
+        h0[np.diag_indices_from(h0)] += _shift(model, config) - model.reg
         try:
-            precond = spd_inverse(model.curvature_bound(_shift(model, config)))
+            precond = spd_inverse(h0)
         except NotPositiveDefiniteError:  # singular in floating point
-            header["preconditioner"] = PRECOND_FIRST_FALLBACK
+            header["preconditioner"] = None
     search = _searcher(model, config.line_search)
 
     def move(x, t, f_value, grad):
-        nonlocal eps2_k, precond
+        nonlocal eps2_k
         sample = _draw_h(model, config, rng, size_h)  # before g's: fixes the RNG stream
         g_used, size_g, grad_clamped, saturated = grad, None, False, False
         if sampled_g:
@@ -551,8 +553,8 @@ def _newton_like(model, config, x0):
             return None, None, {"grad_norm_used": gnorm_used,
                                 "stop_flag": STOP_GRAD_TOL}, None
 
-        p, solve, h_raw, precond = _direction(model, config, rng, x, t, sample, g_used,
-                                              size_h, precond)
+        p, solve, h_raw = _direction(model, config, rng, x, t, sample, g_used, size_h,
+                                     precond)
         alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g_used))
         eps2_k *= config.rho2
         diagnose = None
@@ -583,14 +585,13 @@ def _direction(model, config, rng, x, t, sample, g, size_h, precond):
     (ssn-spectral, which meets any inexact spec with that exact step).
     Exact and ssn-spectral solves assemble H_S; inexact CG solves only
     multiply by it, preconditioned by ``precond``, the run's one
-    preconditioner (None until a ``PRECOND_FIRST_FALLBACK`` run's first
-    fallback returns it).  A singular sample in
-    ssn-hessian or ssn-ridge is redrawn a few times (a probability-delta
-    event) before giving up.
+    preconditioner (None runs plain CG).  A singular sample in ssn-hessian
+    or ssn-ridge is redrawn a few times (a probability-delta event) before
+    giving up.
 
-    Returns the direction, the solve's record fields, the raw H_S of the
+    Returns the direction, the solve's record fields and the raw H_S of the
     sample that produced it (unassembled after a CG solve) for off-clock
-    diagnostics, and the preconditioner to keep.
+    diagnostics.
     """
     lam = config.lambda_user if config.variant == "ssn-ridge" else None
     for attempt in range(RESAMPLE_RETRIES + 1):
@@ -603,18 +604,17 @@ def _direction(model, config, rng, x, t, sample, g, size_h, precond):
                 p, diag = solve_inexact(h, g, config.inexact, precond)
                 return p, {"residual_ratio": diag.residual_ratio,
                            "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
-                           "solve_path": diag.path, "lambda_applied": lam}, h_raw, \
-                    precond if diag.preconditioner is None else diag.preconditioner
+                           "solve_path": diag.path, "lambda_applied": lam}, h_raw
             h_raw = subsampled_hessian(model, x, sample, t)
             if config.variant == "ssn-spectral":
                 eigs, vecs = spectrum(h_raw)
                 floor = max(float(eigs[0]), 0.0) + config.lambda_user
                 return -solve_eigen(np.maximum(eigs, floor), vecs, g), {
                     "cg_iters": 0, "solve_path": PATH_EIGEN, "lambda_applied": floor,
-                    "min_eig_h": float(eigs[0])}, h_raw, precond
+                    "min_eig_h": float(eigs[0])}, h_raw
             h = h_raw if lam is None else ridge(h_raw, lam)
             return -solve_exact(h, g), {"cg_iters": 0, "solve_path": PATH_EXACT,
-                                        "lambda_applied": lam}, h_raw, precond
+                                        "lambda_applied": lam}, h_raw
         except NotPositiveDefiniteError:
             if config.variant not in ("ssn-hessian", "ssn-ridge"):
                 raise

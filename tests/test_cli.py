@@ -107,10 +107,10 @@ INEXACT_FLAGS = ("--theta1", "0.01", "--theta2", "0.5", "--sample-frac-h", "0.3"
 INEXACT = dict(inexact=InexactnessSpec(theta1=0.01, theta2=0.5), sample_frac_h=0.3)
 RATES_PRECONDITIONERS = [
     ("logistic", (), {}, None),
-    ("logistic", INEXACT_FLAGS, INEXACT, "curvature-bound"),
+    ("logistic", INEXACT_FLAGS, INEXACT, "start-hessian"),
     ("logistic", ("--solver", "newton", *INEXACT_FLAGS), dict(variant="newton", **INEXACT),
-     "curvature-bound"),
-    ("poisson", INEXACT_FLAGS, INEXACT, "first-fallback"),
+     "start-hessian"),
+    ("poisson", INEXACT_FLAGS, INEXACT, "start-hessian"),
     ("logistic", ("--solver", "ssn-spectral", "--lambda", "0.1", *INEXACT_FLAGS),
      dict(variant="ssn-spectral", lambda_user=0.1, **INEXACT), None),
 ]
@@ -250,6 +250,25 @@ def test_compare_rejects_unknown_solver_key(dataset_file, tmp_path, capsys):
     code = run_cli("compare", "--spec", str(spec_path), "-o", str(tmp_path / "r"))
     assert code == 1
     assert "unknown solver keys: sample_frac" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings,field", [
+    (dict(variant="gd", gd_step=-1.0), "gd_step"),
+    (dict(variant="gd", gd_step=0.0), "gd_step"),
+    (dict(variant="lbfgs", lbfgs_memory=0), "lbfgs_memory"),
+    (dict(variant="lbfgs", lbfgs_memory=-3), "lbfgs_memory"),
+])
+def test_compare_rejects_invalid_baseline_settings(dataset_file, tmp_path, capsys, settings,
+                                                   field):
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps({
+        "dataset": {"path": str(dataset_file)}, "family": "logistic", "reg": 0.05,
+        "solvers": [{"name": "baseline", **settings}],
+    }))
+    code = run_cli("compare", "--spec", str(spec_path), "-o", str(tmp_path / "r"))
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("key,value,flat", [

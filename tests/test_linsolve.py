@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from subnewton import linsolve
 from subnewton.linsolve import PATH_CG, PATH_EXACT, PATH_FALLBACK, InexactnessSpec, \
     NotPositiveDefiniteError, _cg_iterates, solve_exact, solve_inexact, spd_inverse, \
     verify_inexact
@@ -219,20 +219,7 @@ def test_exact_inverse_preconditioner_meets_the_contract_in_one_iteration():
     spec = InexactnessSpec(theta1=1e-6, theta2=0.5)
     direction, diag = solve_inexact(h, g, spec, precond=np.linalg.inv(h))
     assert diag.path == PATH_CG and diag.cg_iters == 1
-    assert diag.preconditioner is None
     assert verify_inexact(h, g, direction, spec).ok
-
-
-def test_fallback_returns_the_inverse_of_the_factored_matrix():
-    rng = np.random.default_rng(13)
-    h = random_spd(rng, 40, shift=1.0)
-    g = rng.standard_normal(40)
-    # a residual tolerance CG cannot meet in ceil(40/6) = 7 iterations
-    direction, diag = solve_inexact(h, g, InexactnessSpec(theta1=1e-12, theta2=0.5))
-    assert diag.path == PATH_FALLBACK
-    inv = diag.preconditioner
-    np.testing.assert_array_equal(inv, inv.T)
-    np.testing.assert_allclose(inv, np.linalg.inv(h), rtol=1e-10, atol=1e-12)
 
 
 def test_stale_preconditioner_from_another_sample_meets_the_contract(ill_logistic):
@@ -246,11 +233,9 @@ def test_stale_preconditioner_from_another_sample_meets_the_contract(ill_logisti
     spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
     older, fresh = (m.sampled_hessian(draw(m.n, 400, "without", rng).indices, x)
                     for _ in range(2))
-    _, first = solve_inexact(older, g, spec)
-    assert first.path == PATH_FALLBACK
     _, plain = solve_inexact(fresh, g, spec)
     assert plain.path == PATH_FALLBACK
-    direction, diag = solve_inexact(fresh, g, spec, precond=first.preconditioner)
+    direction, diag = solve_inexact(fresh, g, spec, precond=spd_inverse(older.dense()))
     assert diag.path == PATH_CG
     assert 1 <= diag.cg_iters <= math.ceil(m.p / 6)
     check = verify_inexact(fresh.dense(), g, direction, spec)
@@ -258,27 +243,27 @@ def test_stale_preconditioner_from_another_sample_meets_the_contract(ill_logisti
     assert check.residual_ratio == pytest.approx(diag.residual_ratio, rel=1e-6)
 
 
-def test_fallback_forms_the_inverse_only_without_a_preconditioner(monkeypatch):
-    """potri runs where its inverse is kept: a fallback under a given
-    preconditioner returns none and forms none."""
+def test_fallback_forms_no_inverse(monkeypatch):
+    """A fallback solves with the Cholesky factor and never calls potri,
+    with or without a preconditioner."""
     rng = np.random.default_rng(15)
     h = random_spd(rng, 40, shift=1.0)
     g = rng.standard_normal(40)
     spec = InexactnessSpec(theta1=1e-12, theta2=0.5)  # CG misses in 7 iterations
     calls = []
-    inverse = linsolve._inverse
+    potri = scipy.linalg.lapack.dpotri
 
-    def counted(factor):
-        calls.append(factor)
-        return inverse(factor)
-    monkeypatch.setattr(linsolve, "_inverse", counted)
-    _, plain = solve_inexact(h, g, spec)
-    assert plain.path == PATH_FALLBACK and plain.preconditioner is not None
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return potri(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotri", counted)
+    for precond in (None, np.eye(40)):
+        direction, diag = solve_inexact(h, g, spec, precond)
+        assert diag.path == PATH_FALLBACK
+        assert verify_inexact(h, g, direction, spec).ok
+    assert calls == []
+    spd_inverse(h)  # the counter does see potri where it runs
     assert len(calls) == 1
-    direction, given = solve_inexact(h, g, spec, precond=np.eye(40))
-    assert given.path == PATH_FALLBACK and given.preconditioner is None
-    assert len(calls) == 1
-    assert verify_inexact(h, g, direction, spec).ok
 
 
 def test_spd_inverse_inverts_and_rejects_singular():
@@ -292,11 +277,12 @@ def test_spd_inverse_inverts_and_rejects_singular():
 
 def test_curvature_bound_preconditions_a_fresh_sample_better_than_another_sample(
         ill_logistic):
-    """The inverse of the data's curvature bound c_hi A'A/n + reg I takes a
-    fresh sample to theta1 in fewer CG iterations than the inverse of another
-    sample does, and the direction meets the contract on the fresh sample."""
+    """The inverse of the full Hessian at zero, for logistic the curvature
+    bound A'A/(4n) + reg I, takes a fresh sample to theta1 in fewer CG
+    iterations than the inverse of another sample does, and the direction
+    meets the contract on the fresh sample."""
     m = ill_logistic
-    bound = spd_inverse(m.curvature_bound(m.reg))
+    start = spd_inverse(m.hessian(np.zeros(m.p)))
     spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
     x = np.zeros(m.p)
     g = m.gradient(x)
@@ -304,9 +290,8 @@ def test_curvature_bound_preconditions_a_fresh_sample_better_than_another_sample
         rng = np.random.default_rng(seed)
         older, fresh = (m.sampled_hessian(draw(m.n, 400, "without", rng).indices, x)
                         for _ in range(2))
-        _, first = solve_inexact(older, g, spec)
-        _, stale = solve_inexact(fresh, g, spec, precond=first.preconditioner)
-        direction, diag = solve_inexact(fresh, g, spec, precond=bound)
+        _, stale = solve_inexact(fresh, g, spec, precond=spd_inverse(older.dense()))
+        direction, diag = solve_inexact(fresh, g, spec, precond=start)
         assert stale.path == diag.path == PATH_CG
         assert diag.cg_iters < stale.cg_iters
         assert verify_inexact(fresh.dense(), g, direction, spec).ok

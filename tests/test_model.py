@@ -10,8 +10,8 @@ import scipy.sparse as sp
 
 from subnewton import model as model_module
 from subnewton.data import generate_synthetic
-from subnewton.model import EXACT_GAMMA_MAX_DIM, EXP_CLAMP, ConditionEstimates, Dataset, \
-    EvaluationError, LogisticFamily, ObjectiveModel, PoissonFamily, RidgeFamily, _sigmoid
+from subnewton.model import EXP_CLAMP, ConditionEstimates, Dataset, EvaluationError, \
+    LogisticFamily, ObjectiveModel, PoissonFamily, RidgeFamily, _sigmoid
 from subnewton.solvers import SolverConfig, run
 
 from conftest import central_diff_gradient, central_diff_hessian
@@ -173,10 +173,15 @@ def test_component_gradient_index_error(small_logistic):
 
 
 def test_hessian_full_sample_identity(small_logistic):
-    m = small_logistic
-    x = np.full(m.p, 0.2)
-    h_all = m.sampled_hessian(np.arange(m.n), x).dense()
-    np.testing.assert_allclose(h_all, m.hessian(x), atol=1e-12)
+    """The full Hessian is the all-indices sample assembled, bit for bit,
+    for dense and CSR rows."""
+    dense = small_logistic
+    sparse = ObjectiveModel(Dataset(sp.csr_matrix(dense.dataset.features),
+                                    dense.dataset.labels), "logistic", reg=dense.reg)
+    x = np.full(dense.p, 0.2)
+    for m in (dense, sparse):
+        h_all = m.sampled_hessian(np.arange(m.n), x).dense()
+        np.testing.assert_array_equal(m.hessian(x), h_all)
 
 
 def test_hessian_single_logistic_component():
@@ -339,8 +344,9 @@ def test_constant_curvature_bounds_from_one_unweighted_gram(family, storage, mon
 @pytest.mark.parametrize("family", ["ridge", "logistic"])
 def test_curvature_bound_and_constants_share_the_unweighted_gram(family, monkeypatch):
     """gamma and K are bit-identical to eigvalsh of weighted_gram(A)/n, from
-    one Gram; B = c_hi A'A/n + shift I has top eigenvalue K at shift = reg
-    and lies above the full Hessian."""
+    one Gram.  The full Hessian at zero is the curvature bound
+    c_hi A'A/n + reg I (Phi''(0) = c_hi for both families), whose top
+    eigenvalue is K."""
     dataset, _ = generate_synthetic(300, 9, family=family, seed=6, condition_target=1e3)
     m = ObjectiveModel(dataset, family, reg=0.03)
     grams = []
@@ -359,22 +365,12 @@ def test_curvature_bound_and_constants_share_the_unweighted_gram(family, monkeyp
     if fam.curvature_lo > 0:
         assert est.gamma == 0.03 + fam.curvature_lo * float(eigs[0])
 
-    bound = m.curvature_bound(m.reg)
-    assert m.has_curvature_bound
-    np.testing.assert_array_equal(bound, bound.T)
-    assert np.linalg.eigvalsh(bound)[-1] == pytest.approx(est.big_k, rel=1e-12)
-    x = np.random.default_rng(6).standard_normal(9)
-    assert np.linalg.eigvalsh(bound - m.hessian(x))[0] >= -1e-12 * est.big_k
-    np.testing.assert_allclose(m.curvature_bound(0.5) - bound, 0.47 * np.eye(9), atol=1e-15)
-
-
-def test_no_curvature_bound_for_poisson_or_wide_data(small_poisson):
-    assert not small_poisson.has_curvature_bound
-    with pytest.raises(ValueError, match="no curvature bound"):
-        small_poisson.curvature_bound(0.1)
-    wide = ObjectiveModel(Dataset(sp.eye(1, EXACT_GAMMA_MAX_DIM + 1, format="csr"),
-                                  np.ones(1)), "logistic", reg=0.1)
-    assert not wide.has_curvature_bound
+    bound = fam.curvature_hi * (dataset.features.T @ dataset.features) / 300 \
+        + 0.03 * np.eye(9)
+    start = m.hessian(np.zeros(9))
+    np.testing.assert_array_equal(start, start.T)
+    assert np.abs(start - bound).max() <= 1e-15 * np.abs(bound).max()
+    assert np.linalg.eigvalsh(start)[-1] == pytest.approx(est.big_k, rel=1e-12)
 
 
 def test_curvature_constants_kept_per_model_and_read_only(monkeypatch):

@@ -161,9 +161,9 @@ PCG_CASES = [
 @pytest.mark.parametrize("settings", PCG_CASES, ids=[c["variant"] for c in PCG_CASES])
 def test_kept_preconditioner_makes_cg_steps_without_assembly(ill_logistic, monkeypatch,
                                                              settings):
-    """CG preconditioned by the run's one preconditioner (here the inverse
-    of the data's curvature bound, built before the first draw) meets the
-    contract on each fresh sample without assembling it."""
+    """CG preconditioned by the run's one preconditioner (the inverse of the
+    full Hessian at x0, built before the first draw) meets the contract on
+    each fresh sample without assembling it."""
     m = ill_logistic
     spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
     events, solves = [], []
@@ -219,9 +219,10 @@ def test_kept_preconditioner_makes_cg_steps_without_assembly(ill_logistic, monke
 
 
 def test_bound_preconditioned_run_never_falls_back_or_assembles(ill_logistic, monkeypatch):
-    """With the curvature-bound preconditioner, an ssn-hessian inexact run on
-    the 1e8-conditioned problem meets the contract by CG on every step: no
-    fallback, and no p x p Gram is formed once sampling starts."""
+    """Preconditioned by the inverse of the Hessian at zero, which for
+    logistic is the curvature bound A'A/(4n) + reg I, an ssn-hessian inexact
+    run on the 1e8-conditioned problem meets the contract by CG on every
+    step: no fallback, and no p x p Gram is formed once sampling starts."""
     m = ill_logistic
     events = []
     draw_h, gram = solvers._draw_h, model_module.weighted_gram
@@ -239,7 +240,7 @@ def test_bound_preconditioned_run_never_falls_back_or_assembles(ill_logistic, mo
                        inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
     trace = run(m, cfg, np.zeros(m.p))
     assert trace.stop == "GradTol"
-    assert trace.header["preconditioner"] == "curvature-bound"
+    assert trace.header["preconditioner"] == "start-hessian"
     steps = [r for r in trace.records if r.alpha > 0]
     assert len(steps) >= 20
     assert all(r.solve_path == "cg" for r in steps)
@@ -247,55 +248,69 @@ def test_bound_preconditioned_run_never_falls_back_or_assembles(ill_logistic, mo
 
 
 def test_ridge_bound_is_the_hessian_so_newton_cg_takes_one_iteration(small_ridge):
-    """For ridge, c_hi A'A/n + reg I is the Hessian itself: preconditioned
-    by its inverse, every inexact newton solve takes one CG iteration."""
+    """Ridge's Hessian is its curvature bound A'A/n + reg I at every x, so
+    the inverse of the Hessian at x0 is exact: every inexact newton solve
+    takes one CG iteration."""
     cfg = SolverConfig(variant="newton", grad_tol=1e-10, max_iters=10,
                        inexact=InexactnessSpec(theta1=1e-8, theta2=0.5))
     trace = run(small_ridge, cfg, np.full(small_ridge.p, 2.0))
-    assert trace.header["preconditioner"] == "curvature-bound"
+    assert trace.header["preconditioner"] == "start-hessian"
     steps = [r for r in trace.records if r.alpha > 0]
     assert steps
     assert all(r.solve_path == "cg" and r.cg_iters == 1 for r in steps)
     assert trace.stop == "GradTol"
 
 
-def test_poisson_and_singular_bounds_fall_back_to_the_first_fallback(small_poisson,
-                                                                    small_logistic):
-    """Poisson has no global curvature bound, and a reg-0 rank-deficient one
-    is singular: both runs keep the first fallback's inverse, without
-    raising."""
-    spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
-    cfg = SolverConfig(sample_frac_h=0.5, seed=2, max_iters=15, grad_tol=1e-8, inexact=spec)
-    trace = run(small_poisson, cfg, np.zeros(small_poisson.p))
-    assert trace.header["preconditioner"] == "first-fallback"
+def test_poisson_start_hessian_makes_no_fallback():
+    """Poisson runs are preconditioned by the inverse of their Hessian at
+    x0 too: on this problem every CG solve meets the contract, with no
+    fallback."""
+    dataset, _ = generate_synthetic(2000, 50, family="poisson", condition_target=1e4,
+                                    seed=3)
+    m = ObjectiveModel(dataset, "poisson", reg=1e-3)
+    cfg = SolverConfig(sample_frac_h=0.2, seed=0, grad_tol=1e-8,
+                       inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
+    trace = run(m, cfg, np.zeros(m.p))
     assert trace.stop == "GradTol"
-
-    d = small_logistic.dataset
-    a = np.hstack([d.features, np.zeros((d.n, 1))])  # a column the data never uses
-    m = ObjectiveModel(Dataset(a, d.labels), "logistic", reg=0.0)
-    with pytest.raises(solvers.NotPositiveDefiniteError):
-        solvers.spd_inverse(m.curvature_bound(0.0))
-    newton = SolverConfig(variant="newton", inexact=spec, max_iters=1)
-    trace = run(m, newton, np.zeros(m.p))
-    assert trace.header["preconditioner"] == "first-fallback"
-    assert trace.records[0].alpha > 0
+    steps = [r for r in trace.records if r.alpha > 0]
+    assert len(steps) >= 20
+    assert all(r.solve_path == "cg" for r in steps)
+    assert trace.header["preconditioner"] == "start-hessian"
 
 
-def test_bound_cholesky_failure_keeps_the_first_fallback(ill_logistic, monkeypatch):
-    """A curvature bound Cholesky cannot factor leaves the run on the
-    first-fallback rule: its header says so, plain CG misses on the first
-    step, and that fallback's inverse preconditions the rest of the run."""
+def test_singular_start_hessian_leaves_cg_unpreconditioned(ill_logistic, small_logistic,
+                                                           monkeypatch):
+    """A start Hessian Cholesky cannot factor leaves the run without a
+    preconditioner: its header says None, plain CG misses on every step,
+    the fallbacks complete the run and no inverse is formed.  A reg-0 run
+    whose data leave a column unused gets None from the plan already."""
+    potri, dpotri = [], scipy.linalg.lapack.dpotri
+
+    def counted(*args, **kwargs):
+        potri.append(args)
+        return dpotri(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotri", counted)
+
     def singular(h):
         raise solvers.NotPositiveDefiniteError("singular")
     monkeypatch.setattr(solvers, "spd_inverse", singular)
     m = ill_logistic
     cfg = SolverConfig(sample_frac_h=0.2, seed=3, max_iters=20, grad_tol=1e-8,
                        inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
-    assert solvers.plan(m, cfg, np.zeros(m.p))["preconditioner"] == "curvature-bound"
+    assert solvers.plan(m, cfg, np.zeros(m.p))["preconditioner"] == "start-hessian"
     trace = run(m, cfg, np.zeros(m.p))
-    assert trace.header["preconditioner"] == "first-fallback"
+    assert trace.header["preconditioner"] is None
     paths = [r.solve_path for r in trace.records if r.alpha > 0]
-    assert paths[0] == "cholesky-fallback" and paths.count("cg") >= 0.8 * len(paths)
+    assert len(paths) >= 10 and set(paths) == {"cholesky-fallback"}
+    assert potri == []
+
+    d = small_logistic.dataset
+    a = np.hstack([d.features, np.zeros((d.n, 1))])  # a column the data never uses
+    m = ObjectiveModel(Dataset(a, d.labels), "logistic", reg=0.0)
+    newton = SolverConfig(variant="newton", inexact=InexactnessSpec(1e-2, 0.5), max_iters=1)
+    trace = run(m, newton, np.zeros(m.p))
+    assert trace.header["preconditioner"] is None
+    assert trace.records[0].alpha > 0
 
 
 def wide_sparse_model():
@@ -308,14 +323,14 @@ def wide_sparse_model():
 
 SPEC = InexactnessSpec(theta1=0.1, theta2=0.5)
 PRECOND_CASES = [
-    ("logistic", dict(variant="ssn-hessian", inexact=SPEC), "curvature-bound"),
-    ("logistic", dict(variant="ssn-ridge", lambda_user=0.1, inexact=SPEC), "curvature-bound"),
+    ("logistic", dict(variant="ssn-hessian", inexact=SPEC), "start-hessian"),
+    ("logistic", dict(variant="ssn-ridge", lambda_user=0.1, inexact=SPEC), "start-hessian"),
     ("logistic", dict(variant="ssn-full", sample_frac_g=0.5, sigma=0.0, inexact=SPEC),
-     "curvature-bound"),
-    ("logistic", dict(variant="newton", inexact=SPEC), "curvature-bound"),
-    ("ridge", dict(variant="ssn-hessian", inexact=SPEC), "curvature-bound"),
-    ("poisson", dict(variant="ssn-hessian", inexact=SPEC), "first-fallback"),
-    ("wide", dict(variant="ssn-hessian", inexact=SPEC), "first-fallback"),
+     "start-hessian"),
+    ("logistic", dict(variant="newton", inexact=SPEC), "start-hessian"),
+    ("ridge", dict(variant="ssn-hessian", inexact=SPEC), "start-hessian"),
+    ("poisson", dict(variant="ssn-hessian", inexact=SPEC), "start-hessian"),
+    ("wide", dict(variant="ssn-hessian", inexact=SPEC), None),
     ("logistic", dict(variant="ssn-hessian"), None),
     ("logistic", dict(variant="newton"), None),
     ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(0.0, 0.5)), None),
@@ -870,6 +885,12 @@ def test_config_rejects_bad_values():
     for rho2 in (0.0, 1.5):
         with pytest.raises(ValueError, match="rho2"):
             SolverConfig(rho2=rho2)
+    for step in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="gd_step"):
+            SolverConfig(variant="gd", gd_step=step)
+    for memory in (0, -3):
+        with pytest.raises(ValueError, match="lbfgs_memory"):
+            SolverConfig(variant="lbfgs", lbfgs_memory=memory)
 
 
 def test_header_echoes_config_and_rates(small_logistic):
