@@ -169,11 +169,6 @@ def export(result: ExperimentResult, fmt: str, path) -> None:
         raise ValueError(f"unknown export format {fmt!r}")
 
 
-def load_result_dict(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _export_csv(result: ExperimentResult, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")

@@ -4,8 +4,8 @@ Subcommands: ``gen`` (synthetic dataset to file), ``run`` (one solver on one
 dataset, trace CSV out), ``compare`` (experiment spec file to result files),
 ``verify`` (statistical concentration suites), ``rates`` (the guarantee
 constants of the run headers ``solvers.plan`` gives for a config, and the
-preconditioner of its CG solves),
-``inspect`` (dataset condition metrics).
+solve and preconditioner of its own run), ``inspect`` (dataset condition
+metrics).
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
 failure.
@@ -25,7 +25,7 @@ from .data import DataFormatError, generate_synthetic, load_dataset, \
     measure_gram_condition, save_dataset
 from .model import ObjectiveModel
 from .sampling import gradient_lemma_check, hessian_lemma_check
-from .solvers import NotStronglyConvexError, SolverError, plan, preconditioner_kind, run
+from .solvers import NEWTON_LIKE_VARIANTS, NotStronglyConvexError, SolverError, plan, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,20 +198,22 @@ def _dispatch(args) -> int:
         # the headers of this config's ssn-hessian and ssn-full runs and, for
         # ssn-spectral or ssn-ridge, of its own run; Algorithms 1 and 4 need
         # gamma > 0, so without it a regularized config reads null for them.
-        # The preconditioner is that of the config's own run.
+        # The solve and preconditioner are those of the config's own run
+        # (null for a baseline, which has neither).
         model, config = _model(args), _config_from_args(args)
         x0 = np.zeros(model.p)
+        own = plan(model, config, x0) if config.variant in NEWTON_LIKE_VARIANTS else {}
         regularized = config.variant in ("ssn-spectral", "ssn-ridge")
-        declined = regularized and not model.curvature_constants().strongly_convex
+        declined = regularized and not own["gamma"] > 0
         headers = {key: None if declined else plan(model, replace(config, variant=v), x0)
                    for key, v in (("hessian_only", "ssn-hessian"),
                                   ("joint_sampling", "ssn-full"))}
         if regularized:
-            headers[config.variant] = plan(model, config, x0)
-        ref = headers["hessian_only"] or headers[config.variant]
+            headers[config.variant] = own
+        ref = headers["hessian_only"] or own
         out = {"gamma": ref["gamma"], "K": ref["big_k"], "kappa": ref["kappa"],
                "kappa1": ref["kappa1"], "kappa_tilde": ref["kappa_tilde"],
-               "preconditioner": preconditioner_kind(model, config),
+               "solve": own.get("solve"), "preconditioner": own.get("preconditioner"),
                **{key: h and h["rate_prediction"] for key, h in headers.items()}}
         print(json.dumps(bench.jsonable(out), indent=1))
         return EXIT_OK

@@ -7,10 +7,11 @@ An inexact direction p for the system H p = -g is accepted when
   (a) ||H p + g|| <= theta1 ||g||          (relative residual), and
   (b) p'g <= -(1 - theta2) p'Hp            (sufficient descent).
 
-The exact solution satisfies both for any theta1, theta2 in [0, 1).  CG
-started from zero satisfies (b) automatically in exact arithmetic (its
-residuals are orthogonal to the iterate), but (b) is still verified
-explicitly and iteration continues if it ever fails.
+The exact solution satisfies both for any theta1, theta2 in [0, 1), so a
+spec with theta1 = 0 asks for ``solve_exact``, and ``solve_inexact``
+rejects it.  CG started from zero satisfies (b) automatically in exact
+arithmetic (its residuals are orthogonal to the iterate), but (b) is still
+verified explicitly and iteration continues if it ever fails.
 
 CG is only worth running while it is cheaper than the exact solve it would
 otherwise fall back to.  On a dense p x p matrix one Cholesky factorization
@@ -81,18 +82,14 @@ class InexactnessSpec:
 @dataclass(frozen=True)
 class InexactDiagnostics:
     """Acceptance ratios of a direction; ``solve_inexact`` also fills in the
-    CG iterations it ran and the path (``PATH_CG``, ``PATH_FALLBACK``, or
-    ``PATH_EXACT`` at theta1 = 0) that produced the direction."""
+    CG iterations it ran and the path (``PATH_CG`` or ``PATH_FALLBACK``)
+    that produced the direction."""
 
     ok: bool
     residual_ratio: float
     descent_ratio: float
     cg_iters: int = 0
     path: str | None = None
-
-
-def _dense(h) -> np.ndarray:
-    return h.dense() if isinstance(h, SampledHessian) else np.asarray(h, dtype=float)
 
 
 def _cholesky(h: np.ndarray):
@@ -188,18 +185,15 @@ def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray |
     by.  CG, preconditioned by ``precond`` if given, runs from the zero start
     and returns the first iterate meeting the residual condition that also
     passes the descent condition.  It gets ceil(p/6) iterations before the
-    solve assembles H and falls back to Cholesky.  theta1 = 0 goes straight
-    to the exact solve, with no CG and path ``PATH_EXACT``.
+    solve assembles H and falls back to Cholesky.  theta1 = 0 asks for the
+    exact solve, which is ``solve_exact``'s, so it raises ValueError here.
     """
+    if spec.theta1 == 0.0:
+        raise ValueError("theta1 = 0 asks for an exact solve; use solve_exact")
     g = np.asarray(g, dtype=float).ravel()
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
         raise ValueError("gradient is zero; nothing to solve")
-    if spec.theta1 == 0.0:
-        h = _dense(h)
-        p = -solve_exact(h, g)
-        return p, replace(verify_inexact(h, g, p, spec), path=PATH_EXACT)
-
     target = spec.theta1 * gnorm
     budget = math.ceil(g.size / 6)
     cg_iters = 0
@@ -209,7 +203,7 @@ def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray |
             diag = verify_inexact(h, g, p, spec)
             if diag.ok:
                 return p, replace(diag, cg_iters=cg_iters, path=PATH_CG)
-    h = _dense(h)
+    h = h.dense() if isinstance(h, SampledHessian) else np.asarray(h, dtype=float)
     p = -solve_exact(h, g)
     diag = verify_inexact(h, g, p, spec)
     if not diag.ok:

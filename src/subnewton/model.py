@@ -235,7 +235,8 @@ class ConditionEstimates:
     gamma is a strong-convexity lower bound of the full Hessian, big_k a
     smoothness upper bound, and per_component_k holds one smoothness bound
     per f_i.  khat(q) is the mean of the q largest per-component bounds; the
-    condition numbers kappa = K/gamma and kappa_q = khat(q)/gamma follow.
+    condition numbers kappa = K/gamma and, for q rows drawn without
+    replacement, kappa_tilde = khat(q)/gamma follow.
     Frozen, with read-only arrays, since a model shares one with all callers.
     """
 
@@ -272,9 +273,6 @@ class ConditionEstimates:
     @property
     def kappa1(self) -> float:
         return self.khat(1) / self.gamma if self.gamma > 0 else math.inf
-
-    def kappa_q(self, q: int) -> float:
-        return self.khat(q) / self.gamma if self.gamma > 0 else math.inf
 
     def draw_khat(self, sample_size: int, replacement: str) -> float:
         """Smoothness bound of a sampled Hessian: K_max = khat(1) when drawing

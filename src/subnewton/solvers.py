@@ -23,16 +23,17 @@ iteration, and logs one record per iteration.  ``run`` holds the one loop:
 each family (Newton-like, quasi-Newton, first-order) supplies its header and
 its move from x_k to x_{k+1}, and the loop owns the clock, the stop test,
 the evaluation at x_{k+1}, the error handling and the record.  ``plan``
-gives a Newton-like run's header (sample size, sigma, guarantee constants)
-without running it.
+gives a Newton-like run's header (sample size, sigma, its solve, guarantee
+constants) without running it.
 
 All Newton-like variants share one step, ``_direction``, over one sampled
-Hessian type, ``model.SampledHessian``.  Exact and ssn-spectral solves
-assemble the sample; inexact ones run CG on its matrix-free products (for
-ssn-ridge, with lambda_user added to its diagonal shift).  A run's CG solves
-share one preconditioner, set before its first move and never replaced:
-the inverse of the full Hessian at x0, with the same shift, up to p = 2000;
-above that, or where its Cholesky fails, CG runs unpreconditioned.
+Hessian type, ``model.SampledHessian``, by the solve ``plan`` picks once
+per run (theta1 = 0 is an exact one).  Cholesky and eigh solves assemble
+the sample; CG runs on its matrix-free products (for ssn-ridge, with
+lambda_user added to its diagonal shift).  A run's CG solves share one
+preconditioner, set before its first move and never replaced: the inverse
+of the full Hessian at x0, with the same shift, up to p = 2000; above that,
+or where its Cholesky fails, CG runs unpreconditioned.
 
 The clock covers the move and what the next move reads at x_{k+1}: fresh
 margins A x there, F and the gradient (A'w) from them, which the record,
@@ -64,8 +65,9 @@ import numpy as np
 from .linesearch import LineSearchError, LineSearchParams, armijo
 # verify_inexact and spectral_floor are bound here, though unused, so that
 # perfbench/tracing.py can wrap them under the names solvers binds
-from .linsolve import PATH_EIGEN, PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, \
-    solve_eigen, solve_exact, solve_inexact, spd_inverse, verify_inexact  # noqa: F401
+from .linsolve import PATH_CG, PATH_EIGEN, PATH_EXACT, InexactnessSpec, \
+    NotPositiveDefiniteError, solve_eigen, solve_exact, solve_inexact, spd_inverse, \
+    verify_inexact  # noqa: F401
 from .model import BOUND_CAP, EXACT_GAMMA_MAX_DIM, ConditionEstimates, EvaluationError, \
     ObjectiveModel, SampledHessian
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
@@ -75,6 +77,7 @@ from .theory import RatePrediction, rate_alg1, rate_alg4, rate_ridge, rate_spect
 
 SSN_VARIANTS = ("ssn-hessian", "ssn-spectral", "ssn-ridge", "ssn-full")
 BASELINE_VARIANTS = ("newton", "gd", "agd", "bfgs", "lbfgs")
+NEWTON_LIKE_VARIANTS = SSN_VARIANTS + ("newton",)
 ALL_VARIANTS = SSN_VARIANTS + BASELINE_VARIANTS
 
 STOP_GRAD_TOL = "GradTol"
@@ -183,9 +186,10 @@ class TraceRecord:
     residual_ratio: float | None = None
     descent_ratio: float | None = None
     cg_iters: int | None = None
-    # "cholesky" or "eigh" (exact), "cg" (CG, preconditioned if the header
-    # names one, met the contract without assembling H) or
-    # "cholesky-fallback" (CG missed; H assembled and factored)
+    # the header's solve as it went: "cholesky" or "eigh" (exact, theta1 = 0
+    # included), "cg" (CG, preconditioned if the header names one, met the
+    # contract without assembling H) or "cholesky-fallback" (CG missed; H
+    # assembled and factored)
     solve_path: str | None = None
     lambda_applied: float | None = None
     min_eig_h: float | None = None
@@ -337,12 +341,23 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
     Holds the curvature constants, the per-iteration Hessian sample size
     (a direct ``sample_frac_h``, n for newton, else the Chernoff size for
     (eps, delta) clamped to n), kappa_tilde at that size, ssn-full's sigma,
-    the guarantee constants of ``_rate`` and the preconditioner of its CG
-    solves (``preconditioner_kind``).  Raises NotStronglyConvexError where
-    the config needs gamma > 0.
+    the run's ``solve`` (``PATH_EIGEN`` for ssn-spectral, ``PATH_CG`` for an
+    inexact spec with theta1 > 0, else ``PATH_EXACT``), the guarantee
+    constants of ``_rate`` at that solve, and the preconditioner of its CG
+    solves: ``PRECOND_START_HESSIAN`` where p <= 2000 and a positive shift
+    or gamma makes the shifted Hessian positive definite, else None (a run
+    whose start Hessian Cholesky fails drops it from its header).  Raises
+    NotStronglyConvexError where the config needs gamma > 0.
     """
-    if config.variant not in SSN_VARIANTS + ("newton",):
+    if config.variant not in NEWTON_LIKE_VARIANTS:
         raise ValueError(f"{config.variant} is not a Newton-like variant")
+    spec = config.inexact
+    if config.variant == "ssn-spectral":
+        solve = PATH_EIGEN
+    elif spec is not None and spec.theta1 > 0:
+        solve = PATH_CG
+    else:
+        solve = PATH_EXACT
     est = _estimates_for(model, config, x0)
     clamped_h = lemma_sized = False
     if config.sample_frac_h is not None:
@@ -365,7 +380,7 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
             and not est.strongly_convex:
         raise NotStronglyConvexError("ssn-ridge with lambda_user = 0 needs gamma > 0; "
                                      "singular samples would leave no positive floor")
-    pred = _rate(config, est, size_h)
+    pred = _rate(config, est, size_h, solve)
     sigma = None
     if config.variant == "ssn-full":
         if config.sigma is None:
@@ -390,7 +405,10 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
         "lemma_sized": lemma_sized,
         "sigma": sigma,
         "rate_prediction": {} if pred is None else pred.as_dict(),
-        "preconditioner": preconditioner_kind(model, config),
+        "solve": solve,
+        "preconditioner": PRECOND_START_HESSIAN if solve == PATH_CG
+        and model.p <= EXACT_GAMMA_MAX_DIM
+        and (_shift(model, config) > 0 or est.strongly_convex) else None,
     }
 
 
@@ -400,32 +418,16 @@ def _shift(model, config) -> float:
     return model.reg + config.lambda_user if config.variant == "ssn-ridge" else model.reg
 
 
-def preconditioner_kind(model: ObjectiveModel, config: SolverConfig) -> str | None:
-    """The preconditioner a run of ``config`` gives its CG solves:
-    ``PRECOND_START_HESSIAN`` where it runs CG (an inexact spec with
-    theta1 > 0, in a variant other than ssn-spectral), p <= 2000 and the
-    shifted Hessian is positive definite in exact arithmetic (a positive
-    shift, or gamma > 0); else None.  A run whose start Hessian Cholesky
-    cannot factor runs without one and says so in its header."""
-    spec = config.inexact
-    runs_cg = config.variant in ("ssn-hessian", "ssn-ridge", "ssn-full", "newton") \
-        and spec is not None and spec.theta1 > 0
-    if runs_cg and model.p <= EXACT_GAMMA_MAX_DIM \
-            and (_shift(model, config) > 0 or model.curvature_constants().strongly_convex):
-        return PRECOND_START_HESSIAN
-    return None
-
-
-def _rate(config, est, size_h) -> RatePrediction | None:
-    """Guarantee constants of the solve the run makes: rho at the unit step
+def _rate(config, est, size_h, solve) -> RatePrediction | None:
+    """Guarantee constants of the run's ``solve``: rho at the unit step
     (alpha = 1), alpha_floor the bound on the accepted step, K-hat and
-    kappa_tilde those of the run's draw; ssn-spectral's eigenbasis step is
-    exact whatever the spec.  None where Algorithm 1 or 4 lacks gamma > 0,
-    or where Algorithm 1's condition numbers fall outside its assumptions
-    (ssn-full's sigma needs its constants, so Algorithm 4's errors
-    propagate)."""
+    kappa_tilde those of the run's draw; only a CG solve is priced at the
+    spec, every other one is exact.  None where Algorithm 1 or 4 lacks
+    gamma > 0, or where Algorithm 1's condition numbers fall outside its
+    assumptions (ssn-full's sigma needs its constants, so Algorithm 4's
+    errors propagate)."""
     beta = config.line_search.beta
-    inexact = None if config.variant == "ssn-spectral" else config.inexact
+    inexact = config.inexact if solve == PATH_CG else None
     if config.variant in ("ssn-spectral", "ssn-ridge"):
         rate = rate_spectral if config.variant == "ssn-spectral" else rate_ridge
         return rate(beta, config.lambda_user, est.big_k,
@@ -518,7 +520,7 @@ def _searcher(model, params):
 def _newton_like(model, config, x0):
     """Solves with a sampled (or, for newton, full) Hessian, with Armijo."""
     header = plan(model, config, x0)
-    size_h, sigma = header["sample_size_h"], header["sigma"]
+    size_h, sigma, solve = header["sample_size_h"], header["sigma"], header["solve"]
     sampled_g = config.variant == "ssn-full"
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
@@ -553,8 +555,8 @@ def _newton_like(model, config, x0):
             return None, None, {"grad_norm_used": gnorm_used,
                                 "stop_flag": STOP_GRAD_TOL}, None
 
-        p, solve, h_raw = _direction(model, config, rng, x, t, sample, g_used, size_h,
-                                     precond)
+        p, solved, h_raw = _direction(model, config, solve, rng, x, t, sample, g_used,
+                                      size_h, precond)
         alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g_used))
         eps2_k *= config.rho2
         diagnose = None
@@ -562,43 +564,44 @@ def _newton_like(model, config, x0):
             def diagnose():
                 out = {"grad_error_used": float(np.linalg.norm(g_used - grad))
                        if sampled_g else None}
-                if solve.get("min_eig_h") is None:
+                if solved.get("min_eig_h") is None:
                     # an unassembled (inexact) sample is assembled here, off the clock
                     out["min_eig_h"] = min_eigenvalue(
                         h_raw.dense() if isinstance(h_raw, SampledHessian) else h_raw)
                 return out
         return x_next, at_next, {
             "grad_norm_used": gnorm_used, "alpha": alpha, "ls_trials": trials,
-            "sample_size_h": size_h, "sample_size_g": size_g, **solve,
+            "sample_size_h": size_h, "sample_size_g": size_g, **solved,
             "grad_clamped": grad_clamped, "bound_saturated": saturated,
         }, diagnose
 
     return header, move
 
 
-def _direction(model, config, rng, x, t, sample, g, size_h, precond):
+def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond):
     """Newton direction for H p = -g from the curvature sample ``sample``
-    at x, whose margins t = A x give the sample's Hessian weights.
+    at x, whose margins t = A x give the sample's Hessian weights, by the
+    header's ``solve``.
 
     H is the sampled Hessian H_S, shifted by lambda_user (ssn-ridge) or
     floored at lambda_k in the eigenbasis of its one eigendecomposition
-    (ssn-spectral, which meets any inexact spec with that exact step).
-    Exact and ssn-spectral solves assemble H_S; inexact CG solves only
-    multiply by it, preconditioned by ``precond``, the run's one
-    preconditioner (None runs plain CG).  A singular sample in ssn-hessian
-    or ssn-ridge is redrawn a few times (a probability-delta event) before
-    giving up.
+    (``PATH_EIGEN``).  Cholesky and eigenbasis solves assemble H_S; CG
+    solves only multiply by it, preconditioned by ``precond``, the run's
+    one preconditioner (None runs plain CG).  A singular random sample is
+    redrawn a few times (a probability-delta event) before giving up; a
+    full without-replacement sample, the same every time, is not.
 
     Returns the direction, the solve's record fields and the raw H_S of the
     sample that produced it (unassembled after a CG solve) for off-clock
     diagnostics.
     """
     lam = config.lambda_user if config.variant == "ssn-ridge" else None
-    for attempt in range(RESAMPLE_RETRIES + 1):
+    redraws = RESAMPLE_RETRIES if size_h < model.n or config.replacement == "with" else 0
+    for attempt in range(redraws + 1):
         if attempt:
             sample = _draw_h(model, config, rng, size_h)
         try:
-            if config.inexact is not None and config.variant != "ssn-spectral":
+            if solve == PATH_CG:
                 h_raw = model.sampled_hessian(sample.indices, x, t)
                 h = h_raw if lam is None else replace(h_raw, shift=h_raw.shift + lam)
                 p, diag = solve_inexact(h, g, config.inexact, precond)
@@ -606,7 +609,7 @@ def _direction(model, config, rng, x, t, sample, g, size_h, precond):
                            "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
                            "solve_path": diag.path, "lambda_applied": lam}, h_raw
             h_raw = subsampled_hessian(model, x, sample, t)
-            if config.variant == "ssn-spectral":
+            if solve == PATH_EIGEN:
                 eigs, vecs = spectrum(h_raw)
                 floor = max(float(eigs[0]), 0.0) + config.lambda_user
                 return -solve_eigen(np.maximum(eigs, floor), vecs, g), {
@@ -615,12 +618,13 @@ def _direction(model, config, rng, x, t, sample, g, size_h, precond):
             h = h_raw if lam is None else ridge(h_raw, lam)
             return -solve_exact(h, g), {"cg_iters": 0, "solve_path": PATH_EXACT,
                                         "lambda_applied": lam}, h_raw
-        except NotPositiveDefiniteError:
-            if config.variant not in ("ssn-hessian", "ssn-ridge"):
+        except NotPositiveDefiniteError as exc:
+            if not redraws:
                 raise
+            last = exc
     raise NotPositiveDefiniteError(
-        f"sampled Hessian stayed singular after {RESAMPLE_RETRIES} redraws; "
-        "switch to ssn-spectral or ssn-ridge (lambda_user > 0)") from None
+        f"sampled Hessian stayed singular after {redraws} redraws ({last}); use a "
+        "larger sample, or ssn-spectral or ssn-ridge with lambda_user > 0") from None
 
 
 # -- baselines ----------------------------------------------------------------

@@ -8,8 +8,7 @@ import pytest
 from conftest import line_search_passes
 
 from subnewton.bench import CSV_COLUMNS, ExperimentResult, ExperimentSpec, \
-    config_from_dict, export, load_experiment_spec, load_result_dict, run_experiment, \
-    single_result
+    config_from_dict, export, load_experiment_spec, run_experiment, single_result
 from subnewton.data import generate_synthetic, save_dataset
 from subnewton.model import ObjectiveModel
 from subnewton.solvers import SolverConfig, run
@@ -96,7 +95,7 @@ def test_csv_cells_are_the_json_record_values(tiny_result, tmp_path):
     with open(tmp_path / "out.csv") as fh:
         rows = list(csv.DictReader(fh))
     records = [{"solver": r["solver"], "rep": r["rep"], **rec}
-               for r in load_result_dict(tmp_path / "out.json")["runs"]
+               for r in json.loads((tmp_path / "out.json").read_text())["runs"]
                for rec in r["records"]]
     assert len(rows) == len(records)
     assert any(rec["sample_h"] is None for rec in records)  # gd's blank cells
@@ -128,7 +127,7 @@ def test_csv_export_empty_result(tmp_path):
 def test_json_round_trip(tiny_result, tmp_path):
     path = tmp_path / "out.json"
     export(tiny_result, "json", path)
-    assert load_result_dict(path) == tiny_result.to_dict()
+    assert json.loads(path.read_text()) == tiny_result.to_dict()
 
 
 def test_json_embeds_rate_diagnostics(tiny_result, tmp_path):

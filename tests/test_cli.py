@@ -127,6 +127,23 @@ def test_rates_print_the_run_preconditioner(dataset_file, capsys, family, flags,
     assert header["preconditioner"] == label
 
 
+def test_rates_price_theta1_zero_as_the_exact_solve(dataset_file, capsys):
+    """theta1 = 0 asks for the exact solve, so rates prints the exact-solve
+    guarantee and solve; a baseline has neither a solve nor a preconditioner."""
+    blobs = []
+    for flags in ((), ("--theta1", "0", "--theta2", "0.5")):
+        assert run_cli("rates", "--data", str(dataset_file), "--reg", "0.05", *flags) == 0
+        blobs.append(json.loads(capsys.readouterr().out))
+    exact, zero = blobs
+    assert zero["hessian_only"] == exact["hessian_only"]
+    assert zero["solve"] == exact["solve"] == "cholesky"
+    assert run_cli("rates", "--data", str(dataset_file), "--reg", "0.05", "--solver", "gd",
+                   *INEXACT_FLAGS) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["solve"] is None and blob["preconditioner"] is None
+    assert blob["hessian_only"]["theta1_max"] > 0
+
+
 @pytest.mark.parametrize("variant", ["ssn-spectral", "ssn-ridge"])
 def test_rates_report_the_given_regularized_variant(dataset_file, capsys, variant):
     assert run_cli("rates", "--data", str(dataset_file), "--reg", "0.05",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from subnewton.linsolve import PATH_CG, PATH_EXACT, PATH_FALLBACK, InexactnessSpec, \
+from subnewton.linsolve import PATH_CG, PATH_FALLBACK, InexactnessSpec, \
     NotPositiveDefiniteError, _cg_iterates, solve_exact, solve_inexact, spd_inverse, \
     verify_inexact
 from subnewton.sampling import draw
@@ -58,17 +58,16 @@ def test_spec_ranges_enforced():
 # -- inexact solve ------------------------------------------------------------
 
 
-def test_theta1_zero_gives_exact_solution():
+def test_theta1_zero_is_left_to_solve_exact():
+    """theta1 = 0 asks for the exact solve, which is solve_exact's; the
+    exact solution still meets the contract at theta1 = 0."""
     rng = np.random.default_rng(1)
     h = random_spd(rng, 12)
     g = rng.standard_normal(12)
     spec = InexactnessSpec(theta1=0.0, theta2=0.7)
-    p, solved = solve_inexact(h, g, spec)
-    np.testing.assert_allclose(p, -solve_exact(h, g), atol=1e-12)
-    diag = verify_inexact(h, g, p, spec)
-    assert diag.ok and diag.residual_ratio <= 1e-9
-    # solved exactly up front: no CG ran, so no fallback happened
-    assert solved.path == PATH_EXACT and solved.cg_iters == 0
+    with pytest.raises(ValueError, match="solve_exact"):
+        solve_inexact(h, g, spec)
+    assert verify_inexact(h, g, -solve_exact(h, g), spec).ok
 
 
 def test_identity_converges_in_one_cg_step():

@@ -279,8 +279,8 @@ def test_condition_number_ordering_random_k_sets():
                                  per_component_k=ks)
         qs = sorted(rng.integers(1, n + 1, size=2))
         q, r = int(qs[0]), int(qs[1])
-        assert est.kappa <= est.kappa_q(n) + 1e-12
-        assert est.kappa_q(r) <= est.kappa_q(q) + 1e-12
+        assert est.kappa <= est.kappa_tilde(n, "without") + 1e-12
+        assert est.kappa_tilde(r, "without") <= est.kappa_tilde(q, "without") + 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["small_ridge", "small_logistic", "small_poisson"])

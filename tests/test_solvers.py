@@ -322,26 +322,30 @@ def wide_sparse_model():
 
 
 SPEC = InexactnessSpec(theta1=0.1, theta2=0.5)
+# (family, settings, the header's solve, its preconditioner)
 PRECOND_CASES = [
-    ("logistic", dict(variant="ssn-hessian", inexact=SPEC), "start-hessian"),
-    ("logistic", dict(variant="ssn-ridge", lambda_user=0.1, inexact=SPEC), "start-hessian"),
-    ("logistic", dict(variant="ssn-full", sample_frac_g=0.5, sigma=0.0, inexact=SPEC),
+    ("logistic", dict(variant="ssn-hessian", inexact=SPEC), "cg", "start-hessian"),
+    ("logistic", dict(variant="ssn-ridge", lambda_user=0.1, inexact=SPEC), "cg",
      "start-hessian"),
-    ("logistic", dict(variant="newton", inexact=SPEC), "start-hessian"),
-    ("ridge", dict(variant="ssn-hessian", inexact=SPEC), "start-hessian"),
-    ("poisson", dict(variant="ssn-hessian", inexact=SPEC), "start-hessian"),
-    ("wide", dict(variant="ssn-hessian", inexact=SPEC), None),
-    ("logistic", dict(variant="ssn-hessian"), None),
-    ("logistic", dict(variant="newton"), None),
-    ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(0.0, 0.5)), None),
-    ("logistic", dict(variant="ssn-spectral", lambda_user=0.1, inexact=SPEC), None),
+    ("logistic", dict(variant="ssn-full", sample_frac_g=0.5, sigma=0.0, inexact=SPEC), "cg",
+     "start-hessian"),
+    ("logistic", dict(variant="newton", inexact=SPEC), "cg", "start-hessian"),
+    ("ridge", dict(variant="ssn-hessian", inexact=SPEC), "cg", "start-hessian"),
+    ("poisson", dict(variant="ssn-hessian", inexact=SPEC), "cg", "start-hessian"),
+    ("wide", dict(variant="ssn-hessian", inexact=SPEC), "cg", None),
+    ("logistic", dict(variant="ssn-hessian"), "cholesky", None),
+    ("logistic", dict(variant="newton"), "cholesky", None),
+    ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(0.0, 0.5)), "cholesky",
+     None),
+    ("logistic", dict(variant="ssn-spectral", lambda_user=0.1, inexact=SPEC), "eigh", None),
+    ("logistic", dict(variant="ssn-ridge", lambda_user=0.1), "cholesky", None),
 ]
 
 
-@pytest.mark.parametrize("family,settings,label", PRECOND_CASES,
-                         ids=[f"{f}-{c['variant']}-{lab}" for f, c, lab in PRECOND_CASES])
-def test_plan_names_the_preconditioner_of_the_run(family, settings, label, small_logistic,
-                                                  small_ridge, small_poisson):
+@pytest.mark.parametrize("family,settings,solve,label", PRECOND_CASES,
+                         ids=[f"{f}-{c['variant']}-{lab}" for f, c, _, lab in PRECOND_CASES])
+def test_plan_names_the_preconditioner_of_the_run(family, settings, solve, label,
+                                                  small_logistic, small_ridge, small_poisson):
     m = {"logistic": small_logistic, "ridge": small_ridge, "poisson": small_poisson,
          "wide": None}[family] or wide_sparse_model()
     cfg = SolverConfig(sample_frac_h=0.5, max_iters=1, seed=1, **settings)
@@ -349,11 +353,12 @@ def test_plan_names_the_preconditioner_of_the_run(family, settings, label, small
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
         planned = solvers.plan(m, cfg, x0)
-        header = dict(run(m, cfg, x0).header)
+        trace = run(m, cfg, x0)
+    header = dict(trace.header)
     del header["config"]
-    assert planned["preconditioner"] == label
+    assert planned["solve"] == solve and planned["preconditioner"] == label
     assert planned == header
-    assert solvers.preconditioner_kind(m, cfg) == label
+    assert trace.records[0].solve_path == solve
 
 
 def test_newton_is_priced_without_sampling_error(small_logistic):
@@ -575,6 +580,54 @@ def test_redrawn_sample_reports_its_own_min_eig(monkeypatch):
     assert len(steps) == len(seen) and len(assembled) > len(steps)  # redraws happened
     for rec, count in zip(steps, seen):
         assert rec.min_eig_h == min_eigenvalue(assembled[count - 1])
+
+
+def singular_sample_model():
+    """Logistic at reg 0 with a column nonzero only in rows 5 and 77: a
+    half-size sample misses both about a quarter of the time, and its
+    Hessian is then singular."""
+    dataset, _ = generate_synthetic(300, 10, seed=7)
+    column = np.zeros((300, 1))
+    column[[5, 77]] = 1.0
+    return ObjectiveModel(Dataset(np.hstack([dataset.features, column]), dataset.labels),
+                          "logistic", reg=0.0)
+
+
+def test_ssn_full_redraws_a_singular_sample(monkeypatch):
+    m = singular_sample_model()
+    assembled = record_assemblies(monkeypatch)
+    for seed in range(5):
+        assembled.clear()
+        cfg = SolverConfig(variant="ssn-full", sigma=0.0, sample_frac_h=0.5,
+                           sample_frac_g=1.0, seed=seed, max_iters=40)
+        trace = run(m, cfg, np.zeros(m.p))
+        assert trace.stop == "GradTol"
+        assert len(assembled) > len([r for r in trace.records if r.alpha > 0])  # redraws
+
+
+@pytest.mark.parametrize("settings,attempts", [
+    (dict(variant="ssn-hessian", sample_frac_h=0.5), 4),
+    (dict(variant="ssn-full", sample_frac_h=0.5, sample_frac_g=1.0, sigma=0.0), 4),
+    (dict(variant="ssn-spectral", sample_frac_h=0.5, lambda_user=0.1), 4),
+    (dict(variant="ssn-hessian", sample_frac_h=1.0, replacement="with"), 4),
+    (dict(variant="ssn-hessian", sample_frac_h=1.0), 1),
+    (dict(variant="newton"), 1),
+], ids=["ssn-hessian-half", "ssn-full-half", "ssn-spectral-half", "full-with-replacement",
+        "full-without-replacement", "newton"])
+def test_only_a_random_sample_is_redrawn(small_logistic, monkeypatch, settings, attempts):
+    """A singular sample is redrawn whatever the variant, unless it is the
+    full data drawn without replacement, which a redraw cannot change."""
+    solves = []
+
+    def singular(*args):
+        solves.append(args)
+        raise solvers.NotPositiveDefiniteError("singular")
+    monkeypatch.setattr(solvers, "solve_exact", singular)
+    monkeypatch.setattr(solvers, "solve_eigen", singular)
+    with pytest.raises(SolverError, match="singular"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
+        run(small_logistic, SolverConfig(max_iters=1, **settings), np.zeros(small_logistic.p))
+    assert len(solves) == attempts
 
 
 def test_ridge_huge_shift_is_gradient_direction(small_logistic):
@@ -974,14 +1027,41 @@ def test_regularized_plan_has_a_guarantee_at_gamma_zero(small_logistic, variant)
 
 def test_theta1_zero_run_records_exact_solves(small_logistic):
     """theta1 = 0 asks for the exact solve up front: the records read the
-    exact path with no CG, not a fallback."""
+    exact path with no CG, not a fallback, and the run is the exact-solve
+    run, iterates and guarantee alike."""
     cfg = SolverConfig(variant="ssn-hessian", sample_frac_h=0.3, seed=4, max_iters=10,
                        inexact=InexactnessSpec(theta1=0.0, theta2=0.5))
-    *steps, _ = run(small_logistic, cfg, np.zeros(small_logistic.p)).records
+    x0 = np.zeros(small_logistic.p)
+    trace = run(small_logistic, cfg, x0)
+    exact = run(small_logistic, replace(cfg, inexact=None), x0)
+    *steps, _ = trace.records
     assert steps
     for rec in steps:
         assert rec.solve_path == "cholesky" and rec.cg_iters == 0
-        assert rec.residual_ratio <= 1e-10
+    assert trace.same_iterates(exact, tol=0.0)
+    assert trace.header["solve"] == exact.header["solve"] == "cholesky"
+    assert trace.header["rate_prediction"] == exact.header["rate_prediction"]
+
+
+def test_poisson_plan_computes_its_constants_once(monkeypatch):
+    """The plan's preconditioner reads the constants at the run's radius:
+    one Gram and eigvalsh per plan, not a second at the default radius."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((600, 20)) * 0.3
+    b = rng.poisson(np.exp(a @ rng.standard_normal(20) * 0.3)).astype(float)
+    m = ObjectiveModel(Dataset(features=a, labels=b), "poisson", reg=0.0)
+    radii = []
+    constants = m._curvature_constants
+
+    def counted(radius):
+        radii.append(radius)
+        return constants(radius)
+    monkeypatch.setattr(m, "_curvature_constants", counted)
+    cfg = SolverConfig(variant="ssn-full", sample_frac_h=0.5, sample_frac_g=0.5, sigma=0.0,
+                       domain_radius=2.0, inexact=InexactnessSpec(theta1=0.1, theta2=0.5))
+    planned = solvers.plan(m, cfg, np.zeros(m.p))
+    assert planned["solve"] == "cg" and planned["preconditioner"] is None  # gamma = 0
+    assert radii == [2.0]
 
 
 def test_spectral_and_ridge_step_size_floors(small_logistic):
