@@ -1,4 +1,4 @@
-"""Newton-direction solves: exact via Cholesky or an eigendecomposition,
+"""Newton-direction solves: exact via Cholesky or a factored eigendecomposition,
 inexact via preconditioned conjugate gradients under a two-part acceptance
 contract.
 
@@ -49,6 +49,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import SampledHessian
+from .regularize import Spectrum
 
 EXACT_RESIDUAL_RTOL = 1e-10
 MAX_REFINEMENTS = 3
@@ -133,8 +134,10 @@ def solve_exact(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise NotPositiveDefiniteError("refinement stalled; matrix numerically singular")
 
 
-def solve_eigen(eigvals: np.ndarray, eigvecs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve V diag(eigvals) V' y = rhs in O(p^2) from a known eigendecomposition.
+def solve_eigen(spectrum: Spectrum, eigvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve V diag(eigvals) V' y = rhs in O(p^2), with V the factored
+    eigenvectors of ``spectrum`` and ``eigvals`` its eigenvalues as the
+    caller changed them (ssn-spectral floors them).
 
     Raises ``NotPositiveDefiniteError`` unless the smallest eigenvalue exceeds
     p * machine epsilon * the largest (numpy's rank tolerance).
@@ -142,7 +145,7 @@ def solve_eigen(eigvals: np.ndarray, eigvecs: np.ndarray, rhs: np.ndarray) -> np
     smallest = float(eigvals.min())
     if not smallest > eigvals.size * np.finfo(float).eps * float(eigvals.max()):
         raise NotPositiveDefiniteError(f"smallest eigenvalue {smallest:.3g} is not positive")
-    return eigvecs @ ((eigvecs.T @ rhs) / eigvals)
+    return spectrum.from_eigenbasis(spectrum.to_eigenbasis(rhs) / eigvals)
 
 
 def _cg_iterates(h, g, budget, precond=None):

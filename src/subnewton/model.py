@@ -188,14 +188,18 @@ class Dataset:
 
 
 def weighted_gram(a, w: np.ndarray | None = None) -> np.ndarray:
-    """A' diag(w) A as a dense array, for dense or CSR rows A; without ``w``
-    it is A'A, formed with no weighted copy of A."""
-    if w is not None:
-        a_w = a.multiply(w[:, None]) if sp.issparse(a) else a * w[:, None]
-    else:
-        a_w = a
-    gram = a_w.T @ a
-    return gram.toarray() if sp.issparse(gram) else gram
+    """A' diag(w) A as a dense array, for dense or CSR rows A and weights
+    w >= 0; without ``w`` it is A'A, formed with no weighted copy of A.
+
+    Dense rows form it as the self-product B'B of B = sqrt(w) A, which numpy
+    computes by a symmetric rank-k update: half the flops of the general
+    product (w A)'A.  CSR rows gain nothing from that and keep (w A)'A.
+    """
+    if sp.issparse(a):
+        gram = (a if w is None else a.multiply(w[:, None])).T @ a
+        return gram.toarray()
+    b = a if w is None else a * np.sqrt(w)[:, None]
+    return b.T @ b
 
 
 @dataclass(frozen=True)

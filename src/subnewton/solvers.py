@@ -4,10 +4,12 @@ Variants
 --------
 ``ssn-hessian``   fresh curvature sample each iteration, full gradient,
                   exact or inexact solve, Armijo step (needs gamma > 0).
-``ssn-spectral``  any sample size; one eigendecomposition of the sampled H
-                  gives its floor lambda_k = max(lambda_min(H), 0) + lambda_user
-                  (so no strong convexity is needed) and the exact step in its
-                  eigenbasis, which meets any ``inexact`` spec without CG.
+``ssn-spectral``  any sample size; one eigendecomposition of the sampled H,
+                  from one tridiagonal reduction, gives its floor
+                  lambda_k = max(lambda_min(H), 0) + lambda_user (so no strong
+                  convexity is needed) and the exact step in its eigenbasis,
+                  which meets any ``inexact`` spec without CG; the p x p
+                  eigenvector matrix is applied factored, never formed.
 ``ssn-ridge``     same, with H + lambda_user * I instead of the floor.
 ``ssn-full``      samples the gradient too; stops early once the sampled
                   gradient norm falls below sigma * eps2, which certifies
@@ -585,11 +587,12 @@ def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond):
 
     H is the sampled Hessian H_S, shifted by lambda_user (ssn-ridge) or
     floored at lambda_k in the eigenbasis of its one eigendecomposition
-    (``PATH_EIGEN``).  Cholesky and eigenbasis solves assemble H_S; CG
-    solves only multiply by it, preconditioned by ``precond``, the run's
-    one preconditioner (None runs plain CG).  A singular random sample is
-    redrawn a few times (a probability-delta event) before giving up; a
-    full without-replacement sample, the same every time, is not.
+    (``PATH_EIGEN``, ``regularize.spectrum``).  Cholesky and eigenbasis
+    solves assemble H_S; CG solves only multiply by it, preconditioned by
+    ``precond``, the run's one preconditioner (None runs plain CG).  A
+    singular random sample is redrawn a few times (a probability-delta
+    event) before giving up; a full without-replacement sample, the same
+    every time, is not.
 
     Returns the direction, the solve's record fields and the raw H_S of the
     sample that produced it (unassembled after a CG solve) for off-clock
@@ -610,9 +613,10 @@ def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond):
                            "solve_path": diag.path, "lambda_applied": lam}, h_raw
             h_raw = subsampled_hessian(model, x, sample, t)
             if solve == PATH_EIGEN:
-                eigs, vecs = spectrum(h_raw)
+                spec = spectrum(h_raw)
+                eigs = spec.eigvals
                 floor = max(float(eigs[0]), 0.0) + config.lambda_user
-                return -solve_eigen(np.maximum(eigs, floor), vecs, g), {
+                return -solve_eigen(spec, np.maximum(eigs, floor), g), {
                     "cg_iters": 0, "solve_path": PATH_EIGEN, "lambda_applied": floor,
                     "min_eig_h": float(eigs[0])}, h_raw
             h = h_raw if lam is None else ridge(h_raw, lam)

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from subnewton.regularize import min_eigenvalue, ridge, spectral_floor
+from subnewton.linsolve import solve_eigen
+from subnewton.regularize import min_eigenvalue, ridge, spectral_floor, spectrum
 
 
 def random_symmetric(rng, p):
@@ -41,6 +42,44 @@ def test_min_eig_rejects_bad_input():
         min_eigenvalue(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         min_eigenvalue(np.array([[1.0, 5.0], [0.0, 1.0]]))  # grossly asymmetric
+
+
+# -- factored spectrum ---------------------------------------------------------
+
+
+def spectrum_input(kind, p, rng):
+    if kind == "indefinite":
+        return random_symmetric(rng, p)
+    if kind == "rank-deficient":  # a sampled Hessian with fewer rows than p
+        a = rng.standard_normal((p // 2, p))
+        return a.T @ (rng.random(p // 2)[:, None] * a) / max(p // 2, 1)
+    return np.diag(rng.standard_normal(p).round(1))  # diagonal, with repeats
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "rank-deficient", "diagonal"])
+@pytest.mark.parametrize("p", [1, 2, 3, 17, 60])
+def test_spectrum_floored_solve_matches_the_dense_floor(p, kind):
+    rng = np.random.default_rng(p)
+    h = spectrum_input(kind, p, rng)
+    kept = h.copy()
+    spec = spectrum(h)
+    np.testing.assert_array_equal(h, kept)  # the reduction works on a copy
+    exact = np.linalg.eigvalsh(h)
+    assert np.abs(spec.eigvals - exact).max() <= 1e-13 * np.abs(exact).max()
+    floor = max(float(spec.eigvals[0]), 0.0) + 1e-2
+    g = rng.standard_normal(p)
+    y = solve_eigen(spec, np.maximum(spec.eigvals, floor), g)
+    expected = np.linalg.solve(spectral_floor(h, floor), g)
+    assert np.linalg.norm(y - expected) <= 1e-10 * np.linalg.norm(expected)
+    np.testing.assert_allclose(spec.from_eigenbasis(spec.to_eigenbasis(g)), g,
+                               rtol=0, atol=1e-13 * np.linalg.norm(g))
+
+
+def test_spectrum_rejects_bad_input():
+    with pytest.raises(ValueError):
+        spectrum(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        spectrum(np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
 # -- spectral floor -----------------------------------------------------------

@@ -239,9 +239,13 @@ def test_operator_dense_is_the_sampled_assembly_bit_for_bit(small_logistic):
     s = draw(m.n, 120, "with", rng)
     a_s = m.dataset.features[s.indices]
     w = m._fam.phi_double(a_s @ x)
-    ref = (a_s * w[:, None]).T @ a_s
+    b = a_s * np.sqrt(w)[:, None]  # dense rows: the self-product of sqrt(w) A_S
+    ref = b.T @ b
     ref /= s.size
     ref[np.diag_indices_from(ref)] += m.reg
     dense = m.sampled_hessian(s.indices, x).dense()
     np.testing.assert_array_equal(dense, ref)
     np.testing.assert_array_equal(dense, subsampled_hessian(m, x, s))
+    np.testing.assert_array_equal(dense, dense.T)
+    general = (a_s * w[:, None]).T @ a_s / s.size + m.reg * np.eye(m.p)
+    assert np.abs(dense - general).max() <= 1e-14 * np.abs(general).max()

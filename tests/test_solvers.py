@@ -499,9 +499,11 @@ def record_assemblies(monkeypatch):
 
 @pytest.mark.parametrize("inexact", [None, InexactnessSpec(theta1=1e-3, theta2=0.5)],
                          ids=["exact", "inexact"])
-def test_spectral_step_takes_one_eigh_and_nothing_else(small_logistic, monkeypatch,
-                                                      inexact):
-    calls = {"eigh": 0, "eigvalsh": 0, "cho_factor": 0}
+def test_spectral_step_takes_one_tridiagonal_reduction_and_nothing_else(
+        small_logistic, monkeypatch, inexact):
+    """Each step reduces its sample once (LAPACK sytrd) and forms no p x p
+    eigenvector matrix: no eigh, no eigvalsh, no Cholesky."""
+    calls = {"dsytrd": 0, "eigh": 0, "eigvalsh": 0, "cho_factor": 0}
     assembled = record_assemblies(monkeypatch)
 
     def counted(owner, name):
@@ -513,6 +515,7 @@ def test_spectral_step_takes_one_eigh_and_nothing_else(small_logistic, monkeypat
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
+    counted(scipy.linalg.lapack, "dsytrd")
     counted(np.linalg, "eigh")
     counted(np.linalg, "eigvalsh")
     counted(scipy.linalg, "cho_factor")
@@ -521,8 +524,28 @@ def test_spectral_step_takes_one_eigh_and_nothing_else(small_logistic, monkeypat
     trace = run(small_logistic, cfg, np.zeros(small_logistic.p))
     steps = [rec for rec in trace.records if rec.alpha > 0]
     assert trace.stop == "GradTol" and len(steps) >= 5
-    assert calls == {"eigh": len(steps), "eigvalsh": 0, "cho_factor": 0}
+    assert calls == {"dsytrd": len(steps), "eigh": 0, "eigvalsh": 0, "cho_factor": 0}
     assert all(rec.solve_path == "eigh" and rec.cg_iters == 0 for rec in steps)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_spectral_runs_at_the_smallest_dimensions(p, storage):
+    """p = 1 has no Householder reflector and p = 2 one (with tau = 0)."""
+    rng = np.random.default_rng(p)
+    a = rng.standard_normal((200, p))
+    a[rng.random((200, p)) < 0.3] = 0.0
+    b = (rng.random(200) < 1 / (1 + np.exp(-a.sum(axis=1)))).astype(float)
+    features = sp.csr_matrix(a) if storage == "csr" else a
+    model = ObjectiveModel(Dataset(features, b), "logistic", reg=1e-3)
+    cfg = SolverConfig(variant="ssn-spectral", sample_frac_h=0.3, lambda_user=1e-3,
+                       grad_tol=1e-8, max_iters=60, seed=1)
+    trace = run(model, cfg, np.zeros(p))
+    steps = [rec for rec in trace.records if rec.alpha > 0]
+    assert trace.stop == "GradTol" and steps
+    assert all(rec.solve_path == "eigh" for rec in steps)
+    newton = run(model, SolverConfig(variant="newton", grad_tol=1e-10), np.zeros(p))
+    assert np.allclose(trace.records[-1].x, newton.records[-1].x, atol=1e-6)
 
 
 def test_spectral_direction_is_the_floored_operator_solve(small_logistic, monkeypatch):
