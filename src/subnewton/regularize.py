@@ -13,6 +13,7 @@ the eigenvector matrix V factored, so the step never pays for forming it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +24,33 @@ SYMMETRY_TOL = 1e-8
 
 
 def _symmetrize(h: np.ndarray) -> np.ndarray:
+    """A fresh copy of the validated h, averaged with its transpose, as
+    0.5 * (h + h') gives it bit for bit.
+
+    One pass forms D = h - h'.  D is antisymmetric, so max D is the largest
+    asymmetry, and it is finite only when every entry of h is (a non-finite
+    entry makes its pair or diagonal entry of D inf or nan).  The
+    scale max|h| is read only when the asymmetry exceeds SYMMETRY_TOL, and an
+    exactly symmetric h (every dense assembly) is copied, not averaged.
+    """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    if not h.size:
+        return h.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = h - h.T
+    skew = float(out.max())
+    if not math.isfinite(skew):
         raise ValueError("matrix has non-finite entries")
-    skew = np.abs(h - h.T).max() if h.size else 0.0
-    if skew > SYMMETRY_TOL * max(1.0, np.abs(h).max()):
+    if skew > SYMMETRY_TOL and skew > SYMMETRY_TOL * float(np.abs(h).max()):
         raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3g})")
-    return 0.5 * (h + h.T)
+    if skew:
+        np.add(h, h.T, out=out)
+        out *= 0.5
+    else:
+        np.copyto(out, h)
+    return out
 
 
 def min_eigenvalue(h: np.ndarray) -> float:

@@ -40,20 +40,24 @@ or where its Cholesky fails, CG runs unpreconditioned.
 The clock covers the move and what the next move reads at x_{k+1}: fresh
 margins A x there, F and the gradient (A'w) from them, which the record,
 the next stop test, the direction, its Hessian weights and Armijo's F(x)
-reuse.  A Newton-like or quasi-Newton step predicts the unit step: on the
-first iteration, and after a search that accepted its first trial, the
-first trial takes fresh margins A(x + alpha p).  If Armijo accepts it, they
-and their F are x_{k+1}'s, so the step passes over the data twice (that A x
-and A'w).  If not, one product A p makes the remaining trials cost O(n)
-from t + alpha A p, then x_{k+1} takes fresh margins: four passes.  After
-a search that backtracked, the step starts with A p: three passes (A p,
-A x, A'w).  Every iterate's margins are thus one fresh product with A, so
-no rounding drift builds up.  ``ssn-full`` steps on a sampled gradient, so
-its full gradient is a diagnostic (one pass fewer in each case).  GD reads
-only the gradient at x_{k+1} (A x and A'w), so F there is a diagnostic;
-AGD's one gradient is at y_k (A y and A'w), so F and the gradient at
-x_{k+1} both are.  Diagnostics, which include ``track_events``' lambda_min
-of the sampled Hessian and ``grad_error_used``, run outside the clock.
+reuse.  Records count the products with A or A' (``data_passes``).  A
+Newton-like or quasi-Newton step predicts the unit step: on the first
+iteration, and after a search that accepted its first trial, the first
+trial is a fresh ``model.evaluate`` at x + alpha p, whose margins, F and
+gradient come from one read of the data (A x and A'w over cache-sized row
+blocks).  If Armijo accepts it, all three are x_{k+1}'s: two products in
+one read.  If not, its gradient is dropped, one product A p makes the
+remaining trials cost O(n) from t + alpha A p, then x_{k+1} takes fresh
+margins and its gradient: five products.  After a search that backtracked,
+the step starts with A p: three products (A p, A x, A'w) in three reads.
+Every iterate's margins are thus one fresh product with A, so no rounding
+drift builds up.  ``ssn-full`` steps on a sampled gradient, so its full
+gradient is a diagnostic: its prediction takes none, and each step makes
+one product fewer (two on a missed prediction).  GD reads only the gradient
+at x_{k+1} (A x and A'w), so F there is a diagnostic; AGD's one gradient is
+at y_k (A y and A'w), so F and the gradient at x_{k+1} both are.
+Diagnostics, which include ``track_events``' lambda_min of the sampled
+Hessian and ``grad_error_used``, run outside the clock.
 """
 
 from __future__ import annotations
@@ -200,7 +204,9 @@ class TraceRecord:
     bound_saturated: bool = False
     stop_flag: str = ""
     wall_nanos: int = 0
-    data_passes: int = 0  # products with the full A or A' inside this iteration's clock
+    # products with the full A or A' inside this iteration's clock; a fused
+    # evaluation (model.evaluate) makes two, A x and A'w, in one read of A
+    data_passes: int = 0
     x: np.ndarray | None = None
 
 
@@ -266,9 +272,7 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
     # takes it at another point (agd's y_k)
     timed_f = config.variant not in ("gd", "agd")
     timed_g = config.variant not in ("ssn-full", "agd")
-    t = model._margins(x)
-    f_value = model.value(x, t)
-    grad = model.gradient(x, t)
+    t, f_value, grad = model.evaluate(x)
     trace = Trace(variant=config.variant, header={"config": asdict(config), **header},
                   f0=f_value, x0=x.copy())
 
@@ -289,12 +293,12 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
                 x_next, at_next, fields, diagnose = move(x, t, f_value, grad)
             if x_next is not None:
                 x = x_next
-                if at_next is not None:  # the accepted predicted step's fresh A x and F
-                    t, f_value = at_next
+                if at_next is not None:  # the accepted predicted step's evaluation
+                    t, f_value, grad = at_next
                 else:  # fresh margins, not t + alpha * A p: no rounding drift builds up
                     t = model._margins(x) if timed_f or timed_g else None
                     f_value = model.value(x, t) if timed_f else None
-                grad = model.gradient(x, t) if timed_g else None
+                    grad = model.gradient(x, t) if timed_g else None
             wall += time.perf_counter_ns() - tic
             passes = model.data_passes - passes
 
@@ -469,46 +473,49 @@ def _draw_g(model, rng, size_g):
 class _Line:
     """alpha -> F(x + alpha p) for Armijo, given the margins t = A x.
 
-    With ``predict``, the first trial is evaluated at fresh margins
-    A(x + alpha p), which ``end`` hands to x_{k+1} if Armijo accepts it.
-    Every other trial costs O(n) from t + alpha A p, after one product A p.
+    With ``predict``, the first trial is a fresh ``model.evaluate`` at
+    x + alpha p: its margins, F and, with ``gradient``, the gradient from the
+    same walk over the data, which ``end`` hands to x_{k+1} if Armijo accepts
+    the trial; a rejected trial's gradient is dropped.  A non-finite gradient
+    there fails the trial, as a non-finite F does.  Every other trial costs
+    O(n) from t + alpha A p, after one product A p.
     """
 
-    def __init__(self, model, x, p, t, predict):
+    def __init__(self, model, x, p, t, predict, gradient):
         self.model, self.x, self.p, self.t = model, x, p, t
-        self.predict = predict
+        self.predict, self.gradient = predict, gradient
         self.ap = self.first = None
 
     def __call__(self, alpha):
         if self.predict:
             self.predict = False
             x_new = self.x + alpha * self.p
-            t_new = self.model._margins(x_new)
-            self.first = (x_new, t_new, self.model.value(x_new, t_new))
-            return self.first[2]
+            at_new = self.model.evaluate(x_new, self.gradient)
+            self.first = (x_new, at_new)
+            return at_new[1]
         if self.ap is None:
             self.ap = self.model._margins(self.p)
         return self.model.value(self.x + alpha * self.p, self.t + alpha * self.ap)
 
     def end(self, alpha, trials):
-        """x_{k+1} = x + alpha p, and its (margins, F) if the accepted step
-        is the predicted first trial, else None."""
+        """x_{k+1} = x + alpha p, and its (margins, F, gradient or None) if
+        the accepted step is the predicted first trial, else None."""
         if trials == 1 and self.first is not None:
-            x_new, t_new, f_new = self.first
-            return x_new, (t_new, f_new)
+            return self.first
         return self.x + alpha * self.p, None
 
 
-def _searcher(model, params):
+def _searcher(model, params, gradient=True):
     """Armijo steps for one run: each search predicts the unit step on the
-    first iteration and after a search that accepted its first trial.
-    ``search(x, p, t, f_value, slope)`` returns (alpha, trials, x_next,
-    at_next) with ``at_next`` as in ``_Line.end``."""
+    first iteration and after a search that accepted its first trial, and
+    takes the gradient with a predicted trial's F unless ``gradient`` is
+    False.  ``search(x, p, t, f_value, slope)`` returns (alpha, trials,
+    x_next, at_next) with ``at_next`` as in ``_Line.end``."""
     predict = True
 
     def search(x, p, t, f_value, slope):
         nonlocal predict
-        line = _Line(model, x, p, t, predict)
+        line = _Line(model, x, p, t, predict, gradient)
         alpha, trials = armijo(line, f_value, slope, params)
         predict = trials == 1
         return (alpha, trials, *line.end(alpha, trials))
@@ -534,7 +541,8 @@ def _newton_like(model, config, x0):
             precond = spd_inverse(h0)
         except NotPositiveDefiniteError:  # singular in floating point
             header["preconditioner"] = None
-    search = _searcher(model, config.line_search)
+    # ssn-full's full gradient is a diagnostic, so its prediction skips it
+    search = _searcher(model, config.line_search, gradient=not sampled_g)
 
     def move(x, t, f_value, grad):
         nonlocal eps2_k

@@ -60,20 +60,26 @@ def central_diff_hessian(grad, x, h=1e-6):
 
 
 def line_search_passes(records, base=3):
-    """Full-data passes each line-search step should make.
+    """Full-data products each line-search step should make.
 
     A step after a search that backtracked (and not the first step) makes
     ``base``: A p, then A x and A'w at x_{k+1} (ssn-full, base 2, has no
-    A'w).  Otherwise it predicts the unit step with fresh margins
-    A(x + alpha p): one pass fewer if its first trial is accepted, one
-    more if not (A p for the backtracking).  Terminal records make none.
+    A'w).  Otherwise it predicts the unit step with a fresh evaluation at
+    x + alpha p (A x, and A'w where x_{k+1} reads it): one product fewer if
+    its first trial is accepted; if not, the prediction's products come on
+    top of ``base``, whose A p serves the backtracking.  Terminal records
+    make none.
     """
+    predicted = base - 1  # A x, and A'w unless base is 2
     expected, predict = [], True
     for rec in records:
         if not rec.ls_trials:
             expected.append(0)
             continue
         accepted_first = rec.ls_trials == 1
-        expected.append(base + (-1 if accepted_first else 1) if predict else base)
+        if not predict:
+            expected.append(base)
+        else:
+            expected.append(predicted if accepted_first else predicted + base)
         predict = accepted_first
     return expected

@@ -70,6 +70,81 @@ def test_evaluation_from_margins_and_pass_count(fixture, request):
         assert along == pytest.approx(m.value(x + alpha * p), rel=1e-12)
 
 
+def block_model(family, n, p, storage, seed=0):
+    """A model on seeded rows (about 30% zeros) with labels of its family."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, p))
+    a[rng.random((n, p)) < 0.3] = 0.0
+    t = a @ (0.3 * rng.standard_normal(p))
+    if family == "ridge":
+        b = t + 0.1 * rng.standard_normal(n)
+    elif family == "logistic":
+        b = (rng.random(n) < 1.0 / (1.0 + np.exp(-t))).astype(float)
+    else:
+        b = rng.poisson(np.exp(t)).astype(float)
+    features = sp.csr_matrix(a) if storage == "csr" else a
+    return ObjectiveModel(Dataset(features, b), family, reg=0.01)
+
+
+# 16 rows per block at p = 6: n = 10 is below one block, 100 ends in a part
+# block, 1003 spans 63 blocks and ends in a part block
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [10, 100, 1003])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "poisson"])
+def test_evaluate_is_margins_value_and_gradient_bit_for_bit(family, storage, n, monkeypatch):
+    monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 16 * 6 * 8)
+    m = block_model(family, n, 6, storage)
+    x = 0.2 * np.random.default_rng(1).standard_normal(6)
+    before = m.data_passes
+    t, f, g = m.evaluate(x)
+    assert m.data_passes - before == 2  # A x and A'w, from one walk over the rows
+    np.testing.assert_array_equal(t, m._margins(x))
+    assert f == m.value(x, t) == m.value(x)
+    np.testing.assert_array_equal(g, m.gradient(x, t))
+    np.testing.assert_array_equal(g, m.gradient(x))
+    a, b = m.dataset.features, m.dataset.labels
+    kind = model_module.FAMILIES[family]
+    if storage == "csr":  # one block: today's products
+        np.testing.assert_array_equal(t, a @ x)
+        np.testing.assert_array_equal(
+            g, a.T @ (kind.phi_prime(a @ x) - b) / n + m.reg * x)
+    else:  # the blocks only reorder the sums
+        np.testing.assert_allclose(t, a @ x, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(g, a.T @ (kind.phi_prime(t) - b) / n + m.reg * x,
+                                   rtol=1e-12, atol=1e-14)
+    before = m.data_passes
+    t_only, f_only, none = m.evaluate(x, gradient=False)
+    assert m.data_passes - before == 1 and none is None
+    np.testing.assert_array_equal(t_only, t)
+    assert f_only == f
+
+
+def test_evaluate_at_the_default_block_size_spans_blocks():
+    m = block_model("logistic", 6000, 50, "dense", seed=4)
+    assert len(m._blocks) == 3  # 2621 rows per block at p = 50
+    x = 0.2 * np.random.default_rng(2).standard_normal(50)
+    t, f, g = m.evaluate(x)
+    np.testing.assert_array_equal(t, m._margins(x))
+    assert f == m.value(x)
+    np.testing.assert_array_equal(g, m.gradient(x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_evaluate_raises_on_a_non_finite_gradient(storage):
+    # t = 0 keeps F at 0, while each row adds 1e100 * 1e208 to A'w: inf
+    a = np.full((2, 1), 1e100)
+    features = sp.csr_matrix(a) if storage == "csr" else a
+    m = ObjectiveModel(Dataset(features, np.full(2, -1e208)), "ridge")
+    x = np.zeros(1)
+    assert m.evaluate(x, gradient=False)[1] == 0.0
+    with pytest.raises(EvaluationError, match="gradient is non-finite"):
+        m.evaluate(x)
+    with pytest.raises(EvaluationError, match="gradient is non-finite"):
+        m.gradient(x)
+
+
 # -- link kernels -------------------------------------------------------------
 
 LINK_EDGES = np.array([800.0, -800.0, 745.0, -745.0, 36.0, -36.0, 0.0, -0.0, 5e-324,
@@ -114,6 +189,20 @@ def test_ridge_and_poisson_kernels_unchanged():
     clamped = np.exp(np.minimum(t, EXP_CLAMP))
     for kernel in (PoissonFamily.phi, PoissonFamily.phi_prime, PoissonFamily.phi_double):
         np.testing.assert_array_equal(kernel(t), clamped)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_kernel_feeds_phi_and_phi_prime_bit_for_bit():
+    t = link_margins()
+    kernels = {LogisticFamily: np.exp(-np.abs(t)),
+               PoissonFamily: np.exp(np.minimum(t, EXP_CLAMP)), RidgeFamily: t}
+    for kind, expected in kernels.items():
+        np.testing.assert_array_equal(kind.kernel(t), expected)
+        out = np.empty_like(t)
+        assert kind.kernel(t, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(kind.phi(t, out), kind.phi(t))
+        np.testing.assert_array_equal(kind.phi_prime(t, out), kind.phi_prime(t))
 
 
 # -- gradient -----------------------------------------------------------------

@@ -376,9 +376,9 @@ def test_newton_is_priced_without_sampling_error(small_logistic):
         assert planned["rate_prediction"] == expected.as_dict()
 
 
-# (settings, full-data passes per step).  A line-search step makes three
+# (settings, full-data products per step).  A line-search step makes three
 # when it starts from A p (A p, then fresh A x and A'w at the new iterate),
-# two or four when it predicts the unit step (``line_search_passes``).
+# two or five when it predicts the unit step (``line_search_passes``).
 # ssn-full samples its gradient, so A'w there is a diagnostic; gd has no line
 # search (A x, A'w); agd's one gradient is at y_k (A y, A'w).
 RECORD_CASES = [
@@ -431,9 +431,10 @@ def test_accepted_full_steps_make_two_passes(small_logistic):
         assert rec.f_value == m.value(rec.x)
 
 
-def test_backtracking_first_step_makes_four_passes_then_three(small_logistic):
+def test_backtracking_first_step_makes_five_passes_then_three(small_logistic):
     # alpha_hat = 4 is rejected every time: the first search pays the missed
-    # prediction (A(x + 4p), A p, A x, A'w), later ones start from A p
+    # prediction (A(x + 4p) and its A'w, then A p, A x, A'w), later ones
+    # start from A p
     m = small_logistic
     cfg = SolverConfig(variant="newton", grad_tol=1e-9,
                        line_search=LineSearchParams(alpha_hat=4.0))
@@ -441,9 +442,92 @@ def test_backtracking_first_step_makes_four_passes_then_three(small_logistic):
     *steps, _ = trace.records
     assert trace.stop == "GradTol" and len(steps) >= 3
     assert all(rec.ls_trials > 1 for rec in steps)
-    assert [rec.data_passes for rec in steps] == [4] + [3] * (len(steps) - 1)
+    assert [rec.data_passes for rec in steps] == [5] + [3] * (len(steps) - 1)
     for rec in steps:
         assert rec.f_value == m.value(rec.x)
+
+
+def count_evaluations(monkeypatch):
+    """Count the model's evaluate (by its gradient flag), gradient and
+    value calls."""
+    calls = {"evaluate": 0, "evaluate-no-gradient": 0, "gradient": 0, "value": 0}
+    cls = model_module.ObjectiveModel
+    evaluate, gradient, value = cls.evaluate, cls.gradient, cls.value
+
+    def counting_evaluate(self, x, gradient=True):
+        calls["evaluate" if gradient else "evaluate-no-gradient"] += 1
+        return evaluate(self, x, gradient)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cls, "evaluate", counting_evaluate)
+    monkeypatch.setattr(cls, "gradient", counting("gradient", gradient))
+    monkeypatch.setattr(cls, "value", counting("value", value))
+    return calls
+
+
+def test_accepted_predictions_evaluate_each_iterate_in_one_walk(monkeypatch):
+    # 64 rows per block: the 20000-row design spans 313 blocks
+    monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 64 * 8 * 8)
+    dataset, _ = generate_synthetic(20_000, 8, family="logistic", seed=5)
+    m = ObjectiveModel(dataset, "logistic", reg=1e-4)
+    calls = count_evaluations(monkeypatch)
+    trace = run(m, SolverConfig(variant="ssn-hessian", sample_frac_h=0.05, seed=1,
+                                grad_tol=1e-8), np.zeros(m.p))
+    *steps, _ = trace.records
+    assert trace.stop == "GradTol" and len(steps) >= 4
+    assert all(rec.ls_trials == 1 for rec in steps)
+    # x0, then each x_{k+1}: one evaluate, no separate gradient or value call
+    assert calls == {"evaluate": len(steps) + 1, "evaluate-no-gradient": 0,
+                     "gradient": 0, "value": 0}
+    assert [rec.data_passes for rec in steps] == [2] * len(steps)
+    for rec in trace.records:
+        assert rec.f_value == m.value(rec.x)
+        assert rec.grad_norm_full == float(np.linalg.norm(m.gradient(rec.x)))
+
+
+def test_rejected_prediction_gradient_never_reaches_a_record(small_logistic, monkeypatch):
+    m = small_logistic
+    speculative = []
+    evaluate = model_module.ObjectiveModel.evaluate
+
+    def keeping(self, x, gradient=True):
+        out = evaluate(self, x, gradient)
+        speculative.append((x.copy(), out[2]))
+        return out
+
+    monkeypatch.setattr(model_module.ObjectiveModel, "evaluate", keeping)
+    cfg = SolverConfig(variant="newton", grad_tol=1e-9,
+                       line_search=LineSearchParams(alpha_hat=4.0))
+    trace = run(m, cfg, np.zeros(m.p))
+    *steps, _ = trace.records
+    assert trace.stop == "GradTol" and steps[0].ls_trials > 1
+    # x0's evaluation, then the first step's prediction at x0 + 4p, rejected
+    assert len(speculative) == 2
+    x_trial, g_trial = speculative[1]
+    assert not np.array_equal(x_trial, steps[0].x)
+    for rec in trace.records:
+        assert rec.grad_norm_full == float(np.linalg.norm(m.gradient(rec.x)))
+        assert rec.grad_norm_full != float(np.linalg.norm(g_trial))
+    # the line itself hands x_{k+1} nothing from a rejected prediction
+    x = np.zeros(m.p)
+    t, f, g = m.evaluate(x)
+    p = -g
+    line = solvers._Line(m, x, p, t, True, True)
+    line(4.0)
+    line(2.0)
+    x_next, at_next = line.end(2.0, 2)
+    np.testing.assert_array_equal(x_next, x + 2.0 * p)
+    assert at_next is None
+    accepted = solvers._Line(m, x, p, t, True, True)
+    f_new = accepted(1.0)
+    x_next, (t_new, f_next, g_new) = accepted.end(1.0, 1)
+    assert f_next == f_new == m.value(x_next)
+    np.testing.assert_array_equal(g_new, m.gradient(x_next))
 
 
 def test_divergence_flagged_on_wild_gd_step(small_logistic):
@@ -554,9 +638,9 @@ def test_spectral_direction_is_the_floored_operator_solve(small_logistic, monkey
     lines = []
     line = solvers._Line
 
-    def recording_line(model, x, p, t, predict):
+    def recording_line(model, x, p, t, predict, gradient):
         lines.append((x, p))
-        return line(model, x, p, t, predict)
+        return line(model, x, p, t, predict, gradient)
 
     monkeypatch.setattr(solvers, "_Line", recording_line)
     cfg = SolverConfig(variant="ssn-spectral", sample_frac_h=0.3, lambda_user=0.05,
