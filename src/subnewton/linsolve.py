@@ -21,17 +21,21 @@ where CG never meets the contract then costs about two exact solves; with a
 full p-iteration CG run it would cost about seven.
 
 A sampled Hessian can also come as a matrix-free operator
-(``model.SampledHessian``): a product costs 4|S|p flops over the gathered rows
-A_S and forms no p x p matrix, while the fallback must first assemble that
-matrix (|S|p^2 to 2|S|p^2 flops) and then factor it.  With a preconditioner
+(``model.SampledHessian``): a product costs 4|S|p flops in one read of the
+gathered rows A_S, a cache-sized row block at a time, and forms no p x p
+matrix, while the fallback must first assemble that matrix (|S|p^2 to
+2|S|p^2 flops) and then factor it.  With a preconditioner
 (2p^2 flops per application) the ceil(p/6) iterations cost
 (2/3)|S|p^2 + p^3/3 flops, below the assembly plus factorization they stand
 in for, so the same budget keeps a missed solve within about two exact ones.
 
 The preconditioner is the caller's, fixed for a whole run; a fallback forms
 no inverse.  Solvers use the inverse of the full Hessian at the start point,
-which every later sample's H is a reweighted subsample of.  On a 5000 x 500
-logistic problem with a 1e8-conditioned design, started at zero, a fresh
+which every later sample's H is a reweighted subsample of; from x0 = 0 the
+model builds that Hessian from a Gram it keeps, so only the first run on a
+model pays the O(np^2) Gram and every later one O(p^2) before the inverse.
+On a 5000 x 500 logistic problem with a 1e8-conditioned design, started at
+zero, a fresh
 sample of |S| = p rows meets theta1 = 1e-2 in 38-54 iterations, inside
 ceil(p/6) = 84, where the inverse of another sample needs 147-213.  A dense
 symmetric product applies M several times faster than two triangular solves

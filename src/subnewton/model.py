@@ -17,13 +17,19 @@ constants are computed once per model and kept, read-only: later runs and
 plans on the same model reuse them.  Poisson's depend on a domain radius,
 and the model keeps those of the last radius asked for.
 
-Products with the full design walk dense rows in blocks of about
-``ROW_BLOCK_BYTES``; CSR rows are one block.  ``evaluate`` gives the
-margins t = A x, F and the gradient A'(Phi'(t) - b)/n + reg x from one walk:
-each block's A_b' w_b runs while A_b, just read for A_b x, is still in
-cache, so it reads the design once where ``value`` and ``gradient`` read it
-twice.  Every margin and gradient sums over the same blocks, so ``evaluate``
-agrees with ``value`` and ``gradient`` bit for bit.
+Products with the full design, and a sampled Hessian's products with its
+gathered rows A_S, walk dense rows in blocks of about ``ROW_BLOCK_BYTES``;
+CSR rows are one block.  ``evaluate`` gives the margins t = A x, F and the
+gradient A'(Phi'(t) - b)/n + reg x from one walk: each block's A_b' w_b runs
+while A_b, just read for A_b x, is still in cache, so it reads the design
+once where ``value`` and ``gradient`` read it twice.  Every margin and
+gradient sums over the same blocks, so ``evaluate`` agrees with ``value``
+and ``gradient`` bit for bit.  A ``SampledHessian`` product H d reads each
+block of A_S once in the same way, for A_b d and then A_b'(w_b A_b d).
+
+Where Phi''(A x) is one constant c on every row (ridge everywhere, every
+family at x = 0), ``hessian`` is c A'A/n + reg I from a Gram A'A/n the model
+keeps after the first such call, so later calls cost O(p^2).
 """
 
 from __future__ import annotations
@@ -234,6 +240,23 @@ class Dataset:
         return a.toarray() if sp.issparse(a) else a
 
 
+def _row_blocks(a) -> list:
+    """(rows, A_rows) over the rows of A: views of ``ROW_BLOCK_BYTES``-sized
+    dense blocks, or all CSR rows as one block (slicing CSR would copy it)."""
+    if sp.issparse(a):
+        return [(slice(None), a)]
+    step = max(1, ROW_BLOCK_BYTES // (a.itemsize * a.shape[1]))
+    return [(slice(lo, lo + step), a[lo:lo + step]) for lo in range(0, a.shape[0], step)]
+
+
+def _shifted(h: np.ndarray, shift: float) -> np.ndarray:
+    """h + shift * I in place; raises EvaluationError if h is non-finite."""
+    h[np.diag_indices_from(h)] += shift
+    if not np.all(np.isfinite(h)):
+        raise EvaluationError("hessian accumulation is non-finite")
+    return h
+
+
 def weighted_gram(a, w: np.ndarray | None = None) -> np.ndarray:
     """A' diag(w) A as a dense array, for dense or CSR rows A and weights
     w >= 0; without ``w`` it is A'A, formed with no weighted copy of A.
@@ -255,28 +278,35 @@ class SampledHessian:
     rows A_S and their curvatures.
 
     ``shift`` is the objective's reg; ssn-ridge adds its lambda_user to it.
-    ``h @ d`` costs two products with A_S, O(nnz(A_S)) for dense or CSR
-    rows, and never forms the p x p matrix.  ``dense()`` assembles it,
-    keeping the sample's index order, so identical index sequences give
-    bit-identical matrices.
+    ``h @ d`` costs 4 nnz(A_S) flops and never forms the p x p matrix: it
+    walks dense A_S in blocks of ``ROW_BLOCK_BYTES`` and takes each block's
+    A_b'(w_b * A_b d) while A_b is still in cache, so A_S is read once per
+    product; CSR rows are one block.  The weights w = Phi''/|S| are scaled
+    once, at construction.  ``dense()`` assembles it, keeping the sample's
+    index order, so identical index sequences give bit-identical matrices.
     """
 
     rows: object  # A_S, dense or CSR
     curvature: np.ndarray  # Phi''(A_S x)
     shift: float
+    # (A_b, w_b) over the row blocks of A_S, with w = curvature / |S|
+    _blocks: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w = self.curvature / self.curvature.size
+        object.__setattr__(self, "_blocks",
+                           [(a_b, w[rows]) for rows, a_b in _row_blocks(self.rows)])
 
     def __matmul__(self, d: np.ndarray) -> np.ndarray:
-        w = self.curvature / self.curvature.size
-        return np.asarray(self.rows.T @ (w * np.asarray(self.rows @ d).ravel())).ravel() \
-            + self.shift * d
+        hd = np.zeros(self.rows.shape[1])
+        for a_b, w_b in self._blocks:
+            hd += np.asarray(a_b.T @ (w_b * np.asarray(a_b @ d).ravel())).ravel()
+        return hd + self.shift * d
 
     def dense(self) -> np.ndarray:
         h = weighted_gram(self.rows, self.curvature)
         h /= self.curvature.size
-        h[np.diag_indices_from(h)] += self.shift
-        if not np.all(np.isfinite(h)):
-            raise EvaluationError("hessian accumulation is non-finite")
-        return h
+        return _shifted(h, self.shift)
 
 
 @dataclass(frozen=True)
@@ -287,13 +317,18 @@ class ConditionEstimates:
     smoothness upper bound, and per_component_k holds one smoothness bound
     per f_i.  khat(q) is the mean of the q largest per-component bounds; the
     condition numbers kappa = K/gamma and, for q rows drawn without
-    replacement, kappa_tilde = khat(q)/gamma follow.
+    replacement, kappa_tilde = khat(q)/gamma follow.  rank_deficient says
+    the data Gram (Poisson's weighted one) has an eigenvalue at rounding
+    level of its largest, so at reg = 0 every Hessian of the objective is
+    singular; it is only known where the eigenvalues are computed (p <=
+    EXACT_GAMMA_MAX_DIM), and False above.
     Frozen, with read-only arrays, since a model shares one with all callers.
     """
 
     gamma: float
     big_k: float
     per_component_k: np.ndarray
+    rank_deficient: bool = False
     _prefix_means: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -373,15 +408,8 @@ class ObjectiveModel:
             )
         self.data_passes = 0  # full-data products so far (A x and A'w)
         self._constants: tuple[float | None, ConditionEstimates] | None = None
-        # (rows, A_rows) over the design: views of ROW_BLOCK_BYTES-sized dense
-        # blocks, or all CSR rows as one block (slicing CSR would copy it)
-        a = dataset.features
-        if sp.issparse(a):
-            self._blocks = [(slice(None), a)]
-        else:
-            step = max(1, ROW_BLOCK_BYTES // (a.itemsize * self.p))
-            self._blocks = [(slice(lo, lo + step), a[lo:lo + step])
-                            for lo in range(0, self.n, step)]
+        self._gram: np.ndarray | None = None  # A'A/n, kept by ``hessian``
+        self._blocks = _row_blocks(dataset.features)
 
     @property
     def reg(self) -> float:
@@ -491,25 +519,40 @@ class ObjectiveModel:
         """(1/|S|) sum_{j in S} Phi''(a_j'x) a_j a_j' + reg * I, unassembled:
         gathers the rows A_S and their curvatures Phi''(A_S x).  Given the
         iterate's margins t = A x, the curvatures come from t[S] with no
-        product A_S x.  S = 0..n-1 reproduces the full Hessian exactly."""
+        product A_S x.  S = 0..n-1 in order reproduces the full Hessian
+        exactly; it reads the design's own rows, with no gathered copy, which
+        for CSR or C-ordered dense rows gives the same matrix bit for bit."""
         idx = np.asarray(indices, dtype=int).ravel()
         if idx.size == 0:
             raise ValueError("empty sample")
         if idx.min() < 0 or idx.max() >= self.n:
             raise IndexError("sample index out of range")
         x = self._check_x(x)
-        a_s = self.dataset.features[idx]
-        t_s = np.asarray(a_s @ x).ravel() if t is None else t[idx]
+        a = self.dataset.features
+        if idx.size == self.n and np.array_equal(idx, np.arange(self.n)):
+            a_s, t_s = a, t
+        else:
+            a_s, t_s = a[idx], None if t is None else t[idx]
+        if t_s is None:
+            t_s = np.asarray(a_s @ x).ravel()
         return SampledHessian(a_s, self._fam.phi_double(t_s), self.reg)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Full Hessian from the dataset's own rows, with no gathered copy;
-        for CSR or C-ordered dense rows it is the all-indices sample
-        assembled, bit for bit."""
-        x = self._check_x(x)
-        a = self.dataset.features
-        t = np.asarray(a @ x).ravel()
-        return SampledHessian(a, self._fam.phi_double(t), self.reg).dense()
+        """Full Hessian: the all-indices sample assembled, from the dataset's
+        own rows.  Where Phi''(A x) is one constant c on every row (ridge,
+        and every family at x = 0) it is c A'A/n + reg I from the Gram A'A/n,
+        which the first such call forms and the model keeps, read-only; for
+        c = 1/4 (logistic) and c = 1 (ridge, Poisson at 0) that is the
+        assembled sample bit for bit, since scaling by a power of two is
+        exact."""
+        h = self.sampled_hessian(np.arange(self.n), x)
+        c = h.curvature[0]
+        if not np.all(h.curvature == c):
+            return h.dense()
+        if self._gram is None:
+            self._gram = weighted_gram(self.dataset.features) / self.n
+            self._gram.flags.writeable = False
+        return _shifted(c * self._gram, self.reg)
 
     # -- bounds and constants ---------------------------------------------
 
@@ -541,8 +584,9 @@ class ObjectiveModel:
         global lower bound (ridge); otherwise gamma = reg.  For ridge and
         logistic, c_lo <= Phi'' <= c_hi are constants, so both bounds come
         from one eigvalsh of the unweighted Gram A'A/n: gamma = reg +
-        c_lo*lambda_min and K = reg + c_hi*lambda_max.  Poisson's K needs the
-        per-row weights.  Eigenvalues are only computed for p <= 2000.
+        c_lo*lambda_min and K = reg + c_hi*lambda_max.  Poisson's K needs the per-row weights.
+        Eigenvalues are only computed for p <= 2000; the same eigvalsh says
+        whether the design is rank deficient.
 
         The result is kept with its radius (None unless Poisson), so only
         the first call, or the first at a new radius, pays for the Gram and
@@ -565,20 +609,24 @@ class ObjectiveModel:
             coeff = np.full(self.n, self._fam.curvature_hi)
         per_k = coeff * norms**2 + self.reg
 
-        gamma = self.reg
+        gamma, deficient = self.reg, False
         if self.p > EXACT_GAMMA_MAX_DIM:
             big_k = float(np.mean(per_k))  # valid upper bound, avoids a p x p eigensolve
-        elif self.family == "poisson":
-            gram = weighted_gram(self.dataset.features, coeff) / self.n
-            big_k = self.reg + float(np.linalg.eigvalsh(gram)[-1])
         else:
-            eigs = np.linalg.eigvalsh(weighted_gram(self.dataset.features) / self.n)
-            c_lo = self._fam.curvature_lo
+            c_lo, c_hi = self._fam.curvature_lo, self._fam.curvature_hi
+            if self.family == "poisson":  # its K needs the per-row weights
+                gram, c_hi = weighted_gram(self.dataset.features, coeff) / self.n, 1.0
+            else:
+                gram = weighted_gram(self.dataset.features) / self.n
+            eigs = np.linalg.eigvalsh(gram)
+            lo, hi = float(eigs[0]), float(eigs[-1])
             # eigenvalues at rounding level of the top one are rank deficiency
-            if c_lo * float(eigs[0]) > 1e-12 * max(1.0, c_lo * float(eigs[-1])):
-                gamma = self.reg + c_lo * float(eigs[0])
-            big_k = self.reg + self._fam.curvature_hi * float(eigs[-1])
-        return ConditionEstimates(gamma=gamma, big_k=big_k, per_component_k=per_k)
+            deficient = lo <= 1e-12 * hi
+            if c_lo * lo > 1e-12 * max(1.0, c_lo * hi):
+                gamma = self.reg + c_lo * lo
+            big_k = self.reg + c_hi * hi
+        return ConditionEstimates(gamma=gamma, big_k=big_k, per_component_k=per_k,
+                                  rank_deficient=deficient)
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()

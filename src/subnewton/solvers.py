@@ -34,8 +34,10 @@ per run (theta1 = 0 is an exact one).  Cholesky and eigh solves assemble
 the sample; CG runs on its matrix-free products (for ssn-ridge, with
 lambda_user added to its diagonal shift).  A run's CG solves share one
 preconditioner, set before its first move and never replaced: the inverse
-of the full Hessian at x0, with the same shift, up to p = 2000; above that,
-or where its Cholesky fails, CG runs unpreconditioned.
+of the full Hessian at x0, with the same shift, up to p = 2000 (from x0 = 0
+the model gives that Hessian from the Gram A'A/n it keeps, so later runs on
+one model skip the O(np^2) product); above that, or where its Cholesky
+fails, CG runs unpreconditioned.
 
 The clock covers the move and what the next move reads at x_{k+1}: fresh
 margins A x there, F and the gradient (A'w) from them, which the record,
@@ -353,7 +355,9 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
     solves: ``PRECOND_START_HESSIAN`` where p <= 2000 and a positive shift
     or gamma makes the shifted Hessian positive definite, else None (a run
     whose start Hessian Cholesky fails drops it from its header).  Raises
-    NotStronglyConvexError where the config needs gamma > 0.
+    NotStronglyConvexError where the config needs gamma > 0, and for newton
+    and ssn-full at reg = 0 where the constants show a rank-deficient design
+    (p <= 2000), whose every Hessian is singular.
     """
     if config.variant not in NEWTON_LIKE_VARIANTS:
         raise ValueError(f"{config.variant} is not a Newton-like variant")
@@ -382,6 +386,10 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
         lemma_sized = True
     if config.variant == "ssn-hessian" and not est.strongly_convex:
         raise NotStronglyConvexError("ssn-hessian needs gamma > 0; use ssn-spectral or ssn-ridge")
+    if config.variant in ("newton", "ssn-full") and model.reg == 0.0 and est.rank_deficient:
+        raise NotStronglyConvexError(
+            f"{config.variant} at reg = 0 on a rank-deficient design: every Hessian is "
+            "singular; pass reg > 0, or use ssn-spectral or ssn-ridge")
     if config.variant == "ssn-ridge" and config.lambda_user == 0.0 \
             and not est.strongly_convex:
         raise NotStronglyConvexError("ssn-ridge with lambda_user = 0 needs gamma > 0; "
@@ -454,7 +462,7 @@ def _rate(config, est, size_h, solve) -> RatePrediction | None:
 def _draw_h(model, config, rng, size_h):
     # a full-size without-replacement draw is the whole index range in
     # ascending order, consuming no randomness, so full-sample runs
-    # reproduce the analytic Hessian bit-for-bit
+    # reproduce the analytic Hessian bit-for-bit, from the design's own rows
     if size_h >= model.n and config.replacement == "without":
         return SampleSet(indices=np.arange(model.n), replacement="without",
                          source_n=model.n)

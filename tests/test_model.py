@@ -130,6 +130,29 @@ def test_evaluate_at_the_default_block_size_spans_blocks():
     np.testing.assert_array_equal(g, m.gradient(x))
 
 
+# 16 rows per block at p = 6: a 10-row sample is one block, 1003 rows span 63
+@pytest.mark.parametrize("size", [10, 1003])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "poisson"])
+def test_sampled_hessian_product_walks_row_blocks(family, storage, size, monkeypatch):
+    monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 16 * 6 * 8)
+    m = block_model(family, 1003, 6, storage)
+    rng = np.random.default_rng(3)
+    x = 0.2 * rng.standard_normal(6)
+    idx = rng.integers(0, m.n, size=size)
+    h = m.sampled_hessian(idx, x)
+    assert len(h._blocks) == (1 if storage == "csr" else math.ceil(size / 16))
+    hd = h.dense()
+    for _ in range(3):
+        d = rng.standard_normal(6)
+        np.testing.assert_allclose(h @ d, hd @ d, rtol=1e-12,
+                                   atol=1e-12 * np.abs(hd).max() * np.abs(d).max())
+        if storage == "csr":  # one block: the unblocked product, bit for bit
+            a_s, w = h.rows, h.curvature / size
+            np.testing.assert_array_equal(
+                h @ d, np.asarray(a_s.T @ (w * (a_s @ d))).ravel() + h.shift * d)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 def test_evaluate_raises_on_a_non_finite_gradient(storage):
@@ -261,16 +284,57 @@ def test_component_gradient_index_error(small_logistic):
         small_logistic.component_gradient(small_logistic.n, np.zeros(small_logistic.p))
 
 
-def test_hessian_full_sample_identity(small_logistic):
-    """The full Hessian is the all-indices sample assembled, bit for bit,
-    for dense and CSR rows."""
-    dense = small_logistic
-    sparse = ObjectiveModel(Dataset(sp.csr_matrix(dense.dataset.features),
-                                    dense.dataset.labels), "logistic", reg=dense.reg)
-    x = np.full(dense.p, 0.2)
-    for m in (dense, sparse):
-        h_all = m.sampled_hessian(np.arange(m.n), x).dense()
-        np.testing.assert_array_equal(m.hessian(x), h_all)
+def test_hessian_full_sample_identity(small_logistic, small_ridge, small_poisson):
+    """The full Hessian is the all-indices sample assembled, bit for bit, for
+    every family on dense and CSR rows: at x = 0.2, and at x = 0, where
+    every family's Phi'' is one constant and it comes from the model's kept
+    Gram.  Both equal the sample assembled from a gathered copy of the
+    rows."""
+    models = []
+    for dense in (small_logistic, small_ridge, small_poisson):
+        models += [dense, ObjectiveModel(Dataset(sp.csr_matrix(dense.dataset.features),
+                                                 dense.dataset.labels),
+                                         dense.family, reg=dense.reg)]
+    for m in models:
+        a, kind = m.dataset.features, model_module.FAMILIES[m.family]
+        for x in (np.zeros(m.p), np.full(m.p, 0.2)):
+            h_all = m.sampled_hessian(np.arange(m.n), x).dense()
+            np.testing.assert_array_equal(m.hessian(x), h_all)
+            gathered = model_module.SampledHessian(
+                a[np.arange(m.n)], kind.phi_double(np.asarray(a @ x).ravel()), m.reg)
+            np.testing.assert_array_equal(h_all, gathered.dense())
+        assert m._gram is not None
+
+
+def test_full_sample_reads_the_design_rows(small_logistic):
+    m = small_logistic
+    x = np.full(m.p, 0.2)
+    assert m.sampled_hessian(np.arange(m.n), x).rows is m.dataset.features
+    # any other index sequence, a permutation of all rows included, is gathered
+    h = m.sampled_hessian(np.arange(m.n)[::-1], x)
+    assert h.rows is not m.dataset.features
+    np.testing.assert_array_equal(h.rows, m.dataset.features[::-1])
+
+
+def test_hessian_reuses_the_kept_gram(monkeypatch):
+    """Only the first constant-curvature hessian forms the Gram A'A/n; later
+    ones read the kept one, which is read-only.  A non-constant curvature
+    assembles the weighted sample."""
+    grams = []
+    weighted_gram = model_module.weighted_gram
+
+    def counted(a, w=None):
+        grams.append(w is None)
+        return weighted_gram(a, w)
+    monkeypatch.setattr(model_module, "weighted_gram", counted)
+    m = block_model("ridge", 100, 6, "dense")
+    h0 = m.hessian(np.full(m.p, 0.3))  # ridge: Phi'' = 1 everywhere
+    assert grams == [True] and not m._gram.flags.writeable
+    np.testing.assert_array_equal(m.hessian(np.zeros(m.p)), h0)
+    assert grams == [True]
+    logistic = block_model("logistic", 100, 6, "dense")
+    logistic.hessian(np.full(m.p, 0.3))
+    assert grams == [True, False] and logistic._gram is None
 
 
 def test_hessian_single_logistic_component():

@@ -282,8 +282,8 @@ def test_singular_start_hessian_leaves_cg_unpreconditioned(ill_logistic, small_l
                                                            monkeypatch):
     """A start Hessian Cholesky cannot factor leaves the run without a
     preconditioner: its header says None, plain CG misses on every step,
-    the fallbacks complete the run and no inverse is formed.  A reg-0 run
-    whose data leave a column unused gets None from the plan already."""
+    the fallbacks complete the run and no inverse is formed.  A reg-0
+    logistic run, whose gamma is 0, gets None from the plan already."""
     potri, dpotri = [], scipy.linalg.lapack.dpotri
 
     def counted(*args, **kwargs):
@@ -304,13 +304,61 @@ def test_singular_start_hessian_leaves_cg_unpreconditioned(ill_logistic, small_l
     assert len(paths) >= 10 and set(paths) == {"cholesky-fallback"}
     assert potri == []
 
-    d = small_logistic.dataset
-    a = np.hstack([d.features, np.zeros((d.n, 1))])  # a column the data never uses
-    m = ObjectiveModel(Dataset(a, d.labels), "logistic", reg=0.0)
+    m = ObjectiveModel(small_logistic.dataset, "logistic", reg=0.0)
     newton = SolverConfig(variant="newton", inexact=InexactnessSpec(1e-2, 0.5), max_iters=1)
     trace = run(m, newton, np.zeros(m.p))
     assert trace.header["preconditioner"] is None
     assert trace.records[0].alpha > 0
+
+
+@pytest.mark.filterwarnings("ignore:sigma = .* is below the guarantee floor")
+@pytest.mark.parametrize("solve", [dict(inexact=InexactnessSpec(1e-2, 0.5)),
+                                   dict(inexact=InexactnessSpec(1e-4, 0.5)), {}])
+@pytest.mark.parametrize("variant", ["newton", "ssn-full"])
+def test_newton_and_ssn_full_refuse_a_rank_deficient_design_at_reg_zero(variant, solve):
+    """With an all-zero column and reg = 0 every Hessian is singular; plan
+    refuses the run instead of letting a Cholesky fail mid-run."""
+    d, _ = generate_synthetic(300, 10, family="logistic", seed=7)
+    a = np.hstack([d.features, np.zeros((d.n, 1))])
+    m = ObjectiveModel(Dataset(a, d.labels), "logistic", reg=0.0)
+    assert m.curvature_constants().rank_deficient
+    cfg = SolverConfig(variant=variant, sigma=0.5, sample_frac_h=0.5, **solve)
+    with pytest.raises(solvers.NotStronglyConvexError, match="rank-deficient"):
+        run(m, cfg, np.zeros(m.p))
+    # any penalty makes every Hessian positive definite again
+    m = ObjectiveModel(Dataset(a, d.labels), "logistic", reg=1e-3)
+    assert m.curvature_constants().rank_deficient
+    assert run(m, replace(cfg, max_iters=2), np.zeros(m.p)).n_iters == 2
+
+
+def test_later_runs_take_the_start_hessian_from_the_kept_gram(ill_logistic, monkeypatch):
+    """The first preconditioned run on a model forms the Gram A'A/n for its
+    constants and once more for the start Hessian, which the model keeps; a
+    second run forms none and repeats the first bit for bit.  A run without
+    a start Hessian keeps no Gram."""
+    grams = []
+    weighted_gram = model_module.weighted_gram
+
+    def counted(a, w=None):
+        grams.append(w is None)
+        return weighted_gram(a, w)
+    monkeypatch.setattr(model_module, "weighted_gram", counted)
+    m = ObjectiveModel(ill_logistic.dataset, "logistic", reg=ill_logistic.reg)
+    cfg = SolverConfig(sample_frac_h=0.2, seed=3, max_iters=5,
+                       inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
+    first = run(m, cfg, np.zeros(m.p))
+    assert first.header["preconditioner"] == "start-hessian"
+    assert grams.count(True) == 2 and m._gram is not None
+    second = run(m, cfg, np.zeros(m.p))
+    assert grams.count(True) == 2
+    for a, b in zip(first.records, second.records, strict=True):
+        np.testing.assert_array_equal(a.x, b.x)
+        assert (a.cg_iters, a.solve_path) == (b.cg_iters, b.solve_path)
+    for variant in ("ssn-spectral", "ssn-hessian"):  # eigh, and an exact Cholesky
+        m = ObjectiveModel(ill_logistic.dataset, "logistic", reg=ill_logistic.reg)
+        run(m, SolverConfig(variant=variant, sample_frac_h=0.2, lambda_user=1e-3,
+                            max_iters=2), np.zeros(m.p))
+        assert m._gram is None
 
 
 def wide_sparse_model():
