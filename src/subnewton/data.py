@@ -63,10 +63,14 @@ def generate_synthetic(
 
     A Gaussian matrix supplies the singular vectors; its singular values are
     replaced by a geometric ladder spanning sqrt(condition_target), which
-    pins the Gram spectrum.
+    pins the Gram spectrum.  On a tall design (n >> p) generation peaks at
+    about twice the bytes of the n x p design it returns; nearer n = p,
+    gesdd's O(p^2) workspace adds a few designs' worth.
     Labels: ridge adds N(0, RIDGE_NOISE) to the planted response, logistic
     draws Bernoulli from the planted probabilities, Poisson draws exact
-    counts.  Fixed seeds reproduce the dataset byte-for-byte.
+    counts.  Fixed seeds reproduce the dataset byte-for-byte under a fixed
+    BLAS build and thread count; the SVD and products may round differently
+    under another.
 
     ``signal_direction="random"`` plants coefficients uniformly (scaled to
     ``signal_norm``); ``"weak"`` plants them on the lowest-curvature half of
@@ -83,11 +87,25 @@ def generate_synthetic(
     if signal_direction not in ("random", "weak"):
         raise ValueError(f"unknown signal direction {signal_direction!r}")
 
+    # imported here, not with the module: loading scipy.linalg ahead of
+    # scipy.sparse moved the heap layout enough to raise the sparse-spectral
+    # benchmark's peak RSS by about 0.3 MiB, a workload that never generates
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, p))
-    u, _, vt = np.linalg.svd(z, full_matrices=False)
-    ladder = np.geomspace(1.0, 1.0 / math.sqrt(condition_target), num=p)
-    a = math.sqrt(n) * (u * ladder) @ vt
+    # at most two n x p arrays live at once: gesdd factors a Fortran copy of
+    # z in place, and u is scaled in place.  u and vt go to C order, which
+    # fixes how u @ vt rounds: with u in Fortran order the last bits differ.
+    z = np.asfortranarray(rng.standard_normal((n, p)))
+    u, _, vt = scipy.linalg.svd(z, full_matrices=False, overwrite_a=True,
+                                check_finite=False)
+    del z
+    u = np.ascontiguousarray(u)
+    vt = np.ascontiguousarray(vt)
+    u *= np.geomspace(1.0, 1.0 / math.sqrt(condition_target), num=p)
+    u *= math.sqrt(n)
+    a = u @ vt
+    del u
 
     if signal_direction == "weak":
         weights = rng.standard_normal(p - p // 2)

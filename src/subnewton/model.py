@@ -29,7 +29,12 @@ block of A_S once in the same way, for A_b d and then A_b'(w_b A_b d).
 
 Where Phi''(A x) is one constant c on every row (ridge everywhere, every
 family at x = 0), ``hessian`` is c A'A/n + reg I from a Gram A'A/n the model
-keeps after the first such call, so later calls cost O(p^2).
+keeps after the first such call, so later calls cost O(p^2);
+``curvature_constants(keep_gram=True)`` keeps the Gram its eigvalsh reads,
+so a run that asks for both forms one.  ``hessian_inverse`` keeps the
+inverse of such a Hessian per (c, shift), so a later run at the same shift
+skips its Cholesky and potri.  Only callers that ask keep either: a model
+that never preconditions a CG run holds no p x p array.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from .linsolve import spd_inverse
 
 # exp() arguments are clamped here; e^700 is just below the float64 overflow
 # edge, so individual terms stay finite and only aggregate overflow can occur.
@@ -200,20 +207,20 @@ class Dataset:
             # a float64 copy in canonical form: sorted, duplicates summed
             feats = feats.tocsr().astype(float)
             feats.sum_duplicates()
-            values = feats.data
         else:
             feats = np.asarray(feats, dtype=float)
             if feats.ndim != 2:
                 raise ValueError("features must be a 2-D array")
-            values = feats
-        if not np.all(np.isfinite(values)):
+        n, p = feats.shape
+        if n < 1 or p < 1:
+            raise ValueError("need n >= 1 rows and p >= 1 columns")
+        # dense rows a block at a time, with no n x p boolean temporary
+        parts = [feats.data] if sp.issparse(feats) else [a_b for _, a_b in _row_blocks(feats)]
+        if not all(np.all(np.isfinite(v)) for v in parts):
             raise ValueError("features contain non-finite entries")
         object.__setattr__(self, "features", feats)
         labels = np.asarray(self.labels, dtype=float).ravel()
         object.__setattr__(self, "labels", labels)
-        n, p = self.features.shape
-        if n < 1 or p < 1:
-            raise ValueError("need n >= 1 rows and p >= 1 columns")
         if labels.shape[0] != n:
             raise ValueError(f"{labels.shape[0]} labels for {n} rows")
 
@@ -233,7 +240,12 @@ class Dataset:
         a = self.features
         if sp.issparse(a):
             return np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
-        return np.linalg.norm(a, axis=1)
+        # per row block, so no n x p temporary a*a; each row sums as one
+        # whole-array norm would sum it
+        norms = np.empty(self.n)
+        for rows, a_b in _row_blocks(a):
+            norms[rows] = np.linalg.norm(a_b, axis=1)
+        return norms
 
     def rows_dense(self, idx) -> np.ndarray:
         a = self.features[idx]
@@ -409,6 +421,8 @@ class ObjectiveModel:
         self.data_passes = 0  # full-data products so far (A x and A'w)
         self._constants: tuple[float | None, ConditionEstimates] | None = None
         self._gram: np.ndarray | None = None  # A'A/n, kept by ``hessian``
+        # (c, shift) -> (c A'A/n + (reg + shift) I)^-1, kept by ``hessian_inverse``
+        self._inverses: dict[tuple[float, float], np.ndarray] = {}
         self._blocks = _row_blocks(dataset.features)
 
     @property
@@ -514,22 +528,33 @@ class ObjectiveModel:
         w = float(self._fam.phi_prime(t)[0] - self.dataset.labels[i])
         return w * a + self.reg * x
 
-    def sampled_hessian(self, indices, x: np.ndarray,
+    def sampled_hessian(self, sample, x: np.ndarray,
                         t: np.ndarray | None = None) -> SampledHessian:
         """(1/|S|) sum_{j in S} Phi''(a_j'x) a_j a_j' + reg * I, unassembled:
-        gathers the rows A_S and their curvatures Phi''(A_S x).  Given the
-        iterate's margins t = A x, the curvatures come from t[S] with no
-        product A_S x.  S = 0..n-1 in order reproduces the full Hessian
-        exactly; it reads the design's own rows, with no gathered copy, which
-        for CSR or C-ordered dense rows gives the same matrix bit for bit."""
-        idx = np.asarray(indices, dtype=int).ravel()
-        if idx.size == 0:
-            raise ValueError("empty sample")
-        if idx.min() < 0 or idx.max() >= self.n:
-            raise IndexError("sample index out of range")
+        gathers the rows A_S and their curvatures Phi''(A_S x).  ``sample``
+        is an index sequence, whose range is checked here, or a
+        ``sampling.SampleSet`` drawn from n, whose construction checked it.
+        Given the iterate's margins t = A x, the curvatures come from t[S]
+        with no product A_S x.  S = 0..n-1 in order reproduces the full
+        Hessian exactly; it reads the design's own rows, with no gathered
+        copy, which for CSR or C-ordered dense rows gives the same matrix
+        bit for bit."""
+        if hasattr(sample, "source_n"):  # a SampleSet
+            if sample.source_n != self.n:
+                raise ValueError("sample drawn from a different population size")
+            idx = sample.indices
+            # strictly ascending in [0, n) with n entries: 0..n-1
+            full = sample.ascending and idx.size == self.n
+        else:
+            idx = np.asarray(sample, dtype=int).ravel()
+            if idx.size == 0:
+                raise ValueError("empty sample")
+            if idx.min() < 0 or idx.max() >= self.n:
+                raise IndexError("sample index out of range")
+            full = idx.size == self.n and np.array_equal(idx, np.arange(self.n))
         x = self._check_x(x)
         a = self.dataset.features
-        if idx.size == self.n and np.array_equal(idx, np.arange(self.n)):
+        if full:
             a_s, t_s = a, t
         else:
             a_s, t_s = a[idx], None if t is None else t[idx]
@@ -541,18 +566,45 @@ class ObjectiveModel:
         """Full Hessian: the all-indices sample assembled, from the dataset's
         own rows.  Where Phi''(A x) is one constant c on every row (ridge,
         and every family at x = 0) it is c A'A/n + reg I from the Gram A'A/n,
-        which the first such call forms and the model keeps, read-only; for
-        c = 1/4 (logistic) and c = 1 (ridge, Poisson at 0) that is the
-        assembled sample bit for bit, since scaling by a power of two is
-        exact."""
+        which the model keeps, read-only, from the first such call (or from
+        ``curvature_constants(keep_gram=True)``); for c = 1/4 (logistic) and
+        c = 1 (ridge, Poisson at 0) that is the assembled sample bit for bit,
+        since scaling by a power of two is exact."""
+        h, c = self._full_sample(x)
+        if c is None:
+            return h.dense()
+        return _shifted(c * self._kept_gram(), self.reg)
+
+    def hessian_inverse(self, x: np.ndarray, shift: float) -> np.ndarray:
+        """(H(x) + shift I)^-1 of the full Hessian ``hessian`` gives, by
+        ``linsolve.spd_inverse``, which raises ``NotPositiveDefiniteError``
+        where it fails.  Where H comes from the kept Gram, the model also
+        keeps the inverse, read-only, per curvature constant c and shift:
+        later runs that precondition with it skip the Cholesky and potri."""
+        h, c = self._full_sample(x)
+        key = None if c is None else (float(c), float(shift))
+        if key in self._inverses:
+            return self._inverses[key]
+        h = h.dense() if c is None else _shifted(c * self._kept_gram(), self.reg)
+        h[np.diag_indices_from(h)] += shift
+        inv = spd_inverse(h)
+        if key is not None:
+            inv.flags.writeable = False
+            self._inverses[key] = inv
+        return inv
+
+    def _full_sample(self, x):
+        """The all-indices sample at x, unassembled, and c where its
+        curvature Phi''(A x) is that one constant on every row, else None."""
         h = self.sampled_hessian(np.arange(self.n), x)
         c = h.curvature[0]
-        if not np.all(h.curvature == c):
-            return h.dense()
+        return h, c if np.all(h.curvature == c) else None
+
+    def _kept_gram(self) -> np.ndarray:
         if self._gram is None:
             self._gram = weighted_gram(self.dataset.features) / self.n
             self._gram.flags.writeable = False
-        return _shifted(c * self._gram, self.reg)
+        return self._gram
 
     # -- bounds and constants ---------------------------------------------
 
@@ -572,7 +624,8 @@ class ObjectiveModel:
         mid = math.exp(log_mid) if log_mid < math.log(BOUND_CAP) else BOUND_CAP
         return min(self.reg * xnorm + mid + self._max_bnorm, BOUND_CAP)
 
-    def curvature_constants(self, domain_radius: float | None = None) -> ConditionEstimates:
+    def curvature_constants(self, domain_radius: float | None = None,
+                            keep_gram: bool = False) -> ConditionEstimates:
         """Per-component and aggregate curvature bounds.
 
         K_i = c_i ||a_i||^2 + reg with c_i the family's Phi'' bound; for
@@ -590,7 +643,11 @@ class ObjectiveModel:
 
         The result is kept with its radius (None unless Poisson), so only
         the first call, or the first at a new radius, pays for the Gram and
-        eigvalsh.
+        eigvalsh.  With ``keep_gram``, that call takes ridge's and
+        logistic's Gram A'A/n from the model's kept one, formed and kept
+        first as ``hessian`` would keep it: a run that will ask for the
+        Hessian at x = 0 then forms one Gram, not two.  Other callers keep
+        none, so no p x p array outlives a run that never reads it.
         """
         radius = None
         if self.family == "poisson":
@@ -598,6 +655,8 @@ class ObjectiveModel:
             if radius < 0:
                 raise ValueError("domain radius must be nonnegative")
         if self._constants is None or self._constants[0] != radius:
+            if keep_gram and radius is None and self.p <= EXACT_GAMMA_MAX_DIM:
+                self._kept_gram()
             self._constants = (radius, self._curvature_constants(radius))
         return self._constants[1]
 
@@ -616,6 +675,8 @@ class ObjectiveModel:
             c_lo, c_hi = self._fam.curvature_lo, self._fam.curvature_hi
             if self.family == "poisson":  # its K needs the per-row weights
                 gram, c_hi = weighted_gram(self.dataset.features, coeff) / self.n, 1.0
+            elif self._gram is not None:
+                gram = self._gram
             else:
                 gram = weighted_gram(self.dataset.features) / self.n
             eigs = np.linalg.eigvalsh(gram)

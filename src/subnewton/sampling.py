@@ -17,7 +17,7 @@ guarantee; the clamping is reported so traces can log it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,11 +26,18 @@ from .model import ObjectiveModel
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Ordered multiset of component indices with its draw mode."""
+    """Ordered multiset of component indices with its draw mode.
+
+    Construction checks the indices, in O(|S|) where they are strictly
+    ascending (``ascending``), as every ``draw`` without replacement and
+    every full index range is: the ends then bound the range and no index
+    repeats.  Other index orders get a full range and duplicate check.
+    """
 
     indices: np.ndarray
     replacement: str  # "with" | "without"
     source_n: int
+    ascending: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int).ravel()
@@ -39,12 +46,15 @@ class SampleSet:
             raise ValueError(f"replacement must be 'with' or 'without', got {self.replacement!r}")
         if idx.size == 0:
             raise ValueError("sample must be non-empty")
-        if idx.min() < 0 or idx.max() >= self.source_n:
+        ascending = bool(np.all(idx[1:] > idx[:-1]))
+        object.__setattr__(self, "ascending", ascending)
+        lo, hi = (idx[0], idx[-1]) if ascending else (idx.min(), idx.max())
+        if lo < 0 or hi >= self.source_n:
             raise ValueError("sample index out of range")
         if self.replacement == "without":
             if idx.size > self.source_n:
                 raise ValueError("without-replacement sample larger than population")
-            if np.unique(idx).size != idx.size:
+            if not ascending and np.unique(idx).size != idx.size:
                 raise ValueError("without-replacement sample has duplicates")
 
     @property
@@ -106,9 +116,7 @@ def subsampled_hessian(model: ObjectiveModel, x: np.ndarray, sample: SampleSet,
     """The sampled Hessian assembled; ``model.sampled_hessian`` holds it
     unassembled, for matrix-free products.  ``t`` = A x, if given, supplies
     the sample's margins."""
-    if sample.source_n != model.n:
-        raise ValueError("sample drawn from a different population size")
-    return model.sampled_hessian(sample.indices, x, t).dense()
+    return model.sampled_hessian(sample, x, t).dense()
 
 
 def subsampled_gradient(model: ObjectiveModel, x: np.ndarray, sample: SampleSet) -> np.ndarray:

@@ -34,10 +34,12 @@ per run (theta1 = 0 is an exact one).  Cholesky and eigh solves assemble
 the sample; CG runs on its matrix-free products (for ssn-ridge, with
 lambda_user added to its diagonal shift).  A run's CG solves share one
 preconditioner, set before its first move and never replaced: the inverse
-of the full Hessian at x0, with the same shift, up to p = 2000 (from x0 = 0
-the model gives that Hessian from the Gram A'A/n it keeps, so later runs on
-one model skip the O(np^2) product); above that, or where its Cholesky
-fails, CG runs unpreconditioned.
+of the full Hessian at x0, with the same shift, up to p = 2000; above
+that, or where its Cholesky fails, CG runs unpreconditioned.  From x0 = 0
+the model gives that Hessian from a Gram A'A/n it keeps, which a CG run's
+``plan`` has the constants form once for both, and keeps the inverse per
+shift: later runs on one model make neither the O(np^2) product nor the
+O(p^3) inversion.
 
 The clock covers the move and what the next move reads at x_{k+1}: fresh
 margins A x there, F and the gradient (A'w) from them, which the record,
@@ -74,7 +76,7 @@ from .linesearch import LineSearchError, LineSearchParams, armijo
 # verify_inexact and spectral_floor are bound here, though unused, so that
 # perfbench/tracing.py can wrap them under the names solvers binds
 from .linsolve import PATH_CG, PATH_EIGEN, PATH_EXACT, InexactnessSpec, \
-    NotPositiveDefiniteError, solve_eigen, solve_exact, solve_inexact, spd_inverse, \
+    NotPositiveDefiniteError, solve_eigen, solve_exact, solve_inexact, \
     verify_inexact  # noqa: F401
 from .model import BOUND_CAP, EXACT_GAMMA_MAX_DIM, ConditionEstimates, EvaluationError, \
     ObjectiveModel, SampledHessian
@@ -336,11 +338,11 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
 # -- shared plumbing ----------------------------------------------------------
 
 
-def _estimates_for(model, config, x0) -> ConditionEstimates:
+def _estimates_for(model, config, x0, keep_gram=False) -> ConditionEstimates:
     radius = config.domain_radius
     if radius is None and model.family == "poisson":
         radius = 2.0 * float(np.linalg.norm(x0)) + 1.0
-    return model.curvature_constants(domain_radius=radius)
+    return model.curvature_constants(domain_radius=radius, keep_gram=keep_gram)
 
 
 def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
@@ -368,7 +370,8 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
         solve = PATH_CG
     else:
         solve = PATH_EXACT
-    est = _estimates_for(model, config, x0)
+    # a CG run asks for the start Hessian, which reads the constants' Gram
+    est = _estimates_for(model, config, x0, keep_gram=solve == PATH_CG)
     clamped_h = lemma_sized = False
     if config.sample_frac_h is not None:
         size_h = max(1, round(config.sample_frac_h * model.n))
@@ -543,10 +546,8 @@ def _newton_like(model, config, x0):
     eps2_k = config.eps2
     precond = None  # the run's one CG preconditioner
     if header["preconditioner"] == PRECOND_START_HESSIAN:
-        h0 = model.hessian(x0)
-        h0[np.diag_indices_from(h0)] += _shift(model, config) - model.reg
         try:
-            precond = spd_inverse(h0)
+            precond = model.hessian_inverse(x0, _shift(model, config) - model.reg)
         except NotPositiveDefiniteError:  # singular in floating point
             header["preconditioner"] = None
     # ssn-full's full gradient is a diagnostic, so its prediction skips it
@@ -621,7 +622,7 @@ def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond):
             sample = _draw_h(model, config, rng, size_h)
         try:
             if solve == PATH_CG:
-                h_raw = model.sampled_hessian(sample.indices, x, t)
+                h_raw = model.sampled_hessian(sample, x, t)
                 h = h_raw if lam is None else replace(h_raw, shift=h_raw.shift + lam)
                 p, diag = solve_inexact(h, g, config.inexact, precond)
                 return p, {"residual_ratio": diag.residual_ratio,

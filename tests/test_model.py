@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -644,6 +645,39 @@ def test_sparse_non_finite_features_rejected():
     a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, np.nan]]))
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(features=a, labels=np.zeros(2))
+
+
+def test_dense_non_finite_features_rejected_in_any_row_block():
+    """The finite check walks the row blocks; an entry in the last one is
+    found as one in the first is."""
+    a = np.ones((3 * model_module.ROW_BLOCK_BYTES // (8 * 4), 4))
+    for row in (0, -1):
+        bad = a.copy()
+        bad[row, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(features=bad, labels=np.zeros(a.shape[0]))
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+def test_empty_designs_rejected(shape):
+    for a in (np.zeros(shape), sp.csr_matrix(shape)):
+        with pytest.raises(ValueError, match="n >= 1 rows"):
+            Dataset(features=a, labels=np.zeros(shape[0]))
+
+
+def test_model_construction_makes_no_design_sized_temporary():
+    """Dataset's finite check and the row norms walk the row blocks, with
+    no n x p temporary; the norms equal the whole-design ones bit for bit."""
+    dataset, _ = generate_synthetic(20_000, 50, seed=3)
+    a, b = dataset.features, dataset.labels
+    tracemalloc.start()
+    try:
+        m = ObjectiveModel(Dataset(a, b), "logistic", reg=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * a.nbytes
+    np.testing.assert_array_equal(m.dataset.row_norms(), np.linalg.norm(a, axis=1))
 
 
 def test_sparse_integer_features_cast_to_float():

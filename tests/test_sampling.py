@@ -106,6 +106,18 @@ def test_without_replacement_draw_too_large():
 def test_sample_set_validation():
     with pytest.raises(ValueError):
         SampleSet(indices=np.array([0, 0]), replacement="without", source_n=5)
+    # a repeat in an ascending run, and one in an unsorted sample, whose
+    # check is the full one
+    for idx in ([0, 1, 1, 3], [3, 1, 0, 1], [4, 2, 4]):
+        with pytest.raises(ValueError, match="duplicates"):
+            SampleSet(indices=np.array(idx), replacement="without", source_n=5)
+        assert SampleSet(indices=np.array(idx), replacement="with", source_n=5).size == len(idx)
+    for idx in ([-1, 2], [2, -1], [0, 5], [5, 0]):
+        with pytest.raises(ValueError, match="out of range"):
+            SampleSet(indices=np.array(idx), replacement="without", source_n=5)
+    assert SampleSet(indices=np.array([0, 2, 4]), replacement="without", source_n=5).ascending
+    assert not SampleSet(indices=np.array([2, 0, 4]), replacement="without",
+                         source_n=5).ascending
     with pytest.raises(ValueError):
         SampleSet(indices=np.array([7]), replacement="with", source_n=5)
     with pytest.raises(ValueError):

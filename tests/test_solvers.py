@@ -11,8 +11,8 @@ import scipy.optimize
 import scipy.sparse as sp
 from conftest import line_search_passes
 
+from subnewton import linsolve, solvers
 from subnewton import model as model_module
-from subnewton import solvers
 from subnewton.data import generate_synthetic
 from subnewton.linesearch import LineSearchParams
 from subnewton.linsolve import InexactnessSpec, verify_inexact
@@ -282,8 +282,10 @@ def test_singular_start_hessian_leaves_cg_unpreconditioned(ill_logistic, small_l
                                                            monkeypatch):
     """A start Hessian Cholesky cannot factor leaves the run without a
     preconditioner: its header says None, plain CG misses on every step,
-    the fallbacks complete the run and no inverse is formed.  A reg-0
-    logistic run, whose gamma is 0, gets None from the plan already."""
+    the fallbacks complete the run and no inverse is formed or kept.  A
+    reg-0 logistic run, whose gamma is 0, gets None from the plan already.
+    The model is built here, since a model that ran before keeps its
+    inverse and would not invert again."""
     potri, dpotri = [], scipy.linalg.lapack.dpotri
 
     def counted(*args, **kwargs):
@@ -293,8 +295,8 @@ def test_singular_start_hessian_leaves_cg_unpreconditioned(ill_logistic, small_l
 
     def singular(h):
         raise solvers.NotPositiveDefiniteError("singular")
-    monkeypatch.setattr(solvers, "spd_inverse", singular)
-    m = ill_logistic
+    monkeypatch.setattr(model_module, "spd_inverse", singular)
+    m = ObjectiveModel(ill_logistic.dataset, "logistic", reg=ill_logistic.reg)
     cfg = SolverConfig(sample_frac_h=0.2, seed=3, max_iters=20, grad_tol=1e-8,
                        inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
     assert solvers.plan(m, cfg, np.zeros(m.p))["preconditioner"] == "start-hessian"
@@ -302,7 +304,7 @@ def test_singular_start_hessian_leaves_cg_unpreconditioned(ill_logistic, small_l
     assert trace.header["preconditioner"] is None
     paths = [r.solve_path for r in trace.records if r.alpha > 0]
     assert len(paths) >= 10 and set(paths) == {"cholesky-fallback"}
-    assert potri == []
+    assert potri == [] and m._inverses == {}
 
     m = ObjectiveModel(small_logistic.dataset, "logistic", reg=0.0)
     newton = SolverConfig(variant="newton", inexact=InexactnessSpec(1e-2, 0.5), max_iters=1)
@@ -332,10 +334,10 @@ def test_newton_and_ssn_full_refuse_a_rank_deficient_design_at_reg_zero(variant,
 
 
 def test_later_runs_take_the_start_hessian_from_the_kept_gram(ill_logistic, monkeypatch):
-    """The first preconditioned run on a model forms the Gram A'A/n for its
-    constants and once more for the start Hessian, which the model keeps; a
-    second run forms none and repeats the first bit for bit.  A run without
-    a start Hessian keeps no Gram."""
+    """The first preconditioned run on a model forms one Gram A'A/n, for its
+    constants and its start Hessian both, which the model keeps; a second
+    run forms none and repeats the first bit for bit.  A run without a
+    start Hessian keeps no Gram."""
     grams = []
     weighted_gram = model_module.weighted_gram
 
@@ -348,9 +350,9 @@ def test_later_runs_take_the_start_hessian_from_the_kept_gram(ill_logistic, monk
                        inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
     first = run(m, cfg, np.zeros(m.p))
     assert first.header["preconditioner"] == "start-hessian"
-    assert grams.count(True) == 2 and m._gram is not None
+    assert grams == [True] and m._gram is not None
     second = run(m, cfg, np.zeros(m.p))
-    assert grams.count(True) == 2
+    assert grams == [True]
     for a, b in zip(first.records, second.records, strict=True):
         np.testing.assert_array_equal(a.x, b.x)
         assert (a.cg_iters, a.solve_path) == (b.cg_iters, b.solve_path)
@@ -358,7 +360,39 @@ def test_later_runs_take_the_start_hessian_from_the_kept_gram(ill_logistic, monk
         m = ObjectiveModel(ill_logistic.dataset, "logistic", reg=ill_logistic.reg)
         run(m, SolverConfig(variant=variant, sample_frac_h=0.2, lambda_user=1e-3,
                             max_iters=2), np.zeros(m.p))
-        assert m._gram is None
+        assert m._gram is None and m._inverses == {}
+
+
+def test_later_cg_runs_invert_no_start_hessian(ill_logistic, monkeypatch):
+    """The model keeps the start Hessian's inverse, read-only, per shift: a
+    second CG run on one model runs no Cholesky and no potri and repeats
+    the first bit for bit; a run at another shift (ssn-ridge) inverts once."""
+    m = ObjectiveModel(ill_logistic.dataset, "logistic", reg=ill_logistic.reg)
+    cfg = SolverConfig(sample_frac_h=0.2, seed=3, max_iters=5,
+                       inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
+    first = run(m, cfg, np.zeros(m.p))
+    (kept,) = m._inverses.values()
+    assert not kept.flags.writeable
+    calls = []
+    cholesky, dpotri = linsolve._cholesky, scipy.linalg.lapack.dpotri
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+    monkeypatch.setattr(linsolve, "_cholesky", counted("cholesky", cholesky))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotri", counted("potri", dpotri))
+    second = run(m, cfg, np.zeros(m.p))
+    assert calls == []
+    assert all(r.solve_path == "cg" for r in second.records if r.alpha > 0)
+    for a, b in zip(first.records, second.records, strict=True):
+        np.testing.assert_array_equal(a.x, b.x)
+    ridge = replace(cfg, variant="ssn-ridge", lambda_user=1e-3)
+    run(m, ridge, np.zeros(m.p))
+    assert calls == ["cholesky", "potri"] and len(m._inverses) == 2
+    run(m, ridge, np.zeros(m.p))
+    assert calls == ["cholesky", "potri"]
 
 
 def wide_sparse_model():
