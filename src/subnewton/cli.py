@@ -32,10 +32,12 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
-# printed after a failure that needs gamma > 0, in terms of this front end's flags
-GAMMA_ZERO_HINT = ("hint: this objective has gamma = 0 (no strong convexity); pass "
-                   "--reg > 0, or --solver ssn-spectral|ssn-ridge with --sample-frac-h "
-                   "(ssn-ridge also with --lambda > 0)")
+# printed after a failure that needs gamma > 0, or a larger shift than a sample
+# of fewer than p rows has, in terms of this front end's flags
+GAMMA_ZERO_HINT = ("hint: this objective has gamma = 0 (no strong convexity), or too "
+                   "small a shift for its sample; pass --reg > 0, or --solver "
+                   "ssn-spectral|ssn-ridge with --sample-frac-h (ssn-ridge also with "
+                   "--lambda > 0)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,17 +199,27 @@ def _dispatch(args) -> int:
     if args.command == "rates":
         # the headers of this config's ssn-hessian and ssn-full runs and, for
         # ssn-spectral or ssn-ridge, of its own run; Algorithms 1 and 4 need
-        # gamma > 0, so without it a regularized config reads null for them.
+        # gamma > 0 and a sample they can solve with, so a regularized config
+        # reads null for them without gamma or where plan refuses them.
         # The solve and preconditioner are those of the config's own run
         # (null for a baseline, which has neither).
         model, config = _model(args), _config_from_args(args)
         x0 = np.zeros(model.p)
         own = plan(model, config, x0) if config.variant in NEWTON_LIKE_VARIANTS else {}
         regularized = config.variant in ("ssn-spectral", "ssn-ridge")
-        declined = regularized and not own["gamma"] > 0
-        headers = {key: None if declined else plan(model, replace(config, variant=v), x0)
-                   for key, v in (("hessian_only", "ssn-hessian"),
-                                  ("joint_sampling", "ssn-full"))}
+
+        def header(variant):
+            if regularized and not own["gamma"] > 0:
+                return None
+            try:
+                return plan(model, replace(config, variant=variant), x0)
+            except NotStronglyConvexError:
+                if regularized:
+                    return None
+                raise
+
+        headers = {"hessian_only": header("ssn-hessian"),
+                   "joint_sampling": header("ssn-full")}
         if regularized:
             headers[config.variant] = own
         ref = headers["hessian_only"] or own

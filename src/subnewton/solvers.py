@@ -23,8 +23,8 @@ Variants
 Every run owns its RNG (seeded from the config), draws fresh samples each
 iteration, and logs one record per iteration.  ``run`` holds the one loop:
 each family (Newton-like, quasi-Newton, first-order) supplies its header and
-its move from x_k to x_{k+1}, and the loop owns the clock, the stop test,
-the evaluation at x_{k+1}, the error handling and the record.  ``plan``
+its move from x_k to x_{k+1} with the evaluation there, and the loop owns
+the clock, the stop test, the error handling and the record.  ``plan``
 gives a Newton-like run's header (sample size, sigma, its solve, guarantee
 constants) without running it.
 
@@ -41,25 +41,23 @@ the model gives that Hessian from a Gram A'A/n it keeps, which a CG run's
 shift: later runs on one model make neither the O(np^2) product nor the
 O(p^3) inversion.
 
-The clock covers the move and what the next move reads at x_{k+1}: fresh
-margins A x there, F and the gradient (A'w) from them, which the record,
-the next stop test, the direction, its Hessian weights and Armijo's F(x)
-reuse.  Records count the products with A or A' (``data_passes``).  A
-Newton-like or quasi-Newton step predicts the unit step: on the first
-iteration, and after a search that accepted its first trial, the first
-trial is a fresh ``model.evaluate`` at x + alpha p, whose margins, F and
-gradient come from one read of the data (A x and A'w over cache-sized row
-blocks).  If Armijo accepts it, all three are x_{k+1}'s: two products in
-one read.  If not, its gradient is dropped, one product A p makes the
-remaining trials cost O(n) from t + alpha A p, then x_{k+1} takes fresh
-margins and its gradient: five products.  After a search that backtracked,
-the step starts with A p: three products (A p, A x, A'w) in three reads.
-Every iterate's margins are thus one fresh product with A, so no rounding
-drift builds up.  ``ssn-full`` steps on a sampled gradient, so its full
-gradient is a diagnostic: its prediction takes none, and each step makes
-one product fewer (two on a missed prediction).  GD reads only the gradient
-at x_{k+1} (A x and A'w), so F there is a diagnostic; AGD's one gradient is
-at y_k (A y and A'w), so F and the gradient at x_{k+1} both are.
+The clock covers the move and the one ``model.evaluate`` at x_{k+1} it
+hands the loop: fresh margins A x there, F and the gradient (A'w) from one
+read of the data (over cache-sized row blocks), which the record, the next
+stop test, the direction, its Hessian weights and Armijo's F(x) reuse.
+Records count the products with A or A' (``data_passes``).  A Newton-like
+or quasi-Newton step predicts the unit step: on the first iteration, and
+after a search that accepted its first trial, its first trial is that
+evaluation at x + alpha p; if Armijo accepts it, two products in one read.
+If not, its gradient is dropped, one product A p makes the remaining
+trials cost O(n) from t + alpha A p, and x_{k+1} is evaluated afresh: five
+products.  After a search that backtracked, the step starts with A p:
+three products (A p, A x, A'w) in two reads.  Every iterate's margins are
+thus one fresh product with A, so no rounding drift builds up.  ``ssn-full``
+steps on a sampled gradient, so its full gradient is a diagnostic: its
+evaluations take none, one product fewer (two on a missed prediction).
+GD's F at x_{k+1} is clocked with its gradient, at O(n) more; AGD's one
+gradient is at y_k (A y and A'w), so its evaluation at x_{k+1} is not.
 Diagnostics, which include ``track_events``' lambda_min of the sampled
 Hessian and ``grad_error_used``, run outside the clock.
 """
@@ -75,8 +73,8 @@ import numpy as np
 from .linesearch import LineSearchError, LineSearchParams, armijo
 # verify_inexact and spectral_floor are bound here, though unused, so that
 # perfbench/tracing.py can wrap them under the names solvers binds
-from .linsolve import PATH_CG, PATH_EIGEN, PATH_EXACT, InexactnessSpec, \
-    NotPositiveDefiniteError, solve_eigen, solve_exact, solve_inexact, \
+from .linsolve import EXACT_RESIDUAL_RTOL, PATH_CG, PATH_EIGEN, PATH_EXACT, \
+    InexactnessSpec, NotPositiveDefiniteError, solve_eigen, solve_exact, solve_inexact, \
     verify_inexact  # noqa: F401
 from .model import BOUND_CAP, EXACT_GAMMA_MAX_DIM, ConditionEstimates, EvaluationError, \
     ObjectiveModel, SampledHessian
@@ -259,7 +257,7 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
     """Run one solver and return its trace.
 
     Each variant's family supplies the header and the move from x_k to
-    x_{k+1}; this loop owns the rest of the iteration for all of them.
+    x_{k+1} with its evaluation there; this loop owns the rest for all.
     """
     x = np.asarray(x0, dtype=float).ravel()
     if x.shape[0] != model.p:
@@ -271,11 +269,6 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
     else:
         family = _newton_like
     header, move = family(model, config, x)
-    # the clock holds what the next move reads at x_{k+1}: F for its line
-    # search, and the full gradient unless the move samples it (ssn-full) or
-    # takes it at another point (agd's y_k)
-    timed_f = config.variant not in ("gd", "agd")
-    timed_g = config.variant not in ("ssn-full", "agd")
     t, f_value, grad = model.evaluate(x)
     trace = Trace(variant=config.variant, header={"config": asdict(config), **header},
                   f0=f_value, x0=x.copy())
@@ -295,23 +288,16 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
                 x_next, at_next, fields, diagnose = None, None, {"stop_flag": STOP_GRAD_TOL}, None
             else:
                 x_next, at_next, fields, diagnose = move(x, t, f_value, grad)
-            if x_next is not None:
-                x = x_next
-                if at_next is not None:  # the accepted predicted step's evaluation
-                    t, f_value, grad = at_next
-                else:  # fresh margins, not t + alpha * A p: no rounding drift builds up
-                    t = model._margins(x) if timed_f or timed_g else None
-                    f_value = model.value(x, t) if timed_f else None
-                    grad = model.gradient(x, t) if timed_g else None
+            if x_next is not None:  # the move's evaluation at x_{k+1}, if it made one
+                x, (t, f_value, grad) = x_next, at_next or (None, None, None)
             wall += time.perf_counter_ns() - tic
             passes = model.data_passes - passes
 
-            # diagnostics live outside the clock
+            # diagnostics live outside the clock: agd's whole evaluation, and
+            # ssn-full's full gradient
             if t is None:
-                t = model._margins(x)
-            if f_value is None:
-                f_value = model.value(x, t)
-            if grad is None:
+                t, f_value, grad = model.evaluate(x)
+            elif grad is None:
                 grad = model.gradient(x, t)
             if diagnose is not None:
                 fields.update(diagnose())
@@ -357,9 +343,10 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
     solves: ``PRECOND_START_HESSIAN`` where p <= 2000 and a positive shift
     or gamma makes the shifted Hessian positive definite, else None (a run
     whose start Hessian Cholesky fails drops it from its header).  Raises
-    NotStronglyConvexError where the config needs gamma > 0, and for newton
-    and ssn-full at reg = 0 where the constants show a rank-deficient design
-    (p <= 2000), whose every Hessian is singular.
+    NotStronglyConvexError where the config needs gamma > 0, for newton and
+    ssn-full at reg = 0 where the constants show a rank-deficient design
+    (p <= 2000), and, but for ssn-spectral, where |S| < p leaves H_S
+    singular up to a shift below K * eps / EXACT_RESIDUAL_RTOL.
     """
     if config.variant not in NEWTON_LIKE_VARIANTS:
         raise ValueError(f"{config.variant} is not a Newton-like variant")
@@ -397,6 +384,13 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
             and not est.strongly_convex:
         raise NotStronglyConvexError("ssn-ridge with lambda_user = 0 needs gamma > 0; "
                                      "singular samples would leave no positive floor")
+    shift = _shift(model, config)  # lambda_min(H_S) itself when |S| < p
+    if config.variant != "ssn-spectral" and size_h < model.p \
+            and est.big_k * np.finfo(float).eps > shift * EXACT_RESIDUAL_RTOL:
+        raise NotStronglyConvexError(
+            f"{config.variant}: |S| = {size_h} < p = {model.p} leaves every sampled Hessian "
+            f"singular up to its shift {shift:.3g}, too small for K = {est.big_k:.3g}; "
+            "pass a larger sample_frac_h, or use ssn-spectral")
     pred = _rate(config, est, size_h, solve)
     sigma = None
     if config.variant == "ssn-full":
@@ -425,7 +419,7 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
         "solve": solve,
         "preconditioner": PRECOND_START_HESSIAN if solve == PATH_CG
         and model.p <= EXACT_GAMMA_MAX_DIM
-        and (_shift(model, config) > 0 or est.strongly_convex) else None,
+        and (shift > 0 or est.strongly_convex) else None,
     }
 
 
@@ -509,19 +503,21 @@ class _Line:
         return self.model.value(self.x + alpha * self.p, self.t + alpha * self.ap)
 
     def end(self, alpha, trials):
-        """x_{k+1} = x + alpha p, and its (margins, F, gradient or None) if
-        the accepted step is the predicted first trial, else None."""
+        """x_{k+1} = x + alpha p and its (margins, F, gradient or None): the
+        accepted prediction's, else a fresh ``model.evaluate`` there (not
+        t + alpha A p, so no rounding drift builds up)."""
         if trials == 1 and self.first is not None:
             return self.first
-        return self.x + alpha * self.p, None
+        x_new = self.x + alpha * self.p
+        return x_new, self.model.evaluate(x_new, self.gradient)
 
 
 def _searcher(model, params, gradient=True):
     """Armijo steps for one run: each search predicts the unit step on the
     first iteration and after a search that accepted its first trial, and
-    takes the gradient with a predicted trial's F unless ``gradient`` is
-    False.  ``search(x, p, t, f_value, slope)`` returns (alpha, trials,
-    x_next, at_next) with ``at_next`` as in ``_Line.end``."""
+    takes the gradient with F at x_{k+1}, predicted or not, unless
+    ``gradient`` is False.  ``search(x, p, t, f_value, slope)`` returns
+    (alpha, trials, x_next, at_next) with ``at_next`` as in ``_Line.end``."""
     predict = True
 
     def search(x, p, t, f_value, slope):
@@ -666,7 +662,8 @@ def _first_order(model, config, x0):
     def move(x, t, f_value, grad):
         nonlocal x_prev, t_k
         if config.variant == "gd":
-            return x - step * grad, None, {"alpha": step}, None
+            x_next = x - step * grad
+            return x_next, model.evaluate(x_next), {"alpha": step}, None
         if momentum is not None:
             y = x + momentum * (x - x_prev)
         else:

@@ -178,6 +178,21 @@ def test_rates_at_gamma_zero_print_the_regularized_guarantee(dataset_file, capsy
         assert blob[key] is None
 
 
+def test_rates_refuse_a_sample_below_p_and_print_null_for_it(tmp_path, capsys):
+    """|S| = 20 < p = 60 at K / reg = 2.5e7: rates refuses ssn-hessian as
+    plan does, and a spectral config reads null for Algorithms 1 and 4."""
+    path = str(tmp_path / "h.svm")
+    assert run_cli("gen", "--n", "400", "--p", "60", "--condition", "1e8", "-o", path) == 0
+    capsys.readouterr()
+    flags = ("--data", path, "--reg", "1e-8", "--sample-frac-h", "0.05")
+    assert run_cli("rates", *flags) == 2
+    assert "|S| = 20 < p = 60" in capsys.readouterr().err
+    assert run_cli("rates", *flags, "--solver", "ssn-spectral", "--lambda", "1e-3") == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["ssn-spectral"]["rho"] > 0
+    assert blob["hessian_only"] is None and blob["joint_sampling"] is None
+
+
 def test_run_without_solver_flags_uses_the_config_defaults(dataset_file, monkeypatch):
     seen = []
 

@@ -333,6 +333,39 @@ def test_newton_and_ssn_full_refuse_a_rank_deficient_design_at_reg_zero(variant,
     assert run(m, replace(cfg, max_iters=2), np.zeros(m.p)).n_iters == 2
 
 
+@pytest.fixture(scope="module")
+def thin_sample_logistic():
+    """400 x 60 logistic problem, 1e8-conditioned at reg 1e-8 (K / reg =
+    2.5e7), whose 5% sample has 20 < p rows."""
+    dataset, _ = generate_synthetic(400, 60, family="logistic", seed=0,
+                                    condition_target=1e8)
+    return ObjectiveModel(dataset, "logistic", reg=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:sigma = .* is below the guarantee floor")
+@pytest.mark.parametrize("settings", [
+    dict(variant="ssn-hessian"),
+    dict(variant="ssn-hessian", inexact=InexactnessSpec(1e-2, 0.5)),
+    dict(variant="ssn-full", sigma=0.5),
+    dict(variant="ssn-ridge"),
+], ids=["ssn-hessian", "ssn-hessian-inexact", "ssn-full", "ssn-ridge"])
+def test_plan_refuses_a_sample_below_p_that_no_solve_resolves(thin_sample_logistic,
+                                                               settings):
+    """Below p rows, lambda_min(H_S) is the shift; at K / shift = 2.5e7 no
+    solve meets the 1e-10 residual contract, so plan refuses the run
+    instead of letting it die on a singular sample."""
+    m, x0 = thin_sample_logistic, np.zeros(thin_sample_logistic.p)
+    cfg = SolverConfig(sample_frac_h=0.05, **settings)
+    with pytest.raises(solvers.NotStronglyConvexError,
+                       match=r"\|S\| = 20 < p = 60.*shift 1e-08"):
+        solvers.plan(m, cfg, x0)
+    # p rows, a floor, or a shift the solve resolves: accepted
+    for accepted in (replace(cfg, sample_frac_h=0.15),
+                     replace(cfg, variant="ssn-spectral", lambda_user=1e-3),
+                     replace(cfg, variant="ssn-ridge", lambda_user=1e-3)):
+        solvers.plan(m, accepted, x0)
+
+
 def test_later_runs_take_the_start_hessian_from_the_kept_gram(ill_logistic, monkeypatch):
     """The first preconditioned run on a model forms one Gram A'A/n, for its
     constants and its start Hessian both, which the model keeps; a second
@@ -572,6 +605,53 @@ def test_accepted_predictions_evaluate_each_iterate_in_one_walk(monkeypatch):
         assert rec.grad_norm_full == float(np.linalg.norm(m.gradient(rec.x)))
 
 
+# (fixture, settings) of runs whose searches backtrack: alpha_hat = 4 is
+# rejected on every step, and most sampled unit steps on the 1e8-conditioned
+# design are
+BACKTRACKING_CASES = {
+    "newton-alpha-hat-4": ("small_logistic", dict(
+        variant="newton", grad_tol=1e-9, line_search=LineSearchParams(alpha_hat=4.0))),
+    "ssn-hessian": ("ill_logistic", dict(
+        variant="ssn-hessian", sample_frac_h=0.2, seed=2, max_iters=200)),
+}
+
+
+@pytest.mark.parametrize("case", BACKTRACKING_CASES)
+def test_backtracked_steps_evaluate_each_iterate_once(request, monkeypatch, case):
+    fixture, settings = BACKTRACKING_CASES[case]
+    m = request.getfixturevalue(fixture)
+    calls = count_evaluations(monkeypatch)
+    trace = run(m, SolverConfig(**settings), np.zeros(m.p))
+    *steps, _ = trace.records
+    assert trace.stop == "GradTol" and sum(rec.ls_trials > 1 for rec in steps) >= 3
+    # a search predicts on the first step and after an accepted first trial
+    predicted = [True] + [rec.ls_trials == 1 for rec in steps[:-1]]
+    missed = sum(pred and rec.ls_trials > 1 for pred, rec in zip(predicted, steps))
+    # x0, then each x_{k+1}: one evaluate, plus one per rejected prediction;
+    # every other trial is one O(n) value call
+    assert calls == {"evaluate": 1 + len(steps) + missed, "evaluate-no-gradient": 0,
+                     "gradient": 0,
+                     "value": sum(rec.ls_trials for rec in steps) - sum(predicted)}
+    assert [rec.data_passes for rec in trace.records] == line_search_passes(trace.records)
+    for rec in trace.records:
+        _, f, g = m.evaluate(rec.x)
+        assert rec.f_value == f and rec.grad_norm_full == float(np.linalg.norm(g))
+
+
+def test_first_order_steps_evaluate_each_iterate_once(small_logistic, monkeypatch):
+    # gd evaluates x_{k+1} in its clock; agd takes one gradient at y_k and
+    # evaluates x_{k+1} outside it
+    m = small_logistic
+    for variant, gradients in (("gd", 0), ("agd", 1)):
+        calls = count_evaluations(monkeypatch)
+        trace = run(m, SolverConfig(variant=variant, max_iters=15), np.zeros(m.p))
+        assert trace.n_iters == 15
+        assert calls == {"evaluate": 16, "evaluate-no-gradient": 0,
+                         "gradient": 15 * gradients, "value": 0}
+        assert all(rec.data_passes == 2 for rec in trace.records)
+        monkeypatch.undo()
+
+
 def test_rejected_prediction_gradient_never_reaches_a_record(small_logistic, monkeypatch):
     m = small_logistic
     speculative = []
@@ -588,8 +668,9 @@ def test_rejected_prediction_gradient_never_reaches_a_record(small_logistic, mon
     trace = run(m, cfg, np.zeros(m.p))
     *steps, _ = trace.records
     assert trace.stop == "GradTol" and steps[0].ls_trials > 1
-    # x0's evaluation, then the first step's prediction at x0 + 4p, rejected
-    assert len(speculative) == 2
+    # x0's evaluation, the first step's prediction at x0 + 4p, rejected, then
+    # one evaluation per x_{k+1}
+    assert len(speculative) == len(steps) + 2
     x_trial, g_trial = speculative[1]
     assert not np.array_equal(x_trial, steps[0].x)
     for rec in trace.records:
@@ -602,9 +683,11 @@ def test_rejected_prediction_gradient_never_reaches_a_record(small_logistic, mon
     line = solvers._Line(m, x, p, t, True, True)
     line(4.0)
     line(2.0)
-    x_next, at_next = line.end(2.0, 2)
+    x_next, (t_next, f_next, g_next) = line.end(2.0, 2)
     np.testing.assert_array_equal(x_next, x + 2.0 * p)
-    assert at_next is None
+    for got, want in zip((t_next, f_next, g_next), m.evaluate(x_next)):
+        np.testing.assert_array_equal(got, want)
+    assert not np.array_equal(g_next, line.first[1][2])
     accepted = solvers._Line(m, x, p, t, True, True)
     f_new = accepted(1.0)
     x_next, (t_new, f_next, g_new) = accepted.end(1.0, 1)
