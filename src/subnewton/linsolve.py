@@ -44,6 +44,13 @@ symmetric product applies M several times faster than two triangular solves
 with a Cholesky factor, at the same flop count.  An inexact M only costs
 iterations: the contract is always checked against the H of the current
 solve.
+
+The contract says nothing of the precision CG runs in, so a caller may ask
+for float32 products (``solve_inexact``'s ``cg_dtype``, with a float32 M):
+CG then multiplies by float32 copies of H and M, which read half the bytes,
+while its iterates, residuals and step lengths stay float64.  The check of
+both conditions and any fallback use the float64 H, so an accepted
+direction carries the same float64 certificate as one CG found in float64.
 """
 
 from __future__ import annotations
@@ -153,21 +160,29 @@ def solve_eigen(spectrum: Spectrum, eigvals: np.ndarray, rhs: np.ndarray) -> np.
     return spectrum.from_eigenbasis(spectrum.to_eigenbasis(rhs) / eigvals)
 
 
+def _times(m, v: np.ndarray) -> np.ndarray:
+    """m @ v in m's dtype, returned in v's: v is rounded to m's dtype first,
+    so a float32 m is read as it is, never cast to float64."""
+    return (m @ v.astype(m.dtype, copy=False)).astype(v.dtype, copy=False)
+
+
 def _cg_iterates(h, g, budget, precond=None):
     """Preconditioned conjugate-gradient iterates for H p = -g from the zero
     start; ``precond`` is a symmetric positive definite M ~ H^-1 applied as
-    M @ r, and None runs plain CG.
+    M @ r, and None runs plain CG.  The products with H and M run in their
+    own dtype; the iterates, residuals and step lengths stay in g's.
 
-    Yields (p, ||H p + g||) after every update.  Stops early if rounding
-    destroys the curvature d'Hd > 0 or the preconditioned residual r'Mr > 0.
+    Yields (p, ||H p + g||) after every update, the residual as the
+    recurrence carries it.  Stops early if rounding destroys the curvature
+    d'Hd > 0 or the preconditioned residual r'Mr > 0.
     """
     p = np.zeros_like(g)
     r = -g.copy()          # residual of H p = -g
-    z = r if precond is None else precond @ r
+    z = r if precond is None else _times(precond, r)
     d = z.copy()
     rz = float(r @ z)
     for _ in range(budget):
-        hd = h @ d
+        hd = _times(h, d)
         dhd = float(d @ hd)
         if dhd <= 0:
             return
@@ -176,7 +191,7 @@ def _cg_iterates(h, g, budget, precond=None):
         r = r - alpha * hd
         rr = float(r @ r)
         yield p, np.sqrt(rr)
-        z = r if precond is None else precond @ r
+        z = r if precond is None else _times(precond, r)
         rz_next = rr if precond is None else float(r @ z)
         if rz_next <= 0:
             return
@@ -184,18 +199,26 @@ def _cg_iterates(h, g, budget, precond=None):
         rz = rz_next
 
 
-def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, InexactDiagnostics]:
+def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray | None = None,
+                  cg_dtype=np.float64) -> tuple[np.ndarray, InexactDiagnostics]:
     """Direction p approximately solving H p = -g under the acceptance
     contract, with the diagnostics of the accepted direction.
 
     ``h`` is a p x p array or a ``model.SampledHessian`` (an operator with
-    ``@`` and ``dense()``), which CG only multiplies by.  CG, preconditioned
-    by ``precond`` if given, runs from the zero start and returns the first
-    iterate meeting the residual condition that also passes the descent
-    condition.  It gets ceil(p/6) iterations before the
+    ``@``, ``astype`` and ``dense()``), which CG only multiplies by.  CG,
+    preconditioned by ``precond`` if given, runs from the zero start and
+    returns the first iterate meeting the residual condition that also
+    passes the descent condition.  It gets ceil(p/6) iterations before the
     solve assembles H and falls back to Cholesky.  theta1 = 0 asks for the
     exact solve, which is ``solve_exact``'s, so it raises ValueError here.
+
+    With ``cg_dtype`` float32, CG multiplies by a float32 copy of H, at half
+    the bytes per product, while its iterates stay float64; ``precond`` is
+    applied in its own dtype, so a caller that runs many float32 solves
+    passes one float32 copy of it.  Both conditions are still checked with
+    the float64 H, and a fallback assembles and factors the float64 H, so
+    every direction returned carries the float64 certificate whatever
+    precision found it.
     """
     if spec.theta1 == 0.0:
         raise ValueError("theta1 = 0 asks for an exact solve; use solve_exact")
@@ -205,8 +228,9 @@ def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray |
         raise ValueError("gradient is zero; nothing to solve")
     target = spec.theta1 * gnorm
     budget = math.ceil(g.size / 6)
+    h_cg = h if h.dtype == cg_dtype else h.astype(cg_dtype)
     cg_iters = 0
-    for p, res in _cg_iterates(h, g, budget, precond):
+    for p, res in _cg_iterates(h_cg, g, budget, precond):
         cg_iters += 1
         if res <= target:
             diag = verify_inexact(h, g, p, spec)

@@ -25,11 +25,16 @@ while A_b, just read for A_b x, is still in cache, so it reads the design
 once where ``value`` and ``gradient`` read it twice.  Every margin and
 gradient sums over the same blocks, so ``evaluate`` agrees with ``value``
 and ``gradient`` bit for bit.  A ``SampledHessian`` product H d reads each
-block of A_S once in the same way, for A_b d and then A_b'(w_b A_b d).
+block of A_S once in the same way, for A_b d and then A_b'(w_b A_b d).  Its
+``astype(float32)`` copy, which CG multiplies by where the run's plan asks
+for float32, runs both products on float32 rows, with the weights and the
+sum over blocks in float64; the check of CG's direction and any assembly
+use the float64 original.
 
 Where Phi''(A x) is one constant c on every row (ridge everywhere, every
-family at x = 0), ``hessian`` is c A'A/n + reg I from a Gram A'A/n the model
-keeps after the first such call, so later calls cost O(p^2);
+family at x = 0, where the margins are zero and no product A x is made),
+``hessian`` is c A'A/n + reg I from a Gram A'A/n the model keeps after the
+first such call, so later calls cost O(p^2);
 ``curvature_constants(keep_gram=True)`` keeps the Gram its eigvalsh reads,
 so a run that asks for both forms one.  ``hessian_inverse`` keeps the
 inverse of such a Hessian per (c, shift), so a later run at the same shift
@@ -40,12 +45,13 @@ that never preconditions a CG run holds no p x p array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .linsolve import spd_inverse
+from .sampling import SampleSet
 
 # exp() arguments are clamped here; e^700 is just below the float64 overflow
 # edge, so individual terms stay finite and only aggregate overflow can occur.
@@ -294,7 +300,11 @@ class SampledHessian:
     walks dense A_S in blocks of ``ROW_BLOCK_BYTES`` and takes each block's
     A_b'(w_b * A_b d) while A_b is still in cache, so A_S is read once per
     product; CSR rows are one block.  The weights w = Phi''/|S| are scaled
-    once, at construction.  ``dense()`` assembles it, keeping the sample's
+    once, at construction.  The two products with A_b run in the rows'
+    ``dtype``: float64, or float32 in the copy ``astype`` gives CG, which
+    reads half the bytes per product.  d and w_b * A_b d are rounded to that
+    dtype on the way in, so no block is cast, while w and the sum over
+    blocks stay float64.  ``dense()`` assembles it, keeping the sample's
     index order, so identical index sequences give bit-identical matrices.
     """
 
@@ -309,10 +319,21 @@ class SampledHessian:
         object.__setattr__(self, "_blocks",
                            [(a_b, w[rows]) for rows, a_b in _row_blocks(self.rows)])
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.rows.dtype
+
+    def astype(self, dtype) -> "SampledHessian":
+        """This operator with its rows rounded to ``dtype``."""
+        return replace(self, rows=self.rows.astype(dtype))
+
     def __matmul__(self, d: np.ndarray) -> np.ndarray:
+        dt = self.dtype
+        d = np.asarray(d, dtype=dt)
         hd = np.zeros(self.rows.shape[1])
         for a_b, w_b in self._blocks:
-            hd += np.asarray(a_b.T @ (w_b * np.asarray(a_b @ d).ravel())).ravel()
+            u = (w_b * np.asarray(a_b @ d).ravel()).astype(dt, copy=False)
+            hd += np.asarray(a_b.T @ u).ravel()
         return hd + self.shift * d
 
     def dense(self) -> np.ndarray:
@@ -595,8 +616,11 @@ class ObjectiveModel:
 
     def _full_sample(self, x):
         """The all-indices sample at x, unassembled, and c where its
-        curvature Phi''(A x) is that one constant on every row, else None."""
-        h = self.sampled_hessian(np.arange(self.n), x)
+        curvature Phi''(A x) is that one constant on every row, else None.
+        At x = 0 the margins are zero, so it makes no product A x."""
+        x = self._check_x(x)
+        full = SampleSet(np.arange(self.n), replacement="without", source_n=self.n)
+        h = self.sampled_hessian(full, x, None if np.any(x) else np.zeros(self.n))
         c = h.curvature[0]
         return h, c if np.all(h.curvature == c) else None
 

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ObjectiveModel
+if TYPE_CHECKING:  # model builds SampleSets, so sampling imports it only for types
+    from .model import ObjectiveModel
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,11 @@ that, or where its Cholesky fails, CG runs unpreconditioned.  From x0 = 0
 the model gives that Hessian from a Gram A'A/n it keeps, which a CG run's
 ``plan`` has the constants form once for both, and keeps the inverse per
 shift: later runs on one model make neither the O(np^2) product nor the
-O(p^3) inversion.
+O(p^3) inversion.  A logistic or ridge run whose theta1 is at least
+``FLOAT32_CG_MIN_THETA1`` runs CG's products in float32 (header
+``cg_dtype``) on float32 copies of the sampled rows and the preconditioner;
+the check of each direction and any fallback stay float64.  Poisson's
+Phi'' = e^t overflows float32, so its runs stay float64.
 
 The clock covers the move and the one ``model.evaluate`` at x_{k+1} it
 hands the loop: fresh margins A x there, F and the gradient (A'w) from one
@@ -98,6 +102,17 @@ RESAMPLE_RETRIES = 3  # redraws of a singular sample before giving up
 # the preconditioner of a run's CG solves (header "preconditioner"): the
 # inverse of the shifted full Hessian at x0
 PRECOND_START_HESSIAN = "start-hessian"
+
+# A logistic or ridge CG run with theta1 at least this multiplies in float32
+# (header "cg_dtype").  On a 5000 x 500 logistic problem with a 1e8-conditioned
+# design (|S| = 1000, the start-Hessian preconditioner, 3 solver seeds),
+# float32 products met theta1 = 1e-3 with at most 1.4% more CG iterations
+# than float64 and no fallback; at 1e-4 they took 4-9% more and one step
+# fell back, and at 1e-5 every step fell back to Cholesky, at 3x the float64
+# time (BENCH_mixed_cg.json's sweep).  Poisson stays float64: its Phi'' =
+# e^t overflows float32.
+FLOAT32_CG_MIN_THETA1 = 1e-3
+FLOAT32_CG_FAMILIES = ("logistic", "ridge")
 
 
 class SolverError(RuntimeError):
@@ -342,7 +357,10 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
     constants of ``_rate`` at that solve, and the preconditioner of its CG
     solves: ``PRECOND_START_HESSIAN`` where p <= 2000 and a positive shift
     or gamma makes the shifted Hessian positive definite, else None (a run
-    whose start Hessian Cholesky fails drops it from its header).  Raises
+    whose start Hessian Cholesky fails drops it from its header), and the
+    precision of its CG products, ``cg_dtype``: "float32" for a CG solve of
+    a logistic or ridge objective with theta1 >= ``FLOAT32_CG_MIN_THETA1``,
+    else "float64".  Raises
     NotStronglyConvexError where the config needs gamma > 0, for newton and
     ssn-full at reg = 0 where the constants show a rank-deficient design
     (p <= 2000), and, but for ssn-spectral, where |S| < p leaves H_S
@@ -420,6 +438,8 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
         "preconditioner": PRECOND_START_HESSIAN if solve == PATH_CG
         and model.p <= EXACT_GAMMA_MAX_DIM
         and (shift > 0 or est.strongly_convex) else None,
+        "cg_dtype": "float32" if solve == PATH_CG and model.family in FLOAT32_CG_FAMILIES
+        and spec.theta1 >= FLOAT32_CG_MIN_THETA1 else "float64",
     }
 
 
@@ -540,10 +560,12 @@ def _newton_like(model, config, x0):
     sampled_g = config.variant == "ssn-full"
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
-    precond = None  # the run's one CG preconditioner
+    cg_dtype = np.dtype(header["cg_dtype"])
+    precond = None  # the run's one CG preconditioner, in CG's precision
     if header["preconditioner"] == PRECOND_START_HESSIAN:
         try:
             precond = model.hessian_inverse(x0, _shift(model, config) - model.reg)
+            precond = precond.astype(cg_dtype, copy=False)
         except NotPositiveDefiniteError:  # singular in floating point
             header["preconditioner"] = None
     # ssn-full's full gradient is a diagnostic, so its prediction skips it
@@ -571,7 +593,7 @@ def _newton_like(model, config, x0):
                                 "stop_flag": STOP_GRAD_TOL}, None
 
         p, solved, h_raw = _direction(model, config, solve, rng, x, t, sample, g_used,
-                                      size_h, precond)
+                                      size_h, precond, cg_dtype)
         alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g_used))
         eps2_k *= config.rho2
         diagnose = None
@@ -593,7 +615,7 @@ def _newton_like(model, config, x0):
     return header, move
 
 
-def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond):
+def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, cg_dtype):
     """Newton direction for H p = -g from the curvature sample ``sample``
     at x, whose margins t = A x give the sample's Hessian weights, by the
     header's ``solve``.
@@ -601,8 +623,9 @@ def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond):
     H is the sampled Hessian H_S, shifted by lambda_user (ssn-ridge) or
     floored at lambda_k in the eigenbasis of its one eigendecomposition
     (``PATH_EIGEN``, ``regularize.spectrum``).  Cholesky and eigenbasis
-    solves assemble H_S; CG solves only multiply by it, preconditioned by
-    ``precond``, the run's one preconditioner (None runs plain CG).  A
+    solves assemble H_S; CG solves only multiply by it, in ``cg_dtype``,
+    preconditioned by ``precond``, the run's one preconditioner (None runs
+    plain CG), and check the direction with the float64 H_S.  A
     singular random sample is redrawn a few times (a probability-delta
     event) before giving up; a full without-replacement sample, the same
     every time, is not.
@@ -620,7 +643,7 @@ def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond):
             if solve == PATH_CG:
                 h_raw = model.sampled_hessian(sample, x, t)
                 h = h_raw if lam is None else replace(h_raw, shift=h_raw.shift + lam)
-                p, diag = solve_inexact(h, g, config.inexact, precond)
+                p, diag = solve_inexact(h, g, config.inexact, precond, cg_dtype)
                 return p, {"residual_ratio": diag.residual_ratio,
                            "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
                            "solve_path": diag.path, "lambda_applied": lam}, h_raw

@@ -294,3 +294,44 @@ def test_curvature_bound_preconditions_a_fresh_sample_better_than_another_sample
         assert stale.path == diag.path == PATH_CG
         assert diag.cg_iters < stale.cg_iters
         assert verify_inexact(fresh.dense(), g, direction, spec).ok
+
+
+# -- float32 CG products ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("theta1,path", [(1e-2, PATH_CG), (1e-12, PATH_FALLBACK)])
+def test_float32_cg_is_checked_and_falls_back_in_float64(theta1, path, monkeypatch):
+    """With cg_dtype float32 and a float32 M, CG multiplies by float32 copies
+    of H and M, while its iterates stay float64; the check and a fallback get
+    the float64 H, so the direction meets the contract in float64 on either
+    path."""
+    from subnewton import linsolve
+    rng = np.random.default_rng(17)
+    h = random_spd(rng, 60, shift=1.0)
+    g = rng.standard_normal(60)
+    spec = InexactnessSpec(theta1=theta1, theta2=0.5)
+    seen = {"products": set(), "checked": [], "factored": []}
+    times, verify, exact = linsolve._times, linsolve.verify_inexact, linsolve.solve_exact
+
+    def product(m, v):
+        seen["products"].add((m.dtype.name, v.dtype.name))
+        return times(m, v)
+
+    def checked(h_, *args):
+        seen["checked"].append(h_.dtype.name)
+        return verify(h_, *args)
+
+    def factored(h_, *args):
+        seen["factored"].append(h_.dtype.name)
+        return exact(h_, *args)
+    monkeypatch.setattr(linsolve, "_times", product)
+    monkeypatch.setattr(linsolve, "verify_inexact", checked)
+    monkeypatch.setattr(linsolve, "solve_exact", factored)
+    precond = np.linalg.inv(random_spd(rng, 60, shift=1.0)).astype(np.float32)
+    direction, diag = solve_inexact(h, g, spec, precond, cg_dtype=np.float32)
+    assert diag.path == path
+    assert seen["products"] == {("float32", "float64")}
+    assert seen["checked"] and set(seen["checked"]) == {"float64"}
+    assert seen["factored"] == (["float64"] if path == PATH_FALLBACK else [])
+    assert direction.dtype == np.float64
+    assert verify(h, g, direction, spec).ok

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from subnewton import model as model_module
+from subnewton import solvers
 from subnewton.data import generate_synthetic
 from subnewton.model import EXP_CLAMP, ConditionEstimates, Dataset, EvaluationError, \
     LogisticFamily, ObjectiveModel, PoissonFamily, RidgeFamily, _sigmoid
@@ -336,6 +337,65 @@ def test_hessian_reuses_the_kept_gram(monkeypatch):
     logistic = block_model("logistic", 100, 6, "dense")
     logistic.hessian(np.full(m.p, 0.3))
     assert grams == [True, False] and logistic._gram is None
+
+
+def test_start_hessian_lookup_reads_no_design_block():
+    """At x0 = 0 every margin is zero, so the start Hessian's curvature is
+    Phi''(0) with no product A x0: once a CG run has kept the Gram and the
+    inverse, a later run's plan and preconditioner lookup read no block of
+    the design.  The spy does see the product at x != 0."""
+    reads = []
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            reads.append(self.shape)
+            return np.ndarray.__matmul__(self, other)
+
+        def __rmatmul__(self, other):
+            reads.append(self.shape)
+            return np.ndarray.__rmatmul__(self, other)
+
+    dataset, _ = generate_synthetic(300, 8, family="logistic", seed=5)
+    dataset = Dataset(dataset.features, dataset.labels)  # the spy stays on this copy
+    m = ObjectiveModel(dataset, "logistic", reg=1e-3)
+    x0 = np.zeros(m.p)
+    cfg = SolverConfig(sample_frac_h=0.5, max_iters=3,
+                       inexact=solvers.InexactnessSpec(theta1=1e-2, theta2=0.5))
+    run(m, cfg, x0)  # forms and keeps the Gram and the start inverse
+    object.__setattr__(dataset, "features", dataset.features.view(Spy))
+    header, _ = solvers._newton_like(m, cfg, x0)
+    assert header["preconditioner"] == "start-hessian"
+    assert reads == []
+    m.hessian_inverse(np.full(m.p, 0.1), 0.0)
+    assert reads
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_float32_copy_multiplies_in_float32_over_its_own_blocks(small_logistic, storage,
+                                                              monkeypatch):
+    """``astype(float32)`` rounds the rows only; its product reads float32
+    blocks of ``ROW_BLOCK_BYTES`` (twice the rows of a float64 block), keeps
+    the weights and the sum over blocks in float64, and agrees with the
+    float64 product to float32 rounding."""
+    m = small_logistic
+    monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * m.p * 16)  # 16 float64 rows
+    rng = np.random.default_rng(3)
+    idx = np.sort(rng.choice(m.n, 100, replace=False))
+    x = 0.3 * rng.standard_normal(m.p)
+    h = m.sampled_hessian(idx, x)
+    if storage == "csr":
+        h = replace(h, rows=sp.csr_matrix(h.rows))
+    h32 = h.astype(np.float32)
+    assert h.dtype == np.float64 and h32.dtype == np.float32
+    assert h32.curvature is h.curvature and h32.shift == h.shift
+    if storage == "dense":
+        assert [a_b.shape[0] for a_b, _ in h._blocks] == [16] * 6 + [4]
+        assert [a_b.shape[0] for a_b, _ in h32._blocks] == [32] * 3 + [4]
+    assert all(w_b.dtype == np.float64 for _, w_b in h32._blocks)
+    for d in (rng.standard_normal(m.p), rng.standard_normal(m.p).astype(np.float32)):
+        hd, hd32 = h @ d, h32 @ d
+        assert hd.dtype == hd32.dtype == np.float64
+        assert np.linalg.norm(hd32 - hd) <= 1e-6 * np.linalg.norm(hd)
 
 
 def test_hessian_single_logistic_component():

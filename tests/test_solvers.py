@@ -476,6 +476,140 @@ def test_plan_names_the_preconditioner_of_the_run(family, settings, solve, label
     assert trace.records[0].solve_path == solve
 
 
+CG_DTYPE_CASES = [
+    ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(1e-2, 0.5)), "float32"),
+    ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(1e-3, 0.5)), "float32"),
+    ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(9e-4, 0.5)), "float64"),
+    ("logistic", dict(variant="ssn-ridge", lambda_user=0.1, inexact=SPEC), "float32"),
+    ("logistic", dict(variant="ssn-full", sample_frac_g=0.5, sigma=0.0, inexact=SPEC),
+     "float32"),
+    ("logistic", dict(variant="newton", inexact=SPEC), "float32"),
+    ("ridge", dict(variant="ssn-hessian", inexact=SPEC), "float32"),
+    ("poisson", dict(variant="ssn-hessian", inexact=SPEC), "float64"),
+    ("logistic", dict(variant="ssn-hessian"), "float64"),
+    ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(0.0, 0.5)), "float64"),
+    ("logistic", dict(variant="ssn-spectral", lambda_user=0.1, inexact=SPEC), "float64"),
+]
+
+
+@pytest.mark.parametrize("family,settings,cg_dtype", CG_DTYPE_CASES)
+def test_plan_runs_cg_in_float32_for_logistic_and_ridge_at_loose_theta1(
+        family, settings, cg_dtype, small_logistic, small_ridge, small_poisson):
+    """Only a CG run of a logistic or ridge objective with theta1 >=
+    FLOAT32_CG_MIN_THETA1 multiplies in float32; Poisson, tighter specs and
+    exact or eigh solves stay float64."""
+    m = {"logistic": small_logistic, "ridge": small_ridge, "poisson": small_poisson}[family]
+    cfg = SolverConfig(sample_frac_h=0.5, **settings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
+        assert solvers.plan(m, cfg, np.zeros(m.p))["cg_dtype"] == cg_dtype
+
+
+def test_float32_cg_directions_meet_both_conditions_in_float64(ill_logistic, monkeypatch):
+    """A theta1 = 1e-2 run on the 1e8-conditioned problem multiplies in
+    float32, and every direction it takes meets both conditions against its
+    own sample's Hessian assembled in float64, recomputed here."""
+    m = ill_logistic
+    spec = InexactnessSpec(theta1=1e-2, theta2=0.5)
+    solves, solve = [], solvers.solve_inexact
+
+    def recording(h, g, *args):
+        out = solve(h, g, *args)
+        solves.append((h, g, out[0]))
+        return out
+    monkeypatch.setattr(solvers, "solve_inexact", recording)
+    cfg = SolverConfig(sample_frac_h=0.2, seed=3, grad_tol=1e-8, max_iters=100, inexact=spec)
+    trace = run(m, cfg, np.zeros(m.p))
+    assert trace.header["cg_dtype"] == "float32" and trace.stop == "GradTol"
+    steps = [r for r in trace.records if r.alpha > 0]
+    assert len(solves) == len(steps) >= 20
+    for (h, g, p), rec in zip(solves, steps):
+        assert rec.solve_path == "cg"
+        dense = h.dense()
+        assert dense.dtype == p.dtype == np.float64
+        hp = dense @ p
+        residual = float(np.linalg.norm(hp + g)) / float(np.linalg.norm(g))
+        assert residual <= spec.theta1
+        assert float(p @ g) <= -(1 - spec.theta2) * float(p @ hp)
+        assert residual == pytest.approx(rec.residual_ratio, rel=1e-6)
+
+
+def test_no_float32_operator_reaches_the_check_or_the_fallback(ill_logistic, monkeypatch):
+    """The float32 copies serve CG's products only: in a float32 run every
+    operator that verify_inexact checks, that dense() assembles and that the
+    fallback factors is float64, on a preconditioned run (every step CG) and
+    on an unpreconditioned one (every step a fallback)."""
+    seen = {"checked": [], "assembled": [], "factored": []}
+
+    def spy(owner, name, kind):
+        fn = getattr(owner, name)
+
+        def wrapper(h, *args):
+            seen[kind].append(h.dtype.name)
+            return fn(h, *args)
+        monkeypatch.setattr(owner, name, wrapper)
+    spy(linsolve, "verify_inexact", "checked")
+    spy(linsolve, "solve_exact", "factored")
+    spy(model_module.SampledHessian, "dense", "assembled")
+    cfg = SolverConfig(sample_frac_h=0.2, seed=3, max_iters=8, grad_tol=1e-8,
+                       inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
+    trace = run(ill_logistic, cfg, np.zeros(ill_logistic.p))
+    assert trace.header["cg_dtype"] == "float32"
+    assert {r.solve_path for r in trace.records if r.alpha > 0} == {"cg"}
+    assert seen["checked"] and not seen["factored"]
+
+    def singular(h):
+        raise solvers.NotPositiveDefiniteError("singular")
+    monkeypatch.setattr(model_module, "spd_inverse", singular)
+    m = ObjectiveModel(ill_logistic.dataset, "logistic", reg=ill_logistic.reg)
+    trace = run(m, replace(cfg, max_iters=4), np.zeros(m.p))
+    assert trace.header["cg_dtype"] == "float32" and trace.header["preconditioner"] is None
+    assert {r.solve_path for r in trace.records if r.alpha > 0} == {"cholesky-fallback"}
+    assert seen["factored"] and seen["assembled"]
+    assert {name for names in seen.values() for name in names} == {"float64"}
+
+
+def _float64_run(case, ill_logistic):
+    if case == "poisson":
+        dataset, _ = generate_synthetic(2000, 50, family="poisson", condition_target=1e4,
+                                        seed=3)
+        m = ObjectiveModel(dataset, "poisson", reg=1e-3)
+        return m, SolverConfig(sample_frac_h=0.2, seed=1, max_iters=10,
+                               inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
+    spec = InexactnessSpec(theta1=1e-6, theta2=0.5) if case == "theta1-1e-6" else None
+    return ill_logistic, SolverConfig(sample_frac_h=0.2, seed=2, max_iters=15, inexact=spec)
+
+
+@pytest.mark.parametrize("case", ["theta1-1e-6", "poisson", "exact"])
+def test_float64_runs_keep_their_float64_products(case, ill_logistic, monkeypatch):
+    """Runs that stay float64 (theta1 below FLOAT32_CG_MIN_THETA1, Poisson,
+    exact solves) make no float32 copy, and their records equal, bit for
+    bit, those of the same run on reference float64-only products: H d as
+    one float64 walk over the blocks, M r as M @ r."""
+    m, cfg = _float64_run(case, ill_logistic)
+
+    def no_copy(self, dtype):
+        raise AssertionError(f"a float64 run made a {dtype} copy")
+    monkeypatch.setattr(model_module.SampledHessian, "astype", no_copy)
+    x0 = np.zeros(m.p)
+    trace = run(m, cfg, x0)
+    assert trace.header["cg_dtype"] == "float64"
+
+    def float64_product(self, d):
+        hd = np.zeros(self.rows.shape[1])
+        for a_b, w_b in self._blocks:
+            hd += np.asarray(a_b.T @ (w_b * np.asarray(a_b @ d).ravel())).ravel()
+        return hd + self.shift * d
+    monkeypatch.setattr(model_module.SampledHessian, "__matmul__", float64_product)
+    monkeypatch.setattr(linsolve, "_times", lambda op, v: op @ v)
+    reference = run(m, cfg, x0)
+
+    def records(t):
+        return [(replace(r, wall_nanos=0, x=None), r.x.tobytes()) for r in t.records]
+    assert len(trace.records) >= 5
+    assert records(trace) == records(reference)
+
+
 def test_newton_is_priced_without_sampling_error(small_logistic):
     """newton's Hessian is the full one, so Algorithm 1 prices it at
     eps = 0; ssn-hessian headers keep config.eps."""
