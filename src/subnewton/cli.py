@@ -4,8 +4,8 @@ Subcommands: ``gen`` (synthetic dataset to file), ``run`` (one solver on one
 dataset, trace CSV out), ``compare`` (experiment spec file to result files),
 ``verify`` (statistical concentration suites), ``rates`` (the guarantee
 constants of the run headers ``solvers.plan`` gives for a config, and the
-solve and preconditioner of its own run), ``inspect`` (dataset condition
-metrics).
+solve, preconditioner and solve_dtype of its own run), ``inspect`` (dataset
+condition metrics).
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
 failure.
@@ -201,8 +201,8 @@ def _dispatch(args) -> int:
         # ssn-spectral or ssn-ridge, of its own run; Algorithms 1 and 4 need
         # gamma > 0 and a sample they can solve with, so a regularized config
         # reads null for them without gamma or where plan refuses them.
-        # The solve and preconditioner are those of the config's own run
-        # (null for a baseline, which has neither).
+        # The solve, preconditioner and solve_dtype are those of the config's
+        # own run (null for a baseline, which has none of them).
         model, config = _model(args), _config_from_args(args)
         x0 = np.zeros(model.p)
         own = plan(model, config, x0) if config.variant in NEWTON_LIKE_VARIANTS else {}
@@ -226,6 +226,7 @@ def _dispatch(args) -> int:
         out = {"gamma": ref["gamma"], "K": ref["big_k"], "kappa": ref["kappa"],
                "kappa1": ref["kappa1"], "kappa_tilde": ref["kappa_tilde"],
                "solve": own.get("solve"), "preconditioner": own.get("preconditioner"),
+               "solve_dtype": own.get("solve_dtype"),
                **{key: h and h["rate_prediction"] for key, h in headers.items()}}
         print(json.dumps(bench.jsonable(out), indent=1))
         return EXIT_OK

@@ -2,6 +2,15 @@
 inexact via preconditioned conjugate gradients under a two-part acceptance
 contract.
 
+A floored eigenbasis solve may run on a float32 eigendecomposition
+(``solve_floored``): its factored inverse M gives the direction and the
+corrections of iterative refinement, in float32, while every residual is
+taken in float64 against H_S + U D U', the float64 H_S with the eigenvalues
+of the k float32 eigenvectors U below the floor raised to it.  A direction
+is returned only once that residual meets ``EXACT_RESIDUAL_RTOL``, the
+exact solves' own contract; a solve that does not get there within
+``MAX_REFINEMENTS`` returns None, and the caller redoes it in float64.
+
 An inexact direction p for the system H p = -g is accepted when
 
   (a) ||H p + g|| <= theta1 ||g||          (relative residual), and
@@ -67,11 +76,13 @@ EXACT_RESIDUAL_RTOL = 1e-10
 MAX_REFINEMENTS = 3
 
 # how a Newton direction was solved for: exactly (Cholesky or an eigenbasis),
-# CG accepted by the contract, or CG that missed it and fell back to Cholesky
+# CG accepted by the contract, CG that missed it and fell back to Cholesky,
+# or a float32 eigenbasis solve whose refinement stalled, redone in float64
 PATH_EXACT = "cholesky"
 PATH_EIGEN = "eigh"
 PATH_CG = "cg"
 PATH_FALLBACK = "cholesky-fallback"
+PATH_EIGEN_FALLBACK = "eigh-fallback"
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -158,6 +169,47 @@ def solve_eigen(spectrum: Spectrum, eigvals: np.ndarray, rhs: np.ndarray) -> np.
     if not smallest > eigvals.size * np.finfo(float).eps * float(eigvals.max()):
         raise NotPositiveDefiniteError(f"smallest eigenvalue {smallest:.3g} is not positive")
     return spectrum.from_eigenbasis(spectrum.to_eigenbasis(rhs) / eigvals)
+
+
+def solve_floored(h: np.ndarray, spectrum: Spectrum, floor: float,
+                  rhs: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Solve H^ y = rhs for H^ = H + U diag(floor - lambda_L) U', with
+    ``spectrum`` a float32 eigendecomposition of the float64 H, lambda_L its
+    k eigenvalues below ``floor`` and U = Q Z_L their eigenvectors, the only
+    k columns promoted to float64.  H^ is H with that part of its spectrum
+    floored, as the float32 eigenvectors resolve it.
+
+    M = V diag(1 / max(lambda, floor)) V', applied factored in float32, gives
+    the first y and each correction y += M (rhs - H^ y); the residuals are
+    float64.  Returns y and ||H^ y - rhs|| / ||rhs|| once that is at most
+    ``EXACT_RESIDUAL_RTOL``, or None if ``MAX_REFINEMENTS`` corrections do
+    not get there.  Raises ``NotPositiveDefiniteError`` unless the floor is
+    positive.
+    """
+    if not floor > 0:
+        raise NotPositiveDefiniteError(f"spectral floor {floor:.3g} is not positive")
+    rhs = np.asarray(rhs, dtype=float).ravel()
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs), 0.0
+    eigvals = spectrum.eigvals
+    k = int(np.searchsorted(eigvals, floor))  # ascending: the first k are below
+    inverse = 1.0 / np.maximum(eigvals, floor)
+    u = spectrum.eigenvectors(k).astype(float)
+    raise_by = floor - eigvals[:k].astype(float)
+
+    def apply_m(v):
+        return spectrum.from_eigenbasis(spectrum.to_eigenbasis(v) * inverse).astype(float)
+
+    y = apply_m(rhs)
+    for refinement in range(MAX_REFINEMENTS + 1):
+        resid = rhs - (h @ y + u @ (raise_by * (u.T @ y)))
+        ratio = float(np.linalg.norm(resid)) / rhs_norm
+        if ratio <= EXACT_RESIDUAL_RTOL:
+            return y, ratio
+        if refinement < MAX_REFINEMENTS:
+            y = y + apply_m(resid)
+    return None
 
 
 def _times(m, v: np.ndarray) -> np.ndarray:

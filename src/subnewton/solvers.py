@@ -41,8 +41,13 @@ the model gives that Hessian from a Gram A'A/n it keeps, which a CG run's
 shift: later runs on one model make neither the O(np^2) product nor the
 O(p^3) inversion.  A logistic or ridge run whose theta1 is at least
 ``FLOAT32_CG_MIN_THETA1`` runs CG's products in float32 (header
-``cg_dtype``) on float32 copies of the sampled rows and the preconditioner;
-the check of each direction and any fallback stay float64.  Poisson's
+``solve_dtype``) on float32 copies of the sampled rows and the
+preconditioner; the check of each direction and any fallback stay float64.
+A logistic or ridge ssn-spectral run with K / lambda_user at most
+``FLOAT32_EIGH_MAX_K_RATIO`` takes its eigendecomposition in float32 (header
+``solve_dtype`` again) and refines each floored step in float64 until its
+float64 residual meets ``EXACT_RESIDUAL_RTOL``; a step that does not get
+there is redone in float64 and recorded as ``eigh-fallback``.  Poisson's
 Phi'' = e^t overflows float32, so its runs stay float64.
 
 The clock covers the move and the one ``model.evaluate`` at x_{k+1} it
@@ -77,9 +82,9 @@ import numpy as np
 from .linesearch import LineSearchError, LineSearchParams, armijo
 # verify_inexact and spectral_floor are bound here, though unused, so that
 # perfbench/tracing.py can wrap them under the names solvers binds
-from .linsolve import EXACT_RESIDUAL_RTOL, PATH_CG, PATH_EIGEN, PATH_EXACT, \
-    InexactnessSpec, NotPositiveDefiniteError, solve_eigen, solve_exact, solve_inexact, \
-    verify_inexact  # noqa: F401
+from .linsolve import EXACT_RESIDUAL_RTOL, PATH_CG, PATH_EIGEN, PATH_EIGEN_FALLBACK, \
+    PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, solve_eigen, solve_exact, \
+    solve_floored, solve_inexact, verify_inexact  # noqa: F401
 from .model import BOUND_CAP, EXACT_GAMMA_MAX_DIM, ConditionEstimates, EvaluationError, \
     ObjectiveModel, SampledHessian
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
@@ -104,7 +109,7 @@ RESAMPLE_RETRIES = 3  # redraws of a singular sample before giving up
 PRECOND_START_HESSIAN = "start-hessian"
 
 # A logistic or ridge CG run with theta1 at least this multiplies in float32
-# (header "cg_dtype").  On a 5000 x 500 logistic problem with a 1e8-conditioned
+# (header "solve_dtype").  On a 5000 x 500 logistic problem with a 1e8-conditioned
 # design (|S| = 1000, the start-Hessian preconditioner, 3 solver seeds),
 # float32 products met theta1 = 1e-3 with at most 1.4% more CG iterations
 # than float64 and no fallback; at 1e-4 they took 4-9% more and one step
@@ -112,7 +117,16 @@ PRECOND_START_HESSIAN = "start-hessian"
 # time (BENCH_mixed_cg.json's sweep).  Poisson stays float64: its Phi'' =
 # e^t overflows float32.
 FLOAT32_CG_MIN_THETA1 = 1e-3
-FLOAT32_CG_FAMILIES = ("logistic", "ridge")
+FLOAT32_FAMILIES = ("logistic", "ridge")
+# A logistic or ridge ssn-spectral run with K / lambda_user at most this takes
+# its eigendecomposition in float32 (header "solve_dtype") and certifies each
+# floored step in float64.  On a 20000 x 500 sparse logistic problem at
+# |S| = 300 and 1000 (BENCH_spectral_f32.json's sweep), no step at K / lambda
+# <= 200 needed more than 2 of the MAX_REFINEMENTS = 3 refinements, and up to
+# 100 every run kept the float64 run's stop and its iteration count within
+# one; at 700-1000 steps at |S| = 300 took 3, the direction moved up to 2e-3
+# from the float64 one, and from 7e3 some steps fell back to float64.
+FLOAT32_EIGH_MAX_K_RATIO = 100.0
 
 
 class SolverError(RuntimeError):
@@ -206,13 +220,15 @@ class TraceRecord:
     ls_trials: int = 0
     sample_size_h: int | None = None
     sample_size_g: int | None = None
+    # CG's ||H p + g|| / ||g||, or a float32 eigh step's, against its H^
     residual_ratio: float | None = None
     descent_ratio: float | None = None
     cg_iters: int | None = None
     # the header's solve as it went: "cholesky" or "eigh" (exact, theta1 = 0
     # included), "cg" (CG, preconditioned if the header names one, met the
-    # contract without assembling H) or "cholesky-fallback" (CG missed; H
-    # assembled and factored)
+    # contract without assembling H), "cholesky-fallback" (CG missed; H
+    # assembled and factored) or "eigh-fallback" (a float32 eigh step's
+    # refinement stalled; redone in float64)
     solve_path: str | None = None
     lambda_applied: float | None = None
     min_eig_h: float | None = None
@@ -358,9 +374,11 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
     solves: ``PRECOND_START_HESSIAN`` where p <= 2000 and a positive shift
     or gamma makes the shifted Hessian positive definite, else None (a run
     whose start Hessian Cholesky fails drops it from its header), and the
-    precision of its CG products, ``cg_dtype``: "float32" for a CG solve of
-    a logistic or ridge objective with theta1 >= ``FLOAT32_CG_MIN_THETA1``,
-    else "float64".  Raises
+    precision of its solve, ``solve_dtype``: "float32" for a logistic or
+    ridge objective's CG solve with theta1 >= ``FLOAT32_CG_MIN_THETA1`` (its
+    products) or eigh solve with K / lambda_user <=
+    ``FLOAT32_EIGH_MAX_K_RATIO`` (its eigendecomposition), else "float64".
+    Raises
     NotStronglyConvexError where the config needs gamma > 0, for newton and
     ssn-full at reg = 0 where the constants show a rank-deficient design
     (p <= 2000), and, but for ssn-spectral, where |S| < p leaves H_S
@@ -438,8 +456,10 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
         "preconditioner": PRECOND_START_HESSIAN if solve == PATH_CG
         and model.p <= EXACT_GAMMA_MAX_DIM
         and (shift > 0 or est.strongly_convex) else None,
-        "cg_dtype": "float32" if solve == PATH_CG and model.family in FLOAT32_CG_FAMILIES
-        and spec.theta1 >= FLOAT32_CG_MIN_THETA1 else "float64",
+        "solve_dtype": "float32" if model.family in FLOAT32_FAMILIES and (
+            solve == PATH_CG and spec.theta1 >= FLOAT32_CG_MIN_THETA1
+            or solve == PATH_EIGEN
+            and est.big_k <= FLOAT32_EIGH_MAX_K_RATIO * config.lambda_user) else "float64",
     }
 
 
@@ -560,16 +580,18 @@ def _newton_like(model, config, x0):
     sampled_g = config.variant == "ssn-full"
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
-    cg_dtype = np.dtype(header["cg_dtype"])
+    dtype = np.dtype(header["solve_dtype"])
     precond = None  # the run's one CG preconditioner, in CG's precision
     if header["preconditioner"] == PRECOND_START_HESSIAN:
         try:
             precond = model.hessian_inverse(x0, _shift(model, config) - model.reg)
-            precond = precond.astype(cg_dtype, copy=False)
+            precond = precond.astype(dtype, copy=False)
         except NotPositiveDefiniteError:  # singular in floating point
             header["preconditioner"] = None
     # ssn-full's full gradient is a diagnostic, so its prediction skips it
     search = _searcher(model, config.line_search, gradient=not sampled_g)
+    rough_min_eig = solve == PATH_EIGEN and dtype == np.float32
+    random_sample = size_h < model.n or config.replacement == "with"
 
     def move(x, t, f_value, grad):
         nonlocal eps2_k
@@ -593,16 +615,24 @@ def _newton_like(model, config, x0):
                                 "stop_flag": STOP_GRAD_TOL}, None
 
         p, solved, h_raw = _direction(model, config, solve, rng, x, t, sample, g_used,
-                                      size_h, precond, cg_dtype)
+                                      size_h, precond, dtype)
         alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g_used))
+        if random_sample and at_next[1] > f_value:
+            # Armijo accepted F from t + alpha A p; the fresh F at x_{k+1} can
+            # exceed F(x_k) only by rounding, at the noise floor.  x_k is kept,
+            # so F never rises, and the next sample gives a new direction
+            x_next = at_next = None
         eps2_k *= config.rho2
         diagnose = None
         if config.track_events:
             def diagnose():
                 out = {"grad_error_used": float(np.linalg.norm(g_used - grad))
                        if sampled_g else None}
-                if solved.get("min_eig_h") is None:
-                    # an unassembled (inexact) sample is assembled here, off the clock
+                if solved.get("min_eig_h") is None or rough_min_eig \
+                        and solved["solve_path"] == PATH_EIGEN:
+                    # an unassembled (inexact) sample is assembled here, off the
+                    # clock; a float32 spectrum's lambda_min, accurate to about
+                    # eps32 ||H||, is replaced by the float64 one
                     out["min_eig_h"] = min_eigenvalue(
                         h_raw.dense() if isinstance(h_raw, SampledHessian) else h_raw)
                 return out
@@ -615,7 +645,7 @@ def _newton_like(model, config, x0):
     return header, move
 
 
-def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, cg_dtype):
+def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, dtype):
     """Newton direction for H p = -g from the curvature sample ``sample``
     at x, whose margins t = A x give the sample's Hessian weights, by the
     header's ``solve``.
@@ -623,10 +653,13 @@ def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, cg_d
     H is the sampled Hessian H_S, shifted by lambda_user (ssn-ridge) or
     floored at lambda_k in the eigenbasis of its one eigendecomposition
     (``PATH_EIGEN``, ``regularize.spectrum``).  Cholesky and eigenbasis
-    solves assemble H_S; CG solves only multiply by it, in ``cg_dtype``,
+    solves assemble H_S; CG solves only multiply by it, in ``dtype``,
     preconditioned by ``precond``, the run's one preconditioner (None runs
-    plain CG), and check the direction with the float64 H_S.  A
-    singular random sample is redrawn a few times (a probability-delta
+    plain CG), and check the direction with the float64 H_S.  A float32
+    eigenbasis solve takes lambda_k from the float32 eigenvalues and refines
+    its step against the float64 H_S (``solve_floored``); if that stalls, the
+    step is redone from a float64 eigendecomposition (``PATH_EIGEN_FALLBACK``).
+    A singular random sample is redrawn a few times (a probability-delta
     event) before giving up; a full without-replacement sample, the same
     every time, is not.
 
@@ -643,17 +676,27 @@ def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, cg_d
             if solve == PATH_CG:
                 h_raw = model.sampled_hessian(sample, x, t)
                 h = h_raw if lam is None else replace(h_raw, shift=h_raw.shift + lam)
-                p, diag = solve_inexact(h, g, config.inexact, precond, cg_dtype)
+                p, diag = solve_inexact(h, g, config.inexact, precond, dtype)
                 return p, {"residual_ratio": diag.residual_ratio,
                            "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
                            "solve_path": diag.path, "lambda_applied": lam}, h_raw
             h_raw = subsampled_hessian(model, x, sample, t)
             if solve == PATH_EIGEN:
+                path = PATH_EIGEN
+                if dtype == np.float32:
+                    spec = spectrum(h_raw, dtype)
+                    floor = max(float(spec.eigvals[0]), 0.0) + config.lambda_user
+                    floored = solve_floored(h_raw, spec, floor, g)
+                    if floored is not None:
+                        return -floored[0], {
+                            "residual_ratio": floored[1], "cg_iters": 0, "solve_path": path,
+                            "lambda_applied": floor, "min_eig_h": float(spec.eigvals[0])}, h_raw
+                    path = PATH_EIGEN_FALLBACK
                 spec = spectrum(h_raw)
                 eigs = spec.eigvals
                 floor = max(float(eigs[0]), 0.0) + config.lambda_user
                 return -solve_eigen(spec, np.maximum(eigs, floor), g), {
-                    "cg_iters": 0, "solve_path": PATH_EIGEN, "lambda_applied": floor,
+                    "cg_iters": 0, "solve_path": path, "lambda_applied": floor,
                     "min_eig_h": float(eigs[0])}, h_raw
             h = h_raw if lam is None else ridge(h_raw, lam)
             return -solve_exact(h, g), {"cg_iters": 0, "solve_path": PATH_EXACT,

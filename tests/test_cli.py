@@ -121,10 +121,29 @@ def test_rates_print_the_run_preconditioner(dataset_file, capsys, family, flags,
                                            label):
     assert run_cli("rates", "--data", str(dataset_file), "--reg", "0.05",
                    "--family", family, *flags) == 0
-    assert json.loads(capsys.readouterr().out)["preconditioner"] == label
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["preconditioner"] == label
     model = ObjectiveModel(load_dataset(str(dataset_file)), family, reg=0.05)
     header = run(model, SolverConfig(max_iters=1, **settings), np.zeros(model.p)).header
     assert header["preconditioner"] == label
+    assert blob["solve_dtype"] == header["solve_dtype"]
+
+
+# (flags after --solver ssn-spectral, the run's solve_dtype); this file's K is
+# about 0.3, so --lambda 1e-6 puts K / lambda_user far above the constant
+RATES_SPECTRAL_DTYPES = [
+    (("--lambda", "0.1"), "logistic", "float32"),
+    (("--lambda", "1e-6"), "logistic", "float64"),
+    (("--lambda", "0.1"), "poisson", "float64"),
+]
+
+
+@pytest.mark.parametrize("flags,family,dtype", RATES_SPECTRAL_DTYPES)
+def test_rates_print_the_spectral_solve_dtype(dataset_file, capsys, flags, family, dtype):
+    assert run_cli("rates", "--data", str(dataset_file), "--reg", "0.05", "--family", family,
+                   "--solver", "ssn-spectral", "--sample-frac-h", "0.3", *flags) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["solve"] == "eigh" and blob["solve_dtype"] == dtype
 
 
 def test_rates_price_theta1_zero_as_the_exact_solve(dataset_file, capsys):

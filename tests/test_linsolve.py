@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from subnewton.linsolve import PATH_CG, PATH_FALLBACK, InexactnessSpec, \
-    NotPositiveDefiniteError, _cg_iterates, solve_exact, solve_inexact, spd_inverse, \
-    verify_inexact
+from subnewton import linsolve
+from subnewton.linsolve import EXACT_RESIDUAL_RTOL, PATH_CG, PATH_FALLBACK, InexactnessSpec, \
+    NotPositiveDefiniteError, _cg_iterates, solve_exact, solve_floored, solve_inexact, \
+    spd_inverse, verify_inexact
+from subnewton.regularize import spectral_floor, spectrum
 from subnewton.sampling import draw
 
 
@@ -335,3 +337,65 @@ def test_float32_cg_is_checked_and_falls_back_in_float64(theta1, path, monkeypat
     assert seen["factored"] == (["float64"] if path == PATH_FALLBACK else [])
     assert direction.dtype == np.float64
     assert verify(h, g, direction, spec).ok
+
+
+# -- floored solve on a float32 spectrum ------------------------------------------
+
+
+def sampled_gram(rng, p, rows):
+    """A weighted Gram like a sampled Hessian: rank min(rows, p), plus a
+    small reg on the diagonal."""
+    a = rng.standard_normal((rows, p))
+    return a.T @ (rng.random(rows)[:, None] * a) / rows + 1e-6 * np.eye(p)
+
+
+def floored_operator(h, spec, floor):
+    """H + U diag(floor - lambda_L) U', formed densely from the float32
+    eigenvectors below the floor, promoted to float64."""
+    k = int(np.sum(spec.eigvals < floor))
+    u = spec.eigenvectors(k).astype(float)
+    return h + (u * (floor - spec.eigvals[:k].astype(float))) @ u.T
+
+
+@pytest.mark.parametrize("p,rows,lam", [(1, 3, 1e-2), (2, 1, 1e-2), (17, 9, 1e-2),
+                                        (60, 30, 1e-3), (200, 100, 1e-3), (200, 400, 1e-3)])
+def test_floored_solve_meets_the_exact_contract_in_float64(p, rows, lam):
+    """The returned y meets EXACT_RESIDUAL_RTOL against H^ built here, its
+    reported ratio is that residual, and y is the dense floored solve to a
+    tolerance scaled by kappa = ||H|| / floor times float32's epsilon."""
+    rng = np.random.default_rng(p + rows)
+    h = sampled_gram(rng, p, rows)
+    g = rng.standard_normal(p)
+    spec = spectrum(h, np.float32)
+    floor = max(float(spec.eigvals[0]), 0.0) + lam
+    y, ratio = solve_floored(h, spec, floor, g)
+    assert y.dtype == np.float64
+    residual = np.linalg.norm(floored_operator(h, spec, floor) @ y - g) / np.linalg.norm(g)
+    assert residual <= EXACT_RESIDUAL_RTOL
+    assert ratio == pytest.approx(residual, rel=0, abs=1e-12)  # to float64 rounding
+    kappa = max(float(np.linalg.eigvalsh(h)[-1]), floor) / floor
+    expected = np.linalg.solve(spectral_floor(h, floor), g)
+    eps32 = float(np.finfo(np.float32).eps)
+    assert np.linalg.norm(y - expected) <= 10 * kappa * eps32 * np.linalg.norm(expected)
+
+
+def test_floored_solve_returns_none_when_refinement_stalls(monkeypatch):
+    """Without refinements the float32 solve alone misses 1e-10: the caller
+    gets None, never a direction short of the contract."""
+    rng = np.random.default_rng(3)
+    h = sampled_gram(rng, 60, 30)
+    spec = spectrum(h, np.float32)
+    floor = max(float(spec.eigvals[0]), 0.0) + 1e-3
+    g = rng.standard_normal(60)
+    assert solve_floored(h, spec, floor, g) is not None
+    monkeypatch.setattr(linsolve, "MAX_REFINEMENTS", 0)
+    assert solve_floored(h, spec, floor, g) is None
+
+
+def test_floored_solve_needs_a_positive_floor():
+    h = np.diag([0.0, 1.0])
+    spec = spectrum(h, np.float32)
+    with pytest.raises(NotPositiveDefiniteError):
+        solve_floored(h, spec, 0.0, np.ones(2))
+    y, ratio = solve_floored(h, spec, 0.5, np.zeros(2))
+    assert ratio == 0.0 and not y.any()

@@ -75,11 +75,57 @@ def test_spectrum_floored_solve_matches_the_dense_floor(p, kind):
                                rtol=0, atol=1e-13 * np.linalg.norm(g))
 
 
-def test_spectrum_rejects_bad_input():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_spectrum_rejects_bad_input(dtype):
     with pytest.raises(ValueError):
-        spectrum(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        spectrum(np.array([[np.inf, 0.0], [0.0, 1.0]]), dtype)
     with pytest.raises(ValueError):
-        spectrum(np.array([[1.0, 5.0], [0.0, 1.0]]))
+        spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]), dtype)
+    with pytest.raises(ValueError):
+        spectrum(np.array([[1.0, 5.0], [0.0, 1.0]]), dtype)
+    with pytest.raises(ValueError):
+        spectrum(np.ones((2, 3)), dtype)
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "rank-deficient", "diagonal"])
+@pytest.mark.parametrize("p", [1, 2, 3, 17, 60, 300])
+def test_float32_spectrum_is_the_float64_one_to_float32_accuracy(p, kind):
+    """The float32 decomposition reads a rounded copy (the input is left
+    alone), and its eigenvalues, its factored V and the first k columns of V
+    hold to a small multiple of float32's epsilon times ||H||."""
+    rng = np.random.default_rng(p)
+    h = spectrum_input(kind, p, rng)
+    kept = h.copy()
+    spec = spectrum(h, np.float32)
+    np.testing.assert_array_equal(h, kept)
+    assert spec.eigvals.dtype == spec.z.dtype == spec.tau.dtype == np.float32
+    exact = np.linalg.eigvalsh(h)
+    scale = max(float(np.abs(exact).max()), 1e-300)
+    eps32 = float(np.finfo(np.float32).eps)
+    assert np.abs(spec.eigvals - exact).max() <= 10 * p * eps32 * scale
+    g = rng.standard_normal(p)
+    back = spec.from_eigenbasis(spec.to_eigenbasis(g))
+    assert back.dtype == np.float32
+    assert np.linalg.norm(back - g) <= 10 * p * eps32 * np.linalg.norm(g)
+    k = (p + 1) // 2
+    vecs = spec.eigenvectors(k)
+    assert vecs.shape == (p, k) and vecs.dtype == np.float32
+    np.testing.assert_allclose(vecs, spec.from_eigenbasis(np.eye(p, k, dtype=np.float32)),
+                               rtol=0, atol=10 * eps32)
+
+
+def test_float32_spectrum_averages_a_slightly_asymmetric_input():
+    """An accumulation asymmetry below SYMMETRY_TOL is averaged away before
+    the rounding, as the float64 path's _symmetrize does, over several of the
+    column blocks the single pass works in."""
+    rng = np.random.default_rng(5)
+    sym = random_symmetric(rng, 200)
+    skew = 1e-10 * np.triu(rng.standard_normal((200, 200)), 1)
+    h = sym + skew - skew.T
+    from_asymmetric = spectrum(h, np.float32)
+    from_average = spectrum(0.5 * (h + h.T), np.float32)
+    np.testing.assert_array_equal(from_asymmetric.eigvals, from_average.eigvals)
+    np.testing.assert_array_equal(from_asymmetric.z, from_average.z)
 
 
 # -- spectral floor -----------------------------------------------------------

@@ -11,7 +11,7 @@ import scipy.optimize
 import scipy.sparse as sp
 from conftest import line_search_passes
 
-from subnewton import linsolve, solvers
+from subnewton import linsolve, regularize, solvers
 from subnewton import model as model_module
 from subnewton.data import generate_synthetic
 from subnewton.linesearch import LineSearchParams
@@ -476,7 +476,7 @@ def test_plan_names_the_preconditioner_of_the_run(family, settings, solve, label
     assert trace.records[0].solve_path == solve
 
 
-CG_DTYPE_CASES = [
+SOLVE_DTYPE_CASES = [
     ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(1e-2, 0.5)), "float32"),
     ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(1e-3, 0.5)), "float32"),
     ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(9e-4, 0.5)), "float64"),
@@ -488,21 +488,28 @@ CG_DTYPE_CASES = [
     ("poisson", dict(variant="ssn-hessian", inexact=SPEC), "float64"),
     ("logistic", dict(variant="ssn-hessian"), "float64"),
     ("logistic", dict(variant="ssn-hessian", inexact=InexactnessSpec(0.0, 0.5)), "float64"),
-    ("logistic", dict(variant="ssn-spectral", lambda_user=0.1, inexact=SPEC), "float64"),
+    ("logistic", dict(variant="ssn-spectral", lambda_user=0.1, inexact=SPEC), "float32"),
+    # small_logistic's K is 0.3: K / lambda_user is 97 and 103 about the constant 100
+    ("logistic", dict(variant="ssn-spectral", lambda_user=3.1e-3), "float32"),
+    ("logistic", dict(variant="ssn-spectral", lambda_user=2.9e-3), "float64"),
+    ("logistic", dict(variant="ssn-spectral", lambda_user=0.0), "float64"),
+    ("ridge", dict(variant="ssn-spectral", lambda_user=0.1), "float32"),
+    ("poisson", dict(variant="ssn-spectral", lambda_user=0.1), "float64"),
 ]
 
 
-@pytest.mark.parametrize("family,settings,cg_dtype", CG_DTYPE_CASES)
+@pytest.mark.parametrize("family,settings,dtype", SOLVE_DTYPE_CASES)
 def test_plan_runs_cg_in_float32_for_logistic_and_ridge_at_loose_theta1(
-        family, settings, cg_dtype, small_logistic, small_ridge, small_poisson):
+        family, settings, dtype, small_logistic, small_ridge, small_poisson):
     """Only a CG run of a logistic or ridge objective with theta1 >=
-    FLOAT32_CG_MIN_THETA1 multiplies in float32; Poisson, tighter specs and
-    exact or eigh solves stay float64."""
+    FLOAT32_CG_MIN_THETA1 multiplies in float32, and only an eigh run of one
+    with K / lambda_user <= FLOAT32_EIGH_MAX_K_RATIO decomposes in float32;
+    Poisson, tighter specs, smaller shifts and exact solves stay float64."""
     m = {"logistic": small_logistic, "ridge": small_ridge, "poisson": small_poisson}[family]
     cfg = SolverConfig(sample_frac_h=0.5, **settings)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
-        assert solvers.plan(m, cfg, np.zeros(m.p))["cg_dtype"] == cg_dtype
+        assert solvers.plan(m, cfg, np.zeros(m.p))["solve_dtype"] == dtype
 
 
 def test_float32_cg_directions_meet_both_conditions_in_float64(ill_logistic, monkeypatch):
@@ -520,7 +527,7 @@ def test_float32_cg_directions_meet_both_conditions_in_float64(ill_logistic, mon
     monkeypatch.setattr(solvers, "solve_inexact", recording)
     cfg = SolverConfig(sample_frac_h=0.2, seed=3, grad_tol=1e-8, max_iters=100, inexact=spec)
     trace = run(m, cfg, np.zeros(m.p))
-    assert trace.header["cg_dtype"] == "float32" and trace.stop == "GradTol"
+    assert trace.header["solve_dtype"] == "float32" and trace.stop == "GradTol"
     steps = [r for r in trace.records if r.alpha > 0]
     assert len(solves) == len(steps) >= 20
     for (h, g, p), rec in zip(solves, steps):
@@ -554,7 +561,7 @@ def test_no_float32_operator_reaches_the_check_or_the_fallback(ill_logistic, mon
     cfg = SolverConfig(sample_frac_h=0.2, seed=3, max_iters=8, grad_tol=1e-8,
                        inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
     trace = run(ill_logistic, cfg, np.zeros(ill_logistic.p))
-    assert trace.header["cg_dtype"] == "float32"
+    assert trace.header["solve_dtype"] == "float32"
     assert {r.solve_path for r in trace.records if r.alpha > 0} == {"cg"}
     assert seen["checked"] and not seen["factored"]
 
@@ -563,7 +570,7 @@ def test_no_float32_operator_reaches_the_check_or_the_fallback(ill_logistic, mon
     monkeypatch.setattr(model_module, "spd_inverse", singular)
     m = ObjectiveModel(ill_logistic.dataset, "logistic", reg=ill_logistic.reg)
     trace = run(m, replace(cfg, max_iters=4), np.zeros(m.p))
-    assert trace.header["cg_dtype"] == "float32" and trace.header["preconditioner"] is None
+    assert trace.header["solve_dtype"] == "float32" and trace.header["preconditioner"] is None
     assert {r.solve_path for r in trace.records if r.alpha > 0} == {"cholesky-fallback"}
     assert seen["factored"] and seen["assembled"]
     assert {name for names in seen.values() for name in names} == {"float64"}
@@ -593,7 +600,7 @@ def test_float64_runs_keep_their_float64_products(case, ill_logistic, monkeypatc
     monkeypatch.setattr(model_module.SampledHessian, "astype", no_copy)
     x0 = np.zeros(m.p)
     trace = run(m, cfg, x0)
-    assert trace.header["cg_dtype"] == "float64"
+    assert trace.header["solve_dtype"] == "float64"
 
     def float64_product(self, d):
         hd = np.zeros(self.rows.shape[1])
@@ -880,13 +887,17 @@ def record_assemblies(monkeypatch):
     return assembled
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("inexact", [None, InexactnessSpec(theta1=1e-3, theta2=0.5)],
                          ids=["exact", "inexact"])
 def test_spectral_step_takes_one_tridiagonal_reduction_and_nothing_else(
-        small_logistic, monkeypatch, inexact):
-    """Each step reduces its sample once (LAPACK sytrd) and forms no p x p
-    eigenvector matrix: no eigh, no eigvalsh, no Cholesky."""
-    calls = {"dsytrd": 0, "eigh": 0, "eigvalsh": 0, "cho_factor": 0}
+        small_logistic, monkeypatch, inexact, dtype):
+    """Each step reduces its sample once (LAPACK sytrd, in the header's
+    solve_dtype: ssytrd or dsytrd) and forms no p x p eigenvector matrix: no
+    eigh, no eigvalsh, no Cholesky."""
+    if dtype == "float64":  # K / lambda_user = 6: only a zero constant keeps float64
+        monkeypatch.setattr(solvers, "FLOAT32_EIGH_MAX_K_RATIO", 0.0)
+    calls = {"dsytrd": 0, "ssytrd": 0, "eigh": 0, "eigvalsh": 0, "cho_factor": 0}
     assembled = record_assemblies(monkeypatch)
 
     def counted(owner, name):
@@ -899,6 +910,7 @@ def test_spectral_step_takes_one_tridiagonal_reduction_and_nothing_else(
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(scipy.linalg.lapack, "dsytrd")
+    counted(scipy.linalg.lapack, "ssytrd")
     counted(np.linalg, "eigh")
     counted(np.linalg, "eigvalsh")
     counted(scipy.linalg, "cho_factor")
@@ -907,7 +919,10 @@ def test_spectral_step_takes_one_tridiagonal_reduction_and_nothing_else(
     trace = run(small_logistic, cfg, np.zeros(small_logistic.p))
     steps = [rec for rec in trace.records if rec.alpha > 0]
     assert trace.stop == "GradTol" and len(steps) >= 5
-    assert calls == {"dsytrd": len(steps), "eigh": 0, "eigvalsh": 0, "cho_factor": 0}
+    assert trace.header["solve_dtype"] == dtype
+    reduction = {"float32": "ssytrd", "float64": "dsytrd"}[dtype]
+    assert calls == {"dsytrd": 0, "ssytrd": 0, "eigh": 0, "eigvalsh": 0, "cho_factor": 0,
+                     reduction: len(steps)}
     assert all(rec.solve_path == "eigh" and rec.cg_iters == 0 for rec in steps)
 
 
@@ -932,6 +947,8 @@ def test_spectral_runs_at_the_smallest_dimensions(p, storage):
 
 
 def test_spectral_direction_is_the_floored_operator_solve(small_logistic, monkeypatch):
+    """A float64 eigh step is the floored matrix's solve to 1e-10."""
+    monkeypatch.setattr(solvers, "FLOAT32_EIGH_MAX_K_RATIO", 0.0)  # K / lambda_user = 6
     m = small_logistic
     assembled = record_assemblies(monkeypatch)
     lines = []
@@ -950,6 +967,148 @@ def test_spectral_direction_is_the_floored_operator_solve(small_logistic, monkey
     for rec, (x, p), h in zip(steps, lines, assembled):
         expected = -np.linalg.solve(spectral_floor(h, rec.lambda_applied), m.gradient(x))
         assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def sparse_spectral_model(storage):
+    """A 2000 x 50 logistic problem at 5% density (K / 1e-3 = 69), on CSR
+    rows or on the same rows stored dense."""
+    rng = np.random.default_rng(0)
+    a = sp.random(2000, 50, density=0.05, format="csr", random_state=rng,
+                  data_rvs=rng.standard_normal)
+    b = (rng.random(2000) < 1 / (1 + np.exp(-(a @ rng.standard_normal(50))))).astype(float)
+    return ObjectiveModel(Dataset(a if storage == "csr" else a.toarray(), b), "logistic",
+                          reg=0.05)
+
+
+SPARSE_SPECTRAL = dict(variant="ssn-spectral", sample_frac_h=0.1, lambda_user=1e-3,
+                       grad_tol=1e-8, max_iters=60, seed=4)
+
+
+def record_floored_solves(monkeypatch):
+    """Keep every (H_S, spectrum, floor, g, result) of solvers.solve_floored."""
+    solves, solve = [], solvers.solve_floored
+
+    def recording(h, spec, floor, g):
+        out = solve(h, spec, floor, g)
+        solves.append((h, spec, floor, g, out))
+        return out
+    monkeypatch.setattr(solvers, "solve_floored", recording)
+    return solves
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_float32_eigh_directions_are_certified_in_float64(storage, monkeypatch):
+    """Each step of a float32 ssn-spectral run solves H^ = H_S + U D U' (U
+    the float32 eigenvectors below the floor, promoted) to
+    EXACT_RESIDUAL_RTOL, as its record says, and is spectral_floor's dense
+    solve to 10 kappa eps32, on dense and on CSR rows."""
+    m = sparse_spectral_model(storage)
+    solves = record_floored_solves(monkeypatch)
+    trace = run(m, SolverConfig(**SPARSE_SPECTRAL), np.zeros(m.p))
+    assert trace.header["solve_dtype"] == "float32" and trace.stop == "GradTol"
+    steps = [rec for rec in trace.records if rec.alpha > 0]
+    assert len(steps) == len(solves) >= 5
+    eps32 = float(np.finfo(np.float32).eps)
+    for rec, (h, spec, floor, g, (y, ratio)) in zip(steps, solves):
+        assert rec.solve_path == "eigh" and rec.lambda_applied == floor
+        assert rec.residual_ratio == ratio <= linsolve.EXACT_RESIDUAL_RTOL
+        k = int(np.sum(spec.eigvals < floor))
+        u = spec.eigenvectors(k).astype(float)
+        h_hat = h + (u * (floor - spec.eigvals[:k].astype(float))) @ u.T
+        assert np.linalg.norm(h_hat @ y - g) <= linsolve.EXACT_RESIDUAL_RTOL * np.linalg.norm(g)
+        kappa = max(float(np.linalg.eigvalsh(h)[-1]), floor) / floor
+        expected = np.linalg.solve(spectral_floor(h, floor), g)
+        assert np.linalg.norm(y - expected) <= 10 * kappa * eps32 * np.linalg.norm(expected)
+
+
+def spectral_records(trace):
+    return [(replace(r, wall_nanos=0, x=None, solve_path=None), r.x.tobytes())
+            for r in trace.records]
+
+
+def test_stalled_float32_steps_are_redone_in_float64_and_say_so(monkeypatch):
+    """With no refinement allowed every float32 step stalls: each is redone
+    from a float64 eigendecomposition, recorded as eigh-fallback, and the run
+    is the float64 run record for record but for that label."""
+    m = sparse_spectral_model("dense")
+    cfg = SolverConfig(**SPARSE_SPECTRAL)
+    solves = record_floored_solves(monkeypatch)
+    monkeypatch.setattr(linsolve, "MAX_REFINEMENTS", 0)
+    stalled = run(m, cfg, np.zeros(m.p))
+    assert stalled.header["solve_dtype"] == "float32" and stalled.stop == "GradTol"
+    steps = [rec for rec in stalled.records if rec.alpha > 0]
+    assert len(steps) == len(solves) >= 5 and all(out is None for *_, out in solves)
+    assert {rec.solve_path for rec in steps} == {"eigh-fallback"}
+    assert all(rec.residual_ratio is None for rec in steps)
+    monkeypatch.setattr(solvers, "FLOAT32_EIGH_MAX_K_RATIO", 0.0)
+    float64 = run(m, cfg, np.zeros(m.p))
+    assert float64.header["solve_dtype"] == "float64"
+    assert {rec.solve_path for rec in float64.records if rec.alpha > 0} == {"eigh"}
+    assert spectral_records(stalled) == spectral_records(float64)
+
+
+def parent_apply_q(self, v, trans):
+    """Spectrum._apply_q as the float64-only code had it: one dormqr per
+    vector, unblocked."""
+    if not self.tau.size:
+        return v
+    out = v.copy()
+    out[1:] = scipy.linalg.lapack.dormqr("L", trans, self.reflectors, self.tau, v[1:, None],
+                                         lwork=1)[0][:, 0]
+    return out
+
+
+@pytest.mark.parametrize("case", ["poisson", "k-over-lambda-above-constant"])
+def test_float64_spectral_runs_keep_their_float64_steps(case, small_poisson, monkeypatch):
+    """A Poisson ssn-spectral run and one with K / lambda_user above
+    FLOAT32_EIGH_MAX_K_RATIO decompose only in float64, never call
+    solve_floored, and equal, bit for bit, the same run on the float64-only
+    code's application of Q."""
+    if case == "poisson":
+        m, lam = small_poisson, 0.1
+    else:
+        m = sparse_spectral_model("csr")
+        lam = m.curvature_constants().big_k / (2 * solvers.FLOAT32_EIGH_MAX_K_RATIO)
+    cfg = replace(SolverConfig(**SPARSE_SPECTRAL), lambda_user=lam)
+    dtypes, decompose = [], solvers.spectrum
+
+    def spy(h, *args):
+        dtypes.append(np.dtype(*args) if args else np.dtype(float))
+        return decompose(h, *args)
+    monkeypatch.setattr(solvers, "spectrum", spy)
+    solves = record_floored_solves(monkeypatch)
+    trace = run(m, cfg, np.zeros(m.p))
+    assert trace.header["solve_dtype"] == "float64" and trace.stop == "GradTol"
+    steps = [rec for rec in trace.records if rec.alpha > 0]
+    assert len(steps) >= 5 and dtypes == [np.float64] * len(steps) and not solves
+    assert all(rec.solve_path == "eigh" and rec.residual_ratio is None for rec in steps)
+    monkeypatch.setattr(regularize.Spectrum, "_apply_q", parent_apply_q)
+    reference = run(m, cfg, np.zeros(m.p))
+    assert [(replace(r, wall_nanos=0, x=None), r.x.tobytes()) for r in trace.records] \
+        == [(replace(r, wall_nanos=0, x=None), r.x.tobytes()) for r in reference.records]
+
+
+def test_float32_steps_report_the_float64_min_eig_off_the_clock(monkeypatch):
+    """A float32 step's in-clock min_eig_h is its float32 lambda_min, within
+    float32 rounding of ||H||; track_events replaces it with the float64
+    min_eigenvalue of the step's own sample."""
+    m = sparse_spectral_model("dense")
+    assembled = record_assemblies(monkeypatch)
+    cfg = replace(SolverConfig(**SPARSE_SPECTRAL), max_iters=8)
+    rough = run(m, cfg, np.zeros(m.p))
+    assert rough.header["solve_dtype"] == "float32"
+    eps32 = float(np.finfo(np.float32).eps)
+    steps = [rec for rec in rough.records if rec.alpha > 0]
+    assert len(steps) == len(assembled) >= 5
+    for rec, h in zip(steps, assembled):
+        exact = min_eigenvalue(h)
+        assert rec.min_eig_h != exact
+        assert abs(rec.min_eig_h - exact) <= 10 * m.p * eps32 * np.abs(h).sum(axis=1).max()
+    assembled.clear()
+    tracked = run(m, replace(cfg, track_events=True), np.zeros(m.p))
+    steps = [rec for rec in tracked.records if rec.alpha > 0]
+    assert len(steps) == len(assembled) >= 5
+    assert all(rec.min_eig_h == min_eigenvalue(h) for rec, h in zip(steps, assembled))
 
 
 def test_spectral_without_shift_on_singular_sample_raises():
@@ -1030,6 +1189,7 @@ def test_only_a_random_sample_is_redrawn(small_logistic, monkeypatch, settings, 
         raise solvers.NotPositiveDefiniteError("singular")
     monkeypatch.setattr(solvers, "solve_exact", singular)
     monkeypatch.setattr(solvers, "solve_eigen", singular)
+    monkeypatch.setattr(solvers, "solve_floored", singular)
     with pytest.raises(SolverError, match="singular"), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
         run(small_logistic, SolverConfig(max_iters=1, **settings), np.zeros(small_logistic.p))
