@@ -194,6 +194,7 @@ def _record(rec, rel_err_x, rel_err_f) -> dict:
         "cg_iters": rec.cg_iters,
         "solve_path": rec.solve_path,
         "data_passes": rec.data_passes,
+        "eval_dtype": rec.eval_dtype,
         "rel_err_x": float(rel_err_x),
         "rel_err_f": float(rel_err_f),
         "stop_flag": rec.stop_flag,

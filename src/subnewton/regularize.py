@@ -72,15 +72,16 @@ def _symmetrize(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetrized_float32(h: np.ndarray) -> np.ndarray:
+def _symmetrized_float32(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """0.5 * (h + h') of the validated h, rounded to a Fortran-ordered float32
-    array, from one pass over h a row block at a time (each row block with
-    the matching column block), so no p x p float64 array is formed.  A block
-    whose rows equal its columns exactly (every block of a dense assembly) is
-    its own average and is rounded as it is."""
+    array (``out`` if given), from one pass over h a row block at a time
+    (each row block with the matching column block), so no p x p float64
+    array is formed.  A block whose rows equal its columns exactly (every
+    block of a dense assembly) is its own average and is rounded as it is."""
     h = _validated(h)
     p = h.shape[0]
-    out = np.empty((p, p), dtype=np.float32, order="F")
+    if out is None:
+        out = np.empty((p, p), dtype=np.float32, order="F")
     width = max(1, _BLOCK_BYTES // (8 * max(p, 1)))
     scratch = np.empty((min(width, p), p))
     skew = 0.0
@@ -148,13 +149,15 @@ class Spectrum:
         return self._apply_q(self.z[:, :k], "N")
 
 
-def spectrum(h: np.ndarray, dtype=np.float64) -> Spectrum:
+def spectrum(h: np.ndarray, dtype=np.float64, out: np.ndarray | None = None) -> Spectrum:
     """Eigenvalues (ascending) and factored eigenvectors of the validated
     matrix, from one tridiagonal reduction in ``dtype`` (float64, or
-    float32 from a rounded copy of h): ssn-spectral's floor and its step
-    share them."""
+    float32 from a rounded copy of h, made in ``out`` if given: a
+    Fortran-ordered p x p float32 array, which the reduction overwrites):
+    ssn-spectral's floor and its step share them.  The spectrum shares no
+    memory with h or ``out``."""
     if np.dtype(dtype) == np.float32:
-        sym, sytrd, sytrd_lwork = _symmetrized_float32(h), lapack.ssytrd, lapack.ssytrd_lwork
+        sym, sytrd, sytrd_lwork = _symmetrized_float32(h, out), lapack.ssytrd, lapack.ssytrd_lwork
     else:
         # _symmetrize returns a fresh, exactly symmetric array, so sym.T is sym
         # in Fortran order
@@ -164,7 +167,7 @@ def spectrum(h: np.ndarray, dtype=np.float64) -> Spectrum:
     c, d, e, tau, _ = sytrd(sym, lower=1, lwork=lwork, overwrite_a=1)
     # left at its default: divide and conquer (stevd) where scipy has it, else MRRR
     eigvals, z = eigh_tridiagonal(d, e, check_finite=False)
-    return Spectrum(eigvals, z, np.asfortranarray(c[1:, :-1]), tau)
+    return Spectrum(eigvals, z, np.array(c[1:, :-1], order="F"), tau)
 
 
 def spectral_floor(h: np.ndarray, lam: float) -> np.ndarray:

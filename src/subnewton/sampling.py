@@ -114,11 +114,12 @@ def clamped_size(requested: int, n: int) -> tuple[int, bool]:
 
 
 def subsampled_hessian(model: ObjectiveModel, x: np.ndarray, sample: SampleSet,
-                       t: np.ndarray | None = None) -> np.ndarray:
+                       t: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """The sampled Hessian assembled; ``model.sampled_hessian`` holds it
     unassembled, for matrix-free products.  ``t`` = A x, if given, supplies
-    the sample's margins."""
-    return model.sampled_hessian(sample, x, t).dense()
+    the sample's margins; ``out``, a C-ordered p x p float64 array, receives
+    the assembly."""
+    return model.sampled_hessian(sample, x, t).dense(out)
 
 
 def subsampled_gradient(model: ObjectiveModel, x: np.ndarray, sample: SampleSet) -> np.ndarray:

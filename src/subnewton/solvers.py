@@ -68,7 +68,19 @@ evaluations take none, one product fewer (two on a missed prediction).
 GD's F at x_{k+1} is clocked with its gradient, at O(n) more; AGD's one
 gradient is at y_k (A y and A'w), so its evaluation at x_{k+1} is not.
 Diagnostics, which include ``track_events``' lambda_min of the sampled
-Hessian and ``grad_error_used``, run outside the clock.
+Hessian and ``grad_error_used``, run outside the clock, in float64.
+
+On a model with ``float32_evaluations`` (a dense logistic or ridge design
+past a size floor), a Newton-like run but ssn-full, or a quasi-Newton run,
+takes those evaluations in float32 while their rounding bounds certify its
+steps (``_Evaluations`` and ``_searcher``): the gradient's bound is at most
+``FLOAT32_GRAD_THETA`` times its norm, Algorithm 4's bounded gradient
+error, and Armijo accepts x_{k+1} by a margin above the two F values'
+bounds.  The first step that is not certified is redone in float64, from
+one walk that evaluates x_{k+1} and takes F at x_k, and the run stays
+float64 after it.  ``GradTol`` fires only on a float64 gradient and a run's
+last record is float64, so ``Trace.grad_norm_final`` is.  Records name
+their precision (``eval_dtype``).
 """
 
 from __future__ import annotations
@@ -127,6 +139,13 @@ FLOAT32_FAMILIES = ("logistic", "ridge")
 # one; at 700-1000 steps at |S| = 300 took 3, the direction moved up to 2e-3
 # from the float64 one, and from 7e3 some steps fell back to float64.
 FLOAT32_EIGH_MAX_K_RATIO = 100.0
+# A Newton-like run (but ssn-full) or a quasi-Newton run on a model with
+# ``float32_evaluations`` evaluates x_{k+1} in float32 while the evaluation's
+# rounding bounds certify the step: its gradient's bound is at most this
+# fraction of its norm, Algorithm 4's bounded gradient error, and each Armijo
+# comparison's margin exceeds the two F values' bounds.
+FLOAT32_GRAD_THETA = 0.1
+FLOAT32_EVAL_VARIANTS = ("ssn-hessian", "ssn-spectral", "ssn-ridge", "newton", "bfgs", "lbfgs")
 
 
 class SolverError(RuntimeError):
@@ -240,6 +259,11 @@ class TraceRecord:
     # products with the full A or A' inside this iteration's clock; a fused
     # evaluation (model.evaluate) makes two, A x and A'w, in one read of A
     data_passes: int = 0
+    # the precision of the evaluation whose F and gradient norm this record
+    # holds: "float32" (model.evaluate_float32, products on the float32 copy
+    # of the design, certified by its rounding bounds) or "float64"; a
+    # GradTol record and a run's last record are always float64
+    eval_dtype: str = "float64"
     x: np.ndarray | None = None
 
 
@@ -299,8 +323,9 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         family = _quasi_newton
     else:
         family = _newton_like
-    header, move = family(model, config, x)
-    t, f_value, grad = model.evaluate(x)
+    evals = _Evaluations(model, config.variant in FLOAT32_EVAL_VARIANTS)
+    header, move = family(model, config, x, evals)
+    t, f_value, grad = evals.first(x)
     trace = Trace(variant=config.variant, header={"config": asdict(config), **header},
                   f0=f_value, x0=x.copy())
 
@@ -315,6 +340,10 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         passes = model.data_passes
         try:
             gnorm = float(np.linalg.norm(grad))
+            if gnorm <= config.grad_tol and evals.float32:
+                # GradTol fires only on a float64 gradient
+                t, f_value, grad = evals.to_float64(x)
+                gnorm = float(np.linalg.norm(grad))
             if config.variant != "ssn-full" and gnorm <= config.grad_tol:
                 x_next, at_next, fields, diagnose = None, None, {"stop_flag": STOP_GRAD_TOL}, None
             else:
@@ -339,7 +368,8 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         # a record without a step is the stop check that fired (alpha = 0)
         rec = TraceRecord(k=k, f_value=f_value, grad_norm_full=float(np.linalg.norm(grad)),
                           **{"grad_norm_used": gnorm, "alpha": 0.0, **fields},
-                          wall_nanos=wall, data_passes=passes, x=x.copy())
+                          wall_nanos=wall, data_passes=passes, eval_dtype=evals.dtype,
+                          x=x.copy())
         trace.records.append(rec)
         if rec.f_value > trace.f0 + 10.0 * max(1.0, abs(trace.f0)):
             rec.stop_flag = STOP_ERROR  # diverged
@@ -348,7 +378,11 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
             return trace
     trace.stop = stop
     if trace.records:
-        trace.records[-1].stop_flag = stop
+        last = trace.records[-1]
+        last.stop_flag = stop
+        if last.eval_dtype != "float64":  # the last record holds float64 values
+            _, last.f_value, grad = evals.to_float64(x)
+            last.grad_norm_full, last.eval_dtype = float(np.linalg.norm(grad)), "float64"
     return trace
 
 
@@ -515,6 +549,56 @@ def _draw_g(model, rng, size_g):
     return draw(model.n, size_g, "with", rng)
 
 
+class _Evaluations:
+    """A run's evaluations at its iterates: float32 (the model's
+    ``evaluate_float32``) while each one's rounding bounds certify the run's
+    steps, then float64 for the rest of the run.  ``float32`` says which
+    precision the current iterate's evaluation took (but x0 = 0's, which is
+    exact in either), and ``err_f`` bounds the error of its F."""
+
+    def __init__(self, model, allowed):
+        self.model = model
+        self.float32 = allowed and model.float32_evaluations
+        self.err_f = 0.0
+
+    @property
+    def dtype(self) -> str:
+        return "float32" if self.float32 else "float64"
+
+    def first(self, x):
+        """x0's evaluation: float32 if its gradient is certified.  At x0 = 0
+        it is the model's kept float64 one, whose F is the float32 one's bit
+        for bit (no product A x), and the run stays float32."""
+        if not np.any(x):
+            return self.model.evaluate(x)
+        if self.float32:
+            at, bounds = self.float32_at(x)
+            if at is not None and self.admits(at, bounds):
+                return at
+        return self.to_float64(x)
+
+    def float32_at(self, x):
+        """(evaluation, bounds) in float32, or (None, None) if it overflows."""
+        try:
+            *at, bounds = self.model.evaluate_float32(x)
+        except EvaluationError:
+            return None, None
+        return tuple(at), bounds
+
+    def admits(self, at, bounds) -> bool:
+        """Whether a float32 evaluation's gradient is certified, its bound at
+        most ``FLOAT32_GRAD_THETA`` times its norm; if so it becomes the
+        current iterate's, else the run turns float64."""
+        self.float32 = bounds.gradient <= FLOAT32_GRAD_THETA * float(np.linalg.norm(at[2]))
+        self.err_f = bounds.value if self.float32 else 0.0
+        return self.float32
+
+    def to_float64(self, x=None):
+        """Turns the run float64 for good; with x, x's float64 evaluation."""
+        self.float32, self.err_f = False, 0.0
+        return None if x is None else self.model.evaluate(x)
+
+
 class _Line:
     """alpha -> F(x + alpha p) for Armijo, given the margins t = A x.
 
@@ -522,18 +606,22 @@ class _Line:
     x + alpha p: its margins, F and, with ``gradient``, the gradient from the
     same walk over the data, which ``end`` hands to x_{k+1} if Armijo accepts
     the trial; a rejected trial's gradient is dropped.  A non-finite gradient
-    there fails the trial, as a non-finite F does.  Every other trial costs
-    O(n) from t + alpha A p, after one product A p.
+    there fails the trial, as a non-finite F does.  A ``first`` set before
+    the search is that trial's (x + alpha p, evaluation), already made.
+    Every other trial costs O(n) from t + alpha A p, after one product A p.
     """
 
     def __init__(self, model, x, p, t, predict, gradient):
         self.model, self.x, self.p, self.t = model, x, p, t
         self.predict, self.gradient = predict, gradient
         self.ap = self.first = None
+        self.trials = 0
 
     def __call__(self, alpha):
-        if self.predict:
-            self.predict = False
+        self.trials += 1
+        if self.trials == 1 and self.first is not None:
+            return self.first[1][1]
+        if self.trials == 1 and self.predict:
             x_new = self.x + alpha * self.p
             at_new = self.model.evaluate(x_new, self.gradient)
             self.first = (x_new, at_new)
@@ -552,20 +640,54 @@ class _Line:
         return x_new, self.model.evaluate(x_new, self.gradient)
 
 
-def _searcher(model, params, gradient=True):
+def _searcher(model, params, evals, gradient=True):
     """Armijo steps for one run: each search predicts the unit step on the
     first iteration and after a search that accepted its first trial, and
     takes the gradient with F at x_{k+1}, predicted or not, unless
     ``gradient`` is False.  ``search(x, p, t, f_value, slope)`` returns
-    (alpha, trials, x_next, at_next) with ``at_next`` as in ``_Line.end``."""
+    (alpha, trials, x_next, at_next, f_x) with ``at_next`` as in
+    ``_Line.end``.
+
+    While ``evals`` is float32 (so the run takes full gradients and the
+    search predicts), the predicted trial is a float32 evaluation, made
+    where the bounds of the two F values sum to less than the margin of a
+    unit Newton step on a quadratic, (1/2 - beta) |p'g|.  Its step is taken
+    if Armijo accepts it by a margin above that sum, and it stays float32 if
+    its gradient is certified; if not, x_{k+1} is evaluated afresh in
+    float64.  Any other outcome redoes the comparison in float64, from one
+    walk over the data that evaluates x + alpha p and takes F at x too
+    (``f_x``; None where the search ran in one precision), and the run
+    stays float64.
+    """
     predict = True
 
     def search(x, p, t, f_value, slope):
         nonlocal predict
+        f_x = first = None
+        tried = 0
+        if evals.float32:
+            alpha = params.alpha_hat
+            x_new = x + alpha * p
+            err = evals.err_f + model.float32_bounds(x_new).value
+            if err < (0.5 - params.beta) * alpha * -slope:  # never for an ascent direction
+                tried = 1
+                at_new, bounds = evals.float32_at(x_new)
+                if at_new is not None and at_new[1] - f_value - alpha * params.beta * slope < -err:
+                    if evals.admits(at_new, bounds):
+                        return alpha, 1, x_new, at_new, None
+                    return alpha, 1, x_new, evals.to_float64(x_new), None
+            evals.to_float64()
+            try:
+                at_new, (t, f_x) = model.evaluate_pair(x_new, x, gradient)
+                first = (x_new, at_new)
+            except EvaluationError:  # at x + alpha p: a failed trial, as in armijo
+                t, f_x, _ = model.evaluate(x, gradient=False)
+            f_value = f_x
         line = _Line(model, x, p, t, predict, gradient)
+        line.first = first
         alpha, trials = armijo(line, f_value, slope, params)
         predict = trials == 1
-        return (alpha, trials, *line.end(alpha, trials))
+        return (alpha, tried + trials, *line.end(alpha, trials), f_x)
 
     return search
 
@@ -573,7 +695,7 @@ def _searcher(model, params, gradient=True):
 # -- Newton-like: ssn-* and newton --------------------------------------------
 
 
-def _newton_like(model, config, x0):
+def _newton_like(model, config, x0, evals=None):
     """Solves with a sampled (or, for newton, full) Hessian, with Armijo."""
     header = plan(model, config, x0)
     size_h, sigma, solve = header["sample_size_h"], header["sigma"], header["solve"]
@@ -589,8 +711,16 @@ def _newton_like(model, config, x0):
         except NotPositiveDefiniteError:  # singular in floating point
             header["preconditioner"] = None
     # ssn-full's full gradient is a diagnostic, so its prediction skips it
-    search = _searcher(model, config.line_search, gradient=not sampled_g)
+    search = _searcher(model, config.line_search, evals or _Evaluations(model, False),
+                       gradient=not sampled_g)
     rough_min_eig = solve == PATH_EIGEN and dtype == np.float32
+    # an eigh run's assembly and its float32 copy go to two buffers it keeps,
+    # so no step faults in fresh pages for them; nothing a step returns or
+    # records aliases them
+    buffers = None
+    if solve == PATH_EIGEN:
+        buffers = (np.empty((model.p, model.p)),
+                   np.empty((model.p, model.p), np.float32, order="F") if rough_min_eig else None)
     random_sample = size_h < model.n or config.replacement == "with"
 
     def move(x, t, f_value, grad):
@@ -615,13 +745,14 @@ def _newton_like(model, config, x0):
                                 "stop_flag": STOP_GRAD_TOL}, None
 
         p, solved, h_raw = _direction(model, config, solve, rng, x, t, sample, g_used,
-                                      size_h, precond, dtype)
-        alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g_used))
-        if random_sample and at_next[1] > f_value:
+                                      size_h, precond, dtype, buffers)
+        alpha, trials, x_next, at_next, f_x = search(x, p, t, f_value, float(p @ g_used))
+        if random_sample and at_next[1] > (f_value if f_x is None else f_x):
             # Armijo accepted F from t + alpha A p; the fresh F at x_{k+1} can
             # exceed F(x_k) only by rounding, at the noise floor.  x_k is kept,
-            # so F never rises, and the next sample gives a new direction
-            x_next = at_next = None
+            # so F never rises, and the next sample gives a new direction; a
+            # search that turned the run float64 evaluates x_k afresh
+            x_next, at_next = (None, None) if f_x is None else (x, model.evaluate(x))
         eps2_k *= config.rho2
         diagnose = None
         if config.track_events:
@@ -645,7 +776,8 @@ def _newton_like(model, config, x0):
     return header, move
 
 
-def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, dtype):
+def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, dtype,
+               buffers=None):
     """Newton direction for H p = -g from the curvature sample ``sample``
     at x, whose margins t = A x give the sample's Hessian weights, by the
     header's ``solve``.
@@ -661,7 +793,8 @@ def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, dtyp
     step is redone from a float64 eigendecomposition (``PATH_EIGEN_FALLBACK``).
     A singular random sample is redrawn a few times (a probability-delta
     event) before giving up; a full without-replacement sample, the same
-    every time, is not.
+    every time, is not.  ``buffers``, an eigh run's (float64, float32 or
+    None) p x p arrays, receive the assembly and its float32 copy.
 
     Returns the direction, the solve's record fields and the raw H_S of the
     sample that produced it (unassembled after a CG solve) for off-clock
@@ -680,11 +813,12 @@ def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, dtyp
                 return p, {"residual_ratio": diag.residual_ratio,
                            "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
                            "solve_path": diag.path, "lambda_applied": lam}, h_raw
-            h_raw = subsampled_hessian(model, x, sample, t)
+            h_buf, h32_buf = (None, None) if buffers is None else buffers
+            h_raw = subsampled_hessian(model, x, sample, t, out=h_buf)
             if solve == PATH_EIGEN:
                 path = PATH_EIGEN
                 if dtype == np.float32:
-                    spec = spectrum(h_raw, dtype)
+                    spec = spectrum(h_raw, dtype, out=h32_buf)
                     floor = max(float(spec.eigvals[0]), 0.0) + config.lambda_user
                     floored = solve_floored(h_raw, spec, floor, g)
                     if floored is not None:
@@ -713,8 +847,9 @@ def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, dtyp
 # -- baselines ----------------------------------------------------------------
 
 
-def _first_order(model, config, x0):
-    """Fixed-step GD at x_k, or AGD at its extrapolated point y_k."""
+def _first_order(model, config, x0, evals):
+    """Fixed-step GD at x_k, or AGD at its extrapolated point y_k; both
+    evaluate in float64, so ``evals`` goes unused."""
     est = _estimates_for(model, config, x0)
     step = config.gd_step if config.gd_step is not None else 1.0 / est.big_k
     momentum = None
@@ -744,7 +879,7 @@ def _first_order(model, config, x0):
     return header, move
 
 
-def _quasi_newton(model, config, x0):
+def _quasi_newton(model, config, x0, evals):
     """BFGS on a dense inverse-Hessian estimate, or L-BFGS on its last
     ``lbfgs_memory`` curvature pairs, with Armijo steps."""
     limited = config.variant == "lbfgs"
@@ -752,7 +887,7 @@ def _quasi_newton(model, config, x0):
     b_inv = np.eye(model.p)
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
     s = g_prev = None
-    search = _searcher(model, config.line_search)
+    search = _searcher(model, config.line_search, evals)
 
     def move(x, t, f_value, g):
         nonlocal b_inv, s, g_prev
@@ -776,7 +911,7 @@ def _quasi_newton(model, config, x0):
                 history.clear()
             else:
                 b_inv = np.eye(model.p)
-        alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g))
+        alpha, trials, x_next, at_next, _ = search(x, p, t, f_value, float(p @ g))
         s, g_prev = alpha * p, g
         return x_next, at_next, {"alpha": alpha, "ls_trials": trials}, None
 

@@ -208,6 +208,7 @@ def test_json_records_carry_solve_diagnostics(tiny_result):
     for r in blob["runs"]:
         for rec in r["records"]:
             assert {"residual_ratio", "cg_iters", "solve_path", "data_passes"} <= rec.keys()
+            assert rec["eval_dtype"] == "float64"  # below the float32 size floor
     for r, run_ in zip(blob["runs"], tiny_result.runs):
         if r["solver"] == "gd":
             assert {rec["data_passes"] for rec in r["records"]

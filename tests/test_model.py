@@ -8,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnewton import model as model_module
 from subnewton import solvers
@@ -130,6 +132,118 @@ def test_evaluate_at_the_default_block_size_spans_blocks():
     np.testing.assert_array_equal(t, m._margins(x))
     assert f == m.value(x)
     np.testing.assert_array_equal(g, m.gradient(x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "poisson"])
+def test_evaluate_at_zero_makes_no_product_and_keeps_the_bits(family, storage, monkeypatch):
+    # at x = 0 the margins are zero: one product (A'w), and the same bits as
+    # the product path's margins, F and gradient
+    monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 16 * 6 * 8)
+    m = block_model(family, 1003, 6, storage)
+    x = np.zeros(6)
+    before = m.data_passes
+    t, f, g = m.evaluate(x)
+    assert m.data_passes - before == 1
+    product = m._margins(x)
+    assert t.tobytes() == product.tobytes()
+    assert f == m.value(x, product) == m.value(x)
+    assert g.tobytes() == m.gradient(x, product).tobytes() == m.gradient(x).tobytes()
+    before = m.data_passes
+    t_only, f_only, none = m.evaluate(x, gradient=False)
+    assert m.data_passes == before and none is None
+    assert t_only.tobytes() == product.tobytes() and f_only == f
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "poisson"])
+def test_evaluate_pair_is_two_evaluations_bit_for_bit(family, storage, monkeypatch):
+    monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 16 * 6 * 8)
+    m = block_model(family, 1003, 6, storage)
+    rng = np.random.default_rng(5)
+    x, x_ref = 0.2 * rng.standard_normal(6), 0.2 * rng.standard_normal(6)
+    for ref in (x_ref, np.zeros(6)):
+        before = m.data_passes
+        (t, f, g), (t_ref, f_ref) = m.evaluate_pair(x, ref)
+        assert m.data_passes - before == 2 + bool(np.any(ref))
+        t1, f1, g1 = m.evaluate(x)
+        t2, f2, _ = m.evaluate(ref, gradient=False)
+        assert t.tobytes() == t1.tobytes() and f == f1 and g.tobytes() == g1.tobytes()
+        assert t_ref.tobytes() == t2.tobytes() and f_ref == f2
+
+
+def float32_model(family, n, p, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    a = scale * rng.standard_normal((n, p))
+    a[rng.random((n, p)) < 0.2] = 0.0
+    t = a @ rng.standard_normal(p)
+    if family == "ridge":
+        b = t + rng.standard_normal(n)
+    else:
+        b = (rng.random(n) < 1.0 / (1.0 + np.exp(-np.clip(t, -50.0, 50.0)))).astype(float)
+    return ObjectiveModel(Dataset(a, b), family, reg=0.01)
+
+
+def assert_within_bounds(m, x):
+    t, f, g = m.evaluate(x)
+    t32, f32, g32, bounds = m.evaluate_float32(x)
+    assert bounds == m.float32_bounds(x)
+    assert float(np.max(np.abs(t32 - t))) <= bounds.margins
+    assert abs(f32 - f) <= bounds.value
+    assert float(np.linalg.norm(g32 - g)) <= bounds.gradient
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["logistic", "ridge"]), n=st.integers(1, 300),
+       p=st.integers(1, 40), seed=st.integers(0, 2**16), scale=st.floats(1e-3, 1e2),
+       x_scale=st.floats(0.0, 1e2), block_rows=st.sampled_from([7, 64, 2048]))
+def test_float32_evaluation_lies_within_its_bounds(family, n, p, seed, scale, x_scale,
+                                                  block_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 1)
+        mp.setattr(model_module, "FLOAT32_BLOCK_ROWS", block_rows)
+        m = float32_model(family, n, p, seed, scale)
+        x = x_scale * np.random.default_rng(seed + 1).standard_normal(p)
+        assert_within_bounds(m, x)
+
+
+def test_float32_evaluation_at_zero_and_past_the_floor(monkeypatch):
+    m = float32_model("logistic", 500, 8, 0)
+    assert not m.float32_evaluations  # 4000 entries, below the floor
+    for call in (m.evaluate_float32, m.float32_bounds):
+        with pytest.raises(ValueError, match="float32 evaluations need"):
+            call(np.zeros(8))
+    monkeypatch.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 4000)
+    assert m.float32_evaluations
+    x = np.zeros(8)
+    before = m.data_passes
+    t32, f32, g32, bounds = m.evaluate_float32(x)
+    t, f, g = m.evaluate(x)
+    assert m.data_passes - before == 2  # A'w in each
+    # no product A x: the margins and F are the float64 ones, the gradient
+    # alone carries a rounding error
+    assert t32.tobytes() == t.tobytes() and f32 == f and bounds.margins < 1e-40
+    assert 0 < np.linalg.norm(g32 - g) <= bounds.gradient
+    for other in (block_model("logistic", 600, 8, "csr"), block_model("poisson", 600, 8, "dense")):
+        assert not other.float32_evaluations
+
+
+def test_float32_copy_forms_no_float64_design_sized_temporary(monkeypatch):
+    monkeypatch.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 1)
+    m = float32_model("logistic", 20000, 40, 3)
+    design = m.n * m.p
+    tracemalloc.start()
+    try:
+        m.evaluate_float32(np.zeros(m.p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the float32 copy, and block-sized scratch beside it
+    assert 4 * design <= peak < 4 * design + 2 * model_module.ROW_BLOCK_BYTES + 8 * m.n * 3
+    rows = m._float32_rows().blocks
+    assert rows[0][1].dtype == np.float32
+    assert len(rows) == math.ceil(m.n / model_module.FLOAT32_BLOCK_ROWS)
 
 
 # 16 rows per block at p = 6: a 10-row sample is one block, 1003 rows span 63
@@ -325,9 +439,9 @@ def test_hessian_reuses_the_kept_gram(monkeypatch):
     grams = []
     weighted_gram = model_module.weighted_gram
 
-    def counted(a, w=None):
+    def counted(a, w=None, out=None):
         grams.append(w is None)
-        return weighted_gram(a, w)
+        return weighted_gram(a, w, out)
     monkeypatch.setattr(model_module, "weighted_gram", counted)
     m = block_model("ridge", 100, 6, "dense")
     h0 = m.hessian(np.full(m.p, 0.3))  # ridge: Phi'' = 1 everywhere
@@ -593,10 +707,10 @@ def test_curvature_constants_kept_per_model_and_read_only(monkeypatch):
     unweighted = []
     gram = model_module.weighted_gram
 
-    def counted(a, w=None):
+    def counted(a, w=None, out=None):
         if w is None:
             unweighted.append(a)
-        return gram(a, w)
+        return gram(a, w, out)
     monkeypatch.setattr(model_module, "weighted_gram", counted)
     cfg = SolverConfig(variant="ssn-hessian", sample_frac_h=0.5, max_iters=5, seed=1)
     first = run(m, cfg, np.zeros(m.p))

@@ -374,9 +374,9 @@ def test_later_runs_take_the_start_hessian_from_the_kept_gram(ill_logistic, monk
     grams = []
     weighted_gram = model_module.weighted_gram
 
-    def counted(a, w=None):
+    def counted(a, w=None, out=None):
         grams.append(w is None)
-        return weighted_gram(a, w)
+        return weighted_gram(a, w, out)
     monkeypatch.setattr(model_module, "weighted_gram", counted)
     m = ObjectiveModel(ill_logistic.dataset, "logistic", reg=ill_logistic.reg)
     cfg = SolverConfig(sample_frac_h=0.2, seed=3, max_iters=5,
@@ -675,6 +675,72 @@ def test_records_reuse_in_clock_evaluations_exactly(small_logistic, settings, pa
             == line_search_passes(trace.records, base=passes)
 
 
+FLOAT32_EVAL_CASES = [dict(variant="ssn-hessian", sample_frac_h=0.5, grad_tol=1e-9),
+                      dict(variant="newton", grad_tol=1e-10),
+                      dict(variant="lbfgs", grad_tol=1e-9)]
+
+
+@pytest.mark.parametrize("settings", FLOAT32_EVAL_CASES, ids=lambda c: c["variant"])
+def test_float32_evaluations_hand_over_to_float64_before_the_stop(small_logistic, settings,
+                                                                   monkeypatch):
+    monkeypatch.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 1)
+    m = small_logistic
+    trace = run(m, SolverConfig(max_iters=60, seed=5, **settings), np.zeros(m.p))
+    assert trace.stop == "GradTol"
+    dtypes = [rec.eval_dtype for rec in trace.records]
+    # float32 from the start, then float64 for good
+    assert dtypes[0] == "float32" and "float64" in dtypes
+    switch = dtypes.index("float64")
+    assert set(dtypes[:switch]) == {"float32"} and set(dtypes[switch:]) == {"float64"}
+    terminal = trace.records[-1]
+    t, f, g = m.evaluate(terminal.x)
+    assert terminal.f_value == f and terminal.grad_norm_full == float(np.linalg.norm(g))
+    assert trace.grad_norm_final == terminal.grad_norm_full <= settings["grad_tol"]
+    for rec in trace.records[:switch]:  # each float32 record lies within its bounds
+        bounds = m.float32_bounds(rec.x)
+        assert abs(rec.f_value - m.value(rec.x)) <= bounds.value
+        assert abs(rec.grad_norm_full - float(np.linalg.norm(m.gradient(rec.x)))) \
+            <= bounds.gradient <= solvers.FLOAT32_GRAD_THETA * rec.grad_norm_full
+    for rec in trace.records[switch:]:
+        assert rec.f_value == m.value(rec.x)
+
+
+def test_a_run_cut_short_ends_on_a_float64_record(small_logistic, monkeypatch):
+    monkeypatch.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 1)
+    m = small_logistic
+    trace = run(m, SolverConfig(variant="newton", max_iters=1), np.zeros(m.p))
+    last, = trace.records
+    assert trace.stop == last.stop_flag == "MaxIters" and last.eval_dtype == "float64"
+    t, f, g = m.evaluate(last.x)
+    assert last.f_value == f and last.grad_norm_full == float(np.linalg.norm(g))
+
+
+@pytest.mark.parametrize("settings", [dict(variant="gd"), dict(variant="agd"),
+                                      dict(variant="ssn-full", sample_frac_h=0.5,
+                                           sample_frac_g=0.5, sigma=0.5)],
+                         ids=lambda c: c["variant"])
+def test_first_order_and_sampled_gradient_runs_stay_float64(small_logistic, settings,
+                                                            monkeypatch):
+    monkeypatch.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 1)
+    m = small_logistic
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
+        trace = run(m, SolverConfig(max_iters=20, seed=5, **settings), np.zeros(m.p))
+    assert {rec.eval_dtype for rec in trace.records} == {"float64"}
+
+
+@pytest.mark.parametrize("variant", solvers.ALL_VARIANTS)
+def test_records_below_the_float32_size_floor_are_float64(small_logistic, variant):
+    m = small_logistic
+    assert not m.float32_evaluations
+    cfg = SolverConfig(variant=variant, max_iters=8, seed=5, sample_frac_h=0.5,
+                       sample_frac_g=0.5, sigma=0.5, lambda_user=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trace = run(m, cfg, np.zeros(m.p))
+    assert trace.records and {rec.eval_dtype for rec in trace.records} == {"float64"}
+
+
 def test_accepted_full_steps_make_two_passes(small_logistic):
     # the predicted unit step's fresh margins and F become x_{k+1}'s: A x, A'w
     m = small_logistic
@@ -875,13 +941,15 @@ def test_spectral_decreases_without_strong_convexity():
 
 
 def record_assemblies(monkeypatch):
-    """Keep every sampled Hessian the solvers assemble, in order."""
+    """Keep a copy of every sampled Hessian the solvers assemble, in order
+    (an eigh run assembles into one buffer it keeps)."""
     assembled = []
     assemble = solvers.subsampled_hessian
 
-    def recording(*args):
-        assembled.append(assemble(*args))
-        return assembled[-1]
+    def recording(*args, **kwargs):
+        h = assemble(*args, **kwargs)
+        assembled.append(h.copy())
+        return h
 
     monkeypatch.setattr(solvers, "subsampled_hessian", recording)
     return assembled
@@ -990,10 +1058,23 @@ def record_floored_solves(monkeypatch):
 
     def recording(h, spec, floor, g):
         out = solve(h, spec, floor, g)
-        solves.append((h, spec, floor, g, out))
+        solves.append((h.copy(), spec, floor, g, out))  # h is the run's buffer
         return out
     monkeypatch.setattr(solvers, "solve_floored", recording)
     return solves
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_spectral_runs_carry_no_state_in_their_kept_buffers(storage):
+    # two identical runs on one model: each step assembles into buffers its
+    # run keeps, and nothing a step keeps aliases them
+    m = sparse_spectral_model(storage)
+    first, second = (run(m, SolverConfig(**SPARSE_SPECTRAL), np.zeros(m.p)) for _ in range(2))
+    assert first.header["solve_dtype"] == "float32" and first.stop == "GradTol"
+    assert first.n_iters == second.n_iters >= 5
+    for a, b in zip(first.records, second.records):
+        assert np.array_equal(a.x, b.x)
+        assert replace(a, wall_nanos=0, x=None) == replace(b, wall_nanos=0, x=None)
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
