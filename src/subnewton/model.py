@@ -82,6 +82,9 @@ EXACT_GAMMA_MAX_DIM = 2000
 # were 24-26% slower (BENCH_fused.json).
 ROW_BLOCK_BYTES = 1 << 20
 
+# The families whose float32 evaluations and float32 solves (solvers.plan's
+# ``solve_dtype``) stay finite; Poisson's Phi'' = e^t overflows float32.
+FLOAT32_FAMILIES = ("logistic", "ridge")
 # ``evaluate_float32`` runs on dense logistic and ridge designs of at least
 # this many entries (n * p), where the float32 copy it keeps is paid back by
 # its cheaper reads.  A 200000 x 50 design is above it; a 5000 x 500 one is
@@ -674,7 +677,7 @@ class ObjectiveModel:
     def float32_evaluations(self) -> bool:
         """Whether ``evaluate_float32`` runs here: a dense logistic or ridge
         design of at least ``FLOAT32_EVAL_MIN_ENTRIES`` entries."""
-        return self.family in ("logistic", "ridge") and self.dataset.storage == "dense" \
+        return self.family in FLOAT32_FAMILIES and self.dataset.storage == "dense" \
             and self.n * self.p >= FLOAT32_EVAL_MIN_ENTRIES
 
     def _float32_rows(self) -> _Float32Copy:

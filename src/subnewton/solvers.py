@@ -28,27 +28,28 @@ the clock, the stop test, the error handling and the record.  ``plan``
 gives a Newton-like run's header (sample size, sigma, its solve, guarantee
 constants) without running it.
 
-All Newton-like variants share one step, ``_direction``, over one sampled
-Hessian type, ``model.SampledHessian``, by the solve ``plan`` picks once
-per run (theta1 = 0 is an exact one).  Cholesky and eigh solves assemble
-the sample; CG runs on its matrix-free products (for ssn-ridge, with
-lambda_user added to its diagonal shift).  A run's CG solves share one
-preconditioner, set before its first move and never replaced: the inverse
-of the full Hessian at x0, with the same shift, up to p = 2000; above
-that, or where its Cholesky fails, CG runs unpreconditioned.  From x0 = 0
-the model gives that Hessian from a Gram A'A/n it keeps, which a CG run's
-``plan`` has the constants form once for both, and keeps the inverse per
-shift: later runs on one model make neither the O(np^2) product nor the
+All Newton-like variants share one step over one sampled Hessian type,
+``model.SampledHessian``: the move draws the sample (redrawing a singular
+random one) and hands it to the run's one solve, which ``_solver`` builds
+from the header's ``solve`` (theta1 = 0 is an exact one).  Cholesky and eigh
+solves assemble the sample; CG runs on its matrix-free products (for
+ssn-ridge, with lambda_user added to its diagonal shift).  A run's CG solves
+share one preconditioner, set before its first move and never replaced: the
+inverse of the full Hessian at x0, with the same shift, up to p = 2000;
+above that, or where its Cholesky fails, CG runs unpreconditioned.  From
+x0 = 0 the model gives that Hessian from a Gram A'A/n it keeps, which a CG
+run's ``plan`` has the constants form once for both, and keeps the inverse
+per shift: later runs on one model make neither the O(np^2) product nor the
 O(p^3) inversion.  A logistic or ridge run whose theta1 is at least
 ``FLOAT32_CG_MIN_THETA1`` runs CG's products in float32 (header
 ``solve_dtype``) on float32 copies of the sampled rows and the
 preconditioner; the check of each direction and any fallback stay float64.
 A logistic or ridge ssn-spectral run with K / lambda_user at most
-``FLOAT32_EIGH_MAX_K_RATIO`` takes its eigendecomposition in float32 (header
-``solve_dtype`` again) and refines each floored step in float64 until its
-float64 residual meets ``EXACT_RESIDUAL_RTOL``; a step that does not get
-there is redone in float64 and recorded as ``eigh-fallback``.  Poisson's
-Phi'' = e^t overflows float32, so its runs stay float64.
+``FLOAT32_EIGH_MAX_K_RATIO`` takes its eigendecomposition in float32
+(header ``solve_dtype`` again) and refines each floored step in float64
+until its float64 residual meets ``EXACT_RESIDUAL_RTOL``; a step that does
+not get there is redone in float64 and recorded as ``eigh-fallback``.
+Poisson's Phi'' = e^t overflows float32, so its runs stay float64.
 
 The clock covers the move and the one ``model.evaluate`` at x_{k+1} it
 hands the loop: fresh margins A x there, F and the gradient (A'w) from one
@@ -92,13 +93,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .linesearch import LineSearchError, LineSearchParams, armijo
-# verify_inexact and spectral_floor are bound here, though unused, so that
-# perfbench/tracing.py can wrap them under the names solvers binds
+# perfbench's tracer and the tests patch the layer functions under the names
+# solvers binds, so every call below looks them up here when it runs;
+# verify_inexact and spectral_floor are bound, though unused, for the tracer
 from .linsolve import EXACT_RESIDUAL_RTOL, PATH_CG, PATH_EIGEN, PATH_EIGEN_FALLBACK, \
     PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, solve_eigen, solve_exact, \
     solve_floored, solve_inexact, verify_inexact  # noqa: F401
-from .model import BOUND_CAP, EXACT_GAMMA_MAX_DIM, ConditionEstimates, EvaluationError, \
-    ObjectiveModel, SampledHessian
+from .model import BOUND_CAP, EXACT_GAMMA_MAX_DIM, FLOAT32_FAMILIES, ConditionEstimates, \
+    EvaluationError, ObjectiveModel, SampledHessian
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
 from .sampling import SampleSet, clamped_size, draw, gradient_sample_size, \
     hessian_sample_size, subsampled_gradient, subsampled_hessian
@@ -126,10 +128,9 @@ PRECOND_START_HESSIAN = "start-hessian"
 # float32 products met theta1 = 1e-3 with at most 1.4% more CG iterations
 # than float64 and no fallback; at 1e-4 they took 4-9% more and one step
 # fell back, and at 1e-5 every step fell back to Cholesky, at 3x the float64
-# time (BENCH_mixed_cg.json's sweep).  Poisson stays float64: its Phi'' =
-# e^t overflows float32.
+# time (BENCH_mixed_cg.json's sweep).  Poisson stays float64
+# (model.FLOAT32_FAMILIES).
 FLOAT32_CG_MIN_THETA1 = 1e-3
-FLOAT32_FAMILIES = ("logistic", "ridge")
 # A logistic or ridge ssn-spectral run with K / lambda_user at most this takes
 # its eigendecomposition in float32 (header "solve_dtype") and certifies each
 # floored step in float64.  On a 20000 x 500 sparse logistic problem at
@@ -599,54 +600,21 @@ class _Evaluations:
         return None if x is None else self.model.evaluate(x)
 
 
-class _Line:
-    """alpha -> F(x + alpha p) for Armijo, given the margins t = A x.
-
-    With ``predict``, the first trial is a fresh ``model.evaluate`` at
-    x + alpha p: its margins, F and, with ``gradient``, the gradient from the
-    same walk over the data, which ``end`` hands to x_{k+1} if Armijo accepts
-    the trial; a rejected trial's gradient is dropped.  A non-finite gradient
-    there fails the trial, as a non-finite F does.  A ``first`` set before
-    the search is that trial's (x + alpha p, evaluation), already made.
-    Every other trial costs O(n) from t + alpha A p, after one product A p.
-    """
-
-    def __init__(self, model, x, p, t, predict, gradient):
-        self.model, self.x, self.p, self.t = model, x, p, t
-        self.predict, self.gradient = predict, gradient
-        self.ap = self.first = None
-        self.trials = 0
-
-    def __call__(self, alpha):
-        self.trials += 1
-        if self.trials == 1 and self.first is not None:
-            return self.first[1][1]
-        if self.trials == 1 and self.predict:
-            x_new = self.x + alpha * self.p
-            at_new = self.model.evaluate(x_new, self.gradient)
-            self.first = (x_new, at_new)
-            return at_new[1]
-        if self.ap is None:
-            self.ap = self.model._margins(self.p)
-        return self.model.value(self.x + alpha * self.p, self.t + alpha * self.ap)
-
-    def end(self, alpha, trials):
-        """x_{k+1} = x + alpha p and its (margins, F, gradient or None): the
-        accepted prediction's, else a fresh ``model.evaluate`` there (not
-        t + alpha A p, so no rounding drift builds up)."""
-        if trials == 1 and self.first is not None:
-            return self.first
-        x_new = self.x + alpha * self.p
-        return x_new, self.model.evaluate(x_new, self.gradient)
-
-
 def _searcher(model, params, evals, gradient=True):
     """Armijo steps for one run: each search predicts the unit step on the
     first iteration and after a search that accepted its first trial, and
     takes the gradient with F at x_{k+1}, predicted or not, unless
     ``gradient`` is False.  ``search(x, p, t, f_value, slope)`` returns
-    (alpha, trials, x_next, at_next, f_x) with ``at_next`` as in
-    ``_Line.end``.
+    (alpha, trials, x_next, at_next, f_x), ``at_next`` being x_{k+1}'s
+    (margins, F, gradient or None).
+
+    Armijo sees alpha -> F(x + alpha p) given the margins t = A x.  A
+    predicted first trial is a fresh ``model.evaluate`` at x + alpha p, whose
+    margins, F and gradient (one walk over the data) become x_{k+1}'s if
+    Armijo accepts it; a rejected trial's gradient is dropped, and a
+    non-finite one fails the trial, as a non-finite F does.  Every other
+    trial costs O(n) from t + alpha A p, after one product A p, and x_{k+1}
+    is then evaluated afresh, so no rounding drift builds up.
 
     While ``evals`` is float32 (so the run takes full gradients and the
     search predicts), the predicted trial is a float32 evaluation, made
@@ -655,15 +623,15 @@ def _searcher(model, params, evals, gradient=True):
     if Armijo accepts it by a margin above that sum, and it stays float32 if
     its gradient is certified; if not, x_{k+1} is evaluated afresh in
     float64.  Any other outcome redoes the comparison in float64, from one
-    walk over the data that evaluates x + alpha p and takes F at x too
-    (``f_x``; None where the search ran in one precision), and the run
-    stays float64.
+    walk over the data that evaluates x + alpha p, Armijo's first trial, and
+    takes F at x too (``f_x``; None where the search ran in one precision),
+    and the run stays float64.
     """
     predict = True
 
     def search(x, p, t, f_value, slope):
         nonlocal predict
-        f_x = first = None
+        f_x = first = ap = None  # first: the first trial's (x + alpha p, evaluation)
         tried = 0
         if evals.float32:
             alpha = params.alpha_hat
@@ -683,11 +651,26 @@ def _searcher(model, params, evals, gradient=True):
             except EvaluationError:  # at x + alpha p: a failed trial, as in armijo
                 t, f_x, _ = model.evaluate(x, gradient=False)
             f_value = f_x
-        line = _Line(model, x, p, t, predict, gradient)
-        line.first = first
+        lead = predict or first is not None  # the first trial's evaluation is full
+
+        def line(alpha):
+            nonlocal first, ap, lead
+            if lead:
+                lead = False
+                if first is None:
+                    x_new = x + alpha * p
+                    first = (x_new, model.evaluate(x_new, gradient))
+                return first[1][1]
+            if ap is None:
+                ap = model._margins(p)
+            return model.value(x + alpha * p, t + alpha * ap)
+
         alpha, trials = armijo(line, f_value, slope, params)
         predict = trials == 1
-        return (alpha, tried + trials, *line.end(alpha, trials), f_x)
+        if trials == 1 and first is not None:
+            return (alpha, tried + 1, *first, f_x)
+        x_new = x + alpha * p
+        return alpha, tried + trials, x_new, model.evaluate(x_new, gradient), f_x
 
     return search
 
@@ -695,32 +678,19 @@ def _searcher(model, params, evals, gradient=True):
 # -- Newton-like: ssn-* and newton --------------------------------------------
 
 
-def _newton_like(model, config, x0, evals=None):
+def _newton_like(model, config, x0, evals):
     """Solves with a sampled (or, for newton, full) Hessian, with Armijo."""
     header = plan(model, config, x0)
-    size_h, sigma, solve = header["sample_size_h"], header["sigma"], header["solve"]
+    size_h, sigma = header["sample_size_h"], header["sigma"]
     sampled_g = config.variant == "ssn-full"
     rng = np.random.default_rng(config.seed)
     eps2_k = config.eps2
-    dtype = np.dtype(header["solve_dtype"])
-    precond = None  # the run's one CG preconditioner, in CG's precision
-    if header["preconditioner"] == PRECOND_START_HESSIAN:
-        try:
-            precond = model.hessian_inverse(x0, _shift(model, config) - model.reg)
-            precond = precond.astype(dtype, copy=False)
-        except NotPositiveDefiniteError:  # singular in floating point
-            header["preconditioner"] = None
+    solve = _solver(model, config, header, x0)
     # ssn-full's full gradient is a diagnostic, so its prediction skips it
-    search = _searcher(model, config.line_search, evals or _Evaluations(model, False),
-                       gradient=not sampled_g)
-    rough_min_eig = solve == PATH_EIGEN and dtype == np.float32
-    # an eigh run's assembly and its float32 copy go to two buffers it keeps,
-    # so no step faults in fresh pages for them; nothing a step returns or
-    # records aliases them
-    buffers = None
-    if solve == PATH_EIGEN:
-        buffers = (np.empty((model.p, model.p)),
-                   np.empty((model.p, model.p), np.float32, order="F") if rough_min_eig else None)
+    search = _searcher(model, config.line_search, evals, gradient=not sampled_g)
+    # a singular random sample is redrawn a few times (a probability-delta
+    # event) before giving up; a full without-replacement sample, the same
+    # every time, is not
     random_sample = size_h < model.n or config.replacement == "with"
 
     def move(x, t, f_value, grad):
@@ -744,8 +714,20 @@ def _newton_like(model, config, x0, evals=None):
             return None, None, {"grad_norm_used": gnorm_used,
                                 "stop_flag": STOP_GRAD_TOL}, None
 
-        p, solved, h_raw = _direction(model, config, solve, rng, x, t, sample, g_used,
-                                      size_h, precond, dtype, buffers)
+        for attempt in range(RESAMPLE_RETRIES + 1):
+            if attempt:
+                sample = _draw_h(model, config, rng, size_h)
+            try:
+                p, solved, h_check = solve(sample, x, t, g_used)
+                break
+            except NotPositiveDefiniteError as exc:
+                if not random_sample:
+                    raise
+                last = exc
+        else:
+            raise NotPositiveDefiniteError(
+                f"sampled Hessian stayed singular after {RESAMPLE_RETRIES} redraws ({last}); "
+                "use a larger sample, or ssn-spectral or ssn-ridge with lambda_user > 0")
         alpha, trials, x_next, at_next, f_x = search(x, p, t, f_value, float(p @ g_used))
         if random_sample and at_next[1] > (f_value if f_x is None else f_x):
             # Armijo accepted F from t + alpha A p; the fresh F at x_{k+1} can
@@ -759,13 +741,9 @@ def _newton_like(model, config, x0, evals=None):
             def diagnose():
                 out = {"grad_error_used": float(np.linalg.norm(g_used - grad))
                        if sampled_g else None}
-                if solved.get("min_eig_h") is None or rough_min_eig \
-                        and solved["solve_path"] == PATH_EIGEN:
-                    # an unassembled (inexact) sample is assembled here, off the
-                    # clock; a float32 spectrum's lambda_min, accurate to about
-                    # eps32 ||H||, is replaced by the float64 one
+                if h_check is not None:  # assembled here, off the clock, if CG did not
                     out["min_eig_h"] = min_eigenvalue(
-                        h_raw.dense() if isinstance(h_raw, SampledHessian) else h_raw)
+                        h_check.dense() if isinstance(h_check, SampledHessian) else h_check)
                 return out
         return x_next, at_next, {
             "grad_norm_used": gnorm_used, "alpha": alpha, "ls_trials": trials,
@@ -776,72 +754,75 @@ def _newton_like(model, config, x0, evals=None):
     return header, move
 
 
-def _direction(model, config, solve, rng, x, t, sample, g, size_h, precond, dtype,
-               buffers=None):
-    """Newton direction for H p = -g from the curvature sample ``sample``
-    at x, whose margins t = A x give the sample's Hessian weights, by the
-    header's ``solve``.
+def _solver(model, config, header, x0):
+    """The run's one solve of H p = -g, by the header's ``solve``.
 
-    H is the sampled Hessian H_S, shifted by lambda_user (ssn-ridge) or
-    floored at lambda_k in the eigenbasis of its one eigendecomposition
-    (``PATH_EIGEN``, ``regularize.spectrum``).  Cholesky and eigenbasis
-    solves assemble H_S; CG solves only multiply by it, in ``dtype``,
-    preconditioned by ``precond``, the run's one preconditioner (None runs
+    ``solve(sample, x, t, g)`` takes the curvature sample at x, whose margins
+    t = A x give its Hessian weights, and returns the direction, the solve's
+    record fields and ``h_check``: the sampled H_S whose float64 lambda_min
+    those fields lack (unassembled after a CG solve), for off-clock
+    diagnostics, or None after a float64 eigh solve.
+
+    H is H_S, shifted by lambda_user (ssn-ridge) or floored at lambda_k in
+    the eigenbasis of its one eigendecomposition (``PATH_EIGEN``,
+    ``regularize.spectrum``).  Cholesky and eigenbasis solves assemble H_S;
+    CG solves only multiply by it, in the header's ``solve_dtype``,
+    preconditioned by the run's one preconditioner, built here (None runs
     plain CG), and check the direction with the float64 H_S.  A float32
     eigenbasis solve takes lambda_k from the float32 eigenvalues and refines
     its step against the float64 H_S (``solve_floored``); if that stalls, the
     step is redone from a float64 eigendecomposition (``PATH_EIGEN_FALLBACK``).
-    A singular random sample is redrawn a few times (a probability-delta
-    event) before giving up; a full without-replacement sample, the same
-    every time, is not.  ``buffers``, an eigh run's (float64, float32 or
-    None) p x p arrays, receive the assembly and its float32 copy.
-
-    Returns the direction, the solve's record fields and the raw H_S of the
-    sample that produced it (unassembled after a CG solve) for off-clock
-    diagnostics.
+    An eigh run's assembly and its float32 copy go to two p x p buffers it
+    keeps, so no step faults in fresh pages for them; nothing a step returns
+    or records aliases them.
     """
+    dtype = np.dtype(header["solve_dtype"])
     lam = config.lambda_user if config.variant == "ssn-ridge" else None
-    redraws = RESAMPLE_RETRIES if size_h < model.n or config.replacement == "with" else 0
-    for attempt in range(redraws + 1):
-        if attempt:
-            sample = _draw_h(model, config, rng, size_h)
-        try:
-            if solve == PATH_CG:
-                h_raw = model.sampled_hessian(sample, x, t)
-                h = h_raw if lam is None else replace(h_raw, shift=h_raw.shift + lam)
-                p, diag = solve_inexact(h, g, config.inexact, precond, dtype)
-                return p, {"residual_ratio": diag.residual_ratio,
-                           "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
-                           "solve_path": diag.path, "lambda_applied": lam}, h_raw
-            h_buf, h32_buf = (None, None) if buffers is None else buffers
-            h_raw = subsampled_hessian(model, x, sample, t, out=h_buf)
-            if solve == PATH_EIGEN:
-                path = PATH_EIGEN
-                if dtype == np.float32:
-                    spec = spectrum(h_raw, dtype, out=h32_buf)
-                    floor = max(float(spec.eigvals[0]), 0.0) + config.lambda_user
-                    floored = solve_floored(h_raw, spec, floor, g)
-                    if floored is not None:
-                        return -floored[0], {
-                            "residual_ratio": floored[1], "cg_iters": 0, "solve_path": path,
-                            "lambda_applied": floor, "min_eig_h": float(spec.eigvals[0])}, h_raw
-                    path = PATH_EIGEN_FALLBACK
-                spec = spectrum(h_raw)
-                eigs = spec.eigvals
-                floor = max(float(eigs[0]), 0.0) + config.lambda_user
-                return -solve_eigen(spec, np.maximum(eigs, floor), g), {
-                    "cg_iters": 0, "solve_path": path, "lambda_applied": floor,
-                    "min_eig_h": float(eigs[0])}, h_raw
-            h = h_raw if lam is None else ridge(h_raw, lam)
-            return -solve_exact(h, g), {"cg_iters": 0, "solve_path": PATH_EXACT,
-                                        "lambda_applied": lam}, h_raw
-        except NotPositiveDefiniteError as exc:
-            if not redraws:
-                raise
-            last = exc
-    raise NotPositiveDefiniteError(
-        f"sampled Hessian stayed singular after {redraws} redraws ({last}); use a "
-        "larger sample, or ssn-spectral or ssn-ridge with lambda_user > 0") from None
+    if header["solve"] == PATH_CG:
+        precond = None
+        if header["preconditioner"] == PRECOND_START_HESSIAN:
+            try:
+                precond = model.hessian_inverse(x0, _shift(model, config) - model.reg)
+                precond = precond.astype(dtype, copy=False)
+            except NotPositiveDefiniteError:  # singular in floating point
+                header["preconditioner"] = None
+
+        def solve(sample, x, t, g):
+            h = model.sampled_hessian(sample, x, t)
+            p, diag = solve_inexact(h if lam is None else replace(h, shift=h.shift + lam),
+                                    g, config.inexact, precond, dtype)
+            return p, {"residual_ratio": diag.residual_ratio,
+                       "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
+                       "solve_path": diag.path, "lambda_applied": lam}, h
+    elif header["solve"] == PATH_EIGEN:
+        h_buf = np.empty((model.p, model.p))
+        h32_buf = np.empty((model.p, model.p), np.float32, order="F") \
+            if dtype == np.float32 else None
+
+        def solve(sample, x, t, g):
+            h = subsampled_hessian(model, x, sample, t, out=h_buf)
+            path = PATH_EIGEN
+            if h32_buf is not None:
+                spec = spectrum(h, dtype, out=h32_buf)
+                floor = max(float(spec.eigvals[0]), 0.0) + config.lambda_user
+                floored = solve_floored(h, spec, floor, g)
+                if floored is not None:  # its min_eig_h is float32's, about eps32 ||H|| off
+                    return -floored[0], {
+                        "residual_ratio": floored[1], "cg_iters": 0, "solve_path": path,
+                        "lambda_applied": floor, "min_eig_h": float(spec.eigvals[0])}, h
+                path = PATH_EIGEN_FALLBACK
+            spec = spectrum(h)
+            eigs = spec.eigvals
+            floor = max(float(eigs[0]), 0.0) + config.lambda_user
+            return -solve_eigen(spec, np.maximum(eigs, floor), g), {
+                "cg_iters": 0, "solve_path": path, "lambda_applied": floor,
+                "min_eig_h": float(eigs[0])}, None
+    else:
+        def solve(sample, x, t, g):
+            h = subsampled_hessian(model, x, sample, t)
+            return -solve_exact(h if lam is None else ridge(h, lam), g), {
+                "cg_iters": 0, "solve_path": PATH_EXACT, "lambda_applied": lam}, h
+    return solve
 
 
 # -- baselines ----------------------------------------------------------------

@@ -477,7 +477,7 @@ def test_start_hessian_lookup_reads_no_design_block():
                        inexact=solvers.InexactnessSpec(theta1=1e-2, theta2=0.5))
     run(m, cfg, x0)  # forms and keeps the Gram and the start inverse
     object.__setattr__(dataset, "features", dataset.features.view(Spy))
-    header, _ = solvers._newton_like(m, cfg, x0)
+    header, _ = solvers._newton_like(m, cfg, x0, solvers._Evaluations(m, False))
     assert header["preconditioner"] == "start-hessian"
     assert reads == []
     m.hessian_inverse(np.full(m.p, 0.1), 0.0)

@@ -883,22 +883,27 @@ def test_rejected_prediction_gradient_never_reaches_a_record(small_logistic, mon
     for rec in trace.records:
         assert rec.grad_norm_full == float(np.linalg.norm(m.gradient(rec.x)))
         assert rec.grad_norm_full != float(np.linalg.norm(g_trial))
-    # the line itself hands x_{k+1} nothing from a rejected prediction
+    # the search itself hands x_{k+1} nothing from a rejected prediction
     x = np.zeros(m.p)
     t, f, g = m.evaluate(x)
-    p = -g
-    line = solvers._Line(m, x, p, t, True, True)
-    line(4.0)
-    line(2.0)
-    x_next, (t_next, f_next, g_next) = line.end(2.0, 2)
-    np.testing.assert_array_equal(x_next, x + 2.0 * p)
+    p = -(m.hessian_inverse(x, 0.0) @ g)  # the run's first direction
+    speculative.clear()
+    search = solvers._searcher(m, LineSearchParams(alpha_hat=4.0), solvers._Evaluations(m, False))
+    alpha, trials, x_next, (t_next, f_next, g_next), f_x = search(x, p, t, f, float(p @ g))
+    assert trials > 1 and f_x is None
+    np.testing.assert_array_equal(x_next, x + alpha * p)
     for got, want in zip((t_next, f_next, g_next), m.evaluate(x_next)):
         np.testing.assert_array_equal(got, want)
-    assert not np.array_equal(g_next, line.first[1][2])
-    accepted = solvers._Line(m, x, p, t, True, True)
-    f_new = accepted(1.0)
-    x_next, (t_new, f_next, g_new) = accepted.end(1.0, 1)
-    assert f_next == f_new == m.value(x_next)
+    x_trial, g_trial = speculative[0]
+    np.testing.assert_array_equal(x_trial, x + 4.0 * p)
+    assert not np.array_equal(g_next, g_trial)
+    # an accepted prediction is x_{k+1}'s one evaluation
+    speculative.clear()
+    accepted = solvers._searcher(m, LineSearchParams(), solvers._Evaluations(m, False))
+    alpha, trials, x_next, (t_new, f_next, g_new), _ = accepted(x, p, t, f, float(p @ g))
+    assert alpha == 1.0 and trials == 1 and len(speculative) == 1
+    np.testing.assert_array_equal(speculative[0][0], x_next)
+    assert f_next == m.value(x_next)
     np.testing.assert_array_equal(g_new, m.gradient(x_next))
 
 
@@ -1019,22 +1024,24 @@ def test_spectral_direction_is_the_floored_operator_solve(small_logistic, monkey
     monkeypatch.setattr(solvers, "FLOAT32_EIGH_MAX_K_RATIO", 0.0)  # K / lambda_user = 6
     m = small_logistic
     assembled = record_assemblies(monkeypatch)
-    lines = []
-    line = solvers._Line
+    solves, solve = [], solvers.solve_eigen
 
-    def recording_line(model, x, p, t, predict, gradient):
-        lines.append((x, p))
-        return line(model, x, p, t, predict, gradient)
+    def recording(spec, eigs, g):
+        y = solve(spec, eigs, g)
+        solves.append((g, y))
+        return y
 
-    monkeypatch.setattr(solvers, "_Line", recording_line)
+    monkeypatch.setattr(solvers, "solve_eigen", recording)
     cfg = SolverConfig(variant="ssn-spectral", sample_frac_h=0.3, lambda_user=0.05,
                        grad_tol=1e-9, max_iters=40, seed=2)
     trace = run(m, cfg, np.zeros(m.p))
     steps = [rec for rec in trace.records if rec.alpha > 0]
-    assert len(steps) == len(lines) == len(assembled) >= 5
-    for rec, (x, p), h in zip(steps, lines, assembled):
-        expected = -np.linalg.solve(spectral_floor(h, rec.lambda_applied), m.gradient(x))
-        assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert len(steps) == len(solves) == len(assembled) >= 5
+    xs = [trace.x0] + [rec.x for rec in steps]
+    for x, rec, (g, y), h in zip(xs, steps, solves, assembled):
+        np.testing.assert_array_equal(g, m.gradient(x))
+        expected = np.linalg.solve(spectral_floor(h, rec.lambda_applied), g)
+        assert np.linalg.norm(y - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def sparse_spectral_model(storage):
@@ -1064,14 +1071,42 @@ def record_floored_solves(monkeypatch):
     return solves
 
 
+LOOSE, TIGHT = InexactnessSpec(theta1=1e-2, theta2=0.5), InexactnessSpec(theta1=1e-6, theta2=0.5)
+SAMPLED = dict(sample_frac_h=0.1, seed=4)
+# each solve path with its header's (solve, solve_dtype, preconditioner)
+SOLVE_PATHS = {
+    "hessian-exact": (dict(variant="ssn-hessian", **SAMPLED), ("cholesky", "float64", None)),
+    "ridge-exact": (dict(variant="ssn-ridge", lambda_user=1e-3, **SAMPLED),
+                    ("cholesky", "float64", None)),
+    "cg-float32": (dict(variant="ssn-hessian", inexact=LOOSE, **SAMPLED),
+                   ("cg", "float32", "start-hessian")),
+    "cg-float64": (dict(variant="ssn-hessian", inexact=TIGHT, **SAMPLED),
+                   ("cg", "float64", "start-hessian")),
+    "ridge-cg": (dict(variant="ssn-ridge", lambda_user=1e-3, inexact=LOOSE, **SAMPLED),
+                 ("cg", "float32", "start-hessian")),
+    "spectral-float32": (SPARSE_SPECTRAL, ("eigh", "float32", None)),
+    "spectral-float64": (dict(SPARSE_SPECTRAL, lambda_user=1e-4), ("eigh", "float64", None)),
+    "newton": (dict(variant="newton"), ("cholesky", "float64", None)),
+    "ssn-full": (dict(variant="ssn-full", sample_frac_g=0.5, sigma=1.0, eps2=0.03, **SAMPLED),
+                 ("cholesky", "float64", None)),
+}
+
+
+@pytest.mark.parametrize("path", SOLVE_PATHS)
 @pytest.mark.parametrize("storage", ["dense", "csr"])
-def test_spectral_runs_carry_no_state_in_their_kept_buffers(storage):
-    # two identical runs on one model: each step assembles into buffers its
-    # run keeps, and nothing a step keeps aliases them
+def test_spectral_runs_carry_no_state_in_their_kept_buffers(storage, path):
+    # two identical runs on one model, on every solve path: each run builds
+    # its solve once (the CG preconditioner, an eigh run's buffers) and
+    # nothing a step keeps aliases that state; track_events reads the
+    # sampled Hessian a solve hands back, after the step
+    settings, header = SOLVE_PATHS[path]
     m = sparse_spectral_model(storage)
-    first, second = (run(m, SolverConfig(**SPARSE_SPECTRAL), np.zeros(m.p)) for _ in range(2))
-    assert first.header["solve_dtype"] == "float32" and first.stop == "GradTol"
-    assert first.n_iters == second.n_iters >= 5
+    cfg = SolverConfig(**{"grad_tol": 1e-8, "max_iters": 60, **settings, "track_events": True})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
+        first, second = (run(m, cfg, np.zeros(m.p)) for _ in range(2))
+    assert tuple(first.header[k] for k in ("solve", "solve_dtype", "preconditioner")) == header
+    assert first.stop in ("GradTol", "SigmaStop") and first.n_iters == second.n_iters >= 3
     for a, b in zip(first.records, second.records):
         assert np.array_equal(a.x, b.x)
         assert replace(a, wall_nanos=0, x=None) == replace(b, wall_nanos=0, x=None)
