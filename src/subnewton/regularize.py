@@ -9,10 +9,11 @@ direction even when the raw sample is singular.
 ``spectrum`` is the eigendecomposition ssn-spectral's step reads: it keeps
 the eigenvector matrix V factored, so the step never pays for forming it.
 It runs in float64, or in float32 for a run whose step ``linsolve.
-solve_floored`` certifies in float64: one pass over the float64 H checks it
-as ``_symmetrize`` does and rounds it into a float32 copy, which LAPACK's
-ssytrd reduces and float32 stevd diagonalizes.  On a 500 x 500 sampled
-Hessian, one BLAS thread, that takes about 13 ms against 21 ms in float64.
+solve_floored`` certifies in float64: LAPACK's sytrd reduces, and stevd
+diagonalizes, a float32 copy of H.  On a 500 x 500 sampled Hessian, one
+BLAS thread, that takes about 13 ms against 21 ms in float64.  Each
+function here that takes H reads it through ``_symmetrized``: one pass that
+checks H and averages it with its transpose, in the dtype asked for.
 ``spectral_floor`` forms the floored matrix densely, as a reference.
 """
 
@@ -26,62 +27,30 @@ from scipy.linalg import eigh_tridiagonal, lapack
 
 # accumulation asymmetry beyond this means the input was not a Hessian
 SYMMETRY_TOL = 1e-8
-# the float64 row block _symmetrized_float32 works on, sized for cache
+# the float64 row block _symmetrized works on, sized for cache
 _BLOCK_BYTES = 256 * 1024
 
 
-def _validated(h) -> np.ndarray:
+def _symmetrized(h: np.ndarray, dtype=np.float64, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (h + h') of the square matrix h, as it gives it bit for bit,
+    rounded to a Fortran-ordered array of ``dtype`` (``out`` if given):
+    exactly symmetric, so its transpose is the same matrix in C order.
+
+    One pass over h takes a row block at a time with the matching column
+    block, so no second p x p float64 array is formed.  Their difference D
+    is antisymmetric over the whole pass, so max D is the largest asymmetry,
+    and it is finite only when every entry of h is (a non-finite entry makes
+    its pair or diagonal entry of D inf or nan).  h is rejected if it is not,
+    or if it exceeds SYMMETRY_TOL, absolutely and relative to max|h|.  A
+    block whose rows equal its columns exactly (every block of a dense
+    assembly) is its own average and is rounded as it is.
+    """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    return h
-
-
-def _check_skew(h: np.ndarray, skew: float) -> None:
-    """Reject h, whose largest asymmetry is ``skew``, if that is not finite
-    (so h has a non-finite entry) or exceeds SYMMETRY_TOL, absolutely and
-    relative to max|h|."""
-    if not math.isfinite(skew):
-        raise ValueError("matrix has non-finite entries")
-    if skew > SYMMETRY_TOL and skew > SYMMETRY_TOL * float(np.abs(h).max()):
-        raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3g})")
-
-
-def _symmetrize(h: np.ndarray) -> np.ndarray:
-    """A fresh copy of the validated h, averaged with its transpose, as
-    0.5 * (h + h') gives it bit for bit.
-
-    One pass forms D = h - h'.  D is antisymmetric, so max D is the largest
-    asymmetry, and it is finite only when every entry of h is (a non-finite
-    entry makes its pair or diagonal entry of D inf or nan).  The
-    scale max|h| is read only when the asymmetry exceeds SYMMETRY_TOL, and an
-    exactly symmetric h (every dense assembly) is copied, not averaged.
-    """
-    h = _validated(h)
-    if not h.size:
-        return h.copy()
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = h - h.T
-    skew = float(out.max())
-    _check_skew(h, skew)
-    if skew:
-        np.add(h, h.T, out=out)
-        out *= 0.5
-    else:
-        np.copyto(out, h)
-    return out
-
-
-def _symmetrized_float32(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0.5 * (h + h') of the validated h, rounded to a Fortran-ordered float32
-    array (``out`` if given), from one pass over h a row block at a time
-    (each row block with the matching column block), so no p x p float64
-    array is formed.  A block whose rows equal its columns exactly (every
-    block of a dense assembly) is its own average and is rounded as it is."""
-    h = _validated(h)
     p = h.shape[0]
     if out is None:
-        out = np.empty((p, p), dtype=np.float32, order="F")
+        out = np.empty((p, p), dtype=dtype, order="F")
     width = max(1, _BLOCK_BYTES // (8 * max(p, 1)))
     scratch = np.empty((min(width, p), p))
     skew = 0.0
@@ -97,13 +66,16 @@ def _symmetrized_float32(h: np.ndarray, out: np.ndarray | None = None) -> np.nda
                 block *= 0.5
                 rows = block
             out[:, lo:lo + width] = rows.T  # column j of out is row j of the average
-    _check_skew(h, float(skew))
+    if not math.isfinite(skew):
+        raise ValueError("matrix has non-finite entries")
+    if skew > SYMMETRY_TOL and skew > SYMMETRY_TOL * float(np.abs(h).max()):
+        raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3g})")
     return out
 
 
 def min_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue via a full symmetric eigendecomposition."""
-    return float(np.linalg.eigvalsh(_symmetrize(h))[0])
+    return float(np.linalg.eigvalsh(_symmetrized(h))[0])
 
 
 @dataclass(frozen=True)
@@ -152,16 +124,13 @@ class Spectrum:
 def spectrum(h: np.ndarray, dtype=np.float64, out: np.ndarray | None = None) -> Spectrum:
     """Eigenvalues (ascending) and factored eigenvectors of the validated
     matrix, from one tridiagonal reduction in ``dtype`` (float64, or
-    float32 from a rounded copy of h, made in ``out`` if given: a
-    Fortran-ordered p x p float32 array, which the reduction overwrites):
-    ssn-spectral's floor and its step share them.  The spectrum shares no
-    memory with h or ``out``."""
-    if np.dtype(dtype) == np.float32:
-        sym, sytrd, sytrd_lwork = _symmetrized_float32(h, out), lapack.ssytrd, lapack.ssytrd_lwork
-    else:
-        # _symmetrize returns a fresh, exactly symmetric array, so sym.T is sym
-        # in Fortran order
-        sym, sytrd, sytrd_lwork = _symmetrize(h).T, lapack.dsytrd, lapack.dsytrd_lwork
+    float32) of its symmetrized copy, made in ``out`` if given: a
+    Fortran-ordered p x p array of ``dtype``, which the reduction
+    overwrites.  ssn-spectral's floor and its step share them.  The spectrum
+    shares no memory with h or ``out``."""
+    sym = _symmetrized(h, dtype, out)
+    sytrd, sytrd_lwork = (lapack.ssytrd, lapack.ssytrd_lwork) if sym.dtype == np.float32 \
+        else (lapack.dsytrd, lapack.dsytrd_lwork)
     # sytrd overwrites the Fortran-ordered sym with its reflectors, without a copy
     lwork = int(sytrd_lwork(sym.shape[0], lower=1)[0])  # lets sytrd run blocked
     c, d, e, tau, _ = sytrd(sym, lower=1, lwork=lwork, overwrite_a=1)
@@ -177,17 +146,17 @@ def spectral_floor(h: np.ndarray, lam: float) -> np.ndarray:
     """
     if lam < 0:
         raise ValueError("spectral floor must be nonnegative")
-    eigs, vecs = np.linalg.eigh(_symmetrize(h))
+    sym = _symmetrized(h).T
+    eigs, vecs = np.linalg.eigh(sym)
     if lam <= eigs[0]:
-        return _symmetrize(h)
-    out = (vecs * np.maximum(eigs, lam)) @ vecs.T
-    return 0.5 * (out + out.T)
+        return sym
+    return _symmetrized((vecs * np.maximum(eigs, lam)) @ vecs.T).T
 
 
 def ridge(h: np.ndarray, lam: float) -> np.ndarray:
     """H + lam*I; every eigenvalue shifts by exactly lam."""
     if lam < 0:
         raise ValueError("ridge shift must be nonnegative")
-    out = _symmetrize(h)
+    out = _symmetrized(h).T
     out[np.diag_indices_from(out)] += lam
     return out

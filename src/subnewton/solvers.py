@@ -28,13 +28,14 @@ the clock, the stop test, the error handling and the record.  ``plan``
 gives a Newton-like run's header (sample size, sigma, its solve, guarantee
 constants) without running it.
 
-All Newton-like variants share one step over one sampled Hessian type,
-``model.SampledHessian``: the move draws the sample (redrawing a singular
-random one) and hands it to the run's one solve, which ``_solver`` builds
-from the header's ``solve`` (theta1 = 0 is an exact one).  Cholesky and eigh
-solves assemble the sample; CG runs on its matrix-free products (for
-ssn-ridge, with lambda_user added to its diagonal shift).  A run's CG solves
-share one preconditioner, set before its first move and never replaced: the
+All Newton-like variants share one step: the move draws the sample
+(redrawing a singular random one), has the run's one assembly build its
+H_S, and hands that to the run's one solve; ``_solver`` fixes both from the
+header's ``solve`` (theta1 = 0 is an exact one).  Cholesky and eigh runs
+assemble H_S into one p x p buffer they keep; CG runs take it unassembled,
+``model.SampledHessian``, for matrix-free products (for ssn-ridge, with
+lambda_user added to its diagonal shift).  A run's CG solves share one
+preconditioner, set before its first move and never replaced: the
 inverse of the full Hessian at x0, with the same shift, up to p = 2000;
 above that, or where its Cholesky fails, CG runs unpreconditioned.  From
 x0 = 0 the model gives that Hessian from a Gram A'A/n it keeps, which a CG
@@ -684,8 +685,8 @@ def _newton_like(model, config, x0, evals):
     size_h, sigma = header["sample_size_h"], header["sigma"]
     sampled_g = config.variant == "ssn-full"
     rng = np.random.default_rng(config.seed)
-    eps2_k = config.eps2
-    solve = _solver(model, config, header, x0)
+    eps2_k, stepped = config.eps2, False  # stepped: whether the run has taken a step
+    assemble, solve = _solver(model, config, header, x0)
     # ssn-full's full gradient is a diagnostic, so its prediction skips it
     search = _searcher(model, config.line_search, evals, gradient=not sampled_g)
     # a singular random sample is redrawn a few times (a probability-delta
@@ -694,7 +695,7 @@ def _newton_like(model, config, x0, evals):
     random_sample = size_h < model.n or config.replacement == "with"
 
     def move(x, t, f_value, grad):
-        nonlocal eps2_k
+        nonlocal eps2_k, stepped
         sample = _draw_h(model, config, rng, size_h)  # before g's: fixes the RNG stream
         g_used, size_g, grad_clamped, saturated = grad, None, False, False
         if sampled_g:
@@ -708,6 +709,11 @@ def _newton_like(model, config, x0, evals):
             g_used = subsampled_gradient(model, x, _draw_g(model, rng, size_g))
         gnorm_used = float(np.linalg.norm(g_used))
         if sampled_g and gnorm_used < sigma * eps2_k:
+            if not stepped:
+                warnings.warn(f"ssn-full stopped before its first step, certifying only "
+                              f"||grad F|| < (1 + sigma) * eps2 = {(1 + sigma) * eps2_k:.3g} "
+                              f"where ||grad F(x0)|| = {np.linalg.norm(grad):.3g}; pass a "
+                              "smaller eps2", stacklevel=3)
             return None, None, {"grad_norm_used": gnorm_used, "stop_flag": STOP_SIGMA,
                                 "sample_size_h": size_h, "sample_size_g": size_g}, None
         if sampled_g and gnorm_used <= config.grad_tol:
@@ -718,7 +724,7 @@ def _newton_like(model, config, x0, evals):
             if attempt:
                 sample = _draw_h(model, config, rng, size_h)
             try:
-                p, solved, h_check = solve(sample, x, t, g_used)
+                p, solved, h_check = solve(assemble(sample, x, t), g_used)
                 break
             except NotPositiveDefiniteError as exc:
                 if not random_sample:
@@ -729,6 +735,7 @@ def _newton_like(model, config, x0, evals):
                 f"sampled Hessian stayed singular after {RESAMPLE_RETRIES} redraws ({last}); "
                 "use a larger sample, or ssn-spectral or ssn-ridge with lambda_user > 0")
         alpha, trials, x_next, at_next, f_x = search(x, p, t, f_value, float(p @ g_used))
+        stepped = True
         if random_sample and at_next[1] > (f_value if f_x is None else f_x):
             # Armijo accepted F from t + alpha A p; the fresh F at x_{k+1} can
             # exceed F(x_k) only by rounding, at the noise floor.  x_k is kept,
@@ -755,26 +762,28 @@ def _newton_like(model, config, x0, evals):
 
 
 def _solver(model, config, header, x0):
-    """The run's one solve of H p = -g, by the header's ``solve``.
+    """The run's Hessian assembly and its one solve of H p = -g, by the
+    header's ``solve``, as ``(assemble, solve)``.
 
-    ``solve(sample, x, t, g)`` takes the curvature sample at x, whose margins
-    t = A x give its Hessian weights, and returns the direction, the solve's
-    record fields and ``h_check``: the sampled H_S whose float64 lambda_min
-    those fields lack (unassembled after a CG solve), for off-clock
-    diagnostics, or None after a float64 eigh solve.
+    ``assemble(sample, x, t)`` gives the sampled H_S of the curvature sample
+    at x, whose margins t = A x give its Hessian weights: unassembled
+    (``model.sampled_hessian``) for CG, which only multiplies by it, else
+    assembled by ``subsampled_hessian`` into one p x p buffer the run keeps,
+    so no step faults in fresh pages for it.  ``solve(h, g)`` maps that H_S
+    to the direction and returns it, the solve's record fields and
+    ``h_check``: the H_S whose float64 lambda_min those fields lack, for
+    off-clock diagnostics, or None after a float64 eigh solve.
 
     H is H_S, shifted by lambda_user (ssn-ridge) or floored at lambda_k in
     the eigenbasis of its one eigendecomposition (``PATH_EIGEN``,
-    ``regularize.spectrum``).  Cholesky and eigenbasis solves assemble H_S;
-    CG solves only multiply by it, in the header's ``solve_dtype``,
-    preconditioned by the run's one preconditioner, built here (None runs
-    plain CG), and check the direction with the float64 H_S.  A float32
-    eigenbasis solve takes lambda_k from the float32 eigenvalues and refines
-    its step against the float64 H_S (``solve_floored``); if that stalls, the
-    step is redone from a float64 eigendecomposition (``PATH_EIGEN_FALLBACK``).
-    An eigh run's assembly and its float32 copy go to two p x p buffers it
-    keeps, so no step faults in fresh pages for them; nothing a step returns
-    or records aliases them.
+    ``regularize.spectrum``).  CG solves multiply in the header's
+    ``solve_dtype``, preconditioned by the run's one preconditioner, built
+    here (None runs plain CG), and check the direction with the float64 H_S.
+    A float32 eigenbasis solve takes lambda_k from the float32 eigenvalues,
+    decomposed in a second kept p x p buffer, and refines its step against
+    the float64 H_S (``solve_floored``); if that stalls, the step is redone
+    from a float64 eigendecomposition (``PATH_EIGEN_FALLBACK``).  Nothing a
+    step returns or records aliases the kept buffers.
     """
     dtype = np.dtype(header["solve_dtype"])
     lam = config.lambda_user if config.variant == "ssn-ridge" else None
@@ -787,20 +796,23 @@ def _solver(model, config, header, x0):
             except NotPositiveDefiniteError:  # singular in floating point
                 header["preconditioner"] = None
 
-        def solve(sample, x, t, g):
-            h = model.sampled_hessian(sample, x, t)
+        def solve(h, g):
             p, diag = solve_inexact(h if lam is None else replace(h, shift=h.shift + lam),
                                     g, config.inexact, precond, dtype)
             return p, {"residual_ratio": diag.residual_ratio,
                        "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
                        "solve_path": diag.path, "lambda_applied": lam}, h
-    elif header["solve"] == PATH_EIGEN:
-        h_buf = np.empty((model.p, model.p))
+        return model.sampled_hessian, solve
+    h_buf = np.empty((model.p, model.p))
+
+    def assemble(sample, x, t):
+        return subsampled_hessian(model, x, sample, t, out=h_buf)
+
+    if header["solve"] == PATH_EIGEN:
         h32_buf = np.empty((model.p, model.p), np.float32, order="F") \
             if dtype == np.float32 else None
 
-        def solve(sample, x, t, g):
-            h = subsampled_hessian(model, x, sample, t, out=h_buf)
+        def solve(h, g):
             path = PATH_EIGEN
             if h32_buf is not None:
                 spec = spectrum(h, dtype, out=h32_buf)
@@ -818,11 +830,10 @@ def _solver(model, config, header, x0):
                 "cg_iters": 0, "solve_path": path, "lambda_applied": floor,
                 "min_eig_h": float(eigs[0])}, None
     else:
-        def solve(sample, x, t, g):
-            h = subsampled_hessian(model, x, sample, t)
+        def solve(h, g):
             return -solve_exact(h if lam is None else ridge(h, lam), g), {
                 "cg_iters": 0, "solve_path": PATH_EXACT, "lambda_applied": lam}, h
-    return solve
+    return assemble, solve
 
 
 # -- baselines ----------------------------------------------------------------

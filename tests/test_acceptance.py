@@ -212,7 +212,11 @@ def test_criterion_5_sigma_stop_soundness(desk):
             cfg = SolverConfig(variant="ssn-full", eps1=0.5, eps2=eps2, delta=0.1,
                                seed=seed, max_iters=30, grad_tol=0.0,
                                replacement="without")
-            trace = run(desk, cfg, x0)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                trace = run(desk, cfg, x0)
+            # a stop before the first step says so, and only such a stop
+            assert len(caught) == (trace.records[0].alpha == 0)
             if trace.stop != "SigmaStop":
                 continue
             fired += 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,8 +89,12 @@ def test_rates_price_the_sample_sizes_the_solvers_draw(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     model = ObjectiveModel(load_dataset(str(path)), "logistic", reg=1.0)
     for key, variant in (("hessian_only", "ssn-hessian"), ("joint_sampling", "ssn-full")):
-        header = run(model, SolverConfig(variant=variant, max_iters=1),
-                     np.zeros(model.p)).header
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            header = run(model, SolverConfig(variant=variant, max_iters=1),
+                         np.zeros(model.p)).header
+        # ssn-full's default sigma stops it before its first step, which it says
+        assert len(caught) == (variant == "ssn-full")
         assert header["lemma_sized"] and header["sample_size_h"] < model.n
         assert blob[key] == header["rate_prediction"]
 

@@ -4,12 +4,81 @@ import numpy as np
 import pytest
 
 from subnewton.linsolve import solve_eigen
-from subnewton.regularize import min_eigenvalue, ridge, spectral_floor, spectrum
+from subnewton.regularize import SYMMETRY_TOL, _symmetrized, min_eigenvalue, ridge, \
+    spectral_floor, spectrum
 
 
 def random_symmetric(rng, p):
     a = rng.standard_normal((p, p))
     return 0.5 * (a + a.T)
+
+
+# -- symmetrization -----------------------------------------------------------
+
+
+def symmetrizer_inputs():
+    """Exactly symmetric; asymmetric within SYMMETRY_TOL everywhere; in one
+    entry pair only, across the first and third of 400 x 400's five row
+    blocks (so the others are copied, and the third has no positive
+    asymmetry yet is averaged); 1 x 1 and 0 x 0."""
+    rng = np.random.default_rng(8)
+    sym = random_symmetric(rng, 200)
+    skew = 1e-10 * np.triu(rng.standard_normal((200, 200)), 1)
+    one_pair = random_symmetric(rng, 400)
+    one_pair[10, 180] += 0.1 * SYMMETRY_TOL
+    return [sym, sym + skew - skew.T, one_pair, np.array([[2.5]]), np.zeros((0, 0))]
+
+
+@pytest.mark.parametrize("h", symmetrizer_inputs(), ids=["symmetric", "skewed", "one-pair",
+                                                         "1x1", "0x0"])
+def test_symmetrized_is_the_average_bit_for_bit(h):
+    """_symmetrized(h) is 0.5 * (h + h') bit for bit and _symmetrized(h,
+    float32) its float32 rounding, each a Fortran-ordered copy."""
+    average = 0.5 * (h + h.T)
+    for dtype in (np.float64, np.float32):
+        sym = _symmetrized(h, dtype)
+        assert sym.dtype == dtype and sym.flags.f_contiguous
+        assert not np.shares_memory(sym, h)
+        assert sym.tobytes(order="C") == average.astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("h", symmetrizer_inputs()[:4], ids=["symmetric", "skewed",
+                                                             "one-pair", "1x1"])
+def test_symmetrized_callers_keep_their_values_in_c_order(h):
+    """min_eigenvalue, ridge and spectral_floor read the average 0.5 * (h +
+    h') and give what they gave from it bit for bit, as C-ordered arrays;
+    a shift makes each input positive definite, for floors on both sides of
+    its smallest eigenvalue."""
+    h = h + 40.0 * np.eye(h.shape[0])
+    average = 0.5 * (h + h.T)
+    eigs, vecs = np.linalg.eigh(average)
+    assert eigs[0] > 1.0
+    assert min_eigenvalue(h) == float(np.linalg.eigvalsh(average)[0])
+    shifted = average.copy()
+    shifted[np.diag_indices_from(shifted)] += 0.3
+    floor = eigs[0] + 1.0
+    floored = (vecs * np.maximum(eigs, floor)) @ vecs.T
+    expected = [(ridge(h, 0.3), shifted), (spectral_floor(h, eigs[0] - 1.0), average),
+                (spectral_floor(h, floor), 0.5 * (floored + floored.T))]
+    for out, want in expected:
+        assert out.flags.c_contiguous and not np.shares_memory(out, h)
+        assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_symmetrized_rejects_bad_input(dtype):
+    """As every function reading it does: a non-finite entry, gross
+    asymmetry, or a non-square shape."""
+    for h, match in ((np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
+                     (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
+                     (np.array([[1.0, 5.0], [0.0, 1.0]]), "not symmetric"),
+                     (np.ones((2, 3)), "square")):
+        with pytest.raises(ValueError, match=match):
+            _symmetrized(h, dtype)
+        for reader in (min_eigenvalue, lambda h: ridge(h, 0.1),
+                       lambda h: spectral_floor(h, 0.1)):
+            with pytest.raises(ValueError, match=match):
+                reader(h)
 
 
 # -- min eigenvalue -----------------------------------------------------------
@@ -116,8 +185,8 @@ def test_float32_spectrum_is_the_float64_one_to_float32_accuracy(p, kind):
 
 def test_float32_spectrum_averages_a_slightly_asymmetric_input():
     """An accumulation asymmetry below SYMMETRY_TOL is averaged away before
-    the rounding, as the float64 path's _symmetrize does, over several of the
-    column blocks the single pass works in."""
+    the rounding, as on the float64 path (both read _symmetrized), over
+    several of the column blocks the single pass works in."""
     rng = np.random.default_rng(5)
     sym = random_symmetric(rng, 200)
     skew = 1e-10 * np.triu(rng.standard_normal((200, 200)), 1)

@@ -1119,6 +1119,73 @@ def test_spectral_runs_carry_no_state_in_their_kept_buffers(storage, path):
         assert replace(a, wall_nanos=0, x=None) == replace(b, wall_nanos=0, x=None)
 
 
+def averaged(assemble):
+    """A run's assembly wrapped into Hessian averaging (Na, Derezinski &
+    Mahoney 2022): the k-th step's H is sum_j j H_j / sum_j j over the dense
+    H_j of steps 1..k; ``calls`` counts the steps."""
+    total, k = None, 0
+
+    def average(sample, x, t):
+        nonlocal total, k
+        h = assemble(sample, x, t)
+        h = h.dense() if hasattr(h, "dense") else h
+        k += 1
+        total = k * h if total is None else total + k * h
+        average.calls = k
+        return total / (k * (k + 1) / 2)
+    return average
+
+
+@pytest.mark.parametrize("path", ["spectral-float32", "spectral-float64", "hessian-exact",
+                                  "cg-float32"])
+def test_a_new_assembly_needs_no_solve_edited(monkeypatch, path):
+    """_solver's (assemble, solve) split is the seam a new curvature source
+    lands on: wrapping the run's assembly into an average, with every solve
+    as it is, runs each solve path to GradTol on the average.  ssn-ridge's
+    CG solve, which shifts the SampledHessian operator (replace(h, shift=)),
+    is the one solve that depends on H's type, so it is left out here."""
+    solver, wrapped = solvers._solver, []
+
+    def averaging_solver(*args):
+        assemble, solve = solver(*args)
+        wrapped.append(averaged(assemble))
+        return wrapped[-1], solve
+    monkeypatch.setattr(solvers, "_solver", averaging_solver)
+    settings, header, _, _ = SOLVE_PATHS[path]
+    m = sparse_spectral_model("csr")
+    trace = run(m, SolverConfig(**{"grad_tol": 1e-8, "max_iters": 60, **settings}),
+                np.zeros(m.p))
+    steps = [rec for rec in trace.records if rec.alpha > 0]
+    assert tuple(trace.header[k] for k in ("solve", "solve_dtype", "preconditioner")) == header
+    assert trace.stop == "GradTol" and len(steps) >= 5
+    assert len(wrapped) == 1 and wrapped[0].calls == len(steps)
+    assert all(rec.solve_path == header[0] for rec in steps)
+
+
+@pytest.mark.parametrize("path", ["hessian-exact", "ridge-exact", "newton",
+                                  "spectral-float32", "spectral-float64"])
+def test_dense_solves_assemble_into_one_buffer_per_run(monkeypatch, path):
+    """A Cholesky or eigh run hands every subsampled_hessian call the one p x p
+    buffer it keeps; the next run on the same model keeps a new one."""
+    outs, assemble = [], solvers.subsampled_hessian
+
+    def spy(*args, out=None):
+        outs.append(out)
+        return assemble(*args, out=out)
+    monkeypatch.setattr(solvers, "subsampled_hessian", spy)
+    m = sparse_spectral_model("dense")
+    cfg = SolverConfig(**{"grad_tol": 1e-8, "max_iters": 60, **SOLVE_PATHS[path][0]})
+    per_run = []
+    for _ in range(2):
+        steps = sum(rec.alpha > 0 for rec in run(m, cfg, np.zeros(m.p)).records)
+        per_run.append(outs[:])
+        assert len(outs) == steps >= 3
+        outs.clear()
+    for buffers in per_run:
+        assert buffers[0].shape == (m.p, m.p) and all(b is buffers[0] for b in buffers)
+    assert per_run[0][0] is not per_run[1][0]
+
+
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 def test_float32_eigh_directions_are_certified_in_float64(storage, monkeypatch):
     """Each step of a float32 ssn-spectral run solves H^ = H_S + U D U' (U
@@ -1349,7 +1416,11 @@ def test_sigma_stop_certificate(small_logistic):
         cfg = SolverConfig(variant="ssn-full", eps1=0.4, eps2=0.02, delta=0.1,
                            seed=seed, max_iters=60, grad_tol=0.0,
                            replacement="without")
-        trace = run(m, cfg, np.zeros(m.p))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            trace = run(m, cfg, np.zeros(m.p))
+        # a stop before the first step says so, and only such a stop
+        assert len(caught) == (trace.records[0].alpha == 0)
         sigma = trace.header["sigma"]
         if trace.stop == "SigmaStop":
             fired += 1
@@ -1364,6 +1435,28 @@ def test_sigma_warning_below_floor(small_logistic):
                        grad_tol=0.0, sample_frac_h=0.5, sample_frac_g=0.5)
     with pytest.warns(UserWarning, match="STOP"):
         run(small_logistic, cfg, np.zeros(small_logistic.p))
+
+
+def test_a_stop_before_the_first_step_warns():
+    """At default sigma and eps2, plan's sigma certifies only ||grad F|| <
+    (1 + sigma) eps2, far above ||grad F(x0)||: the run stops on its sigma
+    test at k = 0, and says so with both numbers.  A run that steps before
+    its sigma stop (SOLVE_PATHS' ssn-full) does not."""
+    m = sparse_spectral_model("csr")
+    cfg = SolverConfig(variant="ssn-full", sample_frac_h=0.1, seed=4)
+    with pytest.warns(UserWarning, match="before its first step") as caught:
+        trace = run(m, cfg, np.zeros(m.p))
+    assert trace.stop == "SigmaStop" and trace.n_iters == 1
+    bound = (1 + trace.header["sigma"]) * cfg.eps2
+    gnorm = trace.records[0].grad_norm_full
+    assert gnorm < bound
+    message = str(caught[0].message)
+    assert f"= {bound:.3g}" in message and f"= {gnorm:.3g}" in message and "eps2" in message
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        trace = run(m, SolverConfig(**SOLVE_PATHS["ssn-full"][0]), np.zeros(m.p))
+    assert trace.stop == "SigmaStop" and trace.records[0].alpha > 0
+    assert not [w for w in caught if "first step" in str(w.message)]
 
 
 def test_geometric_eps2_schedule_grows_the_gradient_sample():
@@ -1657,7 +1750,13 @@ def test_header_echoes_config_and_rates(small_logistic):
 def test_plan_is_the_run_header(small_logistic, variant, extra):
     cfg = SolverConfig(variant=variant, max_iters=1, **extra)
     x0 = np.zeros(small_logistic.p)
-    header = dict(run(small_logistic, cfg, x0).header)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        header = dict(run(small_logistic, cfg, x0).header)
+    # ssn-full's default sigma puts (1 + sigma) eps2 above ||grad F(x0)||: it
+    # stops before its first step, and says so
+    assert [str(w.message).startswith("ssn-full stopped before its first step")
+            for w in caught] == [True] * (variant == "ssn-full")
     del header["config"]
     planned = solvers.plan(small_logistic, cfg, x0)
     assert planned == header
