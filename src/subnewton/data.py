@@ -12,12 +12,13 @@ Supported file formats: svmlight-style text (``label idx:val ...`` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model import EXP_CLAMP, FAMILIES, Dataset, weighted_gram
+from .model import EXP_CLAMP, FAMILIES, Dataset, _row_blocks, weighted_gram
 
 # An svmlight file whose stored fraction nnz/(n*p) is at most this loads as
 # CSR, otherwise dense.  Measured at 20000 x 500 with one BLAS thread, CSR
@@ -42,11 +43,16 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SyntheticMeta:
-    """Generation record: measured Gram condition number and the planted
-    coefficients the labels were drawn from."""
+    """Generation record: the planted coefficients the labels were drawn
+    from, and the measured Gram condition number, computed from the dataset
+    on first read (a caller that never reads it forms no Gram)."""
 
-    condition_measured: float
     planted_coefficients: np.ndarray
+    dataset: Dataset = field(repr=False)
+
+    @cached_property
+    def condition_measured(self) -> float:
+        return measure_gram_condition(self.dataset)
 
 
 def generate_synthetic(
@@ -63,9 +69,11 @@ def generate_synthetic(
 
     A Gaussian matrix supplies the singular vectors; its singular values are
     replaced by a geometric ladder spanning sqrt(condition_target), which
-    pins the Gram spectrum.  On a tall design (n >> p) generation peaks at
-    about twice the bytes of the n x p design it returns; nearer n = p,
-    gesdd's O(p^2) workspace adds a few designs' worth.
+    pins the Gram spectrum.  The Gaussian is drawn a row block at a time
+    straight into Fortran order, and u is scaled in its one C-order copy, so
+    on a tall design (n >> p) generation peaks, in gesdd, at about twice the
+    bytes of the n x p design it returns; nearer n = p, gesdd's O(p^2)
+    workspace adds a few designs' worth.
     Labels: ridge adds N(0, RIDGE_NOISE) to the planted response, logistic
     draws Bernoulli from the planted probabilities, Poisson draws exact
     counts.  Fixed seeds reproduce the dataset byte-for-byte under a fixed
@@ -93,16 +101,21 @@ def generate_synthetic(
     import scipy.linalg
 
     rng = np.random.default_rng(seed)
-    # at most two n x p arrays live at once: gesdd factors a Fortran copy of
-    # z in place, and u is scaled in place.  u and vt go to C order, which
-    # fixes how u @ vt rounds: with u in Fortran order the last bits differ.
-    z = np.asfortranarray(rng.standard_normal((n, p)))
+    # at most two n x p arrays live at once: z is drawn in C-order row
+    # blocks straight into Fortran order (the stream is sequential, so the
+    # values are those of one (n, p) draw), gesdd factors it in place, and u
+    # is scaled during its one copy to C order.  u and vt go to C order,
+    # which fixes how u @ vt rounds: with u in Fortran order the last bits
+    # differ.
+    z = np.empty((n, p), order="F")
+    for _, z_b in _row_blocks(z):
+        z_b[...] = rng.standard_normal(z_b.shape)
     u, _, vt = scipy.linalg.svd(z, full_matrices=False, overwrite_a=True,
                                 check_finite=False)
-    del z
-    u = np.ascontiguousarray(u)
+    del z, z_b  # the last block is a view that would keep z alive
+    u = np.multiply(u, np.geomspace(1.0, 1.0 / math.sqrt(condition_target), num=p),
+                    order="C")
     vt = np.ascontiguousarray(vt)
-    u *= np.geomspace(1.0, 1.0 / math.sqrt(condition_target), num=p)
     u *= math.sqrt(n)
     a = u @ vt
     del u
@@ -127,11 +140,7 @@ def generate_synthetic(
         b = rng.poisson(rates).astype(float)
 
     dataset = Dataset(features=a, labels=b)
-    meta = SyntheticMeta(
-        condition_measured=measure_gram_condition(dataset),
-        planted_coefficients=x_star,
-    )
-    return dataset, meta
+    return dataset, SyntheticMeta(planted_coefficients=x_star, dataset=dataset)
 
 
 def measure_gram_condition(dataset: Dataset) -> float:

@@ -89,7 +89,9 @@ def test_criterion_1_hessian_lemma(desk, desk_estimates):
         local_min = float(np.linalg.eigvalsh(desk.hessian(x_fix))[0])
         assert local_min > est.gamma
         rng = np.random.default_rng(11)
-        started = time.perf_counter()
+        # the process's own CPU time: the gate times the 1000 eigensolves,
+        # not whatever else the machine runs meanwhile
+        started = time.process_time()
         failures_stated = 0
         failures_sharp = 0
         for _ in range(resamples):
@@ -97,10 +99,10 @@ def test_criterion_1_hessian_lemma(desk, desk_estimates):
             lo = float(np.linalg.eigvalsh(subsampled_hessian(desk, x_fix, s))[0])
             failures_stated += lo < (1 - eps) * est.gamma
             failures_sharp += lo < (1 - eps) * local_min
-        elapsed = time.perf_counter() - started
+        elapsed = time.process_time() - started
         assert failures_stated / resamples <= delta + 0.02
         assert failures_sharp / resamples <= delta + 0.02
-        assert elapsed < 60.0, f"suite took {elapsed:.1f}s"
+        assert elapsed < 60.0, f"resamples took {elapsed:.1f}s of CPU time"
 
 
 # -- 2. gradient concentration ---------------------------------------------------
@@ -204,10 +206,12 @@ def test_criterion_4_decrease_predicate_inexact(desk, desk_estimates, desk_f_sta
 def test_criterion_5_sigma_stop_soundness(desk):
     with report(5, "STOP certificate ||grad F|| < (1+sigma) eps2 never violated "
                    "(100 runs)"):
+        # (1 + sigma) eps2 lies below ||grad F(x0)||, so the certificate is
+        # checked after steps, not at the start point
         rng = np.random.default_rng(77)
-        fired = violations = 0
+        fired = violations = multi_step = 0
         for seed in range(100):
-            eps2 = float(10 ** rng.uniform(-3.5, -1.5))
+            eps2 = float(10 ** rng.uniform(-7.0, -5.0))
             x0 = rng.standard_normal(desk.p) * float(rng.uniform(0.2, 2.0))
             cfg = SolverConfig(variant="ssn-full", eps1=0.5, eps2=eps2, delta=0.1,
                                seed=seed, max_iters=30, grad_tol=0.0,
@@ -220,10 +224,12 @@ def test_criterion_5_sigma_stop_soundness(desk):
             if trace.stop != "SigmaStop":
                 continue
             fired += 1
+            multi_step += sum(r.alpha > 0 for r in trace.records) >= 2
             sigma = trace.header["sigma"]
             final = trace.records[-1]
             violations += not (final.grad_norm_full < (1 + sigma) * eps2)
         assert fired == 100, f"stop rule fired in only {fired} of 100 runs"
+        assert multi_step >= 90, f"only {multi_step} of 100 runs stopped after two steps"
         assert violations == 0
 
 

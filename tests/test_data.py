@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from subnewton import data as data_module
-from subnewton.data import SPARSE_MAX_DENSITY, DataFormatError, generate_synthetic, \
-    load_dataset, measure_gram_condition, save_dataset
-from subnewton.model import Dataset, ObjectiveModel
+from subnewton import model as model_module
+from subnewton.data import RIDGE_NOISE, SPARSE_MAX_DENSITY, DataFormatError, \
+    generate_synthetic, load_dataset, measure_gram_condition, save_dataset
+from subnewton.model import EXP_CLAMP, Dataset, ObjectiveModel
 from subnewton.solvers import SolverConfig, run
 
 
@@ -45,6 +48,62 @@ def test_generation_holds_at_most_two_designs():
         tracemalloc.stop()
     assert peak <= 2.25 * dataset.features.nbytes
     assert dataset.features.flags.c_contiguous
+
+
+def one_draw_recipe(n, p, *, condition_target=1.0, family="logistic", seed=0,
+                    signal_norm=3.0, signal_direction="random"):
+    """The generator as one (n, p) draw copied to Fortran order, u copied to
+    C order and scaled in place twice, and the Gram condition measured
+    eagerly: (features, labels, planted coefficients, condition)."""
+    rng = np.random.default_rng(seed)
+    z = np.asfortranarray(rng.standard_normal((n, p)))
+    u, _, vt = scipy.linalg.svd(z, full_matrices=False, overwrite_a=True,
+                                check_finite=False)
+    u = np.ascontiguousarray(u)
+    vt = np.ascontiguousarray(vt)
+    u *= np.geomspace(1.0, 1.0 / math.sqrt(condition_target), num=p)
+    u *= math.sqrt(n)
+    a = u @ vt
+    if signal_direction == "weak":
+        x_star = vt[p // 2:].T @ rng.standard_normal(p - p // 2)
+        x_star *= signal_norm / max(float(np.std(a @ x_star)), 1e-30)
+    else:
+        x_star = rng.standard_normal(p)
+        x_star *= signal_norm / np.linalg.norm(x_star)
+    t = a @ x_star
+    if family == "ridge":
+        b = t + RIDGE_NOISE * rng.standard_normal(n)
+    elif family == "logistic":
+        probs = 1.0 / (1.0 + np.exp(-np.clip(t, -EXP_CLAMP, EXP_CLAMP)))
+        b = (rng.random(n) < probs).astype(float)
+    else:
+        b = rng.poisson(np.exp(np.clip(t, -EXP_CLAMP, 20.0))).astype(float)
+    return a, b, x_star, measure_gram_condition(Dataset(features=a, labels=b))
+
+
+@pytest.mark.parametrize("n, p, kwargs, block_rows", [
+    # tall; 20000 rows are 7 blocks of 2621 and one of 1653
+    (20_000, 50, dict(family="logistic", condition_target=1e3), None),
+    (3_000, 40, dict(family="poisson", signal_direction="weak", signal_norm=0.5), None),
+    (60, 50, dict(family="ridge", condition_target=1e4), None),
+    # near square, drawn 7 rows at a time: 60 rows are 8 blocks and one of 4
+    (60, 50, dict(family="logistic", signal_direction="weak", condition_target=1e8), 7),
+    (1_000, 100, dict(family="ridge", signal_direction="weak", seed=5), 13),
+])
+def test_generation_matches_the_one_draw_recipe_bytes(monkeypatch, n, p, kwargs, block_rows):
+    """Drawing z a row block at a time into Fortran order and scaling u in
+    its C-order copy changes no byte, and the lazily measured condition is
+    the eager one."""
+    if block_rows is not None:
+        monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * p * block_rows)
+    dataset, meta = generate_synthetic(n, p, **kwargs)
+    a, b, x_star, condition = one_draw_recipe(n, p, **kwargs)
+    assert dataset.features.flags.c_contiguous
+    assert dataset.features.tobytes() == a.tobytes()
+    assert dataset.labels.tobytes() == b.tobytes()
+    assert meta.planted_coefficients.tobytes() == x_star.tobytes()
+    assert "condition_measured" not in vars(meta)  # no Gram until it is read
+    assert meta.condition_measured == condition == measure_gram_condition(dataset)
 
 
 def test_fixed_seed_reproduces_dataset_bytes(tmp_path):
