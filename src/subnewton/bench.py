@@ -190,9 +190,14 @@ def _record(rec, rel_err_x, rel_err_f) -> dict:
         "alpha": rec.alpha,
         "sample_h": rec.sample_size_h,
         "sample_g": rec.sample_size_g,
+        "ls_trials": rec.ls_trials,
         "residual_ratio": rec.residual_ratio,
+        "descent_ratio": rec.descent_ratio,
         "cg_iters": rec.cg_iters,
         "solve_path": rec.solve_path,
+        "lambda_applied": rec.lambda_applied,
+        "min_eig_h": rec.min_eig_h,
+        "grad_error_used": rec.grad_error_used,
         "data_passes": rec.data_passes,
         "eval_dtype": rec.eval_dtype,
         "rel_err_x": float(rel_err_x),

@@ -358,7 +358,7 @@ class SampledHessian:
     """(1/|S|) A_S' diag(Phi''(A_S x)) A_S + shift * I, held as the gathered
     rows A_S and their curvatures.
 
-    ``shift`` is the objective's reg; ssn-ridge adds its lambda_user to it.
+    ``shift`` is the objective's reg, plus ssn-ridge's lambda_user.
     ``h @ d`` costs 4 nnz(A_S) flops and never forms the p x p matrix: it
     walks dense A_S in blocks of ``ROW_BLOCK_BYTES`` and takes each block's
     A_b'(w_b * A_b d) while A_b is still in cache, so A_S is read once per
@@ -767,17 +767,17 @@ class ObjectiveModel:
         w = float(self._fam.phi_prime(t)[0] - self.dataset.labels[i])
         return w * a + self.reg * x
 
-    def sampled_hessian(self, sample, x: np.ndarray,
-                        t: np.ndarray | None = None) -> SampledHessian:
-        """(1/|S|) sum_{j in S} Phi''(a_j'x) a_j a_j' + reg * I, unassembled:
-        gathers the rows A_S and their curvatures Phi''(A_S x).  ``sample``
-        is an index sequence, whose range is checked here, or a
-        ``sampling.SampleSet`` drawn from n, whose construction checked it.
-        Given the iterate's margins t = A x, the curvatures come from t[S]
-        with no product A_S x.  S = 0..n-1 in order reproduces the full
-        Hessian exactly; it reads the design's own rows, with no gathered
-        copy, which for CSR or C-ordered dense rows gives the same matrix
-        bit for bit."""
+    def sampled_hessian(self, sample, x: np.ndarray, t: np.ndarray | None = None,
+                        shift: float = 0.0) -> SampledHessian:
+        """(1/|S|) sum_{j in S} Phi''(a_j'x) a_j a_j' + (reg + shift) * I,
+        unassembled: gathers the rows A_S and their curvatures Phi''(A_S x);
+        ``shift`` is ssn-ridge's lambda_user.  ``sample`` is an index sequence,
+        whose range is checked here, or a ``sampling.SampleSet`` drawn from n,
+        whose construction checked it.  Given the iterate's margins t = A x, the
+        curvatures come from t[S] with no product A_S x.  S = 0..n-1 in order
+        reproduces the full Hessian exactly; it reads the design's own rows,
+        with no gathered copy, which for CSR or C-ordered dense rows gives the
+        same matrix bit for bit."""
         if hasattr(sample, "source_n"):  # a SampleSet
             if sample.source_n != self.n:
                 raise ValueError("sample drawn from a different population size")
@@ -799,7 +799,7 @@ class ObjectiveModel:
             a_s, t_s = a[idx], None if t is None else t[idx]
         if t_s is None:
             t_s = np.asarray(a_s @ x).ravel()
-        return SampledHessian(a_s, self._fam.phi_double(t_s), self.reg)
+        return SampledHessian(a_s, self._fam.phi_double(t_s), self.reg + shift)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Full Hessian: the all-indices sample assembled, from the dataset's

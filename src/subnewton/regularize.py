@@ -14,7 +14,8 @@ diagonalizes, a float32 copy of H.  On a 500 x 500 sampled Hessian, one
 BLAS thread, that takes about 13 ms against 21 ms in float64.  Each
 function here that takes H reads it through ``_symmetrized``: one pass that
 checks H and averages it with its transpose, in the dtype asked for.
-``spectral_floor`` forms the floored matrix densely, as a reference.
+``spectral_floor`` and ``ridge`` form theirs densely, as references: ssn-ridge
+adds its lambda where it builds H_S, and no step calls either.
 """
 
 from __future__ import annotations

@@ -114,23 +114,24 @@ def clamped_size(requested: int, n: int) -> tuple[int, bool]:
 
 
 def subsampled_hessian(model: ObjectiveModel, x: np.ndarray, sample: SampleSet,
-                       t: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """The sampled Hessian assembled; ``model.sampled_hessian`` holds it
-    unassembled, for matrix-free products.  ``t`` = A x, if given, supplies
-    the sample's margins; ``out``, a C-ordered p x p float64 array, receives
-    the assembly."""
-    return model.sampled_hessian(sample, x, t).dense(out)
+                       t: np.ndarray | None = None, out: np.ndarray | None = None,
+                       shift: float = 0.0) -> np.ndarray:
+    """``model.sampled_hessian(sample, x, t, shift)`` assembled, into
+    ``out`` (a C-ordered p x p float64 array) if given."""
+    return model.sampled_hessian(sample, x, t, shift).dense(out)
 
 
-def subsampled_gradient(model: ObjectiveModel, x: np.ndarray, sample: SampleSet) -> np.ndarray:
-    """(1/|S|) sum_{j in S} grad f_j(x); all indices (ascending, without
-    replacement) reproduces the full gradient bit-for-bit."""
+def subsampled_gradient(model: ObjectiveModel, x: np.ndarray, sample: SampleSet,
+                        t: np.ndarray | None = None) -> np.ndarray:
+    """(1/|S|) sum_{j in S} grad f_j(x), its margins t[S] if given t = A x;
+    all indices (ascending, without replacement) and no t reproduce the full
+    gradient bit-for-bit."""
     if sample.source_n != model.n:
         raise ValueError("sample drawn from a different population size")
     idx = sample.indices
     a_s = model.dataset.features[idx]
     x = np.asarray(x, dtype=float).ravel()
-    t = np.asarray(a_s @ x).ravel()
+    t = np.asarray(a_s @ x).ravel() if t is None else t[idx]
     w = model._fam.phi_prime(t) - model.dataset.labels[idx]
     return np.asarray(a_s.T @ w).ravel() / idx.size + model.reg * x
 

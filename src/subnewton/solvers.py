@@ -31,12 +31,13 @@ constants) without running it.
 All Newton-like variants share one step: the move draws the sample
 (redrawing a singular random one), has the run's one assembly build its
 H_S, and hands that to the run's one solve; ``_solver`` fixes both from the
-header's ``solve`` (theta1 = 0 is an exact one).  Cholesky and eigh runs
-assemble H_S into one p x p buffer they keep; CG runs take it unassembled,
-``model.SampledHessian``, for matrix-free products (for ssn-ridge, with
-lambda_user added to its diagonal shift).  A run's CG solves share one
-preconditioner, set before its first move and never replaced: the
-inverse of the full Hessian at x0, with the same shift, up to p = 2000;
+header's ``solve`` (theta1 = 0 is an exact one).  ssn-ridge's lambda_user
+joins H_S's diagonal shift where H_S is built, so every solve maps (H, g)
+to a direction whatever built H.  Cholesky and eigh runs assemble H_S into
+one p x p buffer they keep; CG runs take it unassembled
+(``model.SampledHessian``) for matrix-free products.  A run's CG solves
+share one preconditioner, set before its first move and never replaced:
+the inverse of the full Hessian at x0, with the same shift, up to p = 2000;
 above that, or where its Cholesky fails, CG runs unpreconditioned.  From
 x0 = 0 the model gives that Hessian from a Gram A'A/n it keeps, which a CG
 run's ``plan`` has the constants form once for both, and keeps the inverse
@@ -69,8 +70,9 @@ steps on a sampled gradient, so its full gradient is a diagnostic: its
 evaluations take none, one product fewer (two on a missed prediction).
 GD's F at x_{k+1} is clocked with its gradient, at O(n) more; AGD's one
 gradient is at y_k (A y and A'w), so its evaluation at x_{k+1} is not.
-Diagnostics, which include ``track_events``' lambda_min of the sampled
-Hessian and ``grad_error_used``, run outside the clock, in float64.
+Diagnostics run outside the clock, in float64: ``track_events`` adds
+``grad_error_used`` and lambda_min of the step's sample assembled afresh,
+with reg but without lambda_user.
 
 On a model with ``float32_evaluations`` (a dense logistic or ridge design
 past a size floor), a Newton-like run but ssn-full, or a quasi-Newton run,
@@ -89,19 +91,19 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .linesearch import LineSearchError, LineSearchParams, armijo
 # perfbench's tracer and the tests patch the layer functions under the names
 # solvers binds, so every call below looks them up here when it runs;
-# verify_inexact and spectral_floor are bound, though unused, for the tracer
+# verify_inexact, spectral_floor and ridge are bound, though unused, for the tracer
 from .linsolve import EXACT_RESIDUAL_RTOL, PATH_CG, PATH_EIGEN, PATH_EIGEN_FALLBACK, \
     PATH_EXACT, InexactnessSpec, NotPositiveDefiniteError, solve_eigen, solve_exact, \
     solve_floored, solve_inexact, verify_inexact  # noqa: F401
 from .model import BOUND_CAP, EXACT_GAMMA_MAX_DIM, FLOAT32_FAMILIES, ConditionEstimates, \
-    EvaluationError, ObjectiveModel, SampledHessian
+    EvaluationError, ObjectiveModel
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
 from .sampling import SampleSet, clamped_size, draw, gradient_sample_size, \
     hessian_sample_size, subsampled_gradient, subsampled_hessian
@@ -456,7 +458,8 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
             and not est.strongly_convex:
         raise NotStronglyConvexError("ssn-ridge with lambda_user = 0 needs gamma > 0; "
                                      "singular samples would leave no positive floor")
-    shift = _shift(model, config)  # lambda_min(H_S) itself when |S| < p
+    # H_S's diagonal shift, lambda_min(H_S) itself when |S| < p
+    shift = model.reg + (config.lambda_user if config.variant == "ssn-ridge" else 0.0)
     if config.variant != "ssn-spectral" and size_h < model.p \
             and est.big_k * np.finfo(float).eps > shift * EXACT_RESIDUAL_RTOL:
         raise NotStronglyConvexError(
@@ -497,12 +500,6 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
             or solve == PATH_EIGEN
             and est.big_k <= FLOAT32_EIGH_MAX_K_RATIO * config.lambda_user) else "float64",
     }
-
-
-def _shift(model, config) -> float:
-    """The diagonal shift of the run's CG operator: reg, plus lambda_user
-    for ssn-ridge."""
-    return model.reg + config.lambda_user if config.variant == "ssn-ridge" else model.reg
 
 
 def _rate(config, est, size_h, solve) -> RatePrediction | None:
@@ -706,7 +703,7 @@ def _newton_like(model, config, x0, evals):
                 saturated = bound >= BOUND_CAP
                 size_g, grad_clamped = clamped_size(
                     gradient_sample_size(bound, eps2_k, config.delta), model.n)
-            g_used = subsampled_gradient(model, x, _draw_g(model, rng, size_g))
+            g_used = subsampled_gradient(model, x, _draw_g(model, rng, size_g), t)
         gnorm_used = float(np.linalg.norm(g_used))
         if sampled_g and gnorm_used < sigma * eps2_k:
             if not stepped:
@@ -724,7 +721,7 @@ def _newton_like(model, config, x0, evals):
             if attempt:
                 sample = _draw_h(model, config, rng, size_h)
             try:
-                p, solved, h_check = solve(assemble(sample, x, t), g_used)
+                p, solved = solve(assemble(sample, x, t), g_used)
                 break
             except NotPositiveDefiniteError as exc:
                 if not random_sample:
@@ -745,13 +742,10 @@ def _newton_like(model, config, x0, evals):
         eps2_k *= config.rho2
         diagnose = None
         if config.track_events:
-            def diagnose():
-                out = {"grad_error_used": float(np.linalg.norm(g_used - grad))
-                       if sampled_g else None}
-                if h_check is not None:  # assembled here, off the clock, if CG did not
-                    out["min_eig_h"] = min_eigenvalue(
-                        h_check.dense() if isinstance(h_check, SampledHessian) else h_check)
-                return out
+            def diagnose():  # the step's final sample, assembled afresh without lambda_user
+                return {"grad_error_used": float(np.linalg.norm(g_used - grad))
+                        if sampled_g else None,
+                        "min_eig_h": min_eigenvalue(model.sampled_hessian(sample, x, t).dense())}
         return x_next, at_next, {
             "grad_norm_used": gnorm_used, "alpha": alpha, "ls_trials": trials,
             "sample_size_h": size_h, "sample_size_g": size_g, **solved,
@@ -765,50 +759,49 @@ def _solver(model, config, header, x0):
     """The run's Hessian assembly and its one solve of H p = -g, by the
     header's ``solve``, as ``(assemble, solve)``.
 
-    ``assemble(sample, x, t)`` gives the sampled H_S of the curvature sample
-    at x, whose margins t = A x give its Hessian weights: unassembled
-    (``model.sampled_hessian``) for CG, which only multiplies by it, else
-    assembled by ``subsampled_hessian`` into one p x p buffer the run keeps,
-    so no step faults in fresh pages for it.  ``solve(h, g)`` maps that H_S
-    to the direction and returns it, the solve's record fields and
-    ``h_check``: the H_S whose float64 lambda_min those fields lack, for
-    off-clock diagnostics, or None after a float64 eigh solve.
-
-    H is H_S, shifted by lambda_user (ssn-ridge) or floored at lambda_k in
-    the eigenbasis of its one eigendecomposition (``PATH_EIGEN``,
-    ``regularize.spectrum``).  CG solves multiply in the header's
-    ``solve_dtype``, preconditioned by the run's one preconditioner, built
-    here (None runs plain CG), and check the direction with the float64 H_S.
-    A float32 eigenbasis solve takes lambda_k from the float32 eigenvalues,
-    decomposed in a second kept p x p buffer, and refines its step against
-    the float64 H_S (``solve_floored``); if that stalls, the step is redone
-    from a float64 eigendecomposition (``PATH_EIGEN_FALLBACK``).  Nothing a
-    step returns or records aliases the kept buffers.
+    ``assemble(sample, x, t)`` builds the sample's H_S at x, whose margins
+    t = A x give its Hessian weights, with ssn-ridge's lambda_user in its
+    diagonal shift: unassembled (``model.sampled_hessian``) for CG, which
+    only multiplies by it, else by ``subsampled_hessian`` into one p x p
+    buffer the run keeps, so no step faults in fresh pages for it.
+    ``solve(h, g)`` maps any H to the direction and its record fields.  CG
+    solves multiply in the header's ``solve_dtype``, preconditioned by the
+    run's one preconditioner, built here at the same shift (None runs plain
+    CG), and check the direction with the float64 H.  An eigh solve floors H
+    at lambda_k in the eigenbasis of its one eigendecomposition
+    (``regularize.spectrum``); a float32 one takes lambda_k from float32
+    eigenvalues, decomposed in a second kept p x p buffer, and refines its
+    step against the float64 H (``solve_floored``), or is redone in float64
+    if that stalls (``PATH_EIGEN_FALLBACK``).  Nothing a step returns or
+    records aliases the kept buffers.
     """
     dtype = np.dtype(header["solve_dtype"])
     lam = config.lambda_user if config.variant == "ssn-ridge" else None
+    shift = lam or 0.0  # on top of reg, where H_S is built
     if header["solve"] == PATH_CG:
         precond = None
         if header["preconditioner"] == PRECOND_START_HESSIAN:
             try:
-                precond = model.hessian_inverse(x0, _shift(model, config) - model.reg)
-                precond = precond.astype(dtype, copy=False)
+                precond = model.hessian_inverse(x0, shift).astype(dtype, copy=False)
             except NotPositiveDefiniteError:  # singular in floating point
                 header["preconditioner"] = None
 
+        def assemble(sample, x, t):
+            return model.sampled_hessian(sample, x, t, shift)
+
         def solve(h, g):
-            p, diag = solve_inexact(h if lam is None else replace(h, shift=h.shift + lam),
-                                    g, config.inexact, precond, dtype)
+            p, diag = solve_inexact(h, g, config.inexact, precond, dtype)
             return p, {"residual_ratio": diag.residual_ratio,
                        "descent_ratio": diag.descent_ratio, "cg_iters": diag.cg_iters,
-                       "solve_path": diag.path, "lambda_applied": lam}, h
-        return model.sampled_hessian, solve
+                       "solve_path": diag.path, "lambda_applied": lam}
+        return assemble, solve
     h_buf = np.empty((model.p, model.p))
 
     def assemble(sample, x, t):
-        return subsampled_hessian(model, x, sample, t, out=h_buf)
+        return subsampled_hessian(model, x, sample, t, out=h_buf, shift=shift)
 
     if header["solve"] == PATH_EIGEN:
+        floor_lam = config.lambda_user  # lambda_k = max(lambda_min(H), 0) + floor_lam
         h32_buf = np.empty((model.p, model.p), np.float32, order="F") \
             if dtype == np.float32 else None
 
@@ -816,23 +809,23 @@ def _solver(model, config, header, x0):
             path = PATH_EIGEN
             if h32_buf is not None:
                 spec = spectrum(h, dtype, out=h32_buf)
-                floor = max(float(spec.eigvals[0]), 0.0) + config.lambda_user
+                floor = max(float(spec.eigvals[0]), 0.0) + floor_lam
                 floored = solve_floored(h, spec, floor, g)
                 if floored is not None:  # its min_eig_h is float32's, about eps32 ||H|| off
                     return -floored[0], {
                         "residual_ratio": floored[1], "cg_iters": 0, "solve_path": path,
-                        "lambda_applied": floor, "min_eig_h": float(spec.eigvals[0])}, h
+                        "lambda_applied": floor, "min_eig_h": float(spec.eigvals[0])}
                 path = PATH_EIGEN_FALLBACK
             spec = spectrum(h)
             eigs = spec.eigvals
-            floor = max(float(eigs[0]), 0.0) + config.lambda_user
+            floor = max(float(eigs[0]), 0.0) + floor_lam
             return -solve_eigen(spec, np.maximum(eigs, floor), g), {
                 "cg_iters": 0, "solve_path": path, "lambda_applied": floor,
-                "min_eig_h": float(eigs[0])}, None
+                "min_eig_h": float(eigs[0])}
     else:
         def solve(h, g):
-            return -solve_exact(h if lam is None else ridge(h, lam), g), {
-                "cg_iters": 0, "solve_path": PATH_EXACT, "lambda_applied": lam}, h
+            return -solve_exact(h, g), {"cg_iters": 0, "solve_path": PATH_EXACT,
+                                        "lambda_applied": lam}
     return assemble, solve
 
 

@@ -10,6 +10,7 @@ from conftest import line_search_passes
 from subnewton.bench import CSV_COLUMNS, ExperimentResult, ExperimentSpec, \
     config_from_dict, export, load_experiment_spec, run_experiment, single_result
 from subnewton.data import generate_synthetic, save_dataset
+from subnewton.linsolve import InexactnessSpec
 from subnewton.model import ObjectiveModel
 from subnewton.solvers import SolverConfig, run
 
@@ -200,15 +201,42 @@ def test_failed_solver_keeps_partial_trace():
     assert not result.run_for("spectral").failed
 
 
-def test_json_records_carry_solve_diagnostics(tiny_result):
+DIAGNOSTICS = ("ls_trials", "residual_ratio", "descent_ratio", "cg_iters", "solve_path",
+               "lambda_applied", "min_eig_h", "grad_error_used", "data_passes")
+
+
+@pytest.mark.filterwarnings("ignore:sigma = .* is below the guarantee floor")
+def test_json_records_carry_solve_diagnostics(tiny_result, tiny_spec):
     blob = tiny_result.to_dict()
     paths = {r["solver"]: {rec["solve_path"] for rec in r["records"][:-1]}
              for r in blob["runs"]}
     assert paths == {"newton": {"cholesky"}, "ssn": {"cholesky"}, "gd": {None}}
     for r in blob["runs"]:
         for rec in r["records"]:
-            assert {"residual_ratio", "cg_iters", "solve_path", "data_passes"} <= rec.keys()
+            assert set(DIAGNOSTICS) <= rec.keys()
             assert rec["eval_dtype"] == "float64"  # below the float32 size floor
+    # each one is the trace record's own, set on a ridge CG run and an ssn-full
+    # one with track_events
+    tracked = run_experiment(ExperimentSpec(
+        dataset=tiny_spec.dataset, family="logistic", reg=0.05, grad_tol=1e-9,
+        solvers=[
+            ("ridge-cg", SolverConfig(variant="ssn-ridge", lambda_user=1e-3, sample_frac_h=0.5,
+                                      inexact=InexactnessSpec(theta1=1e-2, theta2=0.5),
+                                      track_events=True, max_iters=50)),
+            ("full", SolverConfig(variant="ssn-full", sample_frac_h=0.5, sample_frac_g=0.5,
+                                  sigma=0.0, track_events=True, max_iters=50)),
+        ]))
+    tracked_blob = tracked.to_dict()
+    for r, run_ in zip(tracked_blob["runs"], tracked.runs):
+        assert not r["failed"], r["error"]
+        for rec, trace_rec in zip(r["records"], run_.trace.records):
+            assert {k: rec[k] for k in DIAGNOSTICS} \
+                == {k: getattr(trace_rec, k) for k in DIAGNOSTICS}
+    ridge, full = ([rec for rec in r["records"] if rec["alpha"]] for r in tracked_blob["runs"])
+    assert ridge and all(rec["lambda_applied"] == 1e-3 and rec["ls_trials"] >= 1
+                         and rec["descent_ratio"] is not None
+                         and rec["min_eig_h"] is not None for rec in ridge)
+    assert full and all(rec["grad_error_used"] is not None for rec in full)
     for r, run_ in zip(blob["runs"], tiny_result.runs):
         if r["solver"] == "gd":
             assert {rec["data_passes"] for rec in r["records"]

@@ -1137,13 +1137,13 @@ def averaged(assemble):
 
 
 @pytest.mark.parametrize("path", ["spectral-float32", "spectral-float64", "hessian-exact",
-                                  "cg-float32"])
+                                  "ridge-exact", "cg-float32", "cg-float64", "ridge-cg"])
 def test_a_new_assembly_needs_no_solve_edited(monkeypatch, path):
     """_solver's (assemble, solve) split is the seam a new curvature source
     lands on: wrapping the run's assembly into an average, with every solve
     as it is, runs each solve path to GradTol on the average.  ssn-ridge's
-    CG solve, which shifts the SampledHessian operator (replace(h, shift=)),
-    is the one solve that depends on H's type, so it is left out here."""
+    lambda_user joins H_S where it is assembled, so its solves take the
+    average as they take any H."""
     solver, wrapped = solvers._solver, []
 
     def averaging_solver(*args):
@@ -1169,9 +1169,9 @@ def test_dense_solves_assemble_into_one_buffer_per_run(monkeypatch, path):
     buffer it keeps; the next run on the same model keeps a new one."""
     outs, assemble = [], solvers.subsampled_hessian
 
-    def spy(*args, out=None):
+    def spy(*args, out=None, **kwargs):
         outs.append(out)
-        return assemble(*args, out=out)
+        return assemble(*args, out=out, **kwargs)
     monkeypatch.setattr(solvers, "subsampled_hessian", spy)
     m = sparse_spectral_model("dense")
     cfg = SolverConfig(**{"grad_tol": 1e-8, "max_iters": 60, **SOLVE_PATHS[path][0]})
@@ -1184,6 +1184,68 @@ def test_dense_solves_assemble_into_one_buffer_per_run(monkeypatch, path):
     for buffers in per_run:
         assert buffers[0].shape == (m.p, m.p) and all(b is buffers[0] for b in buffers)
     assert per_run[0][0] is not per_run[1][0]
+
+
+def test_ridge_cholesky_solves_the_kept_buffer_as_assembled(monkeypatch):
+    """An ssn-ridge Cholesky run adds lambda_user to H_S's diagonal where it
+    assembles it: every solve_exact call gets the run's kept buffer itself,
+    holding H_S + lambda_user I, and regularize.ridge is never called."""
+    assembled, solved, ridged = [], [], []
+    assemble, exact = solvers.subsampled_hessian, solvers.solve_exact
+
+    def assembling(model, x, sample, t, out=None, **kwargs):
+        h = assemble(model, x, sample, t, out=out, **kwargs)
+        assembled.append((model.sampled_hessian(sample, x, t).dense(), out))
+        return h
+
+    def solving(h, g):
+        solved.append((h, h.copy()))
+        return exact(h, g)
+    monkeypatch.setattr(solvers, "subsampled_hessian", assembling)
+    monkeypatch.setattr(solvers, "solve_exact", solving)
+    monkeypatch.setattr(solvers, "ridge", lambda *args: ridged.append(args))
+    settings = SOLVE_PATHS["ridge-exact"][0]
+    lam = settings["lambda_user"]
+    m = sparse_spectral_model("dense")
+    trace = run(m, SolverConfig(**{"grad_tol": 1e-8, "max_iters": 60, **settings}),
+                np.zeros(m.p))
+    steps = [rec for rec in trace.records if rec.alpha > 0]
+    assert trace.stop == "GradTol" and len(steps) == len(solved) == len(assembled) >= 5
+    assert not ridged
+    kept = assembled[0][1]
+    assert kept.shape == (m.p, m.p)
+    eps = np.finfo(float).eps
+    for rec, (h, seen), (base, out) in zip(steps, solved, assembled):
+        assert h is kept and out is kept and rec.lambda_applied == lam
+        np.testing.assert_allclose(seen, base + lam * np.eye(m.p), rtol=0,
+                                   atol=2 * eps * np.abs(base).max())
+
+
+@pytest.mark.parametrize("path", ["ridge-exact", "ridge-cg"])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_ridge_min_eig_h_is_the_sampled_hessians_without_lambda(monkeypatch, path, storage):
+    """Under track_events an ssn-ridge step records the float64 lambda_min of
+    the sampled Hessian it assembled, without lambda_user (reg included), on
+    the Cholesky and on the CG path alike."""
+    shifted, sampled = [], ObjectiveModel.sampled_hessian
+
+    def spy(self, sample, x, t=None, shift=0.0):
+        h = sampled(self, sample, x, t, shift)
+        if shift:  # the step's assembly; the diagnostic's takes no shift
+            shifted.append((sampled(self, sample, x, t).dense(), h.dense()))
+        return h
+    monkeypatch.setattr(ObjectiveModel, "sampled_hessian", spy)
+    settings = SOLVE_PATHS[path][0]
+    lam = settings["lambda_user"]
+    m = sparse_spectral_model(storage)
+    cfg = SolverConfig(**{"grad_tol": 1e-8, "max_iters": 60, **settings, "track_events": True})
+    trace = run(m, cfg, np.zeros(m.p))
+    steps = [rec for rec in trace.records if rec.alpha > 0]
+    assert trace.stop == "GradTol" and len(steps) == len(shifted) >= 5
+    assert {rec.solve_path for rec in steps} == {SOLVE_PATHS[path][1][0]}
+    for rec, (base, with_lam) in zip(steps, shifted):
+        assert rec.min_eig_h == min_eigenvalue(base)
+        assert rec.min_eig_h == pytest.approx(min_eigenvalue(with_lam) - lam, rel=1e-9)
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -1428,6 +1490,31 @@ def test_sigma_stop_certificate(small_logistic):
             # eps2 is constant here, so the certified radius uses eps2 itself
             assert trace.records[-1].grad_norm_full < (1 + trace.header["sigma"]) * cfg.eps2
     assert stepped >= 18, f"only {stepped} of 20 runs took two steps before their sigma stop"
+
+
+@pytest.mark.filterwarnings("ignore:sigma = .* is below the guarantee floor")
+def test_sigma_stop_certificate_on_a_sampled_gradient():
+    """eps2 puts ssn-full's lemma gradient size at n/4, so each sigma stop
+    reads a sampled gradient and not the exact one, and ||grad F(x0)|| lies
+    above (1 + sigma) eps2, so a stop at x0 would break the certificate: at
+    least a 1 - delta share of seeds (less a noise margin) certifies it."""
+    dataset, meta = generate_synthetic(20000, 2, seed=11, condition_target=4, signal_norm=10)
+    m = ObjectiveModel(dataset, "logistic", reg=1e-3)
+    x0, sigma, delta = -meta.planted_coefficients, 0.2, 0.1
+    eps2 = m.gradient_norm_bound(x0) * (1 + math.sqrt(8 * math.log(1 / delta))) \
+        / math.sqrt(m.n / 4)
+    assert np.linalg.norm(m.gradient(x0)) > (1 + sigma) * eps2
+    runs, certified = 20, 0
+    for seed in range(runs):
+        cfg = SolverConfig(variant="ssn-full", sigma=sigma, eps2=eps2, rho2=1.0, delta=delta,
+                           seed=seed, max_iters=60, grad_tol=0.0)
+        trace = run(m, cfg, x0)
+        assert trace.records[0].alpha > 0
+        for rec in trace.records:
+            assert not rec.grad_clamped and 0.9 * m.n / 4 <= rec.sample_size_g <= 1.1 * m.n / 4
+        certified += trace.stop == "SigmaStop" \
+            and trace.records[-1].grad_norm_full < (1 + sigma) * eps2
+    assert certified >= (1 - delta - 0.02) * runs, f"{certified} of {runs} runs certified"
 
 
 def test_sigma_warning_below_floor(small_logistic):
