@@ -756,41 +756,24 @@ class ObjectiveModel:
             + w * g_m * float(np.linalg.norm(c)) + under * math.sqrt(self.p)
         return RoundingBounds(margins=err_t, value=err_f, gradient=err_g)
 
-    def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Gradient of the single component f_i; the mean over all i equals
-        the full gradient."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"component index {i} out of range [0, {self.n})")
-        x = self._check_x(x)
-        a = self.dataset.rows_dense([i]).ravel()
-        t = np.array([a @ x])
-        w = float(self._fam.phi_prime(t)[0] - self.dataset.labels[i])
-        return w * a + self.reg * x
-
     def sampled_hessian(self, sample, x: np.ndarray, t: np.ndarray | None = None,
                         shift: float = 0.0) -> SampledHessian:
         """(1/|S|) sum_{j in S} Phi''(a_j'x) a_j a_j' + (reg + shift) * I,
         unassembled: gathers the rows A_S and their curvatures Phi''(A_S x);
-        ``shift`` is ssn-ridge's lambda_user.  ``sample`` is an index sequence,
-        whose range is checked here, or a ``sampling.SampleSet`` drawn from n,
-        whose construction checked it.  Given the iterate's margins t = A x, the
-        curvatures come from t[S] with no product A_S x.  S = 0..n-1 in order
-        reproduces the full Hessian exactly; it reads the design's own rows,
-        with no gathered copy, which for CSR or C-ordered dense rows gives the
-        same matrix bit for bit."""
-        if hasattr(sample, "source_n"):  # a SampleSet
-            if sample.source_n != self.n:
-                raise ValueError("sample drawn from a different population size")
-            idx = sample.indices
-            # strictly ascending in [0, n) with n entries: 0..n-1
-            full = sample.ascending and idx.size == self.n
-        else:
-            idx = np.asarray(sample, dtype=int).ravel()
-            if idx.size == 0:
-                raise ValueError("empty sample")
-            if idx.min() < 0 or idx.max() >= self.n:
-                raise IndexError("sample index out of range")
-            full = idx.size == self.n and np.array_equal(idx, np.arange(self.n))
+        ``shift`` is ssn-ridge's lambda_user.  ``sample`` is a
+        ``sampling.SampleSet`` drawn from n, or an index sequence, which is
+        checked by making it one (with replacement).  Given the iterate's
+        margins t = A x, the curvatures come from t[S] with no product A_S x.
+        S = 0..n-1 in order reproduces the full Hessian exactly; it reads the
+        design's own rows, with no gathered copy, which for CSR or C-ordered
+        dense rows gives the same matrix bit for bit."""
+        if not isinstance(sample, SampleSet):
+            sample = SampleSet(sample, replacement="with", source_n=self.n)
+        elif sample.source_n != self.n:
+            raise ValueError("sample drawn from a different population size")
+        idx = sample.indices
+        # strictly ascending in [0, n) with n entries: 0..n-1
+        full = sample.ascending and idx.size == self.n
         x = self._check_x(x)
         a = self.dataset.features
         if full:

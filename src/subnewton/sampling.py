@@ -168,10 +168,9 @@ def hessian_lemma_check(
     resamples: int,
     seed: int = 0,
     replacement: str = "without",
-    estimates=None,
 ) -> LemmaCheckResult:
     """Empirical frequency of lambda_min(H) < (1-eps)*gamma at the lemma size."""
-    est = estimates if estimates is not None else model.curvature_constants()
+    est = model.curvature_constants()
     if not est.strongly_convex:
         raise ValueError("curvature lemma check needs gamma > 0")
     requested = hessian_sample_size(est.kappa1, eps, delta, model.p)

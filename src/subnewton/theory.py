@@ -1,9 +1,9 @@
 """Closed-form constants from the convergence guarantees.
 
 Every per-iteration decrease factor rho, step-size floor, residual-tolerance
-threshold theta1_max, STOP multiplier floor sigma_min, and local iteration
-count is computed here and nowhere else; solver tests and trace headers both
-read from these calculators, so the formulas cannot drift apart.
+threshold theta1_max and STOP multiplier floor sigma_min is computed here and
+nowhere else; solver tests and trace headers both read from these
+calculators, so the formulas cannot drift apart.
 
 Each algorithm of the paper has one calculator: ``rate_alg1`` (Hessian-only
 sub-sampling), ``rate_spectral`` and ``rate_ridge`` (its two regularized
@@ -36,9 +36,6 @@ class RatePrediction:
     theta1_max: float | None = None
     sigma_min: float | None = None
     grad_decrease_coeff: float | None = None  # F drops by at least this * ||grad F||^2
-    k_local: int | None = None
-    q1: float | None = None
-    q2: float | None = None
 
     def as_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
@@ -183,131 +180,3 @@ def rate_alg4(beta: float, eps1: float, kappa: float, kappa_tilde: float,
         theta1_max=theta1_max,
         sigma_min=4.0 * kappa_tilde / ((1.0 - theta1) * (1.0 - theta2) * (1.0 - beta)),
     )
-
-
-# -- local problem-independent phase ------------------------------------------
-
-
-def eps_local_max(beta: float, rho0: float, kappa1: float) -> float:
-    """Largest sampling accuracy admitted by the local-rate guarantees:
-    min((1-2 beta)/(2(1-beta)), rho0/(4(1+rho0) sqrt(kappa1)))."""
-    if not 0 < beta < 0.5:
-        raise ValueError("local-rate guarantees need beta in (0, 1/2)")
-    _check_unit("rho0", rho0)
-    return min((1.0 - 2.0 * beta) / (2.0 * (1.0 - beta)),
-               rho0 / (4.0 * (1.0 + rho0) * math.sqrt(kappa1)))
-
-
-def grad_quadratic_roots(eps1: float, eps2: float, beta: float,
-                         kappa_tilde: float, gamma: float, lipschitz_l: float
-                         ) -> tuple[float, float]:
-    """Roots (q1, q2) of the sampled-gradient-norm window inside which a unit
-    step passes the sufficient-decrease test.
-
-    With q = 3(1-eps1) gamma^2 (1 - 2 eps1 - 2(1-eps1) beta):
-
-        q1, q2 = (q -/+ sqrt(q^2 - 24 (1-eps1)^{3/2} gamma^2 L eps2
-                             sqrt(kappa_tilde))) / (2 L).
-
-    q1 grows and q2 shrinks with eps2; at eps2 = 0 they collapse to 0 and
-    3(1-eps1) gamma^2 (1-2 eps1 - 2(1-eps1) beta)/L.  A negative discriminant
-    means eps2 exceeds its admissible bound and is an error.
-    """
-    _check_unit("eps1", eps1)
-    if eps2 < 0:
-        raise ValueError("eps2 must be nonnegative")
-    if lipschitz_l <= 0:
-        raise ValueError("Hessian-Lipschitz constant must be positive")
-    q = 3.0 * (1.0 - eps1) * gamma**2 * (1.0 - 2.0 * eps1 - 2.0 * (1.0 - eps1) * beta)
-    if q <= 0:
-        raise ValueError("need 1 - 2 eps1 - 2 (1-eps1) beta > 0 (beta or eps1 too large)")
-    if eps2 == 0.0:
-        # the window degenerates exactly: no lower cutoff, upper cutoff q/L
-        return 0.0, q / lipschitz_l
-    disc = q**2 - 24.0 * (1.0 - eps1) ** 1.5 * gamma**2 * lipschitz_l * eps2 \
-        * math.sqrt(kappa_tilde)
-    if disc < 0:
-        bound = 3.0 * math.sqrt(1.0 - eps1) * gamma**2 \
-            * (1.0 - 2.0 * eps1 - 2.0 * (1.0 - eps1) * beta) ** 2 \
-            / (8.0 * lipschitz_l * math.sqrt(kappa_tilde))
-        raise ValueError(
-            f"eps2 = {eps2:.4g} exceeds the admissible bound "
-            f"3 sqrt(1-eps1) gamma^2 (1 - 2 eps1 - 2(1-eps1) beta)^2 / (8 L sqrt(kt)) "
-            f"= {bound:.4g}"
-        )
-    root = math.sqrt(disc)
-    return (q - root) / (2.0 * lipschitz_l), (q + root) / (2.0 * lipschitz_l)
-
-
-def local_iteration_count(
-    variant: str,
-    *,
-    f0_gap: float,
-    lipschitz_l: float,
-    gamma: float,
-    big_k: float,
-    kappa: float,
-    kappa1: float,
-    kappa_tilde: float,
-    beta: float,
-    eps: float | None = None,
-    eps1: float | None = None,
-    eps2: float | None = None,
-    rho0: float = 0.25,
-    rho1: float = 0.5,
-    rho2: float = 0.9,
-) -> RatePrediction:
-    """Iterations of the global phase before the problem-independent local
-    contraction kicks in.
-
-    variant "hessian" uses the full gradient; variant "full" samples the
-    gradient too and additionally reports the (q1, q2) window.  Returns a
-    RatePrediction whose k_local is the ceiling of the guarantee's log
-    ratio (never negative), with rho set to the local contraction factor.
-    """
-    if f0_gap <= 0:
-        raise ValueError("initial objective gap must be positive")
-    if lipschitz_l <= 0:
-        raise ValueError("Hessian-Lipschitz constant must be positive")
-    _check_unit("rho0", rho0)
-    _check_unit("rho1", rho1)
-
-    if variant == "hessian":
-        if eps is None:
-            raise ValueError("variant 'hessian' needs eps")
-        cap = eps_local_max(beta, rho0, kappa1)
-        if eps > cap:
-            raise ValueError(f"eps = {eps:.4g} exceeds the local-rate cap {cap:.4g}")
-        if not rho0 < rho1:
-            raise ValueError("need rho0 < rho1")
-        margin = 1.0 - 2.0 * eps - 2.0 * (1.0 - eps) * beta
-        num = 2.0 * (1.0 - eps) ** 2 * gamma**4 * (rho1 - rho0) ** 2 * margin**2 \
-            / (big_k * lipschitz_l**2 * f0_gap)
-        den = 1.0 - 4.0 * beta * (1.0 - beta) * (1.0 - eps) / (kappa_tilde * kappa)
-        k = _log_ratio_ceiling(num, den)
-        return RatePrediction(rho=rho1, alpha_floor=1.0, k_local=k)
-
-    if variant == "full":
-        if eps1 is None or eps2 is None:
-            raise ValueError("variant 'full' needs eps1 and eps2")
-        _check_unit("rho2", rho2)
-        if not rho0 + rho1 < rho2:
-            raise ValueError("need rho0 + rho1 < rho2")
-        cap = eps_local_max(beta, rho0, kappa1)
-        if eps1 > cap:
-            raise ValueError(f"eps1 = {eps1:.4g} exceeds the local-rate cap {cap:.4g}")
-        q1, q2 = grad_quadratic_roots(eps1, eps2, beta, kappa_tilde, gamma, lipschitz_l)
-        num = 2.0 * (rho2 - (rho0 + rho1)) ** 2 * q2**2 / (9.0 * big_k * f0_gap)
-        den = 1.0 - 8.0 * beta * (1.0 - beta) * (1.0 - eps1) / (9.0 * kappa * kappa_tilde)
-        k = _log_ratio_ceiling(num, den)
-        return RatePrediction(rho=rho2, alpha_floor=1.0, k_local=k, q1=q1, q2=q2)
-
-    raise ValueError(f"variant must be 'hessian' or 'full', got {variant!r}")
-
-
-def _log_ratio_ceiling(num: float, den: float) -> int:
-    if num >= 1.0:
-        return 0  # already inside the local region
-    if not 0 < den < 1:
-        raise ValueError("global contraction factor left (0, 1); check inputs")
-    return math.ceil(math.log(num) / math.log(den))

@@ -32,7 +32,7 @@ from subnewton.regularize import spectral_floor
 from subnewton.sampling import draw, gradient_sample_size, hessian_sample_size, \
     subsampled_gradient, subsampled_hessian
 from subnewton.solvers import SolverConfig, run
-from subnewton.theory import grad_quadratic_roots, rate_alg1
+from subnewton.theory import rate_alg1
 
 from conftest import central_diff_gradient, central_diff_hessian
 
@@ -354,7 +354,3 @@ def test_criterion_10_spot_values():
         assert rate_alg1(0.25, 0.5, 2.0, 2.0, alpha=floor).rho == 0.09375
         assert hessian_sample_size(2.0, 0.5, 0.1, 10) == 74
         assert gradient_sample_size(1.0, 0.5, 0.1) == 113
-        q1, q2 = grad_quadratic_roots(0.25, 0.0, 0.25, 4.0, 0.5, 2.0)
-        assert q1 == 0.0
-        margin = 1 - 2 * 0.25 - 2 * (1 - 0.25) * 0.25
-        assert q2 == 3 * (1 - 0.25) * 0.5**2 * margin / 2.0

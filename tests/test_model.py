@@ -16,6 +16,7 @@ from subnewton import solvers
 from subnewton.data import generate_synthetic
 from subnewton.model import EXP_CLAMP, ConditionEstimates, Dataset, EvaluationError, \
     LogisticFamily, ObjectiveModel, PoissonFamily, RidgeFamily, _sigmoid
+from subnewton.sampling import SampleSet, subsampled_gradient
 from subnewton.solvers import SolverConfig, run
 
 from conftest import central_diff_gradient, central_diff_hessian
@@ -24,6 +25,11 @@ from conftest import central_diff_gradient, central_diff_hessian
 def single_row_model(family, a, b, reg=0.0):
     return ObjectiveModel(Dataset(features=np.array([a]), labels=np.array([b])),
                           family, reg)
+
+
+def component_gradient(m, i, x):
+    """grad f_i(x): the sampled gradient over the one-index sample {i}."""
+    return subsampled_gradient(m, x, SampleSet([i], replacement="with", source_n=m.n))
 
 
 # -- value --------------------------------------------------------------------
@@ -379,25 +385,25 @@ def test_gradient_matches_finite_differences(fixture, request):
 def test_component_gradient_mean_is_full_gradient(small_logistic):
     m = small_logistic
     x = np.linspace(-0.5, 0.5, m.p)
-    mean = np.mean([m.component_gradient(i, x) for i in range(m.n)], axis=0)
+    mean = np.mean([component_gradient(m, i, x) for i in range(m.n)], axis=0)
     np.testing.assert_allclose(mean, m.gradient(x), atol=1e-12)
 
 
 def test_component_gradient_logistic_hand():
     m = single_row_model("logistic", [1.0, 0.0], 1.0)
-    np.testing.assert_allclose(m.component_gradient(0, np.zeros(2)), [-0.5, 0.0],
+    np.testing.assert_allclose(component_gradient(m, 0, np.zeros(2)), [-0.5, 0.0],
                                atol=1e-15)
 
 
 def test_component_gradient_ridge_zero_residual():
     m = single_row_model("ridge", [2.0, 0.0], 2.0)
-    np.testing.assert_allclose(m.component_gradient(0, np.array([1.0, 0.0])),
+    np.testing.assert_allclose(component_gradient(m, 0, np.array([1.0, 0.0])),
                                [0.0, 0.0], atol=1e-15)
 
 
 def test_component_gradient_index_error(small_logistic):
-    with pytest.raises(IndexError):
-        small_logistic.component_gradient(small_logistic.n, np.zeros(small_logistic.p))
+    with pytest.raises(ValueError, match="out of range"):
+        component_gradient(small_logistic, small_logistic.n, np.zeros(small_logistic.p))
 
 
 def test_hessian_full_sample_identity(small_logistic, small_ridge, small_poisson):
@@ -534,6 +540,13 @@ def test_hessian_empty_sample_error(small_logistic):
         small_logistic.sampled_hessian([], np.zeros(small_logistic.p)).dense()
 
 
+def test_hessian_raw_index_out_of_range(small_logistic):
+    m = small_logistic
+    for idx in ([0, -1], [0, m.n]):
+        with pytest.raises(ValueError, match="sample index out of range"):
+            m.sampled_hessian(idx, np.zeros(m.p))
+
+
 @pytest.mark.parametrize("fixture", ["small_ridge", "small_logistic", "small_poisson"])
 def test_sampled_hessians_stay_psd(fixture, request):
     m = request.getfixturevalue(fixture)
@@ -569,7 +582,7 @@ def test_bound_dominates_every_component(fixture, request):
     for _ in range(100):
         x = rng.standard_normal(m.p) * 0.5
         bound = m.gradient_norm_bound(x)
-        worst = max(np.linalg.norm(m.component_gradient(i, x)) for i in range(m.n))
+        worst = max(np.linalg.norm(component_gradient(m, i, x)) for i in range(m.n))
         assert worst <= bound * (1 + 1e-12)
 
 

@@ -149,8 +149,9 @@ def test_singleton_sample_is_component(lemma_model):
     m = lemma_model
     x = np.full(m.p, 0.1)
     s = SampleSet(indices=np.array([17]), replacement="with", source_n=m.n)
-    np.testing.assert_allclose(subsampled_gradient(m, x, s),
-                               m.component_gradient(17, x), atol=1e-14)
+    a, b = m.dataset.features[17], m.dataset.labels[17]
+    expected = (1.0 / (1.0 + math.exp(-(a @ x))) - b) * a + m.reg * x
+    np.testing.assert_allclose(subsampled_gradient(m, x, s), expected, atol=1e-14)
     np.testing.assert_allclose(subsampled_hessian(m, x, s),
                                m.sampled_hessian([17], x).dense(), atol=1e-14)
 
@@ -170,9 +171,8 @@ def test_population_mismatch_rejected(lemma_model):
 
 def test_hessian_lemma_frequency(lemma_model):
     eps, delta = 0.5, 0.1
-    est = lemma_model.curvature_constants()
     res = hessian_lemma_check(lemma_model, np.zeros(lemma_model.p), eps, delta,
-                              resamples=1000, seed=0, estimates=est)
+                              resamples=1000, seed=0)
     assert not res.clamped, "lemma size must genuinely subsample here"
     assert res.passed(delta, margin=0.02)
 
@@ -197,8 +197,7 @@ def test_hessian_lemma_with_data_driven_gamma():
     assert est.gamma > 0.4  # data-driven floor, not a penalty artifact
     size = hessian_sample_size(est.kappa1, 0.5, 0.1, m.p)
     assert size < m.n
-    res = hessian_lemma_check(m, np.zeros(m.p), 0.5, 0.1, resamples=500, seed=3,
-                              estimates=est)
+    res = hessian_lemma_check(m, np.zeros(m.p), 0.5, 0.1, resamples=500, seed=3)
     assert res.passed(0.1, margin=0.02)
 
 

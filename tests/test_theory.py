@@ -2,14 +2,22 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subnewton
 from subnewton.linsolve import InexactnessSpec
-from subnewton.theory import RatePrediction, eps_local_max, grad_quadratic_roots, \
-    local_iteration_count, rate_alg1, rate_alg4, rate_ridge, rate_spectral
+from subnewton.theory import RatePrediction, rate_alg1, rate_alg4, rate_ridge, rate_spectral
+
+
+def test_star_import_resolves_every_exported_name():
+    """A name deleted from a module but left in ``__all__`` (or imported by
+    ``__init__``) fails here rather than at a user's import."""
+    namespace = {}
+    exec("from subnewton import *", namespace)
+    missing = [name for name in subnewton.__all__ if name not in namespace]
+    assert not missing, missing
 
 
 # -- hessian-only, exact ------------------------------------------------------
@@ -149,58 +157,6 @@ def test_alg4_eps1_cap_enforced():
 def test_alg4_inexact_sigma_floor():
     pred = rate_alg4(0.25, 0.25, 2.0, 2.0, 1.0, InexactnessSpec(0.1, 0.5))
     assert pred.sigma_min == pytest.approx(4 * 2.0 / (0.9 * 0.5 * 0.75))
-
-
-# -- local phase --------------------------------------------------------------
-
-
-def canonical_local_inputs(**overrides):
-    base = dict(f0_gap=10.0, lipschitz_l=2.0, gamma=0.5, big_k=4.0, kappa=8.0,
-                kappa1=16.0, kappa_tilde=12.0, beta=0.1, rho0=0.2, rho1=0.4,
-                rho2=0.9)
-    base.update(overrides)
-    return base
-
-
-def test_q1_zero_at_zero_eps2():
-    q1, q2 = grad_quadratic_roots(0.2, 0.0, 0.1, 12.0, 0.5, 2.0)
-    assert q1 == 0.0
-    margin = 1 - 2 * 0.2 - 2 * 0.8 * 0.1
-    assert q2 == pytest.approx(3 * 0.8 * 0.25 * margin / 2.0)
-
-
-def test_q_roots_monotone_in_eps2():
-    grid = np.linspace(0.0, 1e-3, 8)
-    q1s, q2s = [], []
-    for e2 in grid:
-        q1, q2 = grad_quadratic_roots(0.2, float(e2), 0.1, 12.0, 0.5, 2.0)
-        assert q1 <= q2
-        q1s.append(q1)
-        q2s.append(q2)
-    assert all(np.diff(q1s) >= -1e-15)
-    assert all(np.diff(q2s) <= 1e-15)
-
-
-def test_negative_discriminant_names_eps2_bound():
-    with pytest.raises(ValueError, match="admissible bound"):
-        grad_quadratic_roots(0.2, 10.0, 0.1, 12.0, 0.5, 2.0)
-
-
-def test_local_count_hessian_variant():
-    inputs = canonical_local_inputs()
-    cap = eps_local_max(inputs["beta"], inputs["rho0"], inputs["kappa1"])
-    pred = local_iteration_count("hessian", eps=cap * 0.9, **inputs)
-    assert pred.k_local >= 1
-    with pytest.raises(ValueError, match="cap"):
-        local_iteration_count("hessian", eps=cap * 1.1, **inputs)
-
-
-def test_local_count_full_variant_reports_window():
-    inputs = canonical_local_inputs()
-    cap = eps_local_max(inputs["beta"], inputs["rho0"], inputs["kappa1"])
-    pred = local_iteration_count("full", eps1=cap * 0.9, eps2=1e-4, **inputs)
-    assert pred.k_local >= 1
-    assert 0 < pred.q1 <= pred.q2
 
 
 # -- rho stays a contraction under the preconditions ---------------------------
