@@ -547,6 +547,31 @@ def test_hessian_raw_index_out_of_range(small_logistic):
             m.sampled_hessian(idx, np.zeros(m.p))
 
 
+def test_hessian_raw_empty_sample_names_it(small_logistic):
+    with pytest.raises(ValueError, match="sample must be non-empty"):
+        small_logistic.sampled_hessian([], np.zeros(small_logistic.p))
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_raw_index_sample_is_its_sample_set(small_logistic, storage):
+    """An index sequence gives the matrix of its with-replacement SampleSet,
+    bit for bit, and the full ascending range reads the design's own rows
+    whichever way it is given."""
+    base = small_logistic
+    features = base.dataset.features
+    m = ObjectiveModel(Dataset(sp.csr_matrix(features) if storage == "csr" else features,
+                               base.dataset.labels), base.family, reg=base.reg)
+    x = np.full(m.p, 0.2)
+    rng = np.random.default_rng(21)
+    for idx in (rng.integers(0, m.n, size=37), [5, 5, 3], np.arange(m.n)[::-1]):
+        raw = m.sampled_hessian(list(idx), x).dense()
+        as_set = m.sampled_hessian(SampleSet(idx, replacement="with", source_n=m.n), x)
+        np.testing.assert_array_equal(raw, as_set.dense())
+    full = SampleSet(np.arange(m.n), replacement="without", source_n=m.n)
+    assert m.sampled_hessian(full, x).rows is m.dataset.features
+    assert m.sampled_hessian(np.arange(m.n), x).rows is m.dataset.features
+
+
 @pytest.mark.parametrize("fixture", ["small_ridge", "small_logistic", "small_poisson"])
 def test_sampled_hessians_stay_psd(fixture, request):
     m = request.getfixturevalue(fixture)

@@ -201,6 +201,27 @@ def test_hessian_lemma_with_data_driven_gamma():
     assert res.passed(0.1, margin=0.02)
 
 
+def test_hessian_lemma_check_reads_the_models_constants(lemma_model):
+    """The lemma size and event threshold come from the model's own
+    curvature constants."""
+    m = lemma_model
+    est = m.curvature_constants()
+    res = hessian_lemma_check(m, np.zeros(m.p), 0.5, 0.1, resamples=5, seed=1)
+    assert res.sample_size == hessian_sample_size(est.kappa1, 0.5, 0.1, m.p)
+    assert res.threshold == 0.5 * est.gamma
+    assert res.resamples == 5
+
+
+def test_hessian_lemma_check_needs_strong_convexity():
+    rng = np.random.default_rng(46)
+    a = rng.standard_normal((50, 4))
+    a[:, 3] = 0.0  # a zero column: gamma = 0 with no penalty
+    m = ObjectiveModel(Dataset(features=a, labels=np.zeros(50)), "ridge", reg=0.0)
+    assert not m.curvature_constants().strongly_convex
+    with pytest.raises(ValueError, match="needs gamma > 0"):
+        hessian_lemma_check(m, np.zeros(m.p), 0.5, 0.1, resamples=5)
+
+
 def test_event_detector_catches_rank_deficient_samples():
     """Samples smaller than p leave the unpenalized Hessian singular, so the
     concentration event must register as failed every time."""
