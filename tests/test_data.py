@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnewton import data as data_module
 from subnewton import model as model_module
@@ -284,7 +286,7 @@ def test_out_of_order_and_repeated_indices_match_dense_parse(tmp_path):
     assert ds.features[0, 39] == -4.0 and ds.features[1, 6] == -1.0
 
 
-PER_LINE_CASES = {
+BYTE_PARSE_CASES = {
     "unsorted": ["1 40:1.5 3:2.0 1:0.25", "0 7:1.0 2:3.0 12:-1", "1"],
     "repeated": ["1 3:1.0 3:-4.0 1:0.5 3:2.5", "0 2:-0.0 2:7 2:-0.0", "1 5:1 5:2"],
     "commented": ["# header 1:2", "1 2:1.0 # trailing 9:9", "", "   # indented",
@@ -296,19 +298,19 @@ def same_parse(a, b):
     return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-@pytest.mark.parametrize("case", sorted(PER_LINE_CASES))
-def test_per_line_parse_matches_the_per_token_parse(tmp_path, case):
+@pytest.mark.parametrize("case", sorted(BYTE_PARSE_CASES))
+def test_byte_parse_matches_the_per_token_parse(tmp_path, case):
     """Columns sorted, a repeated index keeping its last value, -0.0 kept,
     comments dropped: bit for bit the per-token result."""
     path = tmp_path / f"{case}.svm"
-    path.write_text("\n".join(PER_LINE_CASES[case]) + "\n")
-    assert same_parse(data_module._parse_lines(path), data_module._parse_tokens(path))
+    path.write_text("\n".join(BYTE_PARSE_CASES[case]) + "\n")
+    assert same_parse(data_module._parse_bytes(path), data_module._parse_tokens(path))
     ds = load_dataset(path)
     a = ds.features.toarray() if ds.storage == "sparse" else ds.features
     np.testing.assert_array_equal(a, dense_parse(path))
 
 
-def test_per_line_parse_matches_on_shuffled_repeated_rows(tmp_path):
+def test_byte_parse_matches_on_shuffled_repeated_rows(tmp_path):
     rng = np.random.default_rng(21)
     lines = []
     for i in range(300):
@@ -319,16 +321,59 @@ def test_per_line_parse_matches_on_shuffled_repeated_rows(tmp_path):
                                               zip(idx.tolist(), vals.tolist())]))
     path = tmp_path / "shuffled.svm"
     path.write_text("\n".join(lines) + "\n")
-    fast, slow = data_module._parse_lines(path), data_module._parse_tokens(path)
+    fast, slow = data_module._parse_bytes(path), data_module._parse_tokens(path)
     assert same_parse(fast, slow)
     assert np.signbit(fast[2]).any()
 
 
+# any printable ASCII, ":" and "#" among it
+COMMENT_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+NUMBER_TEXT = st.one_of(
+    st.floats(width=64).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-0.0", "0", "+1", "1e5", "-2.5E-3", "7.", ".5", "1e-320", "3E+2"]),
+)
+FEATURE = st.tuples(st.integers(1, 40), st.integers(0, 2), NUMBER_TEXT).map(
+    lambda t: f"{'0' * t[1]}{t[0]}:{t[2]}")  # some indices with leading zeros
+DATA_LINE = st.tuples(
+    st.integers(0, 2).map(" ".__mul__), NUMBER_TEXT,
+    st.lists(st.tuples(st.integers(1, 3).map(" ".__mul__), FEATURE), max_size=12),
+    st.one_of(st.just(""), COMMENT_TEXT.map(" #".__add__), COMMENT_TEXT.map("#".__add__)),
+).map(lambda t: t[0] + t[1] + "".join(sep + tok for sep, tok in t[2]) + t[3])
+OTHER_LINE = st.one_of(st.integers(0, 3).map(" ".__mul__),
+                       COMMENT_TEXT.map("#".__add__), COMMENT_TEXT.map("  # ".__add__))
+LINE_END = st.sampled_from(["\n", "\r\n"])
+ANY_LINE = st.tuples(st.one_of(DATA_LINE, DATA_LINE, OTHER_LINE), LINE_END)
+
+
+@given(head=st.lists(ANY_LINE, max_size=12), data_line=st.tuples(DATA_LINE, LINE_END),
+       tail=st.lists(ANY_LINE, max_size=12), last_newline=st.booleans(),
+       chunk=st.integers(16, 48))
+@settings(max_examples=150, deadline=None)
+def test_byte_parse_is_the_per_token_parse_across_chunk_boundaries(
+        tmp_path_factory, head, data_line, tail, last_newline, chunk):
+    """Reads of a few dozen bytes split lines between chunks, and some lines
+    span several; any well-formed file still parses bit for bit as the
+    per-token parse does, on the byte path."""
+    text = "".join(line + end for line, end in [*head, data_line, *tail])
+    if not last_newline:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.getbasetemp() / "chunked.svm"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_CHUNK_BYTES", chunk)
+        assert same_parse(data_module._parse_bytes(path), data_module._parse_tokens(path))
+
+
 @pytest.mark.parametrize("text", ["1 1:2\t3:4\n", "1 1:2 3:4\r\n0 2:1\r\n", "1 2:1:3 4\n",
-                                  "1 2:1  3:4\n", "0 1:2 :3\n", "1 0:1\n"])
+                                  "1 2:1  3:4\n", "0 1:2 :3\n", "1 0:1\n",
+                                  "0 99999999999999999999:1\n", "1 00000000000000000003:2\n",
+                                  "1 +3:2\n", "1 1:2\r0 3:4\n", "1 1:2\u00a03:4\n",
+                                  "1 3:\n", "1 1:2 x\n", "1:1 2:3\n"])
 def test_load_agrees_with_the_per_token_parse_on_odd_lines(tmp_path, text):
-    """Tabs, CRLF, runs of spaces and malformed tokens: the same arrays, or
-    the same error at the same line, as the per-token parse."""
+    """Tabs, CRLF, a lone CR, non-ASCII space, runs of spaces, signed, long
+    and overflowing indices and malformed tokens: the same arrays, or the
+    same error at the same line, as the per-token parse."""
     path = tmp_path / "odd.svm"
     path.write_text(text)
     try:
@@ -344,6 +389,8 @@ def test_load_agrees_with_the_per_token_parse_on_odd_lines(tmp_path, text):
 
 
 def test_sparse_load_never_allocates_the_dense_matrix(tmp_path):
+    """Nor does it hold the whole file's tokens: the parse reads bounded
+    chunks, so the peak stays within a few times the arrays returned."""
     n, p = 20_000, 500
     path = tmp_path / "big.svm"
     save_dataset(sparse_logistic(n, p, 0.01, seed=13), path)
@@ -355,6 +402,9 @@ def test_sparse_load_never_allocates_the_dense_matrix(tmp_path):
         tracemalloc.stop()
     assert ds.storage == "sparse"
     assert peak < n * p * 8 / 4
+    a = ds.features
+    returned = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes + ds.labels.nbytes
+    assert peak <= 3 * returned
 
 
 def test_csr_round_trip_stays_csr(sparse_file, tmp_path):
