@@ -23,7 +23,7 @@ import numpy as np
 from . import bench
 from .data import DataFormatError, generate_synthetic, load_dataset, \
     measure_gram_condition, save_dataset
-from .model import ObjectiveModel
+from .model import EXACT_GAMMA_MAX_DIM, ObjectiveModel
 from .sampling import gradient_lemma_check, hessian_lemma_check
 from .solvers import NEWTON_LIKE_VARIANTS, NotStronglyConvexError, SolverError, plan, run
 
@@ -236,7 +236,9 @@ def _dispatch(args) -> int:
         dataset, est = model.dataset, model.curvature_constants()
         out = {
             "n": dataset.n, "p": dataset.p, "storage": dataset.storage,
-            "gram_condition": measure_gram_condition(dataset),
+            # a p x p Gram only up to the size curvature_constants decomposes
+            "gram_condition": None if dataset.p > EXACT_GAMMA_MAX_DIM
+            else measure_gram_condition(dataset),
             "gamma": est.gamma, "K": est.big_k, "kappa": est.kappa, "kappa1": est.kappa1,
             "strongly_convex": est.strongly_convex,
         }

@@ -764,22 +764,16 @@ class ObjectiveModel:
         ``sampling.SampleSet`` drawn from n, or an index sequence, which is
         checked by making it one (with replacement).  Given the iterate's
         margins t = A x, the curvatures come from t[S] with no product A_S x.
-        S = 0..n-1 in order reproduces the full Hessian exactly; it reads the
-        design's own rows, with no gathered copy, which for CSR or C-ordered
-        dense rows gives the same matrix bit for bit."""
+        S = 0..n-1 in order (``SampleSet.full``) reproduces the full Hessian
+        exactly; it reads the design's own rows, with no gathered copy, which
+        for CSR or C-ordered dense rows gives the same matrix bit for bit."""
         if not isinstance(sample, SampleSet):
             sample = SampleSet(sample, replacement="with", source_n=self.n)
         elif sample.source_n != self.n:
             raise ValueError("sample drawn from a different population size")
-        idx = sample.indices
-        # strictly ascending in [0, n) with n entries: 0..n-1
-        full = sample.ascending and idx.size == self.n
         x = self._check_x(x)
-        a = self.dataset.features
-        if full:
-            a_s, t_s = a, t
-        else:
-            a_s, t_s = a[idx], None if t is None else t[idx]
+        a, idx = self.dataset.features, sample.indices
+        a_s, t_s = (a, t) if sample.full else (a[idx], None if t is None else t[idx])
         if t_s is None:
             t_s = np.asarray(a_s @ x).ravel()
         return SampledHessian(a_s, self._fam.phi_double(t_s), self.reg + shift)

@@ -63,6 +63,12 @@ class SampleSet:
     def size(self) -> int:
         return int(self.indices.size)
 
+    @property
+    def full(self) -> bool:
+        """Whether the sample is the whole index range 0..n-1 in order
+        (strictly ascending in [0, n) with n entries)."""
+        return self.ascending and self.indices.size == self.source_n
+
 
 def hessian_sample_size(kappa1: float, eps: float, delta: float, p: int) -> int:
     """ceil(2 kappa_1 ln(p/delta) / eps^2)."""
@@ -92,8 +98,10 @@ def draw(n: int, size: int, replacement: str, rng: np.random.Generator) -> Sampl
     """Uniform sample of component indices; deterministic under a fixed seed.
 
     Without-replacement draws come back index-ascending so that accumulation
-    over the sample is bit-reproducible (and a full-size draw is exactly the
-    whole index range).
+    over the sample is bit-reproducible.  A full-size one is the whole index
+    range 0..n-1 (``SampleSet.full``) and consumes no randomness, so a run
+    that draws all n rows every step reads the design's own rows and takes
+    the full Hessian's and gradient's bits.
     """
     if size < 1:
         raise ValueError("sample size must be >= 1")
@@ -102,7 +110,7 @@ def draw(n: int, size: int, replacement: str, rng: np.random.Generator) -> Sampl
     elif replacement == "without":
         if size > n:
             raise ValueError(f"cannot draw {size} of {n} without replacement")
-        idx = np.sort(rng.choice(n, size=size, replace=False))
+        idx = np.arange(n) if size == n else np.sort(rng.choice(n, size=size, replace=False))
     else:
         raise ValueError(f"replacement must be 'with' or 'without', got {replacement!r}")
     return SampleSet(indices=idx, replacement=replacement, source_n=n)
@@ -123,11 +131,14 @@ def subsampled_hessian(model: ObjectiveModel, x: np.ndarray, sample: SampleSet,
 
 def subsampled_gradient(model: ObjectiveModel, x: np.ndarray, sample: SampleSet,
                         t: np.ndarray | None = None) -> np.ndarray:
-    """(1/|S|) sum_{j in S} grad f_j(x), its margins t[S] if given t = A x;
-    all indices (ascending, without replacement) and no t reproduce the full
-    gradient bit-for-bit."""
+    """(1/|S|) sum_{j in S} grad f_j(x), its margins t[S] if given t = A x.
+    A whole-range sample (``sample.full``) is ``model.gradient(x, t)``: the
+    design's own row blocks with no gathered copy, the full gradient bit for
+    bit, and a product A'w counted in ``data_passes``."""
     if sample.source_n != model.n:
         raise ValueError("sample drawn from a different population size")
+    if sample.full:
+        return model.gradient(x, t)
     idx = sample.indices
     a_s = model.dataset.features[idx]
     x = np.asarray(x, dtype=float).ravel()
@@ -174,16 +185,11 @@ def hessian_lemma_check(
     if not est.strongly_convex:
         raise ValueError("curvature lemma check needs gamma > 0")
     requested = hessian_sample_size(est.kappa1, eps, delta, model.p)
-    size, clamped = clamped_size(requested, model.n)
-    rng = np.random.default_rng(seed)
     threshold = (1.0 - eps) * est.gamma
-    failures = 0
-    for _ in range(resamples):
-        s = draw(model.n, size, replacement, rng)
-        h = subsampled_hessian(model, x, s)
-        if float(np.linalg.eigvalsh(h)[0]) < threshold:
-            failures += 1
-    return LemmaCheckResult(failures, resamples, threshold, size, clamped)
+
+    def failed(s):
+        return float(np.linalg.eigvalsh(subsampled_hessian(model, x, s))[0]) < threshold
+    return _resample(model.n, requested, replacement, resamples, seed, failed, threshold)
 
 
 def gradient_lemma_check(
@@ -196,15 +202,21 @@ def gradient_lemma_check(
 ) -> LemmaCheckResult:
     """Empirical frequency of ||grad F - g|| > eps at the lemma size
     (with replacement, as the bound requires)."""
-    bound = model.gradient_norm_bound(x)
-    requested = gradient_sample_size(bound, eps, delta)
-    size, clamped = clamped_size(requested, model.n)
-    rng = np.random.default_rng(seed)
+    requested = gradient_sample_size(model.gradient_norm_bound(x), eps, delta)
     full = model.gradient(x)
-    failures = 0
-    for _ in range(resamples):
-        s = draw(model.n, size, "with", rng)
-        g = subsampled_gradient(model, x, s)
-        if float(np.linalg.norm(full - g)) > eps:
-            failures += 1
-    return LemmaCheckResult(failures, resamples, eps, size, clamped)
+
+    def failed(s):
+        return float(np.linalg.norm(full - subsampled_gradient(model, x, s))) > eps
+    return _resample(model.n, requested, "with", resamples, seed, failed, eps)
+
+
+def _resample(n, requested, replacement, resamples, seed, failed, threshold):
+    """The lemma check's loop: ``resamples`` draws at the requested size
+    clamped to n, each tested by ``failed``.  A check of no resamples has
+    no frequency, so it is refused rather than passed."""
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    size, clamped = clamped_size(requested, n)
+    rng = np.random.default_rng(seed)
+    failures = sum(failed(draw(n, size, replacement, rng)) for _ in range(resamples))
+    return LemmaCheckResult(failures, resamples, threshold, size, clamped)

@@ -67,7 +67,8 @@ products.  After a search that backtracked, the step starts with A p:
 three products (A p, A x, A'w) in two reads.  Every iterate's margins are
 thus one fresh product with A, so no rounding drift builds up.  ``ssn-full``
 steps on a sampled gradient, so its full gradient is a diagnostic: its
-evaluations take none, one product fewer (two on a missed prediction).
+evaluations take none, one product fewer (two on a missed prediction).  A
+gradient sample of all n rows is the full gradient, a counted A'w at x_k.
 GD's F at x_{k+1} is clocked with its gradient, at O(n) more; AGD's one
 gradient is at y_k (A y and A'w), so its evaluation at x_{k+1} is not.
 Diagnostics run outside the clock, in float64: ``track_events`` adds
@@ -105,8 +106,8 @@ from .linsolve import EXACT_RESIDUAL_RTOL, PATH_CG, PATH_EIGEN, PATH_EIGEN_FALLB
 from .model import BOUND_CAP, EXACT_GAMMA_MAX_DIM, FLOAT32_FAMILIES, ConditionEstimates, \
     EvaluationError, ObjectiveModel
 from .regularize import min_eigenvalue, ridge, spectral_floor, spectrum  # noqa: F401
-from .sampling import SampleSet, clamped_size, draw, gradient_sample_size, \
-    hessian_sample_size, subsampled_gradient, subsampled_hessian
+from .sampling import clamped_size, draw, gradient_sample_size, hessian_sample_size, \
+    subsampled_gradient, subsampled_hessian
 from .theory import RatePrediction, rate_alg1, rate_alg4, rate_ridge, rate_spectral
 
 SSN_VARIANTS = ("ssn-hessian", "ssn-spectral", "ssn-ridge", "ssn-full")
@@ -529,25 +530,6 @@ def _rate(config, est, size_h, solve) -> RatePrediction | None:
         return None
 
 
-def _draw_h(model, config, rng, size_h):
-    # a full-size without-replacement draw is the whole index range in
-    # ascending order, consuming no randomness, so full-sample runs
-    # reproduce the analytic Hessian bit-for-bit, from the design's own rows
-    if size_h >= model.n and config.replacement == "without":
-        return SampleSet(indices=np.arange(model.n), replacement="without",
-                         source_n=model.n)
-    return draw(model.n, size_h, config.replacement, rng)
-
-
-def _draw_g(model, rng, size_g):
-    # gradient concentration is proved for with-replacement draws; a full
-    # fraction short-circuits to the exact index range
-    if size_g >= model.n:
-        return SampleSet(indices=np.arange(model.n), replacement="without",
-                         source_n=model.n)
-    return draw(model.n, size_g, "with", rng)
-
-
 class _Evaluations:
     """A run's evaluations at its iterates: float32 (the model's
     ``evaluate_float32``) while each one's rounding bounds certify the run's
@@ -686,14 +668,11 @@ def _newton_like(model, config, x0, evals):
     assemble, solve = _solver(model, config, header, x0)
     # ssn-full's full gradient is a diagnostic, so its prediction skips it
     search = _searcher(model, config.line_search, evals, gradient=not sampled_g)
-    # a singular random sample is redrawn a few times (a probability-delta
-    # event) before giving up; a full without-replacement sample, the same
-    # every time, is not
-    random_sample = size_h < model.n or config.replacement == "with"
 
     def move(x, t, f_value, grad):
         nonlocal eps2_k, stepped
-        sample = _draw_h(model, config, rng, size_h)  # before g's: fixes the RNG stream
+        # before g's: fixes the RNG stream
+        sample = draw(model.n, size_h, config.replacement, rng)
         g_used, size_g, grad_clamped, saturated = grad, None, False, False
         if sampled_g:
             if config.sample_frac_g is not None:
@@ -703,7 +682,10 @@ def _newton_like(model, config, x0, evals):
                 saturated = bound >= BOUND_CAP
                 size_g, grad_clamped = clamped_size(
                     gradient_sample_size(bound, eps2_k, config.delta), model.n)
-            g_used = subsampled_gradient(model, x, _draw_g(model, rng, size_g), t)
+            # gradient concentration is proved for with-replacement draws;
+            # all n rows are the whole range, which is the full gradient
+            sample_g = draw(model.n, size_g, "with" if size_g < model.n else "without", rng)
+            g_used = subsampled_gradient(model, x, sample_g, t)
         gnorm_used = float(np.linalg.norm(g_used))
         if sampled_g and gnorm_used < sigma * eps2_k:
             if not stepped:
@@ -719,12 +701,15 @@ def _newton_like(model, config, x0, evals):
 
         for attempt in range(RESAMPLE_RETRIES + 1):
             if attempt:
-                sample = _draw_h(model, config, rng, size_h)
+                sample = draw(model.n, size_h, config.replacement, rng)
             try:
                 p, solved = solve(assemble(sample, x, t), g_used)
                 break
             except NotPositiveDefiniteError as exc:
-                if not random_sample:
+                # a singular random sample is redrawn a few times (a
+                # probability-delta event) before giving up; the whole range,
+                # the same every time, is not
+                if sample.full:
                     raise
                 last = exc
         else:
@@ -733,7 +718,7 @@ def _newton_like(model, config, x0, evals):
                 "use a larger sample, or ssn-spectral or ssn-ridge with lambda_user > 0")
         alpha, trials, x_next, at_next, f_x = search(x, p, t, f_value, float(p @ g_used))
         stepped = True
-        if random_sample and at_next[1] > (f_value if f_x is None else f_x):
+        if not sample.full and at_next[1] > (f_value if f_x is None else f_x):
             # Armijo accepted F from t + alpha A p; the fresh F at x_{k+1} can
             # exceed F(x_k) only by rounding, at the noise floor.  x_k is kept,
             # so F never rises, and the next sample gives a new direction; a

@@ -63,14 +63,13 @@ def line_search_passes(records, base=3):
     """Full-data products each line-search step should make.
 
     A step after a search that backtracked (and not the first step) makes
-    ``base``: A p, then A x and A'w at x_{k+1} (ssn-full, base 2, has no
-    A'w).  Otherwise it predicts the unit step with a fresh evaluation at
-    x + alpha p (A x, and A'w where x_{k+1} reads it): one product fewer if
-    its first trial is accepted; if not, the prediction's products come on
-    top of ``base``, whose A p serves the backtracking.  Terminal records
-    make none.
+    ``base``: A p, then A x and A'w at x_{k+1}.  Otherwise it predicts the
+    unit step with a fresh evaluation at x + alpha p (A x and A'w): one
+    product fewer if its first trial is accepted; if not, the prediction's
+    products come on top of ``base``, whose A p serves the backtracking.
+    Terminal records make none.
     """
-    predicted = base - 1  # A x, and A'w unless base is 2
+    predicted = base - 1  # A x and A'w
     expected, predict = [], True
     for rec in records:
         if not rec.ls_trials:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,6 +252,35 @@ def test_inspect_writes_null_for_an_infinite_condition_number(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert blob["gram_condition"] is None and blob["kappa"] is None
     assert blob["strongly_convex"] is False
+
+
+def test_inspect_forms_no_gram_above_the_exact_eigensolve_size(tmp_path, capsys):
+    """Above EXACT_GAMMA_MAX_DIM columns, where curvature_constants makes no
+    eigensolve either, inspect reports no Gram condition number and forms
+    no p x p Gram."""
+    p = 2001
+    path = tmp_path / "wide.svm"
+    path.write_text(f"1 1:0.5 {p}:1\n0 2:1 700:-2\n1 3:0.25\n")
+    tracemalloc.start()
+    try:
+        code = run_cli("inspect", "--data", str(path), "--reg", "0.1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["p"] == p and blob["storage"] == "sparse"
+    assert blob["gram_condition"] is None
+    assert peak < p * p * 8 / 4
+
+
+@pytest.mark.parametrize("resamples", ["0", "-1"])
+@pytest.mark.parametrize("lemma", ["hessian", "gradient"])
+def test_verify_refuses_no_resamples(lemma, resamples, capsys):
+    """A check of no resamples has no frequency to pass: usage error."""
+    assert run_cli("verify", "--lemma", lemma, "--n", "300", "--p", "5",
+                   "--resamples", resamples) == 1
+    assert f"resamples must be >= 1, got {resamples}" in capsys.readouterr().err
 
 
 def test_compare_runs_spec_file(dataset_file, tmp_path, capsys):

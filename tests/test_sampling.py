@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +75,18 @@ def test_sizes_nonincreasing_in_eps_and_delta(e1, e2, d1, d2):
 def test_exhaustive_draw_is_full_index_set():
     s = draw(5, 5, "without", np.random.default_rng(0))
     np.testing.assert_array_equal(s.indices, np.arange(5))
+    assert s.full
+
+
+def test_whole_range_draw_consumes_no_randomness():
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    assert draw(1000, 1000, "without", rng).full
+    assert rng.bit_generator.state == before
+    # short of n, or with replacement, a draw is random and not the range
+    assert not draw(1000, 999, "without", rng).full
+    assert not draw(1000, 1000, "with", rng).full
+    assert rng.bit_generator.state != before
 
 
 def test_fixed_seed_reproduces_sample():
@@ -143,6 +156,33 @@ def test_full_sample_reproduces_hessian_and_gradient(lemma_model):
     full = SampleSet(indices=np.arange(m.n), replacement="without", source_n=m.n)
     np.testing.assert_allclose(subsampled_hessian(m, x, full), m.hessian(x), atol=1e-12)
     np.testing.assert_allclose(subsampled_gradient(m, x, full), m.gradient(x), atol=1e-12)
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_whole_range_gradient_is_the_models_without_a_gather(storage):
+    """A whole-range sample's gradient walks the design's own row blocks
+    (two dense blocks here): the full gradient bit for bit, with its A'w
+    counted, and no gathered n x p copy of the design."""
+    rng = np.random.default_rng(6)
+    n, p = 6000, 40
+    a = rng.standard_normal((n, p))
+    if storage == "csr":
+        a = sp.csr_matrix(np.where(rng.random((n, p)) < 0.4, a, 0.0))
+    b = (rng.random(n) < 0.5).astype(float)
+    m = ObjectiveModel(Dataset(features=a, labels=b), "logistic", reg=1e-3)
+    x = rng.standard_normal(p) / np.sqrt(p)
+    full = draw(n, n, "without", rng)
+    for t in (None, m.evaluate(x)[0]):
+        passes = m.data_passes
+        tracemalloc.start()
+        try:
+            g = subsampled_gradient(m, x, full, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.data_passes - passes == 2 - (t is not None)  # A x unless given, A'w
+        assert g.tobytes() == m.gradient(x, t).tobytes()
+        assert peak < n * p * 8 / 4
 
 
 def test_singleton_sample_is_component(lemma_model):

@@ -49,6 +49,25 @@ def test_full_sample_variants_collapse_to_newton(variant, problem, small_logisti
     assert other.same_iterates(newton, tol=1e-10)
 
 
+def test_ssn_full_with_a_whole_range_gradient_is_ssn_hessian():
+    """At sample_frac_g = 1, sigma = 0, Algorithm 4 is Algorithm 1: ssn-full
+    draws the same Hessian samples and steps on the full gradient, so it
+    takes ssn-hessian's iterates bit for bit, over two dense row blocks."""
+    dataset, _ = generate_synthetic(6000, 40, seed=7)
+    model = ObjectiveModel(dataset, "logistic", reg=1e-3)
+    settings = dict(sample_frac_h=0.1, grad_tol=1e-9, max_iters=60, seed=7)
+    hessian = run(model, SolverConfig(variant="ssn-hessian", **settings), np.zeros(model.p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sigma=0 is below the STOP floor
+        full = run(model, SolverConfig(variant="ssn-full", sample_frac_g=1.0, sigma=0.0,
+                                       **settings), np.zeros(model.p))
+    assert hessian.stop == full.stop == "GradTol"
+    assert len(hessian.records) == len(full.records) > 3
+    for a, b in zip(hessian.records, full.records):
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.grad_norm_used == b.grad_norm_used
+
+
 # -- classic sanity ------------------------------------------------------------
 
 
@@ -176,7 +195,7 @@ def test_kept_preconditioner_makes_cg_steps_without_assembly(ill_logistic, monke
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    mark(solvers, "_draw_h", "draw")
+    mark(solvers, "draw", "draw")
     mark(model_module, "weighted_gram", "assemble")  # every p x p assembly
     mark(solvers, "armijo", "step")
     solve = solvers.solve_inexact
@@ -225,16 +244,16 @@ def test_bound_preconditioned_run_never_falls_back_or_assembles(ill_logistic, mo
     step: no fallback, and no p x p Gram is formed once sampling starts."""
     m = ill_logistic
     events = []
-    draw_h, gram = solvers._draw_h, model_module.weighted_gram
+    draw, gram = solvers.draw, model_module.weighted_gram
 
     def drawing(*args):
         events.append("draw")
-        return draw_h(*args)
+        return draw(*args)
 
     def assembling(*args):
         events.append("gram")
         return gram(*args)
-    monkeypatch.setattr(solvers, "_draw_h", drawing)
+    monkeypatch.setattr(solvers, "draw", drawing)
     monkeypatch.setattr(model_module, "weighted_gram", assembling)
     cfg = SolverConfig(sample_frac_h=0.2, seed=3, grad_tol=1e-8, max_iters=100,
                        inexact=InexactnessSpec(theta1=1e-2, theta2=0.5))
@@ -635,8 +654,9 @@ def test_newton_is_priced_without_sampling_error(small_logistic):
 # (settings, full-data products per step).  A line-search step makes three
 # when it starts from A p (A p, then fresh A x and A'w at the new iterate),
 # two or five when it predicts the unit step (``line_search_passes``).
-# ssn-full samples its gradient, so A'w there is a diagnostic; gd has no line
-# search (A x, A'w); agd's one gradient is at y_k (A y, A'w).
+# ssn-full's whole-range gradient sample is A'w at x_k in place of x_{k+1}'s,
+# and its terminal record makes that one product for its stop check; gd has
+# no line search (A x, A'w); agd's one gradient is at y_k (A y, A'w).
 RECORD_CASES = [
     (dict(variant="ssn-hessian", sample_frac_h=0.3), 3),
     (dict(variant="ssn-hessian", sample_frac_h=0.3,
@@ -647,7 +667,7 @@ RECORD_CASES = [
     (dict(variant="bfgs"), 3),
     (dict(variant="lbfgs", lbfgs_memory=4), 3),
     (dict(variant="ssn-full", sample_frac_h=0.3, sample_frac_g=1.0, sigma=0.0,
-          track_events=True), 2),
+          track_events=True), 3),
     (dict(variant="gd"), 2),
     (dict(variant="agd"), 2),
 ]
@@ -667,12 +687,11 @@ def test_records_reuse_in_clock_evaluations_exactly(small_logistic, settings, pa
         assert rec.f_value == m.value(rec.x)
         assert rec.grad_norm_full == float(np.linalg.norm(m.gradient(rec.x)))
     *steps, terminal = trace.records
-    assert steps and terminal.data_passes == 0
+    assert steps and terminal.data_passes == (settings["variant"] == "ssn-full")
     if settings["variant"] in ("gd", "agd"):
         assert all(rec.data_passes == passes for rec in steps)
     else:
-        assert [rec.data_passes for rec in trace.records] \
-            == line_search_passes(trace.records, base=passes)
+        assert [rec.data_passes for rec in steps] == line_search_passes(steps, base=passes)
 
 
 FLOAT32_EVAL_CASES = [dict(variant="ssn-hessian", sample_frac_h=0.5, grad_tol=1e-9),
