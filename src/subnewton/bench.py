@@ -199,7 +199,6 @@ def _record(rec, rel_err_x, rel_err_f) -> dict:
         "min_eig_h": rec.min_eig_h,
         "grad_error_used": rec.grad_error_used,
         "data_passes": rec.data_passes,
-        "eval_dtype": rec.eval_dtype,
         "rel_err_x": float(rel_err_x),
         "rel_err_f": float(rel_err_f),
         "stop_flag": rec.stop_flag,

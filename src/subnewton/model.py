@@ -17,23 +17,18 @@ constants are computed once per model and kept, read-only: later runs and
 plans on the same model reuse them.  Poisson's depend on a domain radius,
 and the model keeps those of the last radius asked for.
 
-Products with the full design, and a sampled Hessian's products with its
-gathered rows A_S, walk dense rows in blocks of about ``ROW_BLOCK_BYTES``;
-CSR rows are one block.  ``evaluate`` gives the margins t = A x, F and the
-gradient A'(Phi'(t) - b)/n + reg x from one walk: each block's A_b' w_b runs
-while A_b, just read for A_b x, is still in cache, so it reads the design
-once where ``value`` and ``gradient`` read it twice.  Every margin and
-gradient sums over the same blocks, so ``evaluate`` agrees with ``value``
-and ``gradient`` bit for bit; at x = 0 it makes no product A x, and the
-model keeps F(0) and the gradient there for later calls.
-``evaluate_float32`` runs the same walk's two products on a float32 copy of
-a dense logistic or ridge design of at least ``FLOAT32_EVAL_MIN_ENTRIES``
-entries, kept after its first call, with the link, F and the sums over
-blocks in float64; ``float32_bounds`` bounds, in O(p), how far its margins,
-F and gradient lie from ``evaluate``'s, and the solvers take such an
-evaluation only where those bounds certify the step.  A ``SampledHessian``
-product H d reads each block of A_S once in the same way, for A_b d and then
-A_b'(w_b A_b d).  Its
+A dense design of at most ``COLUMN_MAJOR_MAX_P`` columns is stored
+column-major, a wider one row-major.  Products with the full design, and a
+sampled Hessian's products with its gathered rows A_S, walk dense rows in
+blocks of about ``ROW_BLOCK_BYTES``; CSR rows are one block.  ``evaluate``
+gives the margins t = A x, F and the gradient A'(Phi'(t) - b)/n + reg x from
+one walk: each block's A_b' w_b runs while A_b, just read for A_b x, is
+still in cache, so it reads the design once where ``value`` and
+``gradient`` read it twice.  Every margin and gradient sums over the same
+blocks, so ``evaluate`` agrees with ``value`` and ``gradient`` bit for bit;
+at x = 0 it makes no product A x, and the model keeps F(0) and the gradient
+there for later calls.  A ``SampledHessian`` product H d reads each block of
+A_S once in the same way, for A_b d and then A_b'(w_b A_b d).  Its
 ``astype(float32)`` copy, which CG multiplies by where the run's plan asks
 for float32, runs both products on float32 rows, with the weights and the
 sum over blocks in float64; the check of CG's direction and any assembly
@@ -82,63 +77,23 @@ EXACT_GAMMA_MAX_DIM = 2000
 # were 24-26% slower (BENCH_fused.json).
 ROW_BLOCK_BYTES = 1 << 20
 
-# The families whose float32 evaluations and float32 solves (solvers.plan's
-# ``solve_dtype``) stay finite; Poisson's Phi'' = e^t overflows float32.
+# Dense designs of at most this many columns are stored column-major, wider
+# ones row-major.  At n p = 1e7 and one BLAS thread, the walk's two products
+# A_b x and A_b' w_b took 25-50% less time over column-major blocks from
+# p = 20 to 200, and the same at 500.  Gathering sampled rows, strided there,
+# costs more: a sorted 10% gather took 3-6 ms more than row-major at p = 40
+# to 80, about one walk's saving, and 13-14 ms more from p = 100, and a
+# 5000 x 500 ssn-hessian solve, whose 1000-row samples feed every CG
+# product, took 17% longer on a column-major copy (BENCH_layout.json).
+COLUMN_MAJOR_MAX_P = 64
+
+# The families whose float32 solves (solvers.plan's ``solve_dtype``) stay
+# finite; Poisson's Phi'' = e^t overflows float32.
 FLOAT32_FAMILIES = ("logistic", "ridge")
-# ``evaluate_float32`` runs on dense logistic and ridge designs of at least
-# this many entries (n * p), where the float32 copy it keeps is paid back by
-# its cheaper reads.  A 200000 x 50 design is above it; a 5000 x 500 one is
-# below: its first Newton step lands at ||x||_inf ~ 140, where the bounds
-# admit no float32 evaluation, so a copy would only cost memory
-# (BENCH_f32_eval.json).
-FLOAT32_EVAL_MIN_ENTRIES = 4_000_000
-# Rows per block of the float32 walk; each float32 sum in A'w has this many
-# terms, so its rounding bound grows with its square root.  At 200000 x 50,
-# one BLAS thread, 512 and 1024 rows took 1.6x and 1.2x the time of 2048,
-# and 4096 no less (BENCH_f32_eval.json).
-FLOAT32_BLOCK_ROWS = 2048
-# lambda of the probabilistic rounding bound in ``float32_bounds``.  At 1 a
-# single float32 product, three roundings, can exceed it; at 3 the worst case
-# holds up to nine roundings, and tall-exact's x1-x3 are still certified.
-ROUNDING_LAMBDA = 3.0
 
 
 class EvaluationError(ArithmeticError):
     """Objective or derivative evaluation produced a non-finite value."""
-
-
-@dataclass(frozen=True)
-class RoundingBounds:
-    """How far a float32 evaluation may lie from the float64 one: max_i
-    |t32_i - t_i| over the margins, |F32 - F| and ||g32 - g||."""
-
-    margins: float
-    value: float
-    gradient: float
-
-
-@dataclass(frozen=True)
-class _Float32Copy:
-    """A model's float32 copy of its design, as (rows, column-major float32
-    block) pairs, and the per-model constants of ``float32_bounds``."""
-
-    blocks: list
-    col_abs_mean: np.ndarray  # c_j = mean_i |a_ij|
-    max_abs: float  # max_ij |a_ij|
-    max_row_norm: float
-    mean_row_norm: float
-    mean_sq_row_norm: float
-    max_abs_label: float
-
-
-def _gamma(k: int, u: float, probabilistic: bool = True) -> float:
-    """Relative error bound of k roundings at unit roundoff u: the worst
-    case k u / (1 - k u) or, if smaller, Higham & Mary's probabilistic
-    exp(lambda sqrt(k) u + k u^2 / (1 - u)) - 1 at ``ROUNDING_LAMBDA``."""
-    worst = k * u / (1.0 - k * u) if k * u < 1.0 else math.inf
-    if not probabilistic:
-        return worst
-    return min(worst, math.expm1(ROUNDING_LAMBDA * math.sqrt(k) * u + k * u * u / (1.0 - u)))
 
 
 # Link kernels.  Phi, Phi' and Phi'' run over all n margins at every
@@ -264,6 +219,8 @@ class Dataset:
     """Immutable design matrix plus labels.
 
     ``features`` is (n, p), dense ndarray or CSR sparse; ``labels`` is (n,).
+    A dense design is kept as a float64 array with the same values,
+    column-major where p <= ``COLUMN_MAJOR_MAX_P`` and row-major above.
     """
 
     features: object
@@ -276,9 +233,11 @@ class Dataset:
             feats = feats.tocsr().astype(float)
             feats.sum_duplicates()
         else:
-            feats = np.asarray(feats, dtype=float)
+            feats = np.asarray(feats)
             if feats.ndim != 2:
                 raise ValueError("features must be a 2-D array")
+            order = "F" if feats.shape[1] <= COLUMN_MAJOR_MAX_P else "C"
+            feats = np.asarray(feats, dtype=float, order=order)
         n, p = feats.shape
         if n < 1 or p < 1:
             raise ValueError("need n >= 1 rows and p >= 1 columns")
@@ -509,7 +468,6 @@ class ObjectiveModel:
         # (c, shift) -> (c A'A/n + (reg + shift) I)^-1, kept by ``hessian_inverse``
         self._inverses: dict[tuple[float, float], np.ndarray] = {}
         self._blocks = _row_blocks(dataset.features)
-        self._rows32: _Float32Copy | None = None  # made by ``_float32_rows``
         self._start = None  # (F(0), grad F(0)), kept by ``evaluate``
         self._kernel = None  # made by ``_kernel_buffer``
 
@@ -593,168 +551,51 @@ class ObjectiveModel:
         """
         x = self._check_x(x)
         if np.any(x) or self._start is None and not gradient:
-            return self._walk(x, gradient, self._blocks, x if np.any(x) else None)
+            return self._walk(x, gradient)
         if self._start is None:
-            self._start = self._walk(x, True, self._blocks, None)[1:]
+            self._start = self._walk(x, True)[1:]
         f, g = self._start
         return np.zeros(self.n), f, g.copy() if gradient else None
-
-    def evaluate_float32(self, x: np.ndarray):
-        """(t, F, grad F, bounds) at x, as ``evaluate`` gives them but with
-        both products of the walk, A_b x and A_b' w_b, on a float32 copy of
-        the design; the link, F and the sums over blocks stay float64.
-        ``bounds`` is ``float32_bounds(x)``: how far t, F and the gradient
-        may lie from ``evaluate``'s.  Only for models with
-        ``float32_evaluations``; the copy is made on the first call."""
-        x = self._check_x(x)
-        blocks = self._float32_rows().blocks
-        x32 = x.astype(np.float32) if np.any(x) else None
-        return (*self._walk(x, True, blocks, x32), self.float32_bounds(x))
-
-    def evaluate_pair(self, x: np.ndarray, x_ref: np.ndarray, gradient: bool = True):
-        """``evaluate(x, gradient)`` and, from the same walk over the data,
-        the margins and F at ``x_ref`` as ``evaluate(x_ref, False)`` gives
-        them, bit for bit: ((t, F, grad F), (t_ref, F_ref)).  Each block's
-        A_b x_ref is taken while A_b is in cache, so the design is read once
-        for three products."""
-        x, x_ref = self._check_x(x), self._check_x(x_ref)
-        x_r = x_ref if np.any(x_ref) else None
-        t_ref = np.zeros(self.n) if x_r is None else np.empty(self.n)
-        at_x = self._walk(x, gradient, self._blocks, x if np.any(x) else None, (x_r, t_ref))
-        with np.errstate(over="ignore", invalid="ignore"):
-            k = self._kernel_buffer()
-            for rows, _ in self._blocks:
-                t_b = t_ref[rows]
-                k[rows] = self._fam.phi(t_b, self._fam.kernel(t_b, out=k[rows]))
-            return at_x, (t_ref, self._value(x_ref, t_ref, k))
 
     def _kernel_buffer(self) -> np.ndarray:
         """The n-length array the model keeps for its walks' link values.
         An evaluation's fresh arrays of this size made glibc return heap
-        memory to the system and fault it back in: a float32 tall-exact
-        solve took 3777 minor faults without it, against 749 with it."""
+        memory to the system and fault it back in on every call."""
         if self._kernel is None:
             self._kernel = np.empty(self.n)
         return self._kernel
 
-    def _walk(self, x, gradient, blocks, x_b, ref=None):
-        """``evaluate`` over ``blocks``, with A_b x taken as A_b @ x_b (zero
-        where x_b is None) and A_b' w_b as A_b' w_b in the blocks' dtype;
-        with ``ref`` = (x_ref, t_ref), A_b x_ref fills t_ref too (x_ref None
-        leaves it zero).  Where the margins are zero, Phi and Phi' are one
-        constant each, computed once."""
+    def _walk(self, x, gradient):
+        """``evaluate`` over the row blocks.  Where x = 0 the margins are
+        zero, so no product A_b x is made, and Phi and Phi' are one constant
+        each, computed once."""
         fam, labels = self._fam, self.dataset.labels
-        t = np.empty(self.n) if x_b is not None else np.zeros(self.n)
+        moved = bool(np.any(x))
+        t = np.empty(self.n) if moved else np.zeros(self.n)
         k = self._kernel_buffer()
         atw = np.zeros(self.p) if gradient else None
-        x_r, t_r = (None, None) if ref is None else ref
-        self.data_passes += (x_b is not None) + gradient + (x_r is not None)
+        self.data_passes += moved + gradient
         with np.errstate(over="ignore", invalid="ignore"):
-            if x_b is None:
+            if not moved:
                 t_0 = np.zeros(1)
                 k_0 = fam.kernel(t_0, out=np.empty(1))
                 prime_0 = fam.phi_prime(t_0, k_0)
                 k.fill(fam.phi(t_0, k_0)[0])
-            for rows, a_b in blocks:
-                if x_r is not None:
-                    t_r[rows] = a_b @ x_r
-                if x_b is None:
+            for rows, a_b in self._blocks:
+                if not moved:
                     if gradient:
                         w_b = prime_0 - labels[rows]
                 else:
-                    t[rows] = a_b @ x_b
+                    t[rows] = a_b @ x
                     t_b = t[rows]
                     k_b = fam.kernel(t_b, out=k[rows])
                     if gradient:
                         w_b = fam.phi_prime(t_b, k_b) - labels[rows]
                     k[rows] = fam.phi(t_b, k_b)  # Phi(t) takes the kernel's place
                 if gradient:
-                    atw += np.asarray(a_b.T @ w_b.astype(a_b.dtype, copy=False)).ravel()
+                    atw += np.asarray(a_b.T @ w_b).ravel()
             f = self._value(x, t, k)
         return t, f, None if atw is None else self._gradient(x, atw)
-
-    @property
-    def float32_evaluations(self) -> bool:
-        """Whether ``evaluate_float32`` runs here: a dense logistic or ridge
-        design of at least ``FLOAT32_EVAL_MIN_ENTRIES`` entries."""
-        return self.family in FLOAT32_FAMILIES and self.dataset.storage == "dense" \
-            and self.n * self.p >= FLOAT32_EVAL_MIN_ENTRIES
-
-    def _float32_rows(self) -> _Float32Copy:
-        """The float32 copy of the design and the constants of
-        ``float32_bounds``, made on the first call and kept.  Each block of
-        ``FLOAT32_BLOCK_ROWS`` rows is its own column-major array, which
-        float32 gemv multiplies faster both ways than row-major rows; the
-        copy is made a block at a time, so no n x p float64 temporary is
-        formed.  Raises ValueError where ``float32_evaluations`` is False."""
-        if not self.float32_evaluations:
-            raise ValueError("float32 evaluations need a dense logistic or ridge design "
-                             f"of at least {FLOAT32_EVAL_MIN_ENTRIES} entries")
-        if self._rows32 is None:
-            a, step = self.dataset.features, FLOAT32_BLOCK_ROWS
-            blocks, c, top = [], np.zeros(self.p), 0.0
-            for lo in range(0, self.n, step):
-                a_b = a[lo:lo + step]
-                blocks.append((slice(lo, lo + step), np.array(a_b, dtype=np.float32, order="F")))
-                abs_b = np.abs(a_b)
-                c += abs_b.sum(axis=0)
-                top = max(top, float(abs_b.max()))
-            norms = self._row_norms
-            self._rows32 = _Float32Copy(
-                blocks, c / self.n, top, max_row_norm=float(norms.max()),
-                mean_row_norm=float(norms.mean()), mean_sq_row_norm=float(np.mean(norms**2)),
-                max_abs_label=float(np.abs(self.dataset.labels).max()))
-        return self._rows32
-
-    def float32_bounds(self, x: np.ndarray) -> RoundingBounds:
-        """Bounds on max_i |t32_i - t_i|, |F32 - F| and ||g32 - g|| between
-        ``evaluate_float32`` and ``evaluate`` at x, in O(p) from per-model
-        constants and x.
-
-        With u = 2^-24, a float32 inner product of k terms whose inputs are
-        rounded to float32 is off by at most gamma(k) times the sum of its
-        terms' magnitudes, where gamma(k) = min(k u / (1 - k u), e^{lambda
-        sqrt(k) u + k u^2 / (1 - u)} - 1) takes the probabilistic form of
-        Higham & Mary (2019, "A new approach to probabilistic rounding error
-        analysis", SIAM J. Sci. Comput.) at ``ROUNDING_LAMBDA`` once it is
-        below the worst case.  So each margin is off by at most gamma(p + 2)
-        sum_j |a_ij x_j| <= gamma(p + 2) ||a_i|| ||x||.  With W >= |Phi'(s) -
-        b_i| between t and t32 (1 for logistic), L = sup Phi'' and c_j =
-        mean_i |a_ij|:
-
-            E_F = W gamma(p + 2) c'|x|,
-            E_g = L gamma(p + 2) ||x|| mean_i ||a_i||^2 + W gamma(m + 2) ||c||,
-
-        m = ``FLOAT32_BLOCK_ROWS``, the length of each float32 sum in A'w.
-        Each bound also covers the two evaluations' float64 rounding and
-        float32 underflow.
-        """
-        x = self._check_x(x)
-        copy = self._float32_rows()
-        c, top = copy.col_abs_mean, copy.max_abs
-        u, tiny = float(np.finfo(np.float32).eps) / 2, 2.0 ** -149
-        # the float64 evaluation's own rounding: its sums over at most n
-        # terms, its margins and its link
-        g64 = _gamma(self.n + 16, float(np.finfo(float).eps) / 2, probabilistic=False)
-        g_t, g_m = _gamma(self.p + 2, u) + g64, _gamma(FLOAT32_BLOCK_ROWS + 2, u) + 2.0 * g64
-        xnorm = float(np.linalg.norm(x))
-        cx = float(c @ np.abs(x))
-        # float32 underflow: a rounding below 2^-126 loses at most 2^-150 in
-        # absolute terms, 2^-149 with its input's own rounding
-        under = (max(self.p, FLOAT32_BLOCK_ROWS) + 2) * tiny * (1.0 + top)
-        err_t = g_t * copy.max_row_norm * xnorm + under
-        bnorm = copy.max_abs_label
-        if self.family == "logistic":
-            w, curv = 1.0, 0.25
-            phi_mean = math.log(2.0) + cx  # ln(1 + e^t) <= ln 2 + |t|
-        else:
-            w, curv = copy.max_row_norm * xnorm + err_t + bnorm, 1.0
-            phi_mean = 0.5 * copy.mean_sq_row_norm * xnorm * xnorm
-        scale_f = phi_mean + bnorm * cx + 0.5 * self.reg * xnorm * xnorm
-        err_f = w * (g_t * cx + under) + 2.0 * g64 * scale_f
-        err_g = curv * (g_t * xnorm * copy.mean_sq_row_norm + under * copy.mean_row_norm) \
-            + w * g_m * float(np.linalg.norm(c)) + under * math.sqrt(self.p)
-        return RoundingBounds(margins=err_t, value=err_f, gradient=err_g)
 
     def sampled_hessian(self, sample, x: np.ndarray, t: np.ndarray | None = None,
                         shift: float = 0.0) -> SampledHessian:
@@ -764,9 +605,10 @@ class ObjectiveModel:
         ``sampling.SampleSet`` drawn from n, or an index sequence, which is
         checked by making it one (with replacement).  Given the iterate's
         margins t = A x, the curvatures come from t[S] with no product A_S x.
-        S = 0..n-1 in order (``SampleSet.full``) reproduces the full Hessian
-        exactly; it reads the design's own rows, with no gathered copy, which
-        for CSR or C-ordered dense rows gives the same matrix bit for bit."""
+        S = 0..n-1 in order (``SampleSet.full``) reads the design's own rows,
+        with no gathered copy: on CSR rows the matrix a gathered range would
+        give, bit for bit, and on dense rows the same up to rounding, since
+        a gather is row-major and a narrow design column-major."""
         if not isinstance(sample, SampleSet):
             sample = SampleSet(sample, replacement="with", source_n=self.n)
         elif sample.source_n != self.n:

@@ -71,21 +71,9 @@ evaluations take none, one product fewer (two on a missed prediction).  A
 gradient sample of all n rows is the full gradient, a counted A'w at x_k.
 GD's F at x_{k+1} is clocked with its gradient, at O(n) more; AGD's one
 gradient is at y_k (A y and A'w), so its evaluation at x_{k+1} is not.
-Diagnostics run outside the clock, in float64: ``track_events`` adds
+Diagnostics run outside the clock: ``track_events`` adds
 ``grad_error_used`` and lambda_min of the step's sample assembled afresh,
 with reg but without lambda_user.
-
-On a model with ``float32_evaluations`` (a dense logistic or ridge design
-past a size floor), a Newton-like run but ssn-full, or a quasi-Newton run,
-takes those evaluations in float32 while their rounding bounds certify its
-steps (``_Evaluations`` and ``_searcher``): the gradient's bound is at most
-``FLOAT32_GRAD_THETA`` times its norm, Algorithm 4's bounded gradient
-error, and Armijo accepts x_{k+1} by a margin above the two F values'
-bounds.  The first step that is not certified is redone in float64, from
-one walk that evaluates x_{k+1} and takes F at x_k, and the run stays
-float64 after it.  ``GradTol`` fires only on a float64 gradient and a run's
-last record is float64, so ``Trace.grad_norm_final`` is.  Records name
-their precision (``eval_dtype``).
 """
 
 from __future__ import annotations
@@ -144,13 +132,6 @@ FLOAT32_CG_MIN_THETA1 = 1e-3
 # one; at 700-1000 steps at |S| = 300 took 3, the direction moved up to 2e-3
 # from the float64 one, and from 7e3 some steps fell back to float64.
 FLOAT32_EIGH_MAX_K_RATIO = 100.0
-# A Newton-like run (but ssn-full) or a quasi-Newton run on a model with
-# ``float32_evaluations`` evaluates x_{k+1} in float32 while the evaluation's
-# rounding bounds certify the step: its gradient's bound is at most this
-# fraction of its norm, Algorithm 4's bounded gradient error, and each Armijo
-# comparison's margin exceeds the two F values' bounds.
-FLOAT32_GRAD_THETA = 0.1
-FLOAT32_EVAL_VARIANTS = ("ssn-hessian", "ssn-spectral", "ssn-ridge", "newton", "bfgs", "lbfgs")
 
 
 class SolverError(RuntimeError):
@@ -264,11 +245,6 @@ class TraceRecord:
     # products with the full A or A' inside this iteration's clock; a fused
     # evaluation (model.evaluate) makes two, A x and A'w, in one read of A
     data_passes: int = 0
-    # the precision of the evaluation whose F and gradient norm this record
-    # holds: "float32" (model.evaluate_float32, products on the float32 copy
-    # of the design, certified by its rounding bounds) or "float64"; a
-    # GradTol record and a run's last record are always float64
-    eval_dtype: str = "float64"
     x: np.ndarray | None = None
 
 
@@ -328,9 +304,8 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         family = _quasi_newton
     else:
         family = _newton_like
-    evals = _Evaluations(model, config.variant in FLOAT32_EVAL_VARIANTS)
-    header, move = family(model, config, x, evals)
-    t, f_value, grad = evals.first(x)
+    header, move = family(model, config, x)
+    t, f_value, grad = model.evaluate(x)
     trace = Trace(variant=config.variant, header={"config": asdict(config), **header},
                   f0=f_value, x0=x.copy())
 
@@ -345,10 +320,6 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         passes = model.data_passes
         try:
             gnorm = float(np.linalg.norm(grad))
-            if gnorm <= config.grad_tol and evals.float32:
-                # GradTol fires only on a float64 gradient
-                t, f_value, grad = evals.to_float64(x)
-                gnorm = float(np.linalg.norm(grad))
             if config.variant != "ssn-full" and gnorm <= config.grad_tol:
                 x_next, at_next, fields, diagnose = None, None, {"stop_flag": STOP_GRAD_TOL}, None
             else:
@@ -373,8 +344,7 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
         # a record without a step is the stop check that fired (alpha = 0)
         rec = TraceRecord(k=k, f_value=f_value, grad_norm_full=float(np.linalg.norm(grad)),
                           **{"grad_norm_used": gnorm, "alpha": 0.0, **fields},
-                          wall_nanos=wall, data_passes=passes, eval_dtype=evals.dtype,
-                          x=x.copy())
+                          wall_nanos=wall, data_passes=passes, x=x.copy())
         trace.records.append(rec)
         if rec.f_value > trace.f0 + 10.0 * max(1.0, abs(trace.f0)):
             rec.stop_flag = STOP_ERROR  # diverged
@@ -383,11 +353,7 @@ def run(model: ObjectiveModel, config: SolverConfig, x0) -> Trace:
             return trace
     trace.stop = stop
     if trace.records:
-        last = trace.records[-1]
-        last.stop_flag = stop
-        if last.eval_dtype != "float64":  # the last record holds float64 values
-            _, last.f_value, grad = evals.to_float64(x)
-            last.grad_norm_full, last.eval_dtype = float(np.linalg.norm(grad)), "float64"
+        trace.records[-1].stop_flag = stop
     return trace
 
 
@@ -486,7 +452,7 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
         "big_k": est.big_k,
         "kappa": est.kappa,
         "kappa1": est.kappa1,
-        "kappa_tilde": est.kappa_tilde(size_h, config.replacement),
+        "kappa_tilde": est.kappa_tilde(size_h, _hessian_draws(config)),
         "sample_size_h": size_h,
         "sample_clamped_h": clamped_h,
         "lemma_sized": lemma_sized,
@@ -503,6 +469,13 @@ def plan(model: ObjectiveModel, config: SolverConfig, x0) -> dict:
     }
 
 
+def _hessian_draws(config) -> str:
+    """How a run draws its Hessian samples: newton's are without
+    replacement whatever the config says, so its n rows are the whole range
+    and its Hessian the full one."""
+    return "without" if config.variant == "newton" else config.replacement
+
+
 def _rate(config, est, size_h, solve) -> RatePrediction | None:
     """Guarantee constants of the run's ``solve``: rho at the unit step
     (alpha = 1), alpha_floor the bound on the accepted step, K-hat and
@@ -516,10 +489,10 @@ def _rate(config, est, size_h, solve) -> RatePrediction | None:
     if config.variant in ("ssn-spectral", "ssn-ridge"):
         rate = rate_spectral if config.variant == "ssn-spectral" else rate_ridge
         return rate(beta, config.lambda_user, est.big_k,
-                    est.draw_khat(size_h, config.replacement), est.gamma, 1.0, inexact)
+                    est.draw_khat(size_h, _hessian_draws(config)), est.gamma, 1.0, inexact)
     if not est.strongly_convex:
         return None
-    kt = est.kappa_tilde(size_h, config.replacement)
+    kt = est.kappa_tilde(size_h, _hessian_draws(config))
     if config.variant == "ssn-full":
         return rate_alg4(beta, config.eps1, est.kappa, kt, 1.0, inexact)
     # a newton Hessian is the full one: no sampling error, eps = 0
@@ -530,63 +503,13 @@ def _rate(config, est, size_h, solve) -> RatePrediction | None:
         return None
 
 
-class _Evaluations:
-    """A run's evaluations at its iterates: float32 (the model's
-    ``evaluate_float32``) while each one's rounding bounds certify the run's
-    steps, then float64 for the rest of the run.  ``float32`` says which
-    precision the current iterate's evaluation took (but x0 = 0's, which is
-    exact in either), and ``err_f`` bounds the error of its F."""
-
-    def __init__(self, model, allowed):
-        self.model = model
-        self.float32 = allowed and model.float32_evaluations
-        self.err_f = 0.0
-
-    @property
-    def dtype(self) -> str:
-        return "float32" if self.float32 else "float64"
-
-    def first(self, x):
-        """x0's evaluation: float32 if its gradient is certified.  At x0 = 0
-        it is the model's kept float64 one, whose F is the float32 one's bit
-        for bit (no product A x), and the run stays float32."""
-        if not np.any(x):
-            return self.model.evaluate(x)
-        if self.float32:
-            at, bounds = self.float32_at(x)
-            if at is not None and self.admits(at, bounds):
-                return at
-        return self.to_float64(x)
-
-    def float32_at(self, x):
-        """(evaluation, bounds) in float32, or (None, None) if it overflows."""
-        try:
-            *at, bounds = self.model.evaluate_float32(x)
-        except EvaluationError:
-            return None, None
-        return tuple(at), bounds
-
-    def admits(self, at, bounds) -> bool:
-        """Whether a float32 evaluation's gradient is certified, its bound at
-        most ``FLOAT32_GRAD_THETA`` times its norm; if so it becomes the
-        current iterate's, else the run turns float64."""
-        self.float32 = bounds.gradient <= FLOAT32_GRAD_THETA * float(np.linalg.norm(at[2]))
-        self.err_f = bounds.value if self.float32 else 0.0
-        return self.float32
-
-    def to_float64(self, x=None):
-        """Turns the run float64 for good; with x, x's float64 evaluation."""
-        self.float32, self.err_f = False, 0.0
-        return None if x is None else self.model.evaluate(x)
-
-
-def _searcher(model, params, evals, gradient=True):
+def _searcher(model, params, gradient=True):
     """Armijo steps for one run: each search predicts the unit step on the
     first iteration and after a search that accepted its first trial, and
     takes the gradient with F at x_{k+1}, predicted or not, unless
     ``gradient`` is False.  ``search(x, p, t, f_value, slope)`` returns
-    (alpha, trials, x_next, at_next, f_x), ``at_next`` being x_{k+1}'s
-    (margins, F, gradient or None).
+    (alpha, trials, x_next, at_next), ``at_next`` being x_{k+1}'s (margins,
+    F, gradient or None).
 
     Armijo sees alpha -> F(x + alpha p) given the margins t = A x.  A
     predicted first trial is a fresh ``model.evaluate`` at x + alpha p, whose
@@ -595,51 +518,20 @@ def _searcher(model, params, evals, gradient=True):
     non-finite one fails the trial, as a non-finite F does.  Every other
     trial costs O(n) from t + alpha A p, after one product A p, and x_{k+1}
     is then evaluated afresh, so no rounding drift builds up.
-
-    While ``evals`` is float32 (so the run takes full gradients and the
-    search predicts), the predicted trial is a float32 evaluation, made
-    where the bounds of the two F values sum to less than the margin of a
-    unit Newton step on a quadratic, (1/2 - beta) |p'g|.  Its step is taken
-    if Armijo accepts it by a margin above that sum, and it stays float32 if
-    its gradient is certified; if not, x_{k+1} is evaluated afresh in
-    float64.  Any other outcome redoes the comparison in float64, from one
-    walk over the data that evaluates x + alpha p, Armijo's first trial, and
-    takes F at x too (``f_x``; None where the search ran in one precision),
-    and the run stays float64.
     """
     predict = True
 
     def search(x, p, t, f_value, slope):
         nonlocal predict
-        f_x = first = ap = None  # first: the first trial's (x + alpha p, evaluation)
-        tried = 0
-        if evals.float32:
-            alpha = params.alpha_hat
-            x_new = x + alpha * p
-            err = evals.err_f + model.float32_bounds(x_new).value
-            if err < (0.5 - params.beta) * alpha * -slope:  # never for an ascent direction
-                tried = 1
-                at_new, bounds = evals.float32_at(x_new)
-                if at_new is not None and at_new[1] - f_value - alpha * params.beta * slope < -err:
-                    if evals.admits(at_new, bounds):
-                        return alpha, 1, x_new, at_new, None
-                    return alpha, 1, x_new, evals.to_float64(x_new), None
-            evals.to_float64()
-            try:
-                at_new, (t, f_x) = model.evaluate_pair(x_new, x, gradient)
-                first = (x_new, at_new)
-            except EvaluationError:  # at x + alpha p: a failed trial, as in armijo
-                t, f_x, _ = model.evaluate(x, gradient=False)
-            f_value = f_x
-        lead = predict or first is not None  # the first trial's evaluation is full
+        first = ap = None  # first: the predicted trial's (x + alpha p, evaluation)
+        lead = predict
 
         def line(alpha):
             nonlocal first, ap, lead
             if lead:
                 lead = False
-                if first is None:
-                    x_new = x + alpha * p
-                    first = (x_new, model.evaluate(x_new, gradient))
+                x_new = x + alpha * p
+                first = (x_new, model.evaluate(x_new, gradient))
                 return first[1][1]
             if ap is None:
                 ap = model._margins(p)
@@ -648,9 +540,9 @@ def _searcher(model, params, evals, gradient=True):
         alpha, trials = armijo(line, f_value, slope, params)
         predict = trials == 1
         if trials == 1 and first is not None:
-            return (alpha, tried + 1, *first, f_x)
+            return (alpha, 1, *first)
         x_new = x + alpha * p
-        return alpha, tried + trials, x_new, model.evaluate(x_new, gradient), f_x
+        return alpha, trials, x_new, model.evaluate(x_new, gradient)
 
     return search
 
@@ -658,21 +550,22 @@ def _searcher(model, params, evals, gradient=True):
 # -- Newton-like: ssn-* and newton --------------------------------------------
 
 
-def _newton_like(model, config, x0, evals):
+def _newton_like(model, config, x0):
     """Solves with a sampled (or, for newton, full) Hessian, with Armijo."""
     header = plan(model, config, x0)
     size_h, sigma = header["sample_size_h"], header["sigma"]
     sampled_g = config.variant == "ssn-full"
     rng = np.random.default_rng(config.seed)
+    replacement = _hessian_draws(config)
     eps2_k, stepped = config.eps2, False  # stepped: whether the run has taken a step
     assemble, solve = _solver(model, config, header, x0)
     # ssn-full's full gradient is a diagnostic, so its prediction skips it
-    search = _searcher(model, config.line_search, evals, gradient=not sampled_g)
+    search = _searcher(model, config.line_search, gradient=not sampled_g)
 
     def move(x, t, f_value, grad):
         nonlocal eps2_k, stepped
         # before g's: fixes the RNG stream
-        sample = draw(model.n, size_h, config.replacement, rng)
+        sample = draw(model.n, size_h, replacement, rng)
         g_used, size_g, grad_clamped, saturated = grad, None, False, False
         if sampled_g:
             if config.sample_frac_g is not None:
@@ -701,7 +594,7 @@ def _newton_like(model, config, x0, evals):
 
         for attempt in range(RESAMPLE_RETRIES + 1):
             if attempt:
-                sample = draw(model.n, size_h, config.replacement, rng)
+                sample = draw(model.n, size_h, replacement, rng)
             try:
                 p, solved = solve(assemble(sample, x, t), g_used)
                 break
@@ -716,14 +609,13 @@ def _newton_like(model, config, x0, evals):
             raise NotPositiveDefiniteError(
                 f"sampled Hessian stayed singular after {RESAMPLE_RETRIES} redraws ({last}); "
                 "use a larger sample, or ssn-spectral or ssn-ridge with lambda_user > 0")
-        alpha, trials, x_next, at_next, f_x = search(x, p, t, f_value, float(p @ g_used))
+        alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g_used))
         stepped = True
-        if not sample.full and at_next[1] > (f_value if f_x is None else f_x):
+        if not sample.full and at_next[1] > f_value:
             # Armijo accepted F from t + alpha A p; the fresh F at x_{k+1} can
             # exceed F(x_k) only by rounding, at the noise floor.  x_k is kept,
-            # so F never rises, and the next sample gives a new direction; a
-            # search that turned the run float64 evaluates x_k afresh
-            x_next, at_next = (None, None) if f_x is None else (x, model.evaluate(x))
+            # so F never rises, and the next sample gives a new direction
+            x_next = at_next = None
         eps2_k *= config.rho2
         diagnose = None
         if config.track_events:
@@ -817,9 +709,8 @@ def _solver(model, config, header, x0):
 # -- baselines ----------------------------------------------------------------
 
 
-def _first_order(model, config, x0, evals):
-    """Fixed-step GD at x_k, or AGD at its extrapolated point y_k; both
-    evaluate in float64, so ``evals`` goes unused."""
+def _first_order(model, config, x0):
+    """Fixed-step GD at x_k, or AGD at its extrapolated point y_k."""
     est = _estimates_for(model, config, x0)
     step = config.gd_step if config.gd_step is not None else 1.0 / est.big_k
     momentum = None
@@ -849,7 +740,7 @@ def _first_order(model, config, x0, evals):
     return header, move
 
 
-def _quasi_newton(model, config, x0, evals):
+def _quasi_newton(model, config, x0):
     """BFGS on a dense inverse-Hessian estimate, or L-BFGS on its last
     ``lbfgs_memory`` curvature pairs, with Armijo steps."""
     limited = config.variant == "lbfgs"
@@ -857,7 +748,7 @@ def _quasi_newton(model, config, x0, evals):
     b_inv = np.eye(model.p)
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
     s = g_prev = None
-    search = _searcher(model, config.line_search, evals)
+    search = _searcher(model, config.line_search)
 
     def move(x, t, f_value, g):
         nonlocal b_inv, s, g_prev
@@ -881,7 +772,7 @@ def _quasi_newton(model, config, x0, evals):
                 history.clear()
             else:
                 b_inv = np.eye(model.p)
-        alpha, trials, x_next, at_next, _ = search(x, p, t, f_value, float(p @ g))
+        alpha, trials, x_next, at_next = search(x, p, t, f_value, float(p @ g))
         s, g_prev = alpha * p, g
         return x_next, at_next, {"alpha": alpha, "ls_trials": trials}, None
 

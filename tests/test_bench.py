@@ -214,7 +214,6 @@ def test_json_records_carry_solve_diagnostics(tiny_result, tiny_spec):
     for r in blob["runs"]:
         for rec in r["records"]:
             assert set(DIAGNOSTICS) <= rec.keys()
-            assert rec["eval_dtype"] == "float64"  # below the float32 size floor
     # each one is the trace record's own, set on a ridge CG run and an ssn-full
     # one with track_events
     tracked = run_experiment(ExperimentSpec(

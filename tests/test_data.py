@@ -49,7 +49,7 @@ def test_generation_holds_at_most_two_designs():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * dataset.features.nbytes
-    assert dataset.features.flags.c_contiguous
+    assert dataset.features.flags.f_contiguous  # p <= COLUMN_MAJOR_MAX_P
 
 
 def one_draw_recipe(n, p, *, condition_target=1.0, family="logistic", seed=0,
@@ -100,7 +100,8 @@ def test_generation_matches_the_one_draw_recipe_bytes(monkeypatch, n, p, kwargs,
         monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * p * block_rows)
     dataset, meta = generate_synthetic(n, p, **kwargs)
     a, b, x_star, condition = one_draw_recipe(n, p, **kwargs)
-    assert dataset.features.flags.c_contiguous
+    narrow = p <= model_module.COLUMN_MAJOR_MAX_P
+    assert dataset.features.flags["F_CONTIGUOUS" if narrow else "C_CONTIGUOUS"]
     assert dataset.features.tobytes() == a.tobytes()
     assert dataset.labels.tobytes() == b.tobytes()
     assert meta.planted_coefficients.tobytes() == x_star.tobytes()
@@ -269,7 +270,7 @@ def test_dense_file_loads_dense_and_bit_identical(tmp_path):
     save_dataset(dataset, path)
     back = load_dataset(path)
     assert back.storage == "dense"
-    assert back.features.dtype == np.float64 and back.features.flags.c_contiguous
+    assert back.features.dtype == np.float64 and back.features.flags.f_contiguous
     assert back.features.tobytes() == dense_parse(path).tobytes()
     assert back.features.tobytes() == dataset.features.tobytes()
 

@@ -8,8 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from subnewton import model as model_module
 from subnewton import solvers
@@ -160,96 +158,6 @@ def test_evaluate_at_zero_makes_no_product_and_keeps_the_bits(family, storage, m
     t_only, f_only, none = m.evaluate(x, gradient=False)
     assert m.data_passes == before and none is None
     assert t_only.tobytes() == product.tobytes() and f_only == f
-
-
-@pytest.mark.parametrize("storage", ["dense", "csr"])
-@pytest.mark.parametrize("family", ["ridge", "logistic", "poisson"])
-def test_evaluate_pair_is_two_evaluations_bit_for_bit(family, storage, monkeypatch):
-    monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 16 * 6 * 8)
-    m = block_model(family, 1003, 6, storage)
-    rng = np.random.default_rng(5)
-    x, x_ref = 0.2 * rng.standard_normal(6), 0.2 * rng.standard_normal(6)
-    for ref in (x_ref, np.zeros(6)):
-        before = m.data_passes
-        (t, f, g), (t_ref, f_ref) = m.evaluate_pair(x, ref)
-        assert m.data_passes - before == 2 + bool(np.any(ref))
-        t1, f1, g1 = m.evaluate(x)
-        t2, f2, _ = m.evaluate(ref, gradient=False)
-        assert t.tobytes() == t1.tobytes() and f == f1 and g.tobytes() == g1.tobytes()
-        assert t_ref.tobytes() == t2.tobytes() and f_ref == f2
-
-
-def float32_model(family, n, p, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    a = scale * rng.standard_normal((n, p))
-    a[rng.random((n, p)) < 0.2] = 0.0
-    t = a @ rng.standard_normal(p)
-    if family == "ridge":
-        b = t + rng.standard_normal(n)
-    else:
-        b = (rng.random(n) < 1.0 / (1.0 + np.exp(-np.clip(t, -50.0, 50.0)))).astype(float)
-    return ObjectiveModel(Dataset(a, b), family, reg=0.01)
-
-
-def assert_within_bounds(m, x):
-    t, f, g = m.evaluate(x)
-    t32, f32, g32, bounds = m.evaluate_float32(x)
-    assert bounds == m.float32_bounds(x)
-    assert float(np.max(np.abs(t32 - t))) <= bounds.margins
-    assert abs(f32 - f) <= bounds.value
-    assert float(np.linalg.norm(g32 - g)) <= bounds.gradient
-
-
-@settings(max_examples=60, deadline=None)
-@given(family=st.sampled_from(["logistic", "ridge"]), n=st.integers(1, 300),
-       p=st.integers(1, 40), seed=st.integers(0, 2**16), scale=st.floats(1e-3, 1e2),
-       x_scale=st.floats(0.0, 1e2), block_rows=st.sampled_from([7, 64, 2048]))
-def test_float32_evaluation_lies_within_its_bounds(family, n, p, seed, scale, x_scale,
-                                                  block_rows):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 1)
-        mp.setattr(model_module, "FLOAT32_BLOCK_ROWS", block_rows)
-        m = float32_model(family, n, p, seed, scale)
-        x = x_scale * np.random.default_rng(seed + 1).standard_normal(p)
-        assert_within_bounds(m, x)
-
-
-def test_float32_evaluation_at_zero_and_past_the_floor(monkeypatch):
-    m = float32_model("logistic", 500, 8, 0)
-    assert not m.float32_evaluations  # 4000 entries, below the floor
-    for call in (m.evaluate_float32, m.float32_bounds):
-        with pytest.raises(ValueError, match="float32 evaluations need"):
-            call(np.zeros(8))
-    monkeypatch.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 4000)
-    assert m.float32_evaluations
-    x = np.zeros(8)
-    before = m.data_passes
-    t32, f32, g32, bounds = m.evaluate_float32(x)
-    t, f, g = m.evaluate(x)
-    assert m.data_passes - before == 2  # A'w in each
-    # no product A x: the margins and F are the float64 ones, the gradient
-    # alone carries a rounding error
-    assert t32.tobytes() == t.tobytes() and f32 == f and bounds.margins < 1e-40
-    assert 0 < np.linalg.norm(g32 - g) <= bounds.gradient
-    for other in (block_model("logistic", 600, 8, "csr"), block_model("poisson", 600, 8, "dense")):
-        assert not other.float32_evaluations
-
-
-def test_float32_copy_forms_no_float64_design_sized_temporary(monkeypatch):
-    monkeypatch.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 1)
-    m = float32_model("logistic", 20000, 40, 3)
-    design = m.n * m.p
-    tracemalloc.start()
-    try:
-        m.evaluate_float32(np.zeros(m.p))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the float32 copy, and block-sized scratch beside it
-    assert 4 * design <= peak < 4 * design + 2 * model_module.ROW_BLOCK_BYTES + 8 * m.n * 3
-    rows = m._float32_rows().blocks
-    assert rows[0][1].dtype == np.float32
-    assert len(rows) == math.ceil(m.n / model_module.FLOAT32_BLOCK_ROWS)
 
 
 # 16 rows per block at p = 6: a 10-row sample is one block, 1003 rows span 63
@@ -428,6 +336,22 @@ def test_hessian_full_sample_identity(small_logistic, small_ridge, small_poisson
         assert m._gram is not None
 
 
+def test_full_range_sample_matches_a_gathered_range_to_rounding():
+    """On a column-major design the full range reads the design's own rows
+    and a gathered 0..n-1 is row-major, so the two agree to rounding."""
+    m = block_model("logistic", 6000, 50, "dense", seed=7)
+    a = m.dataset.features
+    assert a.flags.f_contiguous
+    x = 0.2 * np.random.default_rng(8).standard_normal(m.p)
+    own = m.sampled_hessian(np.arange(m.n), x)
+    gathered = model_module.SampledHessian(a[np.arange(m.n)], own.curvature, own.shift)
+    assert own.rows is a and gathered.rows.flags.c_contiguous
+    h_own, h_gathered = own.dense(), gathered.dense()
+    assert np.linalg.norm(h_own - h_gathered) <= 1e-13 * np.linalg.norm(h_gathered)
+    d = np.random.default_rng(9).standard_normal(m.p)
+    assert np.linalg.norm(own @ d - gathered @ d) <= 1e-13 * np.linalg.norm(gathered @ d)
+
+
 def test_full_sample_reads_the_design_rows(small_logistic):
     m = small_logistic
     x = np.full(m.p, 0.2)
@@ -483,7 +407,7 @@ def test_start_hessian_lookup_reads_no_design_block():
                        inexact=solvers.InexactnessSpec(theta1=1e-2, theta2=0.5))
     run(m, cfg, x0)  # forms and keeps the Gram and the start inverse
     object.__setattr__(dataset, "features", dataset.features.view(Spy))
-    header, _ = solvers._newton_like(m, cfg, x0, solvers._Evaluations(m, False))
+    header, _ = solvers._newton_like(m, cfg, x0)
     assert header["preconditioner"] == "start-hessian"
     assert reads == []
     m.hessian_inverse(np.full(m.p, 0.1), 0.0)
@@ -890,6 +814,62 @@ def test_model_construction_makes_no_design_sized_temporary():
         tracemalloc.stop()
     assert peak <= 0.25 * a.nbytes
     np.testing.assert_array_equal(m.dataset.row_norms(), np.linalg.norm(a, axis=1))
+
+
+@pytest.mark.parametrize("p", [1, 50, model_module.COLUMN_MAJOR_MAX_P])
+def test_narrow_dense_design_is_column_major_with_its_input_values(p):
+    a = np.random.default_rng(p).standard_normal((300, p))
+    features = Dataset(a, np.zeros(300)).features
+    assert features.flags.f_contiguous and features.dtype == np.float64
+    assert features.tobytes() == a.tobytes()
+
+
+def test_wide_dense_design_stays_row_major():
+    p = model_module.COLUMN_MAJOR_MAX_P + 1
+    a = np.random.default_rng(1).standard_normal((300, p))
+    for given in (a, np.asfortranarray(a)):
+        features = Dataset(given, np.zeros(300)).features
+        assert features.flags.c_contiguous and not features.flags.f_contiguous
+        assert features.tobytes() == a.tobytes()
+    assert Dataset(a, np.zeros(300)).features is a  # row-major float64: no copy
+
+
+def test_csr_design_keeps_its_storage():
+    a = sp.random(300, 20, density=0.1, format="csr", random_state=0)
+    features = Dataset(a, np.zeros(300)).features
+    assert sp.issparse(features) and features.format == "csr"
+    np.testing.assert_array_equal(features.toarray(), a.toarray())
+
+
+@pytest.mark.parametrize("family", ["ridge", "logistic", "poisson"])
+def test_evaluate_agrees_across_both_layouts(family, monkeypatch):
+    column = block_model(family, 6000, 50, "dense", seed=6)
+    monkeypatch.setattr(model_module, "COLUMN_MAJOR_MAX_P", 0)
+    row = ObjectiveModel(Dataset(column.dataset.features, column.dataset.labels), family,
+                         reg=column.reg)
+    assert column.dataset.features.flags.f_contiguous
+    assert row.dataset.features.flags.c_contiguous
+    x = 0.2 * np.random.default_rng(2).standard_normal(50)
+    (t_c, f_c, g_c), (t_r, f_r, g_r) = column.evaluate(x), row.evaluate(x)
+    assert np.linalg.norm(t_c - t_r) <= 1e-12 * np.linalg.norm(t_r)
+    assert abs(f_c - f_r) <= 1e-12 * abs(f_r)
+    assert np.linalg.norm(g_c - g_r) <= 1e-12 * np.linalg.norm(g_r)
+
+
+def test_a_tall_run_keeps_no_copy_of_the_design():
+    """An ssn-hessian run on a built 100000 x 50 model allocates far less
+    than a float32 copy of its design (n p 4 bytes)."""
+    dataset, _ = generate_synthetic(100_000, 50, family="logistic", seed=5)
+    m = ObjectiveModel(dataset, "logistic", reg=1e-4)
+    cfg = SolverConfig(variant="ssn-hessian", sample_frac_h=0.01, seed=3)
+    tracemalloc.start()
+    try:
+        trace = run(m, cfg, np.zeros(m.p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.stop == "GradTol"
+    assert peak < m.n * m.p * 4 / 2
 
 
 def test_sparse_integer_features_cast_to_float():

@@ -694,72 +694,6 @@ def test_records_reuse_in_clock_evaluations_exactly(small_logistic, settings, pa
         assert [rec.data_passes for rec in steps] == line_search_passes(steps, base=passes)
 
 
-FLOAT32_EVAL_CASES = [dict(variant="ssn-hessian", sample_frac_h=0.5, grad_tol=1e-9),
-                      dict(variant="newton", grad_tol=1e-10),
-                      dict(variant="lbfgs", grad_tol=1e-9)]
-
-
-@pytest.mark.parametrize("settings", FLOAT32_EVAL_CASES, ids=lambda c: c["variant"])
-def test_float32_evaluations_hand_over_to_float64_before_the_stop(small_logistic, settings,
-                                                                   monkeypatch):
-    monkeypatch.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 1)
-    m = small_logistic
-    trace = run(m, SolverConfig(max_iters=60, seed=5, **settings), np.zeros(m.p))
-    assert trace.stop == "GradTol"
-    dtypes = [rec.eval_dtype for rec in trace.records]
-    # float32 from the start, then float64 for good
-    assert dtypes[0] == "float32" and "float64" in dtypes
-    switch = dtypes.index("float64")
-    assert set(dtypes[:switch]) == {"float32"} and set(dtypes[switch:]) == {"float64"}
-    terminal = trace.records[-1]
-    t, f, g = m.evaluate(terminal.x)
-    assert terminal.f_value == f and terminal.grad_norm_full == float(np.linalg.norm(g))
-    assert trace.grad_norm_final == terminal.grad_norm_full <= settings["grad_tol"]
-    for rec in trace.records[:switch]:  # each float32 record lies within its bounds
-        bounds = m.float32_bounds(rec.x)
-        assert abs(rec.f_value - m.value(rec.x)) <= bounds.value
-        assert abs(rec.grad_norm_full - float(np.linalg.norm(m.gradient(rec.x)))) \
-            <= bounds.gradient <= solvers.FLOAT32_GRAD_THETA * rec.grad_norm_full
-    for rec in trace.records[switch:]:
-        assert rec.f_value == m.value(rec.x)
-
-
-def test_a_run_cut_short_ends_on_a_float64_record(small_logistic, monkeypatch):
-    monkeypatch.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 1)
-    m = small_logistic
-    trace = run(m, SolverConfig(variant="newton", max_iters=1), np.zeros(m.p))
-    last, = trace.records
-    assert trace.stop == last.stop_flag == "MaxIters" and last.eval_dtype == "float64"
-    t, f, g = m.evaluate(last.x)
-    assert last.f_value == f and last.grad_norm_full == float(np.linalg.norm(g))
-
-
-@pytest.mark.parametrize("settings", [dict(variant="gd"), dict(variant="agd"),
-                                      dict(variant="ssn-full", sample_frac_h=0.5,
-                                           sample_frac_g=0.5, sigma=0.5)],
-                         ids=lambda c: c["variant"])
-def test_first_order_and_sampled_gradient_runs_stay_float64(small_logistic, settings,
-                                                            monkeypatch):
-    monkeypatch.setattr(model_module, "FLOAT32_EVAL_MIN_ENTRIES", 1)
-    m = small_logistic
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
-        trace = run(m, SolverConfig(max_iters=20, seed=5, **settings), np.zeros(m.p))
-    assert {rec.eval_dtype for rec in trace.records} == {"float64"}
-
-
-@pytest.mark.parametrize("variant", solvers.ALL_VARIANTS)
-def test_records_below_the_float32_size_floor_are_float64(small_logistic, variant):
-    m = small_logistic
-    assert not m.float32_evaluations
-    cfg = SolverConfig(variant=variant, max_iters=8, seed=5, sample_frac_h=0.5,
-                       sample_frac_g=0.5, sigma=0.5, lambda_user=1e-3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        trace = run(m, cfg, np.zeros(m.p))
-    assert trace.records and {rec.eval_dtype for rec in trace.records} == {"float64"}
-
-
 def test_accepted_full_steps_make_two_passes(small_logistic):
     # the predicted unit step's fresh margins and F become x_{k+1}'s: A x, A'w
     m = small_logistic
@@ -907,9 +841,9 @@ def test_rejected_prediction_gradient_never_reaches_a_record(small_logistic, mon
     t, f, g = m.evaluate(x)
     p = -(m.hessian_inverse(x, 0.0) @ g)  # the run's first direction
     speculative.clear()
-    search = solvers._searcher(m, LineSearchParams(alpha_hat=4.0), solvers._Evaluations(m, False))
-    alpha, trials, x_next, (t_next, f_next, g_next), f_x = search(x, p, t, f, float(p @ g))
-    assert trials > 1 and f_x is None
+    search = solvers._searcher(m, LineSearchParams(alpha_hat=4.0))
+    alpha, trials, x_next, (t_next, f_next, g_next) = search(x, p, t, f, float(p @ g))
+    assert trials > 1
     np.testing.assert_array_equal(x_next, x + alpha * p)
     for got, want in zip((t_next, f_next, g_next), m.evaluate(x_next)):
         np.testing.assert_array_equal(got, want)
@@ -918,8 +852,8 @@ def test_rejected_prediction_gradient_never_reaches_a_record(small_logistic, mon
     assert not np.array_equal(g_next, g_trial)
     # an accepted prediction is x_{k+1}'s one evaluation
     speculative.clear()
-    accepted = solvers._searcher(m, LineSearchParams(), solvers._Evaluations(m, False))
-    alpha, trials, x_next, (t_new, f_next, g_new), _ = accepted(x, p, t, f, float(p @ g))
+    accepted = solvers._searcher(m, LineSearchParams())
+    alpha, trials, x_next, (t_new, f_next, g_new) = accepted(x, p, t, f, float(p @ g))
     assert alpha == 1.0 and trials == 1 and len(speculative) == 1
     np.testing.assert_array_equal(speculative[0][0], x_next)
     assert f_next == m.value(x_next)
@@ -1465,6 +1399,24 @@ def test_only_a_random_sample_is_redrawn(small_logistic, monkeypatch, settings, 
         warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
         run(small_logistic, SolverConfig(max_iters=1, **settings), np.zeros(small_logistic.p))
     assert len(solves) == attempts
+
+
+def test_newton_steps_on_the_full_hessian_whatever_its_replacement():
+    """newton draws its n rows without replacement whatever the config
+    says: with replacement asked for, it plans and steps as by default."""
+    dataset, _ = generate_synthetic(400, 12, seed=11)
+    m = ObjectiveModel(dataset, "logistic", reg=0.05)
+    default = run(m, SolverConfig(variant="newton"), np.zeros(m.p))
+    drawn = run(m, SolverConfig(variant="newton", replacement="with"), np.zeros(m.p))
+    assert default.stop == drawn.stop == "GradTol"
+
+    def planned(trace):
+        return {k: v for k, v in trace.header.items() if k != "config"}
+    assert planned(drawn) == planned(default)
+
+    def fields(rec):
+        return {**vars(rec), "wall_nanos": None, "x": rec.x.tobytes()}
+    assert [fields(rec) for rec in drawn.records] == [fields(rec) for rec in default.records]
 
 
 def test_ridge_huge_shift_is_gradient_direction(small_logistic):
