@@ -794,6 +794,22 @@ def test_dense_non_finite_features_rejected_in_any_row_block():
             Dataset(features=bad, labels=np.zeros(a.shape[0]))
 
 
+@pytest.mark.parametrize("p", [model_module.COLUMN_MAJOR_MAX_P,
+                               model_module.COLUMN_MAJOR_MAX_P + 1])
+def test_dense_non_finite_features_rejected_in_either_layout(p):
+    """The finite check's row blocks are strided views of a column-major
+    design and contiguous ones of a row-major design; it finds an entry in
+    either, in the first row or the last, the first column or the last."""
+    a = np.ones((3 * model_module.ROW_BLOCK_BYTES // (8 * p), p))
+    for row, col in ((0, 0), (-1, -1), (-1, 0)):
+        bad = a.copy()
+        bad[row, col] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(features=bad, labels=np.zeros(a.shape[0]))
+    assert Dataset(a, np.zeros(a.shape[0])).features.flags[
+        "F_CONTIGUOUS" if p <= model_module.COLUMN_MAJOR_MAX_P else "C_CONTIGUOUS"]
+
+
 @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
 def test_empty_designs_rejected(shape):
     for a in (np.zeros(shape), sp.csr_matrix(shape)):
@@ -841,19 +857,68 @@ def test_csr_design_keeps_its_storage():
     np.testing.assert_array_equal(features.toarray(), a.toarray())
 
 
+def row_major_twin(column, monkeypatch):
+    """The model on the same values as column-major ``column``, stored
+    row-major."""
+    monkeypatch.setattr(model_module, "COLUMN_MAJOR_MAX_P", 0)
+    row = ObjectiveModel(Dataset(column.dataset.features, column.dataset.labels),
+                         column.family, reg=column.reg)
+    assert column.dataset.features.flags.f_contiguous
+    assert row.dataset.features.flags.c_contiguous
+    return row
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert np.linalg.norm(np.subtract(got, want)) <= rtol * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("family", ["ridge", "logistic", "poisson"])
 def test_evaluate_agrees_across_both_layouts(family, monkeypatch):
     column = block_model(family, 6000, 50, "dense", seed=6)
-    monkeypatch.setattr(model_module, "COLUMN_MAJOR_MAX_P", 0)
-    row = ObjectiveModel(Dataset(column.dataset.features, column.dataset.labels), family,
-                         reg=column.reg)
-    assert column.dataset.features.flags.f_contiguous
-    assert row.dataset.features.flags.c_contiguous
+    row = row_major_twin(column, monkeypatch)
     x = 0.2 * np.random.default_rng(2).standard_normal(50)
     (t_c, f_c, g_c), (t_r, f_r, g_r) = column.evaluate(x), row.evaluate(x)
-    assert np.linalg.norm(t_c - t_r) <= 1e-12 * np.linalg.norm(t_r)
+    assert_close(t_c, t_r)
     assert abs(f_c - f_r) <= 1e-12 * abs(f_r)
-    assert np.linalg.norm(g_c - g_r) <= 1e-12 * np.linalg.norm(g_r)
+    assert_close(g_c, g_r)
+
+
+# 7 rows per block at p = 50: 1003 rows span 144 blocks and end in a part block
+@pytest.mark.parametrize("family", ["ridge", "logistic", "poisson"])
+def test_ragged_row_blocks_agree_across_both_layouts(family, monkeypatch):
+    monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 7 * 50 * 8)
+    column = block_model(family, 1003, 50, "dense", seed=4)
+    row = row_major_twin(column, monkeypatch)
+    x = 0.2 * np.random.default_rng(3).standard_normal(50)
+    for m in (column, row):
+        assert len(m._blocks) == 144 and m._blocks[-1][1].shape[0] == 1003 % 7
+    (t_c, f_c, g_c), (t_r, f_r, g_r) = column.evaluate(x), row.evaluate(x)
+    assert_close(t_c, t_r)
+    assert abs(f_c - f_r) <= 1e-12 * abs(f_r)
+    assert_close(g_c, g_r)
+    assert_close(column.gradient(x), row.gradient(x))  # A x and A'w walked apart
+    assert abs(column.value(x) - row.value(x)) <= 1e-12 * abs(f_r)
+    # at x = 0 the walk makes A'w alone
+    (_, f0_c, g0_c), (_, f0_r, g0_r) = column.evaluate(np.zeros(50)), row.evaluate(np.zeros(50))
+    assert f0_c == f0_r
+    assert_close(g0_c, g0_r)
+
+
+@pytest.mark.parametrize("family", ["ridge", "logistic", "poisson"])
+def test_samples_agree_across_both_layouts(family, monkeypatch):
+    """A gathered sample, its sampled gradient and the full Hessian from
+    the design's own rows agree on either layout to rounding."""
+    column = block_model(family, 3000, 40, "dense", seed=9)
+    row = row_major_twin(column, monkeypatch)
+    rng = np.random.default_rng(10)
+    x = 0.2 * rng.standard_normal(40)
+    sample = SampleSet(rng.integers(0, 3000, 700), replacement="with", source_n=3000)
+    h_c, h_r = column.sampled_hessian(sample, x), row.sampled_hessian(sample, x)
+    assert_close(h_c.dense(), h_r.dense())
+    d = rng.standard_normal(40)
+    assert_close(h_c @ d, h_r @ d)
+    assert_close(subsampled_gradient(column, x, sample), subsampled_gradient(row, x, sample))
+    assert_close(column.hessian(x), row.hessian(x))
 
 
 def test_a_tall_run_keeps_no_copy_of_the_design():

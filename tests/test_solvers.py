@@ -694,6 +694,34 @@ def test_records_reuse_in_clock_evaluations_exactly(small_logistic, settings, pa
         assert [rec.data_passes for rec in steps] == line_search_passes(steps, base=passes)
 
 
+@pytest.mark.parametrize("variant", solvers.ALL_VARIANTS)
+def test_every_variant_runs_alike_on_either_layout(small_logistic, variant, monkeypatch):
+    """The layout reorders only the sums: on the same values stored
+    row-major, each variant takes the same steps on the same samples, and
+    its iterates agree to rounding."""
+    column = small_logistic
+    monkeypatch.setattr(model_module, "COLUMN_MAJOR_MAX_P", 0)
+    row = ObjectiveModel(Dataset(column.dataset.features, column.dataset.labels),
+                         "logistic", reg=column.reg)
+    assert column.dataset.features.flags.f_contiguous
+    assert row.dataset.features.flags.c_contiguous
+    cfg = SolverConfig(variant=variant, max_iters=8, seed=5, sample_frac_h=0.5,
+                       sample_frac_g=0.5, sigma=0.5, lambda_user=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ssn-full's sigma is below the STOP floor
+        traces = [run(m, cfg, np.zeros(m.p)) for m in (column, row)]
+    col, rw = traces
+    assert col.records and col.stop == rw.stop
+    assert len(col.records) == len(rw.records)
+    for a, b in zip(col.records, rw.records):
+        assert (a.k, a.ls_trials, a.sample_size_h, a.sample_size_g, a.cg_iters,
+                a.solve_path, a.data_passes) == (b.k, b.ls_trials, b.sample_size_h,
+                                                 b.sample_size_g, b.cg_iters, b.solve_path,
+                                                 b.data_passes)
+        assert abs(a.f_value - b.f_value) <= 1e-12 * abs(b.f_value)
+        assert np.linalg.norm(a.x - b.x) <= 1e-12 * max(1.0, np.linalg.norm(b.x))
+
+
 def test_accepted_full_steps_make_two_passes(small_logistic):
     # the predicted unit step's fresh margins and F become x_{k+1}'s: A x, A'w
     m = small_logistic
