@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .model import EXP_CLAMP, FAMILIES, Dataset, _row_blocks, weighted_gram
+from .model import EXP_CLAMP, FAMILIES, Dataset, _row_blocks, dense_order, weighted_gram
 
 # An svmlight file whose stored fraction nnz/(n*p) is at most this loads as
 # CSR, otherwise dense.  Measured at 20000 x 500 with one BLAS thread, CSR
@@ -69,11 +69,14 @@ def generate_synthetic(
 
     A Gaussian matrix supplies the singular vectors; its singular values are
     replaced by a geometric ladder spanning sqrt(condition_target), which
-    pins the Gram spectrum.  The Gaussian is drawn a row block at a time
-    straight into Fortran order, and u is scaled in its one C-order copy, so
-    on a tall design (n >> p) generation peaks, in gesdd, at about twice the
-    bytes of the n x p design it returns; nearer n = p, gesdd's O(p^2)
-    workspace adds a few designs' worth.
+    pins the Gram spectrum.  The design is built in two n x p buffers: the
+    Gaussian, drawn a row block at a time straight into Fortran order and
+    factored in place by gesdd, and gesdd's u.  After the SVD no other n x p
+    array is made, and the design is returned in the order ``Dataset``
+    stores (``model.dense_order``), so ``Dataset`` adopts it without a copy.
+    On a tall design (n >> p) generation peaks, in gesdd, at about twice the
+    bytes of the design it returns; nearer n = p, gesdd's O(p^2) workspace
+    adds a few designs' worth.
     Labels: ridge adds N(0, RIDGE_NOISE) to the planted response, logistic
     draws Bernoulli from the planted probabilities, Poisson draws exact
     counts.  Fixed seeds reproduce the dataset byte-for-byte under a fixed
@@ -101,24 +104,33 @@ def generate_synthetic(
     import scipy.linalg
 
     rng = np.random.default_rng(seed)
-    # at most two n x p arrays live at once: z is drawn in C-order row
-    # blocks straight into Fortran order (the stream is sequential, so the
-    # values are those of one (n, p) draw), gesdd factors it in place, and u
-    # is scaled during its one copy to C order.  u and vt go to C order,
-    # which fixes how u @ vt rounds: with u in Fortran order the last bits
-    # differ.
+    # every n x p array from the draw to the return lives in one of two
+    # buffers, z's and u's.  z is drawn in C-order row blocks straight into
+    # Fortran order (the stream is sequential, so the values are those of
+    # one (n, p) draw) and gesdd factors it in place.  Then u, scaled by the
+    # ladder and by sqrt(n) a row block at a time, goes to z's buffer in C
+    # order, u @ vt to u's buffer in C order, and a design stored
+    # column-major back to z's buffer in Fortran order, a row block at a
+    # time.  u @ vt is one dgemm on C-order operands: OpenBLAS rounds by
+    # partition, so a blocked or Fortran-ordered product differs in the
+    # last bits.
     z = np.empty((n, p), order="F")
     for _, z_b in _row_blocks(z):
         z_b[...] = rng.standard_normal(z_b.shape)
+    del z_b  # the last block is a view
     u, _, vt = scipy.linalg.svd(z, full_matrices=False, overwrite_a=True,
                                 check_finite=False)
-    del z, z_b  # the last block is a view that would keep z alive
-    u = np.multiply(u, np.geomspace(1.0, 1.0 / math.sqrt(condition_target), num=p),
-                    order="C")
+    u_c = z.ravel(order="F").reshape(n, p)  # z's buffer seen in C order
+    ladder = np.geomspace(1.0, 1.0 / math.sqrt(condition_target), num=p)
+    root_n = math.sqrt(n)
+    for rows, u_b in _row_blocks(u_c):  # each block scaled while in cache
+        u_b[...] = u[rows]
+        u_b *= ladder
+        u_b *= root_n
+    del u_b
     vt = np.ascontiguousarray(vt)
-    u *= math.sqrt(n)
-    a = u @ vt
-    del u
+    a = np.matmul(u_c, vt, out=u.ravel(order="F").reshape(n, p))
+    del u, u_c
 
     if signal_direction == "weak":
         weights = rng.standard_normal(p - p // 2)
@@ -129,6 +141,12 @@ def generate_synthetic(
         x_star = rng.standard_normal(p)
         x_star *= signal_norm / np.linalg.norm(x_star)
     t = a @ x_star
+    if dense_order(p) == "F":
+        for rows, a_b in _row_blocks(a):
+            z[rows] = a_b
+        a = z
+        del a_b  # the last block would keep u's buffer alive
+    del z
 
     if family == "ridge":
         b = t + RIDGE_NOISE * rng.standard_normal(n)
@@ -165,7 +183,9 @@ def load_dataset(path, fmt: str = "svmlight") -> Dataset:
     and its line number.  Features go straight into CSR (column indices
     sorted, a repeated index on a line keeps its last value) and stay CSR
     when at most ``SPARSE_MAX_DENSITY`` of the n x p entries are stored;
-    denser files load as a dense array.  csv always loads dense.
+    denser files load as a dense array.  csv always loads dense.  A dense
+    design is built in the order ``Dataset`` stores (``model.dense_order``),
+    which adopts it without a copy.
     """
     if fmt == "svmlight":
         return _load_svmlight(path)
@@ -211,10 +231,11 @@ def _load_svmlight(path) -> Dataset:
     if cols.size <= SPARSE_MAX_DENSITY * n * p:
         a = sp.csr_matrix((vals, cols, indptr), shape=(n, p))
     else:
-        # scattered, not CSR.toarray(), which would turn a stored -0.0 into 0.0
-        a = np.zeros((n, p))
+        # scattered, not CSR.toarray(), which would turn a stored -0.0 into
+        # 0.0, and in the order Dataset stores, so it adopts a as it is
+        a = np.zeros((n, p), order=dense_order(p))
         a[np.repeat(np.arange(n), np.diff(indptr)), cols] = vals
-    del cols, vals, indptr  # Dataset copies a: none of these need outlive it
+    del cols, vals, indptr
     return Dataset(features=a, labels=labels)
 
 
@@ -407,4 +428,5 @@ def _load_csv(path) -> Dataset:
             rows.append(vals[1:])
     if not rows:
         raise DataFormatError(path, 0, "empty dataset file")
-    return Dataset(features=np.array(rows), labels=np.array(labels))
+    return Dataset(features=np.array(rows, order=dense_order(width - 1)),
+                   labels=np.array(labels))

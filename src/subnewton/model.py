@@ -87,6 +87,12 @@ ROW_BLOCK_BYTES = 1 << 20
 # product, took 17% longer on a column-major copy (BENCH_layout.json).
 COLUMN_MAJOR_MAX_P = 64
 
+
+def dense_order(p: int) -> str:
+    """The memory order ("F" or "C") a dense design of p columns is stored in."""
+    return "F" if p <= COLUMN_MAJOR_MAX_P else "C"
+
+
 # The families whose float32 solves (solvers.plan's ``solve_dtype``) stay
 # finite; Poisson's Phi'' = e^t overflows float32.
 FLOAT32_FAMILIES = ("logistic", "ridge")
@@ -219,8 +225,10 @@ class Dataset:
     """Immutable design matrix plus labels.
 
     ``features`` is (n, p), dense ndarray or CSR sparse; ``labels`` is (n,).
-    A dense design is kept as a float64 array with the same values,
-    column-major where p <= ``COLUMN_MAJOR_MAX_P`` and row-major above.
+    A dense design is kept as a float64 array with the same values in
+    ``dense_order(p)``: column-major where p <= ``COLUMN_MAJOR_MAX_P`` and
+    row-major above.  A float64 array already in that order is adopted as
+    it is, with no copy.
     """
 
     features: object
@@ -236,8 +244,7 @@ class Dataset:
             feats = np.asarray(feats)
             if feats.ndim != 2:
                 raise ValueError("features must be a 2-D array")
-            order = "F" if feats.shape[1] <= COLUMN_MAJOR_MAX_P else "C"
-            feats = np.asarray(feats, dtype=float, order=order)
+            feats = np.asarray(feats, dtype=float, order=dense_order(feats.shape[1]))
         n, p = feats.shape
         if n < 1 or p < 1:
             raise ValueError("need n >= 1 rows and p >= 1 columns")

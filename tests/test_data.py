@@ -52,6 +52,39 @@ def test_generation_holds_at_most_two_designs():
     assert dataset.features.flags.f_contiguous  # p <= COLUMN_MAJOR_MAX_P
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(family="logistic"),
+    dict(family="poisson", signal_direction="weak"),
+    dict(family="ridge", condition_target=1e4),
+])
+def test_generation_allocates_no_design_after_the_svd(monkeypatch, kwargs):
+    """From gesdd's return on, every n x p array lives in the buffers of
+    gesdd's input z and output u: with both kept alive, the peak past them
+    is a few n-length vectors (margins, labels), not a design."""
+    svd, kept, held = scipy.linalg.svd, [], []
+
+    def svd_keeping_its_buffers(a, *args, **kw):
+        result = svd(a, *args, **kw)
+        kept.append((a, result))
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(scipy.linalg, "svd", svd_keeping_its_buffers)
+    generate_synthetic(50, 5)  # first-call set-up outside the count
+    n, p = 20_000, 50
+    tracemalloc.start()
+    try:
+        dataset, _ = generate_synthetic(n, p, seed=3, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held[-1] <= 8 * 8 * n  # eight n-vectors; a design is 50
+    z, (u, _, _) = kept[-1]
+    assert np.shares_memory(dataset.features, z)  # p <= COLUMN_MAJOR_MAX_P
+    assert dataset.features.flags.f_contiguous
+
+
 def one_draw_recipe(n, p, *, condition_target=1.0, family="logistic", seed=0,
                     signal_norm=3.0, signal_direction="random"):
     """The generator as one (n, p) draw copied to Fortran order, u copied to
@@ -91,11 +124,16 @@ def one_draw_recipe(n, p, *, condition_target=1.0, family="logistic", seed=0,
     # near square, drawn 7 rows at a time: 60 rows are 8 blocks and one of 4
     (60, 50, dict(family="logistic", signal_direction="weak", condition_target=1e8), 7),
     (1_000, 100, dict(family="ridge", signal_direction="weak", seed=5), 13),
+    # either side of COLUMN_MAJOR_MAX_P = 64, 9-row blocks over 1000 rows
+    # leaving a last block of 1
+    (1_000, 64, dict(family="logistic", condition_target=1e3, seed=6), 9),
+    (1_000, 65, dict(family="poisson", signal_direction="weak", seed=6), 9),
 ])
 def test_generation_matches_the_one_draw_recipe_bytes(monkeypatch, n, p, kwargs, block_rows):
-    """Drawing z a row block at a time into Fortran order and scaling u in
-    its C-order copy changes no byte, and the lazily measured condition is
-    the eager one."""
+    """Drawing z a row block at a time into Fortran order, scaling u a row
+    block at a time into z's buffer, forming u @ vt in u's buffer and
+    copying a column-major design back a row block at a time changes no
+    byte, and the lazily measured condition is the eager one."""
     if block_rows is not None:
         monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * p * block_rows)
     dataset, meta = generate_synthetic(n, p, **kwargs)
@@ -273,6 +311,57 @@ def test_dense_file_loads_dense_and_bit_identical(tmp_path):
     assert back.features.dtype == np.float64 and back.features.flags.f_contiguous
     assert back.features.tobytes() == dense_parse(path).tobytes()
     assert back.features.tobytes() == dataset.features.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["svmlight", "csv"])
+def test_dense_narrow_load_builds_the_stored_layout(fmt, tmp_path, monkeypatch):
+    """A dense file of p <= COLUMN_MAJOR_MAX_P loads straight into Fortran
+    order, which Dataset adopts: a stored -0.0 is kept and no second design
+    is made.  svmlight's peak stays within 1.5 designs plus its parse arrays
+    (labels, columns, values, row pointer); csv's within half a design past
+    what it holds when it builds the Dataset (its row lists and the design)."""
+    n, p = 5_000, 50
+    rng = np.random.default_rng(14)
+    a = np.where(rng.random((n, p)) < 0.15, rng.standard_normal((n, p)), 0.0)
+    a[0, 0] = a[n - 1, p - 1] = -0.0
+    labels = (rng.random(n) < 0.5).astype(float)
+    path = tmp_path / f"d.{fmt}"
+    if fmt == "svmlight":  # save_dataset skips zeros, -0.0 with them
+        lines = []
+        for i, row in enumerate(a):
+            feats = [f"{j + 1}:{v!r}" for j, v in enumerate(row.tolist())
+                     if v != 0.0 or (i, j) in ((0, 0), (n - 1, p - 1))]
+            lines.append(" ".join([repr(labels[i].item()), *feats]))
+        path.write_text("\n".join(lines) + "\n")
+        nnz = int(np.count_nonzero(a)) + 2
+        assert SPARSE_MAX_DENSITY * n * p < nnz < 0.2 * n * p  # loads dense
+        parse_bytes = nnz * 16 + (n + 1) * 8 + n * 8
+    else:
+        save_dataset(Dataset(a, labels), path, fmt="csv")
+    built = []
+
+    def dataset_of(features, labels):
+        built.append((features, tracemalloc.get_traced_memory()[0]))
+        return Dataset(features=features, labels=labels)
+
+    monkeypatch.setattr(data_module, "Dataset", dataset_of)
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (features, held), = built
+    assert ds.features is features  # adopted, not copied
+    assert ds.features.flags.f_contiguous and ds.features.dtype == np.float64
+    assert ds.features.tobytes() == np.asfortranarray(a).tobytes()
+    assert np.signbit(ds.features[0, 0]) and np.signbit(ds.features[n - 1, p - 1])
+    assert ds.labels.tobytes() == labels.tobytes()
+    design = ds.features.nbytes
+    if fmt == "svmlight":
+        assert peak <= 1.5 * design + parse_bytes
+    else:
+        assert peak <= held + 0.5 * design
 
 
 def test_out_of_order_and_repeated_indices_match_dense_parse(tmp_path):

@@ -850,6 +850,23 @@ def test_wide_dense_design_stays_row_major():
     assert Dataset(a, np.zeros(300)).features is a  # row-major float64: no copy
 
 
+@pytest.mark.parametrize("p", [50, model_module.COLUMN_MAJOR_MAX_P + 1])
+def test_dense_design_in_its_stored_order_is_adopted_without_a_copy(p):
+    """A float64 array already in ``dense_order(p)`` is the stored design;
+    any other order or dtype is copied with its values."""
+    a = np.random.default_rng(p).standard_normal((300, p))
+    stored = model_module.dense_order(p)
+    other = "C" if stored == "F" else "F"
+    given = np.asarray(a, order=stored)
+    assert np.shares_memory(Dataset(given, np.zeros(300)).features, given)
+    a32 = np.asarray(a, dtype=np.float32, order=stored)
+    for given, values in ((np.asarray(a, order=other), a), (a32, a32.astype(np.float64))):
+        features = Dataset(given, np.zeros(300)).features
+        assert not np.shares_memory(features, given)
+        assert features.dtype == np.float64 and features.flags[f"{stored}_CONTIGUOUS"]
+        np.testing.assert_array_equal(features, values)
+
+
 def test_csr_design_keeps_its_storage():
     a = sp.random(300, 20, density=0.1, format="csr", random_state=0)
     features = Dataset(a, np.zeros(300)).features
