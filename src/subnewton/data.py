@@ -232,9 +232,13 @@ def _load_svmlight(path) -> Dataset:
         a = sp.csr_matrix((vals, cols, indptr), shape=(n, p))
     else:
         # scattered, not CSR.toarray(), which would turn a stored -0.0 into
-        # 0.0, and in the order Dataset stores, so it adopts a as it is
+        # 0.0, and in the order Dataset stores, so it adopts a as it is; a
+        # row block at a time, so the row index is a block's, not nnz long
         a = np.zeros((n, p), order=dense_order(p))
-        a[np.repeat(np.arange(n), np.diff(indptr)), cols] = vals
+        for rows, a_b in _row_blocks(a):
+            ptr = indptr[rows.start:rows.start + a_b.shape[0] + 1]
+            lo, hi = ptr[0], ptr[-1]
+            a_b[np.repeat(np.arange(a_b.shape[0]), np.diff(ptr)), cols[lo:hi]] = vals[lo:hi]
     del cols, vals, indptr
     return Dataset(features=a, labels=labels)
 

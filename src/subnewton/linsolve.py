@@ -2,14 +2,18 @@
 inexact via preconditioned conjugate gradients under a two-part acceptance
 contract.
 
-A floored eigenbasis solve may run on a float32 eigendecomposition
-(``solve_floored``): its factored inverse M gives the direction and the
-corrections of iterative refinement, in float32, while every residual is
-taken in float64 against H_S + U D U', the float64 H_S with the eigenvalues
-of the k float32 eigenvectors U below the floor raised to it.  A direction
-is returned only once that residual meets ``EXACT_RESIDUAL_RTOL``, the
-exact solves' own contract; a solve that does not get there within
-``MAX_REFINEMENTS`` returns None, and the caller redoes it in float64.
+Every solve that improves an iterate of H y = rhs does so in one loop,
+``_cg_iterates``: PCG from a start y0 and its residual, with float64
+iterates and residuals and the products by H and M ~ H^-1 in their own
+dtype.  CG under the acceptance contract (``solve_inexact``) starts at zero.
+The exact solves start at y0 = M rhs and take the first of y0 and its next
+``MAX_REFINEMENTS`` iterates whose float64 residual meets
+``EXACT_RESIDUAL_RTOL`` (``_refine``): ``solve_exact`` with M the Cholesky
+factor, and ``solve_floored`` with M the floored inverse of a float32
+eigendecomposition, applied in float32, against H_S + U D U', the float64
+H_S with the eigenvalues of the k float32 eigenvectors U below the floor
+raised to it.  Where ``solve_floored`` finds no such iterate it returns
+None, and the caller redoes the step in float64.
 
 An inexact direction p for the system H p = -g is accepted when
 
@@ -46,9 +50,9 @@ model builds that Hessian from a Gram it keeps and keeps its inverse
 O(np^2) Gram and the O(p^3) Cholesky and potri (6.9 ms at p = 500, one BLAS
 thread); a later run at the same shift reads the kept inverse.
 On a 5000 x 500 logistic problem with a 1e8-conditioned design, started at
-zero, a fresh
-sample of |S| = p rows meets theta1 = 1e-2 in 38-54 iterations, inside
-ceil(p/6) = 84, where the inverse of another sample needs 147-213.  A dense
+zero, a fresh sample of |S| = p rows meets theta1 = 1e-2 in 38-54
+iterations, inside ceil(p/6) = 84, where the inverse of another sample
+needs 147-213.  A dense
 symmetric product applies M several times faster than two triangular solves
 with a Cholesky factor, at the same flop count.  An inexact M only costs
 iterations: the contract is always checked against the H of the current
@@ -134,27 +138,18 @@ def spd_inverse(h: np.ndarray) -> np.ndarray:
 
 
 def solve_exact(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve H y = rhs for symmetric positive definite H via Cholesky.
-
-    The residual is driven below 1e-10 * ||rhs|| with a few steps of
-    iterative refinement; failure to reach that (or to factorize) raises
-    ``NotPositiveDefiniteError``.
-    """
+    """Solve H y = rhs for symmetric positive definite H: the Cholesky solve,
+    corrected by PCG with the factor (``_refine``) while its residual misses
+    1e-10 * ||rhs||.  Failure to reach that (or to factorize) raises
+    ``NotPositiveDefiniteError``."""
     h = np.asarray(h, dtype=float)
-    rhs = np.asarray(rhs, dtype=float).ravel()
     factor = _cholesky(h)
-    y = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    for _ in range(MAX_REFINEMENTS):
-        resid = rhs - h @ y
-        if float(np.linalg.norm(resid)) <= EXACT_RESIDUAL_RTOL * rhs_norm:
-            return y
-        y = y + scipy.linalg.cho_solve(factor, resid, check_finite=False)
-    if float(np.linalg.norm(rhs - h @ y)) <= EXACT_RESIDUAL_RTOL * rhs_norm:
-        return y
-    raise NotPositiveDefiniteError("refinement stalled; matrix numerically singular")
+    refined = _refine(lambda v: h @ v,
+                      lambda v: scipy.linalg.cho_solve(factor, v, check_finite=False),
+                      np.asarray(rhs, dtype=float).ravel())
+    if refined is None:
+        raise NotPositiveDefiniteError("refinement stalled; matrix numerically singular")
+    return refined[0]
 
 
 def solve_eigen(spectrum: Spectrum, eigvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -179,37 +174,41 @@ def solve_floored(h: np.ndarray, spectrum: Spectrum, floor: float,
     k columns promoted to float64.  H^ is H with that part of its spectrum
     floored, as the float32 eigenvectors resolve it.
 
-    M = V diag(1 / max(lambda, floor)) V', applied factored in float32, gives
-    the first y and each correction y += M (rhs - H^ y); the residuals are
-    float64.  Returns y and ||H^ y - rhs|| / ||rhs|| once that is at most
-    ``EXACT_RESIDUAL_RTOL``, or None if ``MAX_REFINEMENTS`` corrections do
-    not get there.  Raises ``NotPositiveDefiniteError`` unless the floor is
-    positive.
+    M = V diag(1 / max(lambda, floor)) V', applied factored in float32, is
+    ``_refine``'s M: returns its (y, ||H^ y - rhs|| / ||rhs||), or None.
+    Raises ``NotPositiveDefiniteError`` unless the floor is positive.
     """
     if not floor > 0:
         raise NotPositiveDefiniteError(f"spectral floor {floor:.3g} is not positive")
-    rhs = np.asarray(rhs, dtype=float).ravel()
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs), 0.0
     eigvals = spectrum.eigvals
     k = int(np.searchsorted(eigvals, floor))  # ascending: the first k are below
     inverse = 1.0 / np.maximum(eigvals, floor)
     u = spectrum.eigenvectors(k).astype(float)
     raise_by = floor - eigvals[:k].astype(float)
+    return _refine(
+        lambda v: h @ v + u @ (raise_by * (u.T @ v)),
+        lambda v: spectrum.from_eigenbasis(spectrum.to_eigenbasis(v) * inverse).astype(float),
+        np.asarray(rhs, dtype=float).ravel())
 
-    def apply_m(v):
-        return spectrum.from_eigenbasis(spectrum.to_eigenbasis(v) * inverse).astype(float)
 
+def _refine(apply_h, apply_m, rhs):
+    """The first of y0 = M rhs and its next ``MAX_REFINEMENTS`` PCG iterates
+    whose float64 residual ratio ||rhs - H y|| / ||rhs||, taken afresh, is at
+    most ``EXACT_RESIDUAL_RTOL``, as (y, ratio); None if none of them is."""
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs), 0.0
     y = apply_m(rhs)
-    for refinement in range(MAX_REFINEMENTS + 1):
-        resid = rhs - (h @ y + u @ (raise_by * (u.T @ y)))
-        ratio = float(np.linalg.norm(resid)) / rhs_norm
-        if ratio <= EXACT_RESIDUAL_RTOL:
-            return y, ratio
-        if refinement < MAX_REFINEMENTS:
-            y = y + apply_m(resid)
-    return None
+    resid = rhs - apply_h(y)
+    ratio = float(np.linalg.norm(resid)) / rhs_norm
+    if ratio > EXACT_RESIDUAL_RTOL:
+        for y, _ in _cg_iterates(apply_h, resid, MAX_REFINEMENTS, apply_m, y):
+            ratio = float(np.linalg.norm(rhs - apply_h(y))) / rhs_norm
+            if ratio <= EXACT_RESIDUAL_RTOL:
+                break
+        else:
+            return None
+    return y, ratio
 
 
 def _times(m, v: np.ndarray) -> np.ndarray:
@@ -218,33 +217,32 @@ def _times(m, v: np.ndarray) -> np.ndarray:
     return (m @ v.astype(m.dtype, copy=False)).astype(v.dtype, copy=False)
 
 
-def _cg_iterates(h, g, budget, precond=None):
-    """Preconditioned conjugate-gradient iterates for H p = -g from the zero
-    start; ``precond`` is a symmetric positive definite M ~ H^-1 applied as
-    M @ r, and None runs plain CG.  The products with H and M run in their
-    own dtype; the iterates, residuals and step lengths stay in g's.
+def _cg_iterates(apply_h, r, budget, apply_m=None, y=None):
+    """Preconditioned CG iterates for H y = rhs from the start ``y`` (zero
+    when None), given its residual r = rhs - H y.  ``apply_h`` and
+    ``apply_m`` multiply by H and by an SPD M ~ H^-1 (None: plain CG) in
+    their own dtype and return r's, which the iterates keep.
 
-    Yields (p, ||H p + g||) after every update, the residual as the
+    Yields (y, ||rhs - H y||) after every update, the residual as the
     recurrence carries it.  Stops early if rounding destroys the curvature
     d'Hd > 0 or the preconditioned residual r'Mr > 0.
     """
-    p = np.zeros_like(g)
-    r = -g.copy()          # residual of H p = -g
-    z = r if precond is None else _times(precond, r)
+    y = np.zeros_like(r) if y is None else y
+    z = r if apply_m is None else apply_m(r)
     d = z.copy()
     rz = float(r @ z)
     for _ in range(budget):
-        hd = _times(h, d)
+        hd = apply_h(d)
         dhd = float(d @ hd)
         if dhd <= 0:
             return
         alpha = rz / dhd
-        p = p + alpha * d
+        y = y + alpha * d
         r = r - alpha * hd
         rr = float(r @ r)
-        yield p, np.sqrt(rr)
-        z = r if precond is None else _times(precond, r)
-        rz_next = rr if precond is None else float(r @ z)
+        yield y, np.sqrt(rr)
+        z = r if apply_m is None else apply_m(r)
+        rz_next = rr if apply_m is None else float(r @ z)
         if rz_next <= 0:
             return
         d = z + (rz_next / rz) * d
@@ -281,8 +279,9 @@ def solve_inexact(h, g: np.ndarray, spec: InexactnessSpec, precond: np.ndarray |
     target = spec.theta1 * gnorm
     budget = math.ceil(g.size / 6)
     h_cg = h if h.dtype == cg_dtype else h.astype(cg_dtype)
+    apply_m = None if precond is None else (lambda v: _times(precond, v))
     cg_iters = 0
-    for p, res in _cg_iterates(h_cg, g, budget, precond):
+    for p, res in _cg_iterates(lambda v: _times(h_cg, v), -g, budget, apply_m):
         cg_iters += 1
         if res <= target:
             diag = verify_inexact(h, g, p, spec)

@@ -248,11 +248,27 @@ class Dataset:
         n, p = feats.shape
         if n < 1 or p < 1:
             raise ValueError("need n >= 1 rows and p >= 1 columns")
-        # dense rows a block at a time, with no n x p boolean temporary
-        parts = [feats.data] if sp.issparse(feats) else [a_b for _, a_b in _row_blocks(feats)]
-        if not all(np.all(np.isfinite(v)) for v in parts):
+        # a dense design's row norms are also its finite check: a finite norm
+        # has only finite entries, and only a non-finite one (a nan or inf, or
+        # finite squares that overflow) sends the check to the entries.  Rows
+        # go an eighth of a row block at a time, whose squares take the bytes
+        # a full block's boolean isfinite mask would.  CSR checks its stored
+        # values, and takes its norms on first read (``row_norms``).
+        norms = None
+        if sp.issparse(feats):
+            finite = np.all(np.isfinite(feats.data))
+        else:
+            norms, blocks = np.empty(n), _row_blocks(feats, 8)
+            with np.errstate(over="ignore"):
+                for rows, a_b in blocks:  # np.linalg.norm(a_b, axis=1), bit for bit
+                    norms[rows] = np.sqrt(np.add.reduce(a_b * a_b, axis=1))
+            norms.flags.writeable = False
+            finite = np.all(np.isfinite(norms)) \
+                or all(np.all(np.isfinite(a_b)) for _, a_b in blocks)
+        if not finite:
             raise ValueError("features contain non-finite entries")
         object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "_row_norms", norms)
         labels = np.asarray(self.labels, dtype=float).ravel()
         object.__setattr__(self, "labels", labels)
         if labels.shape[0] != n:
@@ -271,27 +287,27 @@ class Dataset:
         return "sparse" if sp.issparse(self.features) else "dense"
 
     def row_norms(self) -> np.ndarray:
-        a = self.features
-        if sp.issparse(a):
-            return np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
-        # per row block, so no n x p temporary a*a; each row sums as one
-        # whole-array norm would sum it
-        norms = np.empty(self.n)
-        for rows, a_b in _row_blocks(a):
-            norms[rows] = np.linalg.norm(a_b, axis=1)
-        return norms
+        """||a_i|| of every row, read-only: a dense design's as its finite
+        check took them, a CSR design's taken here once."""
+        if self._row_norms is None:
+            a = self.features
+            norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
+            norms.flags.writeable = False
+            object.__setattr__(self, "_row_norms", norms)
+        return self._row_norms
 
     def rows_dense(self, idx) -> np.ndarray:
         a = self.features[idx]
         return a.toarray() if sp.issparse(a) else a
 
 
-def _row_blocks(a) -> list:
-    """(rows, A_rows) over the rows of A: views of ``ROW_BLOCK_BYTES``-sized
-    dense blocks, or all CSR rows as one block (slicing CSR would copy it)."""
+def _row_blocks(a, fraction: int = 1) -> list:
+    """(rows, A_rows) over the rows of A: views of dense blocks of
+    ``ROW_BLOCK_BYTES`` / ``fraction`` bytes, or all CSR rows as one block
+    (slicing CSR would copy it)."""
     if sp.issparse(a):
         return [(slice(None), a)]
-    step = max(1, ROW_BLOCK_BYTES // (a.itemsize * a.shape[1]))
+    step = max(1, ROW_BLOCK_BYTES // (fraction * a.itemsize * a.shape[1]))
     return [(slice(lo, lo + step), a[lo:lo + step]) for lo in range(0, a.shape[0], step)]
 
 

@@ -326,6 +326,40 @@ def test_run_trace_equals_the_one_solver_compare(dataset_file, tmp_path):
     assert float(tables[0][0]["rel_err_x"]) > 0
 
 
+def test_compare_preconditions_every_inexact_step_on_an_ill_conditioned_file(tmp_path):
+    """An inexact compare on a 1e8-conditioned file: CG preconditioned by the
+    inverse of the Hessian at x0 meets the contract on every step, with no
+    fallback, in float32 products at theta1 = 1e-2 and in float64 at 1e-6.
+    Two entries that differ only by name run on one model, the second taking
+    its start Hessian from the Gram the first kept, and their records are
+    equal, wall clocks aside; no record names an evaluation dtype."""
+    path = str(tmp_path / "h.svm")
+    assert run_cli("gen", "--n", "2000", "--p", "100", "--condition", "1e8", "--seed", "3",
+                   "-o", path) == 0
+    inexact = {"variant": "ssn-hessian", "sample_frac_h": 0.2, "theta2": 0.5,
+               "max_iters": 200}
+    spec_path = tmp_path / "h.json"
+    spec_path.write_text(json.dumps({
+        "dataset": {"path": path}, "family": "logistic", "reg": 1e-8,
+        "solvers": [{"name": "first", "theta1": 1e-2, "seed": 5, **inexact},
+                    {"name": "second", "theta1": 1e-2, "seed": 5, **inexact},
+                    {"name": "tight", "theta1": 1e-6, **inexact}]}))
+    assert run_cli("compare", "--spec", str(spec_path), "-o", str(tmp_path / "cmp")) == 0
+    first, second, tight = json.loads((tmp_path / "cmp.json").read_text())["runs"]
+    for run_, dtype in ((first, "float32"), (second, "float32"), (tight, "float64")):
+        assert not run_["failed"], run_["error"]
+        assert run_["header"]["preconditioner"] == "start-hessian"
+        assert run_["header"]["solve_dtype"] == dtype
+        paths = [rec["solve_path"] for rec in run_["records"]]
+        assert "cholesky-fallback" not in paths
+        assert all("eval_dtype" not in rec for rec in run_["records"])
+
+    def steps(run_):
+        return [{k: v for k, v in rec.items() if k != "wall_seconds"}
+                for rec in run_["records"]]
+    assert steps(first) == steps(second)
+
+
 def test_compare_rejects_unknown_solver_key(dataset_file, tmp_path, capsys):
     spec_path = tmp_path / "exp.json"
     spec_path.write_text(json.dumps({

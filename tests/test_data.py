@@ -364,6 +364,37 @@ def test_dense_narrow_load_builds_the_stored_layout(fmt, tmp_path, monkeypatch):
         assert peak <= held + 0.5 * design
 
 
+def test_dense_svmlight_scatter_holds_under_three_designs(monkeypatch):
+    """A dense svmlight file is scattered into its design a row block at a
+    time, with no nnz-long row index beside the parsed columns and values:
+    at 84% stored the load peaks below three designs, parse arrays included,
+    and keeps every value and sign bit (a stored -0.0 among them)."""
+    n, p = 200_000, 20
+    rng = np.random.default_rng(15)
+    stored = rng.random((n, p)) < 0.84
+    a = np.where(stored, rng.standard_normal((n, p)), 0.0)
+    a[stored & (rng.random((n, p)) < 1e-4)] = -0.0
+    cols = np.nonzero(stored)[1]
+    vals = a[stored]
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    labels = (rng.random(n) < 0.5).astype(float)
+    del stored
+
+    def parsed(path):  # the byte parse's arrays, made inside the traced load
+        return labels.copy(), cols.copy(), vals.copy(), indptr.copy()
+    monkeypatch.setattr(data_module, "_parse_bytes", parsed)
+    tracemalloc.start()
+    try:
+        ds = load_dataset("dense.svm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.storage == "dense"
+    assert ds.features.tobytes() == np.asfortranarray(a).tobytes()
+    assert np.any((ds.features == 0) & np.signbit(ds.features))  # a -0.0 kept
+    assert peak < 3 * ds.features.nbytes
+
+
 def test_out_of_order_and_repeated_indices_match_dense_parse(tmp_path):
     path = tmp_path / "dup.svm"
     lines = ["1 40:1.5 3:2.0 40:-4.0 1:0.25", "0 7:1.0 2:3.0 7:9.0 7:-1.0"]

@@ -146,12 +146,118 @@ def test_cg_energy_error_monotone():
     g = rng.standard_normal(25)
     p_star = -solve_exact(h, g)
     energies = []
-    for p, _ in _cg_iterates(h, g, 25):
+    for p, _ in _cg_iterates(h.__matmul__, -g, 25):
         e = p - p_star
         energies.append(float(e @ h @ e))
     assert len(energies) > 3
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12 * max(energies))
+
+
+def test_cg_from_a_nonzero_start_reaches_the_solution():
+    """Given a start y0 and its residual rhs - H y0, PCG converges to H^-1 rhs,
+    and the residual it reports is that of each iterate."""
+    rng = np.random.default_rng(10)
+    h = random_spd(rng, 30, shift=1.0)
+    rhs, y0 = rng.standard_normal(30), rng.standard_normal(30)
+    for apply_m in (None, np.linalg.inv(random_spd(rng, 30, shift=1.0)).__matmul__):
+        iterates = list(_cg_iterates(h.__matmul__, rhs - h @ y0, 30, apply_m, y0))
+        y, res = iterates[-1]
+        np.testing.assert_allclose(y, np.linalg.solve(h, rhs), rtol=1e-9)
+        assert res == pytest.approx(np.linalg.norm(rhs - h @ y), abs=1e-9)
+
+
+def plain_cg_iterates(h, g, budget, precond=None):
+    """PCG for H p = -g from zero, as a loop of its own: the iterates the
+    shared loop must reproduce bit for bit from the zero start."""
+    times = linsolve._times
+    p = np.zeros_like(g)
+    r = -g.copy()
+    z = r if precond is None else times(precond, r)
+    d = z.copy()
+    rz = float(r @ z)
+    for _ in range(budget):
+        hd = times(h, d)
+        dhd = float(d @ hd)
+        if dhd <= 0:
+            return
+        alpha = rz / dhd
+        p = p + alpha * d
+        r = r - alpha * hd
+        rr = float(r @ r)
+        yield p, np.sqrt(rr)
+        z = r if precond is None else times(precond, r)
+        rz_next = rr if precond is None else float(r @ z)
+        if rz_next <= 0:
+            return
+        d = z + (rz_next / rz) * d
+        rz = rz_next
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_cg_from_zero_repeats_a_plain_cg_loop_bit_for_bit(dtype, preconditioned):
+    rng = np.random.default_rng(13)
+    h = random_spd(rng, 40)
+    g = rng.standard_normal(40)
+    precond = np.linalg.inv(random_spd(rng, 40)).astype(dtype) if preconditioned else None
+    h_cg = h.astype(dtype)
+    expected = list(plain_cg_iterates(h_cg, g, 12, precond))
+    got = list(_cg_iterates(lambda v: linsolve._times(h_cg, v), -g, 12,
+                            None if precond is None else lambda v: linsolve._times(precond, v)))
+    assert len(got) == len(expected) == 12
+    for (p1, r1), (p2, r2) in zip(expected, got):
+        assert p2.dtype == np.float64 and p2.tobytes() == p1.tobytes() and r2 == r1
+
+
+def test_exact_solve_keeps_the_cholesky_iterate_that_meets_the_contract(monkeypatch):
+    """Where cho_solve's y meets 1e-10 * ||rhs||, solve_exact returns it bit
+    for bit and starts no PCG correction."""
+    rng = np.random.default_rng(9)
+    h = random_spd(rng, 40)
+    rhs = rng.standard_normal(40)
+    first = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h, lower=True), rhs)
+    assert np.linalg.norm(rhs - h @ first) <= EXACT_RESIDUAL_RTOL * np.linalg.norm(rhs)
+    monkeypatch.setattr(linsolve, "_cg_iterates", None)  # a call would raise
+    np.testing.assert_array_equal(solve_exact(h, rhs), first)
+
+
+def test_exact_solve_corrects_a_cholesky_iterate_that_misses(monkeypatch):
+    """On 1e9-conditioned systems whose right-hand side leans on the small
+    eigenvalues, cho_solve's y can miss 1e-10 * ||rhs|| by rounding alone;
+    PCG with the factor then corrects some of those to the contract.  Every
+    y solve_exact returns meets it."""
+    corrections = []
+
+    def counted(*args):
+        for item in cg_iterates(*args):
+            corrections.append(item)
+            yield item
+    cg_iterates = linsolve._cg_iterates
+    monkeypatch.setattr(linsolve, "_cg_iterates", counted)
+    p, rescued = 60, 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        eigs = np.logspace(0, 9, p)
+        h = (q * eigs) @ q.T
+        h = 0.5 * (h + h.T)
+        z = rng.standard_normal(p)
+        factor = scipy.linalg.cho_factor(h, lower=True)
+        for power in (0.25, 0.27, 0.29):
+            rhs = (q * eigs**power) @ z
+            target = EXACT_RESIDUAL_RTOL * np.linalg.norm(rhs)
+            missed = np.linalg.norm(rhs - h @ scipy.linalg.cho_solve(factor, rhs)) > target
+            corrections.clear()
+            try:
+                y = solve_exact(h, rhs)
+            except NotPositiveDefiniteError:
+                assert missed
+                continue
+            assert np.linalg.norm(rhs - h @ y) <= target
+            assert bool(corrections) == missed
+            rescued += missed
+    assert rescued >= 1
 
 
 # -- verification -------------------------------------------------------------
@@ -205,8 +311,8 @@ def test_identity_preconditioner_reproduces_plain_cg():
     rng = np.random.default_rng(11)
     h = random_spd(rng, 30)
     g = rng.standard_normal(30)
-    plain = list(_cg_iterates(h, g, 10))
-    pcg = list(_cg_iterates(h, g, 10, np.eye(30)))
+    plain = list(_cg_iterates(h.__matmul__, -g, 10))
+    pcg = list(_cg_iterates(h.__matmul__, -g, 10, np.eye(30).__matmul__))
     assert len(plain) == len(pcg) == 10
     for (p1, r1), (p2, r2) in zip(plain, pcg):
         np.testing.assert_allclose(p2, p1, rtol=1e-10, atol=1e-12)

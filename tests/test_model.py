@@ -829,7 +829,39 @@ def test_model_construction_makes_no_design_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * a.nbytes
+    assert m._row_norms is m.dataset.row_norms()  # one array, not a copy
     np.testing.assert_array_equal(m.dataset.row_norms(), np.linalg.norm(a, axis=1))
+
+
+def test_csr_row_norms_are_taken_once_and_shared():
+    """A CSR design's norms are taken on first read, as CSR's own row sums
+    of the squares give them, and the model holds that array itself."""
+    rng = np.random.default_rng(21)
+    a = sp.random(300, 40, density=0.1, format="csr", random_state=rng,
+                  data_rvs=rng.standard_normal)
+    dataset = Dataset(a, np.zeros(300))
+    m = ObjectiveModel(dataset, "logistic", reg=1e-3)
+    assert m._row_norms is dataset.row_norms() is dataset.row_norms()
+    expected = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
+    assert dataset.row_norms().tobytes() == expected.tobytes()
+    assert not dataset.row_norms().flags.writeable
+
+
+@pytest.mark.parametrize("p", [model_module.COLUMN_MAJOR_MAX_P,
+                               model_module.COLUMN_MAJOR_MAX_P + 1])
+def test_finite_entries_whose_squares_overflow_load_with_an_inf_norm(p):
+    """The row norms are the finite check, and a row of entries near 1e200 has
+    an inf norm though every entry is finite: it loads, with no warning, and
+    its norm reads inf, as np.linalg.norm's does; every other norm is
+    np.linalg.norm's bit for bit."""
+    a = np.random.default_rng(p).standard_normal((3 * model_module.ROW_BLOCK_BYTES // (8 * p), p))
+    a[-1] = 1e200
+    dataset = Dataset(a, np.zeros(a.shape[0]))
+    with np.errstate(over="ignore"):
+        expected = np.linalg.norm(dataset.features, axis=1)
+    assert dataset.row_norms()[-1] == np.inf
+    assert dataset.row_norms().tobytes() == expected.tobytes()
+    assert not dataset.row_norms().flags.writeable
 
 
 @pytest.mark.parametrize("p", [1, 50, model_module.COLUMN_MAJOR_MAX_P])
