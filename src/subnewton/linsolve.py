@@ -50,9 +50,9 @@ model builds that Hessian from a Gram it keeps and keeps its inverse
 O(np^2) Gram and the O(p^3) Cholesky and potri (6.9 ms at p = 500, one BLAS
 thread); a later run at the same shift reads the kept inverse.
 On a 5000 x 500 logistic problem with a 1e8-conditioned design, started at
-zero, a fresh sample of |S| = p rows meets theta1 = 1e-2 in 38-54
-iterations, inside ceil(p/6) = 84, where the inverse of another sample
-needs 147-213.  A dense
+zero, a fresh
+sample of |S| = p rows meets theta1 = 1e-2 in 38-54 iterations, inside
+ceil(p/6) = 84, where the inverse of another sample needs 147-213.  A dense
 symmetric product applies M several times faster than two triangular solves
 with a Cholesky factor, at the same flop count.  An inexact M only costs
 iterations: the contract is always checked against the H of the current

@@ -126,11 +126,12 @@ FLOAT32_CG_MIN_THETA1 = 1e-3
 # A logistic or ridge ssn-spectral run with K / lambda_user at most this takes
 # its eigendecomposition in float32 (header "solve_dtype") and certifies each
 # floored step in float64.  On a 20000 x 500 sparse logistic problem at
-# |S| = 300 and 1000 (BENCH_spectral_f32.json's sweep), no step at K / lambda
-# <= 200 needed more than 2 of the MAX_REFINEMENTS = 3 refinements, and up to
-# 100 every run kept the float64 run's stop and its iteration count within
-# one; at 700-1000 steps at |S| = 300 took 3, the direction moved up to 2e-3
-# from the float64 one, and from 7e3 some steps fell back to float64.
+# |S| = 300 and 1000 (BENCH_spectral_f32.json's sweep, taken when the
+# corrections were Richardson steps with M, not PCG iterates), no step at
+# K / lambda <= 200 needed more than 2 of the MAX_REFINEMENTS = 3 corrections,
+# and up to 100 every run kept the float64 run's stop and its iteration count
+# within one; at 700-1000 steps at |S| = 300 took 3, the direction moved up to
+# 2e-3 from the float64 one, and from 7e3 some steps fell back to float64.
 FLOAT32_EIGH_MAX_K_RATIO = 100.0
 
 

@@ -227,13 +227,12 @@ def test_exact_solve_corrects_a_cholesky_iterate_that_misses(monkeypatch):
     eigenvalues, cho_solve's y can miss 1e-10 * ||rhs|| by rounding alone;
     PCG with the factor then corrects some of those to the contract.  Every
     y solve_exact returns meets it."""
-    corrections = []
+    corrections, cg_iterates = [], linsolve._cg_iterates
 
     def counted(*args):
         for item in cg_iterates(*args):
             corrections.append(item)
             yield item
-    cg_iterates = linsolve._cg_iterates
     monkeypatch.setattr(linsolve, "_cg_iterates", counted)
     p, rescued = 60, 0
     for seed in range(6):
